@@ -4,29 +4,8 @@ Pressure-grid parsing, minimum detection, tracking, parametrization, the
 Baltic sea-level surrogate, ensemble generation, and a ground-truthed
 synthetic data generator, plus the plugin wiring that registers all of it
 with a knowledge registry.
+
+Import names from their submodules. This package module imports nothing,
+so the external BSM command (``dslake.cyclone.bsm_cmd``) starts without
+numpy or the rest of the library.
 """
-
-from dslake.cyclone.geo import (
-    classify_direction,
-    destination_point,
-    haversine_km,
-    initial_bearing,
-)
-from dslake.cyclone.track import CycloneCenter, CyclonePath, track
-from dslake.cyclone.params import CycloneParams, parametrize
-from dslake.cyclone.surrogate import bsm_surrogate
-from dslake.cyclone.ensemble import generate_ensemble
-
-__all__ = [
-    "haversine_km",
-    "initial_bearing",
-    "destination_point",
-    "classify_direction",
-    "CycloneCenter",
-    "CyclonePath",
-    "track",
-    "CycloneParams",
-    "parametrize",
-    "bsm_surrogate",
-    "generate_ensemble",
-]

@@ -4,6 +4,11 @@ Implements the external-command output contract: writes outputs.tsv plus
 one tab-separated series file per gauge, values rendered with four
 decimals. Used to exercise external execution mode against the builtin.
 
+This module must import no numpy and no engine, language or storage
+module, only ``times`` and ``surrogate`` (which needs only ``errors``):
+the engine starts one interpreter per selected path, and what that
+interpreter imports is most of its start-up cost.
+
     python -m dslake.cyclone.bsm_cmd --start 2005-01-07T00:00:00Z \
         --cyclone params.txt --horizon 96h --out OUTDIR
 """
@@ -15,8 +20,7 @@ import sys
 from pathlib import Path
 
 from dslake.times import iso_seconds, parse_utc
-from dslake.cyclone.params import CycloneParams
-from dslake.cyclone.surrogate import GAUGES, bsm_surrogate
+from dslake.cyclone.surrogate import GAUGES, CycloneParams, bsm_surrogate
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from dslake.cyclone.geo import classify_direction
-from dslake.cyclone.params import CycloneParams
+from dslake.cyclone.surrogate import CycloneParams
 
 _MASK64 = (1 << 64) - 1
 

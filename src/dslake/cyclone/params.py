@@ -1,4 +1,4 @@
-"""Parametric description of a tracked cyclone path.
+"""Parametrization of a tracked cyclone path into ``CycloneParams``.
 
 The pressure structure (central/ambient pressure, depth, radius) is read
 from a densified window around the path's final center; motion parameters
@@ -8,7 +8,6 @@ come from the center sequence itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable
 
@@ -22,62 +21,12 @@ from dslake.cyclone.geo import (
     initial_bearing,
 )
 from dslake.cyclone.grid import GridSnapshot, densify
+from dslake.cyclone.surrogate import CycloneParams
 from dslake.cyclone.track import CyclonePath
 
 WINDOW_HALF_DEG = 5.0  # the analysis window is 10 x 10 degrees
 RADIUS_DEPTH_FRACTION = 0.75
 DEFAULT_DENSIFY_FACTOR = 4
-
-
-@dataclass(frozen=True)
-class CycloneParams:
-    end_time: datetime
-    central_pressure: float  # hPa
-    ambient_pressure: float  # hPa
-    depth: float  # ambient - central, hPa, >= 0
-    radius_km: float
-    mean_speed_kmh: float
-    average_bearing: float | None  # degrees in [0, 360); None for length-1 paths
-    direction_sector: str | None
-
-    semantic_type = "cyclone-params"
-
-    def portable_text(self) -> str:
-        """Exact key=value rendering for the external command contract."""
-        from dslake.times import iso_seconds
-
-        bearing = "none" if self.average_bearing is None else repr(self.average_bearing)
-        sector = self.direction_sector or "none"
-        return (
-            f"ambient_pressure={self.ambient_pressure!r}\n"
-            f"average_bearing={bearing}\n"
-            f"central_pressure={self.central_pressure!r}\n"
-            f"depth={self.depth!r}\n"
-            f"direction_sector={sector}\n"
-            f"end_time={iso_seconds(self.end_time)}\n"
-            f"mean_speed_kmh={self.mean_speed_kmh!r}\n"
-            f"radius_km={self.radius_km!r}\n"
-        )
-
-    @staticmethod
-    def from_portable_text(text: str) -> "CycloneParams":
-        from dslake.times import parse_utc
-
-        fields = dict(
-            line.split("=", 1) for line in text.splitlines() if line.strip()
-        )
-        bearing = fields["average_bearing"]
-        sector = fields["direction_sector"]
-        return CycloneParams(
-            end_time=parse_utc(fields["end_time"]),
-            central_pressure=float(fields["central_pressure"]),
-            ambient_pressure=float(fields["ambient_pressure"]),
-            depth=float(fields["depth"]),
-            radius_km=float(fields["radius_km"]),
-            mean_speed_kmh=float(fields["mean_speed_kmh"]),
-            average_bearing=None if bearing == "none" else float(bearing),
-            direction_sector=None if sector == "none" else sector,
-        )
 
 
 def parametrize(

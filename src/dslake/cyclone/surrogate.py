@@ -11,15 +11,19 @@ with k_ib = 1 cm/hPa and sigma = 12 h. The constants are declared stub
 parameters, not physical claims. A path without a defined bearing gets
 w = 0. Gauges are addressed by grid index; only the Saint-Petersburg
 gauge (440, 414) is registered.
+
+``CycloneParams``, the package's input, lives here rather than beside
+``parametrize`` so that the external command imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 
-from dslake.errors import UnknownGauge
-from dslake.cyclone.params import CycloneParams
+from dslake.errors import FormatError, UnknownGauge
+from dslake.times import iso_seconds, parse_utc
 
 K_IB_CM_PER_HPA = 1.0
 RESPONSE_SIGMA_HOURS = 12.0
@@ -27,6 +31,67 @@ WORST_BEARING_DEG = 45.0
 DEFAULT_HORIZON_HOURS = 96
 
 GAUGES = {(440, 414): "saint-petersburg"}
+
+
+@dataclass(frozen=True)
+class CycloneParams:
+    end_time: datetime
+    central_pressure: float  # hPa
+    ambient_pressure: float  # hPa
+    depth: float  # ambient - central, hPa, >= 0
+    radius_km: float
+    mean_speed_kmh: float
+    average_bearing: float | None  # degrees in [0, 360); None for length-1 paths
+    direction_sector: str | None
+
+    semantic_type = "cyclone-params"
+
+    def portable_text(self) -> str:
+        """Exact key=value rendering for the external command contract."""
+        bearing = "none" if self.average_bearing is None else repr(self.average_bearing)
+        sector = self.direction_sector or "none"
+        return (
+            f"ambient_pressure={self.ambient_pressure!r}\n"
+            f"average_bearing={bearing}\n"
+            f"central_pressure={self.central_pressure!r}\n"
+            f"depth={self.depth!r}\n"
+            f"direction_sector={sector}\n"
+            f"end_time={iso_seconds(self.end_time)}\n"
+            f"mean_speed_kmh={self.mean_speed_kmh!r}\n"
+            f"radius_km={self.radius_km!r}\n"
+        )
+
+    @staticmethod
+    def from_portable_text(text: str) -> "CycloneParams":
+        """Parse ``portable_text`` output; malformed text is a FormatError.
+
+        A missing key is reported at the line after the last one.
+        """
+        found: dict[str, tuple[int, str]] = {}
+        lines = text.splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                key, sep, raw = line.partition("=")
+                if not sep:
+                    raise FormatError(lineno, f"expected key=value, found {line!r}")
+                found[key] = (lineno, raw)
+        values: dict[str, object] = {}
+        for name in (f.name for f in fields(CycloneParams)):
+            if name not in found:
+                raise FormatError(len(lines) + 1, f"missing key {name!r}")
+            lineno, raw = found[name]
+            try:
+                if raw == "none" and name in ("average_bearing", "direction_sector"):
+                    values[name] = None
+                elif name == "end_time":
+                    values[name] = parse_utc(raw)
+                elif name == "direction_sector":
+                    values[name] = raw
+                else:
+                    values[name] = float(raw)
+            except ValueError:
+                raise FormatError(lineno, f"{name}: bad value {raw!r}") from None
+        return CycloneParams(**values)
 
 
 def bearing_weight(bearing_deg: float | None) -> float:

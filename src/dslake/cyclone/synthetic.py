@@ -44,7 +44,7 @@ from dslake.cyclone.geo import (
     haversine_km,
     initial_bearing,
 )
-from dslake.cyclone.grid import GridSnapshot, render_body, render_grid_snapshot
+from dslake.cyclone.grid import GridSnapshot, _num, render_body, render_grid_snapshot
 from dslake.cyclone.track import CyclonePath
 
 BACKGROUND_HPA = 1013.25
@@ -512,12 +512,3 @@ def _haversine_field(
     dp = lat_rad - p1
     a = np.sin(dp / 2.0) ** 2 + math.cos(p1) * np.cos(lat_rad) * np.sin(dl / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
-
-
-def _num(x: float) -> str:
-    s = repr(float(x))
-    if "e" in s or "E" in s:
-        s = f"{x:.12f}".rstrip("0")
-        if s.endswith("."):
-            s += "0"
-    return s

@@ -25,7 +25,7 @@ from dslake.cyclone.detect import CycloneCenter
 from dslake.cyclone.geo import haversine_km
 
 if TYPE_CHECKING:
-    from dslake.cyclone.params import CycloneParams
+    from dslake.cyclone.surrogate import CycloneParams
 
 DEFAULT_GATE_SPEED_KMH = 120.0
 

@@ -212,7 +212,6 @@ class Engine:
             fragments, query, self.registry, layout, request.extra_params
         )
         document.task_id = request.task_id()
-        document.diagnostics.files_mapped = len(metas)
         return document
 
 
@@ -330,7 +329,6 @@ def _run_simulations(
                 PackageInvocation(
                     package=plan.package,
                     bindings=bindings,
-                    placement_node=node,
                     object_id=obj.object_id,
                 ),
                 registry,

@@ -60,7 +60,6 @@ class IndexedSeries:
 class PackageInvocation:
     package: PackageDescriptor
     bindings: dict[str, Any]
-    placement_node: int | None = None
     object_id: str = ""
     task_id: str = ""
 
@@ -245,11 +244,11 @@ def _run_external_in(
             f"{package.name} wrote no outputs.tsv (scratch kept at {scratch})"
         )
     outputs: dict[str, Any] = {}
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(manifest.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            name, raw = line.split("\t", 1)
+            name, raw = line.decode().split("\t", 1)
         except ValueError:
             raise PackageFailure(
                 f"{package.name}: malformed outputs.tsv line {lineno}"
@@ -257,7 +256,7 @@ def _run_external_in(
         base = name.split("[", 1)[0]
         decl = package.output_named(base)
         if decl is not None and decl.semantic_type.startswith("timeseries"):
-            outputs[name] = _read_series(scratch / raw, package.name)
+            outputs[name] = _read_series(scratch, raw, package.name)
         else:
             try:
                 outputs[name] = float(raw)
@@ -266,15 +265,24 @@ def _run_external_in(
     return outputs
 
 
-def _read_series(path: Path, package_name: str) -> Series:
+def _read_series(scratch: Path, name: str, package_name: str) -> Series:
+    path = scratch / name
     if not path.exists():
-        raise PackageFailure(f"{package_name}: series file {path.name} missing")
+        raise PackageFailure(
+            f"{package_name}: series file {name} missing (scratch kept at {scratch})"
+        )
     series: Series = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
-        ts, value = line.split("\t")
-        series.append((parse_utc(ts), float(value)))
+        try:
+            ts, value = line.decode().split("\t")
+            series.append((parse_utc(ts), float(value)))
+        except ValueError:
+            raise PackageFailure(
+                f"{package_name}: series file {name} line {lineno}: expected"
+                f" <time> TAB <value>, found {line!r} (scratch kept at {scratch})"
+            ) from None
     return series
 
 

@@ -225,3 +225,42 @@ def test_task_id_exported_to_environment(registry, tmp_path):
         PackageInvocation(package=descriptor, bindings={}, task_id="task-77"), registry
     )
     assert out.outputs["token"] == "task-77"
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        b"2005-01-07T00:00:00Z\t1.0\textra",  # wrong column count
+        b"2005-01-07T25:00:00Z\t1.0",  # bad timestamp
+        b"2005-01-07T00:00:00Z\tlow",  # bad float
+        b"2005-01-07T00:00:00Z\t1.0\xff",  # not UTF-8
+    ],
+    ids=["columns", "time", "value", "encoding"],
+)
+def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
+    import shutil
+    import sys
+
+    marker = tmp_path / "bad_series.py"
+    marker.write_text(
+        "import sys, pathlib\n"
+        "out = pathlib.Path(sys.argv[1])\n"
+        "(out / 'level.tsv').write_bytes(\n"
+        f"    b'2005-01-06T23:00:00Z\\t0.5000\\n' + {bad_line!r} + b'\\n')\n"
+        "(out / 'outputs.tsv').write_text('level\\tlevel.tsv\\n')\n"
+    )
+    descriptor = PackageDescriptor(
+        name="SERIES",
+        inputs=(),
+        outputs=(PackageOutputDecl("level", "timeseries<float>"),),
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template=f"{sys.executable} {marker} {{outdir}}",
+    )
+    registry.register_package(descriptor)
+    with pytest.raises(PackageFailure) as err:
+        invoke(PackageInvocation(package=descriptor, bindings={}), registry)
+    message = str(err.value)
+    assert message.startswith("SERIES: series file level.tsv line 2:")
+    scratch = Path(message.rsplit("scratch kept at ", 1)[1].rstrip(")"))
+    assert (scratch / "level.tsv").exists()
+    shutil.rmtree(scratch)

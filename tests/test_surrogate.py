@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslake.errors import UnknownGauge
+from dslake.errors import FormatError, UnknownGauge
 from dslake.cyclone.params import CycloneParams
 from dslake.cyclone.surrogate import bsm_surrogate
 
@@ -88,3 +88,27 @@ def test_monotone_in_depth(bearing, hour, depths):
         for d in sorted(depths)
     ]
     assert all(a <= b + 1e-12 for a, b in zip(levels, levels[1:]))
+
+
+@pytest.mark.parametrize("bearing", [45.0, None])
+def test_portable_text_round_trip(bearing):
+    original = params(bearing=bearing)
+    assert CycloneParams.from_portable_text(original.portable_text()) == original
+
+
+@pytest.mark.parametrize(
+    "edit, line, named",
+    [
+        (lambda lines: lines[:3] + lines[4:], 8, "'depth'"),  # key missing
+        (lambda lines: lines[:1] + ["average_bearing 45.0"] + lines[2:], 2, "average_bearing 45.0"),
+        (lambda lines: lines[:6] + ["mean_speed_kmh=fast"] + lines[7:], 7, "mean_speed_kmh"),
+        (lambda lines: lines[:5] + ["end_time=yesterday"] + lines[6:], 6, "end_time"),
+    ],
+    ids=["missing-key", "no-equals", "bad-float", "bad-time"],
+)
+def test_malformed_portable_text_is_format_error(edit, line, named):
+    lines = params().portable_text().splitlines()
+    with pytest.raises(FormatError) as err:
+        CycloneParams.from_portable_text("\n".join(edit(lines)) + "\n")
+    assert err.value.line == line
+    assert named in str(err.value)
