@@ -30,8 +30,13 @@ from dslake.lang.formatter import format_query
 from dslake.lang.parser import parse
 from dslake.lang.validate import validate
 from dslake.registry import KnowledgeRegistry
-from dslake.storage import DataFile, StorageLayout
-from dslake.times import parse_utc
+from dslake.storage import (
+    DataFile,
+    FileMeta,
+    StorageLayout,
+    read_manifest,
+    write_manifest,
+)
 from dslake.cyclone.plugin import register_cyclone_domain
 
 DEFAULTS = {"storage_root": "./dslake-storage", "nodes": "2", "replication": "2", "seed": "0"}
@@ -181,16 +186,10 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
 
     out = args.out or Path(f"synthetic-{spec.dataset}")
     out.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for f in files:
-        name = f"{f.file_id}.snap"
-        (out / name).write_bytes(f.data)
-        from dslake.times import iso_seconds
-
-        lines.append(
-            "\t".join((f.file_id, f.dataset, iso_seconds(f.t0), iso_seconds(f.t1), name))
-        )
-    (out / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    metas = [FileMeta(f.file_id, f.dataset, f.t0, f.t1, f"{f.file_id}.snap") for f in files]
+    for f, meta in zip(files, metas):
+        (out / meta.relative_path).write_bytes(f.data)
+    write_manifest(out / "manifest.tsv", metas)
     (out / "groundtruth.txt").write_text(truth.canonical_text())
     print(f"wrote {len(files)} snapshots to {out}", file=sys.stderr)
     sys.stdout.write(f"{out / 'manifest.tsv'}\n")
@@ -202,21 +201,16 @@ def _cmd_ingest(args, config: CliConfig) -> int:
         raise FileNotFoundError(f"manifest {args.manifest}")
     base = args.manifest.parent
     layout = _load_or_create_layout(config)
-    files = []
-    for line in args.manifest.read_text().splitlines():
-        if not line.strip():
-            continue
-        file_id, dataset, t0, t1, relpath = line.split("\t")
-        data = (base / relpath).read_bytes()
-        files.append(
-            DataFile(
-                file_id=file_id,
-                dataset=dataset,
-                t0=parse_utc(t0),
-                t1=parse_utc(t1),
-                data=data,
-            )
+    files = [
+        DataFile(
+            file_id=meta.file_id,
+            dataset=meta.dataset,
+            t0=meta.t0,
+            t1=meta.t1,
+            data=(base / meta.relative_path).read_bytes(),
         )
+        for meta in read_manifest(args.manifest)
+    ]
     layout.ingest(files)
     layout.save(config.storage_root)
     print(
@@ -228,12 +222,9 @@ def _cmd_ingest(args, config: CliConfig) -> int:
 
 
 def _load_or_create_layout(config: CliConfig) -> StorageLayout:
-    try:
+    if (config.storage_root / "fabric.conf").exists():
         return StorageLayout.load(config.storage_root)
-    except DslakeError:
-        return StorageLayout(
-            node_count=config.node_count, replication=config.replication
-        )
+    return StorageLayout(node_count=config.node_count, replication=config.replication)
 
 
 def _cmd_submit(args, config: CliConfig) -> int:

@@ -33,21 +33,23 @@ def detect_centers(
     i.e. by grid index since spacings are positive.
     """
     minima = interior_minima(snapshot.values, threshold)
+    lat0, lon0, dlat, dlon = snapshot.lat0, snapshot.lon0, snapshot.dlat, snapshot.dlon
+    return centers_at(minima, lat0, lon0, dlat, dlon, snapshot.timestamp, area)
+
+
+def centers_at(
+    minima: list[tuple[int, int, float]],
+    lat0: float, lon0: float, dlat: float, dlon: float,
+    timestamp: datetime,
+    area: GeoBox | None = None,
+) -> list[CycloneCenter]:
+    """Centers at grid minima ``(i, j, pressure)``, dropping those outside ``area``."""
     centers = []
     for i, j, pressure in minima:
-        lat = snapshot.lat_of(i)
-        lon = snapshot.lon_of(j)
-        if area is not None and not area.contains(lat, lon):
-            continue
-        centers.append(
-            CycloneCenter(
-                lat=lat,
-                lon=lon,
-                pressure=pressure,
-                timestamp=snapshot.timestamp,
-                grid_index=(i, j),
-            )
-        )
+        lat = lat0 + i * dlat
+        lon = lon0 + j * dlon
+        if area is None or area.contains(lat, lon):
+            centers.append(CycloneCenter(lat, lon, pressure, timestamp, (i, j)))
     return centers
 
 

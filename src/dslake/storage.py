@@ -227,19 +227,7 @@ class StorageLayout:
             metas.sort(key=lambda m: (m.t0, m.file_id))
             manifest_dir = root / "datasets" / dataset
             manifest_dir.mkdir(parents=True, exist_ok=True)
-            lines = [
-                "\t".join(
-                    (
-                        m.file_id,
-                        m.dataset,
-                        iso_seconds(m.t0),
-                        iso_seconds(m.t1),
-                        m.relative_path,
-                    )
-                )
-                for m in metas
-            ]
-            (manifest_dir / "manifest.tsv").write_text("\n".join(lines) + "\n")
+            write_manifest(manifest_dir / "manifest.tsv", metas)
         for node, volume in enumerate(self.volumes):
             for file_id in volume:
                 target = root / f"node-{node}" / self.meta[file_id].relative_path
@@ -252,27 +240,30 @@ class StorageLayout:
         conf_path = root / "fabric.conf"
         if not conf_path.exists():
             raise StorageError(f"no fabric at {root}")
-        conf = dict(
-            line.split("=", 1)
-            for line in conf_path.read_text().splitlines()
-            if "=" in line
-        )
-        layout = StorageLayout(
-            node_count=int(conf["node_count"]),
-            replication=int(conf["replication"]),
-        )
+        conf: dict[str, int] = {}
+        for lineno, line in enumerate(conf_path.read_text().splitlines(), start=1):
+            key, _, value = line.partition("=")
+            if key in ("node_count", "replication"):
+                try:
+                    conf[key] = int(value)
+                except ValueError:
+                    raise StorageError(
+                        f"{conf_path}:{lineno}: {key} is not an integer: {value!r}"
+                    ) from None
+        for key in ("node_count", "replication"):
+            if key not in conf:
+                raise StorageError(f"{conf_path}: no {key}")
+        layout = StorageLayout(**conf)
         datasets_dir = root / "datasets"
         if not datasets_dir.exists():
             return layout
         for manifest in sorted(datasets_dir.glob("*/manifest.tsv")):
-            for line in manifest.read_text().splitlines():
-                if not line.strip():
-                    continue
-                file_id, dataset, t0, t1, relpath = line.split("\t")
+            for meta in read_manifest(manifest):
+                file_id = meta.file_id
                 nodes = tuple(place(file_id, layout.node_count, layout.replication))
                 data = None
                 for node in nodes:
-                    candidate = root / f"node-{node}" / relpath
+                    candidate = root / f"node-{node}" / meta.relative_path
                     if candidate.exists():
                         data = candidate.read_bytes()
                         break
@@ -280,13 +271,7 @@ class StorageLayout:
                     raise StorageError(f"no replica of {file_id} on disk")
                 layout.placements[file_id] = nodes
                 layout.blobs[file_id] = data
-                layout.meta[file_id] = FileMeta(
-                    file_id=file_id,
-                    dataset=dataset,
-                    t0=parse_utc(t0),
-                    t1=parse_utc(t1),
-                    relative_path=relpath,
-                )
+                layout.meta[file_id] = meta
                 for node in nodes:
                     layout.volumes[node].add(file_id)
         return layout
@@ -306,3 +291,35 @@ class StorageLayout:
             for node in nodes:
                 view.volumes[node].add(file_id)
         return view
+
+
+def read_manifest(path: Path) -> list[FileMeta]:
+    """A manifest's entries in file order; a malformed line raises ``StorageError``."""
+    metas = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise StorageError(
+                f"{path}:{lineno}: expected 5 tab-separated columns,"
+                f" found {len(fields)}"
+            )
+        file_id, dataset, t0, t1, relpath = fields
+        try:
+            times = parse_utc(t0), parse_utc(t1)
+        except ValueError as exc:
+            raise StorageError(f"{path}:{lineno}: bad timestamp: {exc}") from None
+        metas.append(FileMeta(file_id, dataset, *times, relpath))
+    return metas
+
+
+def write_manifest(path: Path, metas: Iterable[FileMeta]) -> None:
+    """Write ``metas`` in the format ``read_manifest`` reads."""
+    lines = [
+        "\t".join(
+            (m.file_id, m.dataset, iso_seconds(m.t0), iso_seconds(m.t1), m.relative_path)
+        )
+        for m in metas
+    ]
+    path.write_text("\n".join(lines) + "\n")

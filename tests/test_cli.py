@@ -71,6 +71,29 @@ def test_submit_empty_dataset_zero_objects(workdir, capsys):
     assert "OBJECTS\nSIMULATIONS" in out
 
 
+@pytest.mark.parametrize(
+    "conf, manifest, message",
+    [
+        ("replication=2\n", "", "fabric.conf: no node_count"),
+        ("node_count=2\nreplication=2\n", "abc\td\n",
+         "manifest.tsv:1: expected 5 tab-separated columns, found 2"),
+    ],
+    ids=["fabric", "manifest"],
+)
+def test_submit_on_malformed_storage_exit_one(workdir, capsys, conf, manifest, message):
+    root = workdir / "dslake-storage"
+    (root / "datasets" / "d1").mkdir(parents=True)
+    (root / "fabric.conf").write_text(conf)
+    (root / "datasets" / "d1" / "manifest.tsv").write_text(manifest)
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+    assert "Traceback" not in err
+
+
 def test_full_pipeline_and_determinism(workdir, capsys):
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)

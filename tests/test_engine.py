@@ -1,4 +1,8 @@
+import dataclasses
 import random
+import shutil
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,43 @@ def test_diagnostics_counts(registry):
     text = doc.canonical_text()
     assert f"files_mapped {n_files}" in text
     assert "nodes_used" not in text  # node-dependent, excluded from bytes
+
+
+def test_map_stage_runs_on_the_submitting_thread(registry, monkeypatch):
+    # extraction holds the interpreter lock, so map threads cost CPU and
+    # save nothing: a submit at 4 nodes must map on the calling thread, and
+    # no option may size a map pool
+    layout, _ = synthetic_layout(seed=14, count=1, north_east=1, end=(2011, 1, 10, 18))
+
+    def refuse(thread):
+        raise AssertionError(f"submit started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    doc = submit(fig5_request(node_count=4), registry, layout)
+    assert doc.diagnostics.files_mapped == len(layout.dataset_files("d1"))
+    fields = [f.name for f in dataclasses.fields(EngineConfig)]
+    assert fields == ["node_count", "replication"]
+
+
+def test_unstartable_external_package_is_a_failed_simulation(registry):
+    layout, _ = synthetic_layout(seed=13, count=1, north_east=1, end=(2011, 2, 28, 18))
+    descriptor = PackageDescriptor(
+        name="GHOST",
+        inputs=(PackageInput("cyclone", "cyclone-params", required=True),),
+        outputs=(PackageOutputDecl("surge", "float"),),
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template="no-such-program-xyz {input:cyclone} {outdir}",
+    )
+    registry.register_package(descriptor)
+    script = (
+        "select cyclone-path\n"
+        "simulate\n  with GHOST\n  semantic_association yes\n  out(surge)\n"
+    )
+    request = TaskRequest(dataset="d1", script=script, engine_config=EngineConfig(4, 2))
+    doc = submit(request, registry, layout)
+    (sim,) = doc.simulations
+    assert sim.status == "failed" and sim.outputs == {}
+    assert "GHOST could not start 'no-such-program-xyz'" in sim.failure_reason
+    scratch = sim.failure_reason.rsplit("scratch kept at ", 1)[1].rstrip(")")
+    assert (Path(scratch) / "cyclone.txt").exists()  # the materialized input
+    shutil.rmtree(scratch)

@@ -1,4 +1,5 @@
 import os
+import shutil
 from datetime import timedelta
 from pathlib import Path
 
@@ -162,6 +163,11 @@ def _echo_descriptor(template: str) -> PackageDescriptor:
     )
 
 
+def kept_scratch(failure: PackageFailure) -> Path:
+    """The scratch directory a failed external run names in its message."""
+    return Path(str(failure).rsplit("scratch kept at ", 1)[1].rstrip(")"))
+
+
 def test_external_command_without_outputs_file_fails():
     registry = KnowledgeRegistry()
     descriptor = _echo_descriptor("echo {input:word}")
@@ -170,6 +176,7 @@ def test_external_command_without_outputs_file_fails():
         invoke(
             PackageInvocation(package=descriptor, bindings={"word": "hi"}), registry
         )
+    shutil.rmtree(kept_scratch(err.value))
     assert "outputs.tsv" in str(err.value)
 
 
@@ -177,8 +184,23 @@ def test_external_command_nonzero_exit_fails():
     registry = KnowledgeRegistry()
     descriptor = _echo_descriptor("false")
     registry.register_package(descriptor)
-    with pytest.raises(PackageFailure):
+    with pytest.raises(PackageFailure) as err:
         invoke(PackageInvocation(package=descriptor, bindings={"word": "hi"}), registry)
+    shutil.rmtree(kept_scratch(err.value))
+
+
+def test_external_command_that_cannot_start_fails():
+    # a missing program is a package failure naming the program and the
+    # kept scratch, not an OSError escaping the invocation
+    registry = KnowledgeRegistry()
+    descriptor = _echo_descriptor("no-such-program-xyz {outdir}")
+    registry.register_package(descriptor)
+    with pytest.raises(PackageFailure) as err:
+        invoke(PackageInvocation(package=descriptor, bindings={"word": "hi"}), registry)
+    scratch = kept_scratch(err.value)
+    assert scratch.is_dir()
+    shutil.rmtree(scratch)
+    assert str(err.value).startswith("ECHO could not start 'no-such-program-xyz':")
 
 
 def test_external_bsm_matches_builtin(registry):
@@ -238,7 +260,6 @@ def test_task_id_exported_to_environment(registry, tmp_path):
     ids=["columns", "time", "value", "encoding"],
 )
 def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
-    import shutil
     import sys
 
     marker = tmp_path / "bad_series.py"
@@ -259,8 +280,7 @@ def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
     registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
         invoke(PackageInvocation(package=descriptor, bindings={}), registry)
-    message = str(err.value)
-    assert message.startswith("SERIES: series file level.tsv line 2:")
-    scratch = Path(message.rsplit("scratch kept at ", 1)[1].rstrip(")"))
+    assert str(err.value).startswith("SERIES: series file level.tsv line 2:")
+    scratch = kept_scratch(err.value)
     assert (scratch / "level.tsv").exists()
     shutil.rmtree(scratch)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dslake.errors import (
     DuplicateFile,
     InvalidReplication,
+    StorageError,
     UnknownNode,
     UnreadableFile,
 )
@@ -164,6 +165,43 @@ def test_on_disk_round_trip(tmp_path):
     assert loaded.placements == layout.placements
     for f in files:
         assert loaded.read(f.file_id) == f.data
+
+
+@pytest.mark.parametrize(
+    "conf, message",
+    [
+        ("replication=2\n", "fabric.conf: no node_count"),
+        ("node_count=3\n", "fabric.conf: no replication"),
+        ("node_count=three\nreplication=2\n",
+         "fabric.conf:1: node_count is not an integer: 'three'"),
+        ("node_count=3\nreplication=\n", "fabric.conf:2: replication is not an integer: ''"),
+    ],
+    ids=["no-nodes", "no-replication", "word", "empty"],
+)
+def test_load_rejects_bad_fabric_conf(tmp_path, conf, message):
+    (tmp_path / "fabric.conf").write_text(conf)
+    with pytest.raises(StorageError) as err:
+        StorageLayout.load(tmp_path)
+    assert str(err.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("abc\td", "expected 5 tab-separated columns, found 2"),
+        ("abc\td\t2011-01-01T00:00Z\t2011-01-01T00:00Z\td/abc.snap\textra",
+         "expected 5 tab-separated columns, found 6"),
+        ("abc\td\t2011-01-01T00:00Z\t2011-13-01T00:00Z\td/abc.snap", "bad timestamp: "),
+    ],
+    ids=["short", "long", "time"],
+)
+def test_load_rejects_bad_manifest_line(tmp_path, line, message):
+    StorageLayout(node_count=3, replication=2).ingest([make_file(0)]).save(tmp_path)
+    manifest = tmp_path / "datasets" / "d" / "manifest.tsv"
+    manifest.write_text(manifest.read_text() + line + "\n")
+    with pytest.raises(StorageError) as err:
+        StorageLayout.load(tmp_path)
+    assert str(err.value).startswith(f"{manifest}:2: {message}")
 
 
 @settings(max_examples=60)
