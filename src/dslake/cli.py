@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from dslake.errors import DslakeError
+from dslake.errors import DslakeError, ParseError, SpecError, undecodable_at
 from dslake.descriptors import load_descriptor_file
 from dslake.engine import EngineConfig, TaskRequest, submit
 from dslake.lang.formatter import format_query
@@ -164,7 +164,12 @@ def _load_registry(config: CliConfig) -> KnowledgeRegistry:
 def _read_script(path: Path) -> str:
     if not path.exists():
         raise FileNotFoundError(f"script {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line, col = undecodable_at(exc)
+        found = f"byte 0x{exc.object[exc.start]:02x} in {path}"
+        raise ParseError(line, col, "UTF-8 text", found) from None
 
 
 def _cmd_validate(args, config: CliConfig) -> int:
@@ -180,7 +185,11 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
 
     if not args.spec.exists():
         raise FileNotFoundError(f"spec {args.spec}")
-    spec = parse_spec_text(args.spec.read_text(encoding="utf-8"))
+    try:
+        text = args.spec.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{args.spec}:{undecodable_at(exc)[0]}: not UTF-8 text") from None
+    spec = parse_spec_text(text)
     seed = args.seed if args.seed is not None else config.seed
     files, truth = generate_synthetic(spec, seed)
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from dslake.errors import DegenerateBearing
 
 EARTH_RADIUS_KM = 6371.0
@@ -31,6 +33,16 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dl = l2 - l1
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+
+
+def haversine_grid_km(lat: float, lon: float, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+    """Distance from (lat, lon) to every node of the ``lats`` x ``lons`` grid."""
+    p1 = math.radians(lat)
+    p2 = np.radians(lats)[:, None]
+    dl = np.radians(lons[None, :] - lon)
+    dp = p2 - p1
+    a = np.sin(dp / 2.0) ** 2 + math.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
 def initial_bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

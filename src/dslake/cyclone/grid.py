@@ -129,12 +129,21 @@ def _check_values(values: np.ndarray) -> None:
 
 def render_grid_snapshot(snapshot: GridSnapshot) -> bytes:
     """Render to the canonical byte format (two-decimal pressures)."""
-    header = (
-        f"grid {_num(snapshot.lat0)} {_num(snapshot.lon0)}"
-        f" {_num(snapshot.dlat)} {_num(snapshot.dlon)}"
-        f" {snapshot.nlat} {snapshot.nlon} {iso_minutes(snapshot.timestamp)}\n"
+    header = render_header(
+        snapshot.lat0, snapshot.lon0, snapshot.dlat, snapshot.dlon,
+        snapshot.nlat, snapshot.nlon, snapshot.timestamp,
     )
-    return header.encode() + render_body(snapshot.values)
+    return header + render_body(snapshot.values)
+
+
+def render_header(
+    lat0: float, lon0: float, dlat: float, dlon: float, nlat: int, nlon: int, ts: datetime
+) -> bytes:
+    """The header line ``parse_header`` reads, newline included."""
+    return (
+        f"grid {_num(lat0)} {_num(lon0)} {_num(dlat)} {_num(dlon)}"
+        f" {nlat} {nlon} {iso_minutes(ts)}\n"
+    ).encode()
 
 
 def render_body(values: np.ndarray) -> bytes:

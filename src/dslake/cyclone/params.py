@@ -15,8 +15,8 @@ import numpy as np
 
 from dslake.errors import DegenerateBearing
 from dslake.cyclone.geo import (
-    EARTH_RADIUS_KM,
     classify_direction,
+    haversine_grid_km,
     haversine_km,
     initial_bearing,
 )
@@ -141,18 +141,10 @@ def _contour_radius(
     """
     lats = snap.lat0 + snap.dlat * (i_lo + np.arange(window.shape[0]))
     lons = snap.lon0 + snap.dlon * (j_lo + np.arange(window.shape[1]))
-    dist = _haversine_grid(clat, clon, lats, lons)
+    dist = haversine_grid_km(clat, clon, lats, lons)
     qualifies = window >= central + RADIUS_DEPTH_FRACTION * depth
     qualifies[mi, mj] = False
     if not qualifies.any():
         return float(dist.max())
     return float(dist[qualifies].min())
 
-
-def _haversine_grid(lat: float, lon: float, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    p1 = math.radians(lat)
-    p2 = np.radians(lats)[:, None]
-    dl = np.radians(lons[None, :] - lon)
-    dp = p2 - p1
-    a = np.sin(dp / 2.0) ** 2 + math.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))

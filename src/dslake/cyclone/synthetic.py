@@ -15,10 +15,13 @@ listed cyclones always produce the exact fields above, so a spec with no
 cyclones yields identical uniform snapshots whatever the seed.
 
 A random plan is accepted only if every planted cyclone is cleanly
-detectable in the rendered bytes. The plan is checked on its live
-snapshots only, those where a planted cyclone is alive. A dirty plan is
-replanned from an independent stream derived from ``(seed, attempt)``, so
-a seed whose first plan is clean keeps its bytes.
+detectable in the rendered bytes of every snapshot it is alive in. Each
+random cyclone is checked as it is placed, on its own alive snapshots
+rendered with every cyclone placed before it; a dirty one is redrawn from
+the same stream, so the cyclones placed before it stay. Only when one
+cyclone stays dirty through a fixed number of draws is the whole plan
+replanned, from an independent stream derived from ``(seed, attempt)``.
+A seed whose first plan is clean draws nothing else and keeps its bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
@@ -35,16 +38,16 @@ import numpy as np
 from dslake.errors import SpecError
 from dslake.lang.ast import GeoBox
 from dslake.storage import DataFile
-from dslake.times import iso_minutes, iso_seconds
+from dslake.times import iso_seconds, parse_utc
 from dslake.cyclone.ensemble import SplitMix64
 from dslake.cyclone.geo import (
-    EARTH_RADIUS_KM,
     classify_direction,
     destination_point,
+    haversine_grid_km,
     haversine_km,
     initial_bearing,
 )
-from dslake.cyclone.grid import GridSnapshot, _num, render_body, render_grid_snapshot
+from dslake.cyclone.grid import GridSnapshot, render_body, render_grid_snapshot, render_header
 from dslake.cyclone.track import CyclonePath
 
 BACKGROUND_HPA = 1013.25
@@ -148,6 +151,11 @@ class GroundTruth:
 
 
 _REPLAN_ATTEMPTS = 25
+# dirty draws of one random cyclone after which its whole plan is replanned
+_CYCLONE_REDRAWS = 10
+
+# a live snapshot's time -> (its alive cyclones, its render)
+_Renders = dict[datetime, tuple[tuple[PlantedCyclone, ...], DataFile]]
 
 
 def _plan_seed(seed: int, attempt: int) -> int:
@@ -173,31 +181,46 @@ def generate_synthetic(
     every alive snapshot must show exactly one detectable minimum near
     the true center (two-decimal quantization can tie neighbor cells on
     a Gaussian's flat top, hiding the minimum from the strict 8-neighbor
-    rule). A plan is rendered and checked on its live snapshots only, the
-    ones where a cyclone is alive; the background snapshots are rendered
-    once, for the accepted plan. A dirty plan is replaced by a replan drawn
-    from an independent stream derived from ``(seed, attempt)``, so a seed
-    whose first plan is clean keeps its bytes. Raises ``SpecError``, naming
-    the seed, when no plan in the attempt budget is clean.
+    rule). Each random cyclone is checked while it is placed, on its alive
+    snapshots rendered with every cyclone placed so far, and a dirty one
+    is redrawn from the same stream. A clean render is kept with its alive
+    cyclones, so a snapshot is rendered and parsed again only when a
+    cyclone placed later is alive in it too; the plan is accepted once
+    every live snapshot has passed on its final bytes. The uniform
+    background snapshots are rendered once, for the accepted plan.
+
+    After ``_CYCLONE_REDRAWS`` dirty draws of one cyclone the plan is
+    replaced by a replan drawn from an independent stream derived from
+    ``(seed, attempt)``, so a seed whose first plan is clean keeps its
+    bytes. Raises ``SpecError``, naming the seed, when no plan in the
+    attempt budget is clean.
     """
     times = spec.snapshot_times()
     for attempt in range(_REPLAN_ATTEMPTS):
+        renders: _Renders = {}
         cyclones = list(spec.cyclones)
         if spec.random_count:
-            cyclones.extend(_plant_random(spec, _plan_seed(seed, attempt)))
+
+            def clean_with(candidate: PlantedCyclone, placed: list[PlantedCyclone]) -> bool:
+                return _render_checked(
+                    spec, [*cyclones, *placed, candidate], _alive_times(candidate, times), renders
+                )
+
+            planted = _plant_random(spec, _plan_seed(seed, attempt), clean_with)
+            if planted is None:
+                continue
+            cyclones.extend(planted)
         _check_separation(cyclones, times, spec.step_hours)
         live_times = sorted({ts for c in cyclones for ts in _alive_times(c, times)})
-        checked, live = itertools.tee(_render_live(spec, cyclones, live_times))
-        if not spec.random_count or detection_is_clean(checked, cyclones, spec):
+        if _render_checked(spec, cyclones, live_times, renders, check=bool(spec.random_count)):
             break
     else:
         raise SpecError(
             f"could not plant cleanly detectable cyclones for seed {seed}"
             f" in {_REPLAN_ATTEMPTS} attempts; relax the spec"
         )
-    live_set = set(live_times)
-    background = _render_background(spec, [ts for ts in times if ts not in live_set])
-    files = sorted([*live, *background], key=lambda f: f.t0)
+    background = _render_background(spec, [ts for ts in times if ts not in renders])
+    files = sorted([*(f for _, f in renders.values()), *background], key=lambda f: f.t0)
 
     truth_paths = []
     for c in cyclones:
@@ -234,10 +257,38 @@ def _alive_times(cyclone: PlantedCyclone, times: list[datetime]) -> list[datetim
     return times[bisect_left(times, cyclone.t_start) : bisect_right(times, cyclone.t_end)]
 
 
+def _render_checked(
+    spec: SyntheticSpec,
+    cyclones: list[PlantedCyclone],
+    times: list[datetime],
+    renders: _Renders,
+    check: bool = True,
+) -> bool:
+    """Render the snapshots at ``times`` that ``renders`` holds with other
+    alive ``cyclones`` or not at all, and check them in one
+    ``detection_is_clean`` call.
+
+    The verdict on a snapshot depends only on its bytes and its alive
+    cyclones, so one already kept with the same alive cyclones is neither
+    rendered nor parsed again. Clean (or, without ``check``, unchecked)
+    renders are kept in ``renders``; a dirty batch leaves it as it was.
+    """
+    stale = {}
+    for ts in times:
+        alive = tuple(c for c in cyclones if c.alive(ts))
+        if renders.get(ts, (None,))[0] != alive:
+            stale[ts] = alive
+    checked, kept = itertools.tee(_render_live(spec, stale))
+    if check and stale and not detection_is_clean(checked, cyclones, spec):
+        return False
+    renders.update((f.t0, (stale[f.t0], f)) for f in kept)
+    return True
+
+
 def _render_live(
-    spec: SyntheticSpec, cyclones: list[PlantedCyclone], times: list[datetime]
+    spec: SyntheticSpec, snapshots: dict[datetime, tuple[PlantedCyclone, ...]]
 ) -> Iterator[DataFile]:
-    """Render the snapshot at each of ``times`` with its alive cyclones.
+    """Render the snapshot at each time of ``snapshots`` with its alive cyclones.
 
     Lazy, so that a check which stops at a dirty snapshot also stops the
     rendering of the rest.
@@ -245,15 +296,13 @@ def _render_live(
     nlat, nlon = spec.grid_shape()
     lats = spec.area.lat_min + spec.spacing_deg * np.arange(nlat)
     lons = spec.area.lon_min + spec.spacing_deg * np.arange(nlon)
-    lat_rad = np.radians(lats)[:, None]
 
-    for ts in times:
+    for ts, alive in snapshots.items():
         field = np.full((nlat, nlon), spec.background_hpa)
-        for c in cyclones:
-            if c.alive(ts):
-                clat, clon = c.center_at(ts)
-                d = _haversine_field(clat, clon, lat_rad, lons)
-                field -= c.depth_hpa * np.exp(-(d * d) / (2.0 * c.sigma_km**2))
+        for c in alive:
+            clat, clon = c.center_at(ts)
+            d = haversine_grid_km(clat, clon, lats, lons)
+            field -= c.depth_hpa * np.exp(-(d * d) / (2.0 * c.sigma_km**2))
         snapshot = GridSnapshot(
             lat0=spec.area.lat_min,
             lon0=spec.area.lon_min,
@@ -270,16 +319,11 @@ def _render_live(
 def _render_background(spec: SyntheticSpec, times: list[datetime]) -> list[DataFile]:
     """Render the uniform snapshot at each of ``times``: one shared body."""
     nlat, nlon = spec.grid_shape()
-    uniform_body = render_body(np.full((nlat, nlon), spec.background_hpa))
-    files = []
-    for ts in times:
-        header = (
-            f"grid {_num(spec.area.lat_min)} {_num(spec.area.lon_min)}"
-            f" {_num(spec.spacing_deg)} {_num(spec.spacing_deg)}"
-            f" {nlat} {nlon} {iso_minutes(ts)}\n"
-        )
-        files.append(DataFile.from_bytes(spec.dataset, ts, ts, header.encode() + uniform_body))
-    return files
+    body = render_body(np.full((nlat, nlon), spec.background_hpa))
+    box = (spec.area.lat_min, spec.area.lon_min, spec.spacing_deg, spec.spacing_deg, nlat, nlon)
+    return [
+        DataFile.from_bytes(spec.dataset, ts, ts, render_header(*box, ts) + body) for ts in times
+    ]
 
 
 def detection_is_clean(
@@ -342,8 +386,18 @@ def _check_separation(
                     )
 
 
-def _plant_random(spec: SyntheticSpec, seed: int) -> list[PlantedCyclone]:
-    """Randomly place cyclones that the tracker can provably keep apart."""
+def _plant_random(
+    spec: SyntheticSpec,
+    seed: int,
+    accept: Callable[[PlantedCyclone, list[PlantedCyclone]], bool] | None = None,
+) -> list[PlantedCyclone] | None:
+    """Randomly place cyclones that the tracker can provably keep apart.
+
+    ``accept(candidate, placed)``, when given, judges each candidate that
+    keeps its distance from the cyclones placed before it; a refused
+    candidate is redrawn from the same stream. Returns None once one
+    cyclone has been refused ``_CYCLONE_REDRAWS`` times.
+    """
     if spec.random_north_east > spec.random_count:
         raise SpecError("more north-east cyclones requested than total")
     rng = SplitMix64(seed)
@@ -360,6 +414,7 @@ def _plant_random(spec: SyntheticSpec, seed: int) -> list[PlantedCyclone]:
     other_sectors = (0.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
     for k in range(spec.random_count):
         north_east = k < spec.random_north_east
+        refused = 0
         for _ in range(4000):
             if north_east:
                 bearing = 30.0 + 30.0 * rng.next_unit()
@@ -398,9 +453,14 @@ def _plant_random(spec: SyntheticSpec, seed: int) -> list[PlantedCyclone]:
             end_lat, end_lon = candidate.center_at(candidate.t_end)
             if not (lat_lo <= end_lat <= lat_hi and lon_lo <= end_lon <= lon_hi):
                 continue
-            if _safe_against(candidate, planted, spec):
+            if not _safe_against(candidate, planted, spec):
+                continue
+            if accept is None or accept(candidate, planted):
                 planted.append(candidate)
                 break
+            refused += 1
+            if refused == _CYCLONE_REDRAWS:
+                return None
         else:
             raise SpecError(
                 f"could not place cyclone {k} without overlap; relax the spec"
@@ -440,10 +500,10 @@ def parse_spec_text(text: str) -> SyntheticSpec:
         cyclone t_start=<ISO> t_end=<ISO> lat=<deg> lon=<deg> bearing=<deg>
                 speed=<km/h> depth=<hPa> sigma=<km>
         random-cyclones count=<n> northeast=<m>
-    """
-    from dslake.times import parse_utc
 
-    values: dict[str, str] = {}
+    A malformed line raises ``SpecError`` with its line number.
+    """
+    values: dict[str, tuple[int, str]] = {}
     cyclones: list[PlantedCyclone] = []
     random_count = 0
     random_ne = 0
@@ -453,7 +513,7 @@ def parse_spec_text(text: str) -> SyntheticSpec:
             continue
         key, _, rest = line.partition(" ")
         if key == "cyclone":
-            kv = dict(part.split("=", 1) for part in rest.split())
+            kv = _spec_fields(lineno, rest)
             try:
                 cyclones.append(
                     PlantedCyclone(
@@ -469,46 +529,68 @@ def parse_spec_text(text: str) -> SyntheticSpec:
                 )
             except KeyError as exc:
                 raise SpecError(f"line {lineno}: cyclone missing field {exc}") from None
+            except ValueError as exc:
+                raise SpecError(f"line {lineno}: bad cyclone field: {exc}") from None
         elif key == "random-cyclones":
-            kv = dict(part.split("=", 1) for part in rest.split())
-            random_count = int(kv.get("count", "0"))
-            random_ne = int(kv.get("northeast", "0"))
+            kv = _spec_fields(lineno, rest)
+            random_count = _spec_value(lineno, "count", kv.get("count", "0"), int)
+            random_ne = _spec_value(lineno, "northeast", kv.get("northeast", "0"), int)
         elif key in ("dataset", "area", "time", "step", "spacing", "background"):
-            values[key] = rest
+            values[key] = (lineno, rest)
         else:
             raise SpecError(f"line {lineno}: unknown spec key {key!r}")
 
     for required in ("dataset", "area", "time"):
         if required not in values:
             raise SpecError(f"spec is missing the {required!r} line")
-    corners = [float(x) for x in values["area"].split()]
+
+    def value(key, convert, default=None):
+        if key not in values:
+            return default
+        lineno, raw = values[key]
+        return _spec_value(lineno, key, raw, convert)
+
+    corners = value("area", lambda raw: [float(x) for x in raw.split()])
     if len(corners) != 4:
-        raise SpecError("area takes four numbers: lat_min lon_min lat_max lon_max")
-    start_s, end_s = values["time"].split()
+        raise SpecError(
+            f"line {values['area'][0]}: area takes four numbers:"
+            " lat_min lon_min lat_max lon_max"
+        )
+    bounds = value("time", lambda raw: [parse_utc(x) for x in raw.split()])
+    if len(bounds) != 2:
+        raise SpecError(f"line {values['time'][0]}: time takes two timestamps: start end")
     return SyntheticSpec(
-        dataset=values["dataset"],
+        dataset=values["dataset"][1],
         area=GeoBox(
             lat_min=min(corners[0], corners[2]),
             lon_min=min(corners[1], corners[3]),
             lat_max=max(corners[0], corners[2]),
             lon_max=max(corners[1], corners[3]),
         ),
-        start=parse_utc(start_s),
-        end=parse_utc(end_s),
-        step_hours=int(values.get("step", "6")),
-        spacing_deg=float(values.get("spacing", "0.5")),
-        background_hpa=float(values.get("background", str(BACKGROUND_HPA))),
+        start=bounds[0],
+        end=bounds[1],
+        step_hours=value("step", int, 6),
+        spacing_deg=value("spacing", float, 0.5),
+        background_hpa=value("background", float, BACKGROUND_HPA),
         cyclones=tuple(cyclones),
         random_count=random_count,
         random_north_east=random_ne,
     )
 
 
-def _haversine_field(
-    clat: float, clon: float, lat_rad: np.ndarray, lons: np.ndarray
-) -> np.ndarray:
-    p1 = math.radians(clat)
-    dl = np.radians(lons[None, :] - clon)
-    dp = lat_rad - p1
-    a = np.sin(dp / 2.0) ** 2 + math.cos(p1) * np.cos(lat_rad) * np.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+def _spec_fields(lineno: int, rest: str) -> dict[str, str]:
+    """The ``key=value`` fields of a spec line."""
+    fields = {}
+    for part in rest.split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise SpecError(f"line {lineno}: expected key=value, found {part!r}")
+        fields[key] = value
+    return fields
+
+
+def _spec_value(lineno: int, what: str, raw: str, convert):
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise SpecError(f"line {lineno}: bad {what} {raw!r}: {exc}") from None

@@ -7,6 +7,12 @@ class DslakeError(Exception):
     """Base class for every error raised by this package."""
 
 
+def undecodable_at(exc: UnicodeDecodeError) -> tuple[int, int]:
+    """The 1-based line and byte column of the first byte that is not UTF-8."""
+    head = exc.object[: exc.start]
+    return head.count(b"\n") + 1, exc.start - head.rfind(b"\n")
+
+
 # --- query language ---------------------------------------------------------
 
 class LexError(DslakeError):

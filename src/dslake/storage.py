@@ -35,6 +35,7 @@ from dslake.errors import (
     StorageError,
     UnknownNode,
     UnreadableFile,
+    undecodable_at,
 )
 from dslake.times import iso_seconds, parse_utc
 
@@ -241,7 +242,7 @@ class StorageLayout:
         if not conf_path.exists():
             raise StorageError(f"no fabric at {root}")
         conf: dict[str, int] = {}
-        for lineno, line in enumerate(conf_path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(conf_path).splitlines(), start=1):
             key, _, value = line.partition("=")
             if key in ("node_count", "replication"):
                 try:
@@ -296,7 +297,7 @@ class StorageLayout:
 def read_manifest(path: Path) -> list[FileMeta]:
     """A manifest's entries in file order; a malformed line raises ``StorageError``."""
     metas = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -312,6 +313,14 @@ def read_manifest(path: Path) -> list[FileMeta]:
             raise StorageError(f"{path}:{lineno}: bad timestamp: {exc}") from None
         metas.append(FileMeta(file_id, dataset, *times, relpath))
     return metas
+
+
+def _read_text(path: Path) -> str:
+    """``path`` as UTF-8 text; a byte that is not UTF-8 raises ``StorageError``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"{path}:{undecodable_at(exc)[0]}: not UTF-8 text") from None
 
 
 def write_manifest(path: Path, metas: Iterable[FileMeta]) -> None:

@@ -94,6 +94,46 @@ def test_submit_on_malformed_storage_exit_one(workdir, capsys, conf, manifest, m
     assert "Traceback" not in err
 
 
+def test_submit_on_manifest_that_is_not_utf8_exit_one(workdir, capsys):
+    root = workdir / "dslake-storage"
+    (root / "datasets" / "d1").mkdir(parents=True)
+    (root / "fabric.conf").write_text("node_count=2\nreplication=2\n")
+    (root / "datasets" / "d1" / "manifest.tsv").write_bytes(b"\xff\xfeabc\n")
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith("manifest.tsv:1: not UTF-8 text")
+
+
+@pytest.mark.parametrize("verb", ["validate", "submit"])
+def test_script_that_is_not_utf8_exit_one(workdir, capsys, verb):
+    script = workdir / "fig5.dq"
+    script.write_bytes(FIG5_SCRIPT.encode() + b"\n  \xe9\n")
+    extra = ["--dataset", "d1"] if verb == "submit" else []
+    code, out, err = run(capsys, verb, *extra, str(script))
+    line = FIG5_SCRIPT.count("\n") + 2
+    assert (code, out) == (1, "")
+    assert err == f"error: {line}:3: expected UTF-8 text, found byte 0xe9 in {script}\n"
+
+
+@pytest.mark.parametrize(
+    "spec_bytes, message",
+    [
+        (SPEC_TEXT.encode().replace(b"dataset d1", b"dataset d\xff"), "spec.txt:1: not UTF-8 text"),
+        (SPEC_TEXT.encode() + b"cyclone lat\n", "line 7: expected key=value, found 'lat'"),
+    ],
+    ids=["not-utf8", "field-without-equals"],
+)
+def test_gen_synthetic_malformed_spec_exit_one(workdir, capsys, spec_bytes, message):
+    spec = workdir / "spec.txt"
+    spec.write_bytes(spec_bytes)
+    code, out, err = run(capsys, "gen-synthetic", str(spec), "--out", "src-data")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    assert not (workdir / "src-data").exists()
+
+
 def test_full_pipeline_and_determinism(workdir, capsys):
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)

@@ -204,6 +204,22 @@ def test_load_rejects_bad_manifest_line(tmp_path, line, message):
     assert str(err.value).startswith(f"{manifest}:2: {message}")
 
 
+def test_load_rejects_fabric_conf_that_is_not_utf8(tmp_path):
+    (tmp_path / "fabric.conf").write_bytes(b"node_count=3\nreplication=\xff2\n")
+    with pytest.raises(StorageError) as err:
+        StorageLayout.load(tmp_path)
+    assert str(err.value) == f"{tmp_path}/fabric.conf:2: not UTF-8 text"
+
+
+def test_load_rejects_manifest_that_is_not_utf8(tmp_path):
+    StorageLayout(node_count=3, replication=2).ingest([make_file(0)]).save(tmp_path)
+    manifest = tmp_path / "datasets" / "d" / "manifest.tsv"
+    manifest.write_bytes(manifest.read_bytes() + b"\xff\xfeabc\n")
+    with pytest.raises(StorageError) as err:
+        StorageLayout.load(tmp_path)
+    assert str(err.value) == f"{manifest}:2: not UTF-8 text"
+
+
 @settings(max_examples=60)
 @given(
     st.text(alphabet="0123456789abcdef", min_size=1, max_size=16),

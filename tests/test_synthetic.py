@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,8 @@ def year_spec():
 
 @pytest.mark.parametrize("seed", [29, 42])
 def test_year_seeds_plant_after_replans(seed):
-    # the first plan of each seed is dirty: seed 29 plants at plan 2,
-    # seed 42 at plan 4
+    # the first plan of each seed draws a dirty cyclone, which is redrawn
+    # within plan 0
     spec = year_spec()
     files, truth = generate_synthetic(spec, seed=seed)
     assert len(files) == len(spec.snapshot_times())
@@ -125,10 +127,64 @@ def test_files_equal_the_accepted_plan_rendered_explicitly():
     assert [f.file_id for f in files] == [f.file_id for f in explicit]
 
 
+def test_listed_and_random_cyclones_render_as_the_accepted_plan():
+    # snapshots where only the listed cyclone is alive are never rendered
+    # while the random ones are placed; the final pass renders and checks them
+    listed = PlantedCyclone(
+        t_start=utc(2011, 2, 2), t_end=utc(2011, 2, 4), lat=55.0, lon=0.0,
+        bearing=45.0, speed_kmh=30.0, depth_hpa=40.0, sigma_km=250.0,
+    )
+    spec = base_spec(cyclones=(listed,), random_count=2, random_north_east=1)
+    files, truth = generate_synthetic(spec, seed=4)
+    explicit, _ = generate_synthetic(truth.spec)
+    assert truth.spec.cyclones[0] == listed and len(truth.spec.cyclones) == 3
+    assert [f.file_id for f in files] == [f.file_id for f in explicit]
+    assert detection_is_clean(files, list(truth.spec.cyclones), truth.spec)
+
+
 def test_first_clean_plan_draws_from_the_seed_itself():
     spec = year_spec()
     _, truth = generate_synthetic(spec, seed=2)
     assert truth.spec.cyclones == tuple(_plant_random(spec, 2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_year_file_passes_the_oracle(seed):
+    # the benchmark's generator seeds: the candidate checks must leave no
+    # live snapshot that the whole-dataset oracle refuses
+    files, truth = generate_synthetic(year_spec(), seed=seed)
+    assert len(files) == len(year_spec().snapshot_times())
+    assert detection_is_clean(files, list(truth.spec.cyclones), truth.spec)
+
+
+def test_year_seed_with_clean_first_plan_keeps_its_bytes():
+    files, _ = generate_synthetic(year_spec(), seed=2)
+    digest = hashlib.sha256("\n".join(f.file_id for f in files).encode()).hexdigest()
+    assert digest == "e2180d6227c84c138b6b037d8580554b40f1e65538428a6dd39247460e7aff92"
+
+
+def test_refused_candidate_is_redrawn_keeping_the_cyclones_before_it(monkeypatch):
+    # seed 2's first plan is clean; refuse the first draw of its third
+    # cyclone once and only that cyclone is drawn again, from the same stream
+    spec = year_spec()
+    first_plan = _plant_random(spec, 2)
+    refused = []
+    oracle = synthetic.detection_is_clean
+
+    def refuse_third_once(files, cyclones, spec):
+        if len(cyclones) == 3 and not refused:
+            refused.append(cyclones[-1])
+            return False
+        return oracle(files, cyclones, spec)
+
+    monkeypatch.setattr(synthetic, "detection_is_clean", refuse_third_once)
+    files, truth = generate_synthetic(spec, seed=2)
+    assert refused == [first_plan[2]]
+    planted = truth.spec.cyclones
+    assert len(planted) == 5
+    assert planted[:2] == tuple(first_plan[:2])
+    assert first_plan[2] not in planted
+    assert oracle(files, list(planted), truth.spec)
 
 
 def test_exhausted_replans_name_seed_and_budget(monkeypatch):
@@ -174,3 +230,43 @@ def test_parse_spec_unknown_key():
 def test_parse_spec_missing_required():
     with pytest.raises(SpecError):
         parse_spec_text("dataset d\narea 1 2 3 4\n")
+
+
+SPEC_HEAD = "dataset d\narea 48 -25 66 33\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n"
+CYCLONE = (
+    "cyclone t_start=2011-01-02T00:00Z t_end=2011-01-04T00:00Z lat=55 lon=0"
+    " bearing=45 speed=40 depth=40 sigma=300"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SPEC_HEAD + "cyclone lat\n", "line 4: expected key=value, found 'lat'"),
+        (SPEC_HEAD + "step six\n", "line 4: bad step 'six'"),
+        (SPEC_HEAD + "spacing half\n", "line 4: bad spacing 'half'"),
+        (SPEC_HEAD + "background high\n", "line 4: bad background 'high'"),
+        ("dataset d\narea 48 -25 66 x\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n",
+         "line 2: bad area '48 -25 66 x'"),
+        ("dataset d\narea 48 -25 66\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n",
+         "line 2: area takes four numbers"),
+        (SPEC_HEAD + "random-cyclones count=x\n", "line 4: bad count 'x'"),
+        (SPEC_HEAD + "random-cyclones count=2 northeast=one\n", "line 4: bad northeast 'one'"),
+        ("dataset d\narea 48 -25 66 33\ntime 2011-01-01T00:00Z\n",
+         "line 3: time takes two timestamps"),
+        ("dataset d\narea 48 -25 66 33\ntime a b c\n", "line 3: bad time 'a b c'"),
+        (SPEC_HEAD + CYCLONE.replace("lat=55", "lat=north") + "\n",
+         "line 4: bad cyclone field"),
+        (SPEC_HEAD + CYCLONE.replace("2011-01-04T00:00Z", "soon") + "\n",
+         "line 4: bad cyclone field"),
+        (SPEC_HEAD + CYCLONE.replace(" sigma=300", "") + "\n",
+         "line 4: cyclone missing field 'sigma'"),
+    ],
+    ids=["field-without-equals", "step", "spacing", "background", "area-word", "area-short",
+         "count", "northeast", "time-one-field", "time-word", "cyclone-float",
+         "cyclone-time", "cyclone-missing"],
+)
+def test_parse_spec_malformed_line_names_it(text, message):
+    with pytest.raises(SpecError) as err:
+        parse_spec_text(text)
+    assert str(err.value).startswith(message)
