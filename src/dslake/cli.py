@@ -3,16 +3,18 @@
     dslake validate <script.dq>
     dslake gen-synthetic <spec> [--seed N] [--out DIR]
     dslake ingest <manifest.tsv>
-    dslake submit --dataset <id> <script.dq> [--nodes N] [--fail-node K]
+    dslake [--nodes N] submit --dataset <id> <script.dq> [--fail-node K]
                   [--emit-csv PATH]
     dslake results <task_id>
     dslake registry list
 
-Configuration precedence: flags > environment (DSLAKE_STORAGE_ROOT,
-DSLAKE_NODES, DSLAKE_REPLICATION, DSLAKE_SEED) > config file (key=value
-lines, --config or ./dslake.conf) > defaults. Results go to stdout,
-diagnostics to stderr; exit 0 on success, 1 on domain errors, 2 on usage
-or file errors.
+``--config``, ``--storage-root``, ``--nodes``, ``--replication`` and
+``--registry`` are global options and go before the verb. Configuration
+precedence: flags > environment (DSLAKE_STORAGE_ROOT, DSLAKE_NODES,
+DSLAKE_REPLICATION, DSLAKE_SEED) > config file (key=value lines, --config
+or ./dslake.conf) > defaults. Results go to stdout, diagnostics to stderr;
+exit 0 on success, 1 on domain errors (a malformed configuration value
+among them), 2 on usage or file errors.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from dslake.errors import DslakeError, ParseError, SpecError, undecodable_at
+from dslake.errors import (
+    ConfigError,
+    DslakeError,
+    ParseError,
+    SpecError,
+    StorageError,
+    read_utf8,
+    undecodable_at,
+)
 from dslake.descriptors import load_descriptor_file
 from dslake.engine import EngineConfig, TaskRequest, submit
 from dslake.lang.formatter import format_query
@@ -77,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, default=None, help="key=value config file")
     parser.add_argument("--storage-root", type=Path, default=None)
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--replication", type=int, default=None)
+    parser.add_argument("--nodes", default=None)
+    parser.add_argument("--replication", default=None)
     parser.add_argument("--registry", action="append", type=Path, default=None,
                         help="extra .kd descriptor file (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a ground-truthed dataset")
     p.add_argument("spec", type=Path)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_gen_synthetic)
 
@@ -100,7 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit", help="run a script as a distributed task")
     p.add_argument("script", type=Path)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--fail-node", type=int, action="append", default=None)
+    p.add_argument("--fail-node", type=int, action="append", default=None,
+                   help="fail node K of the stored fabric (repeatable); needs"
+                        " --nodes equal to the stored node count")
     p.add_argument("--emit-csv", type=Path, default=None)
     p.set_defaults(handler=_cmd_submit)
 
@@ -117,34 +129,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
     values = dict(DEFAULTS)
+    origins: dict[str, str] = {}  # where each value that is not a default came from
     config_path = args.config or Path("dslake.conf")
     if config_path.exists():
-        for line in config_path.read_text().splitlines():
+        text = read_utf8(config_path, ConfigError)
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if line and "=" in line:
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                values[key], origins[key] = value, f"{config_path}:{lineno}"
     for key, env in ENV_KEYS.items():
         if os.environ.get(env):
-            values[key] = os.environ[env]
-    if args.storage_root is not None:
-        values["storage_root"] = str(args.storage_root)
-    if getattr(args, "nodes", None) is not None:
-        values["nodes"] = str(args.nodes)
-    if args.replication is not None:
-        values["replication"] = str(args.replication)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = str(args.seed)
+            values[key], origins[key] = os.environ[env], f"environment variable {env}"
+    for key in ("storage_root", "nodes", "replication", "seed"):
+        value = getattr(args, key, None)
+        if value is not None:
+            values[key], origins[key] = str(value), f"flag --{key.replace('_', '-')}"
+
+    def integer(key: str) -> int:
+        try:
+            return int(values[key])
+        except ValueError:
+            raise ConfigError(
+                f"{origins[key]}: {key} is not an integer: {values[key]!r}"
+            ) from None
 
     registry_paths = [Path(p) for p in values.get("registry", "").split(",") if p]
     if args.registry:
         registry_paths.extend(args.registry)
     return CliConfig(
         storage_root=Path(values["storage_root"]),
-        node_count=int(values["nodes"]),
-        replication=int(values["replication"]),
+        node_count=integer("nodes"),
+        replication=integer("replication"),
         registry_paths=registry_paths,
-        seed=int(values["seed"]),
+        seed=integer("seed"),
     )
 
 
@@ -185,13 +203,8 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
 
     if not args.spec.exists():
         raise FileNotFoundError(f"spec {args.spec}")
-    try:
-        text = args.spec.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SpecError(f"{args.spec}:{undecodable_at(exc)[0]}: not UTF-8 text") from None
-    spec = parse_spec_text(text)
-    seed = args.seed if args.seed is not None else config.seed
-    files, truth = generate_synthetic(spec, seed)
+    spec = parse_spec_text(read_utf8(args.spec, SpecError))
+    files, truth = generate_synthetic(spec, config.seed)
 
     out = args.out or Path(f"synthetic-{spec.dataset}")
     out.mkdir(parents=True, exist_ok=True)
@@ -282,7 +295,7 @@ def _cmd_results(args, config: CliConfig) -> int:
     path = config.storage_root / "results" / f"{args.task_id}.txt"
     if not path.exists():
         raise FileNotFoundError(f"no stored result {args.task_id}")
-    sys.stdout.write(path.read_text())
+    sys.stdout.write(read_utf8(path, StorageError))
     return 0
 
 

@@ -7,15 +7,16 @@ Procedure contract with the engine:
   * filter(object params dict, value) -> bool
   * builtin package procedure(bindings dict) -> outputs dict
 
-Extraction caches interior-minima scans by body digest: snapshots are
-content-addressed, so identical bodies (the common all-background case)
-are scanned once.
+``MapContext.memo`` and ``ReduceContext.memo`` are the procedure's own
+namespace of the storage layout's memo; it keeps there only pure
+functions of its inputs and the stored bytes. The extractor keys minima
+scans on the grid body text, threshold and shape, so identical bodies
+(the common all-background case) are scanned once per layout; the
+combiner keys the snapshots it parses by file id, a content address.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from datetime import datetime, timedelta
 
 from dslake.errors import CombinerFailure, FormatError
@@ -61,13 +62,6 @@ OUTPUT_PARAMS = (
     ("cyclone", "cyclone-params"),
 )
 
-_minima_cache: OrderedDict[tuple, list] = OrderedDict()
-_MINIMA_CACHE_MAX = 8192
-
-_snapshot_cache: OrderedDict[str, object] = OrderedDict()
-_SNAPSHOT_CACHE_MAX = 256
-
-
 def extract_centers(data: bytes, ctx: MapContext) -> tuple[datetime, list[CycloneCenter]]:
     threshold = float(ctx.params.get("threshold", DEFAULT_THRESHOLD_HPA))
     try:
@@ -80,14 +74,11 @@ def extract_centers(data: bytes, ctx: MapContext) -> tuple[datetime, list[Cyclon
     if ctx.time is not None and not ctx.time.contains(ts):
         return ts, []
 
-    key = (hashlib.sha256(body.encode()).hexdigest(), threshold, nlat, nlon)
-    minima = _minima_cache.get(key)
+    key = (body, threshold, nlat, nlon)
+    minima = ctx.memo.get(key)
     if minima is None:
         snapshot = parse_grid_snapshot(data)  # full validation on first sight
-        minima = interior_minima(snapshot.values, threshold)
-        _minima_cache[key] = minima
-        if len(_minima_cache) > _MINIMA_CACHE_MAX:
-            _minima_cache.popitem(last=False)
+        minima = ctx.memo[key] = interior_minima(snapshot.values, threshold)
 
     return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts, ctx.area)
 
@@ -97,12 +88,9 @@ def _snapshot_accessor(ctx: ReduceContext):
         file_id = ctx.file_for(ts)
         if not file_id:
             raise CombinerFailure(f"no snapshot file covers {ts}")
-        snapshot = _snapshot_cache.get(file_id)  # file ids are content hashes
+        snapshot = ctx.memo.get(file_id)
         if snapshot is None:
-            snapshot = parse_grid_snapshot(ctx.read_file(file_id))
-            _snapshot_cache[file_id] = snapshot
-            if len(_snapshot_cache) > _SNAPSHOT_CACHE_MAX:
-                _snapshot_cache.popitem(last=False)
+            snapshot = ctx.memo[file_id] = parse_grid_snapshot(ctx.read_file(file_id))
         return snapshot
 
     return snapshot_for

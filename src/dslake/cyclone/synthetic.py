@@ -39,7 +39,7 @@ from dslake.errors import SpecError
 from dslake.lang.ast import GeoBox
 from dslake.storage import DataFile
 from dslake.times import iso_seconds, parse_utc
-from dslake.cyclone.ensemble import SplitMix64
+from dslake.cyclone.rng import SplitMix64
 from dslake.cyclone.geo import (
     classify_direction,
     destination_point,

@@ -13,6 +13,12 @@ reduce consumes is content-addressed, fragments are canonically ordered
 before aggregation, and node-dependent facts stay out of the canonical
 text.
 
+Derived results live in the layout's memo (``StorageLayout.memo``), not
+in module state: payloads under the select library's extractor functions
+and (file id, query key), and one namespace per procedure, passed as
+``MapContext.memo`` or ``ReduceContext.memo``. Reshaped views share the
+memo, so a file mapped once for a query is not read or extracted again.
+
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
 so one map thread per simulated node was measured as a net loss of CPU
@@ -24,11 +30,9 @@ is a single sequential stage. One submit at a time per engine instance.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime
-from threading import Lock
-from typing import Any
+from typing import Any, Callable
 
 from dslake.errors import (
     CombinerFailure,
@@ -103,40 +107,65 @@ def run_map(
     params: dict[str, str] | None = None,
 ) -> Fragment:
     """Apply the domain extractor to one file; never consults other files."""
+    map_file = _file_mapper(query, registry, params or {}, {})
+    return map_file(node, data_file, lambda file_id: data_file.data)
+
+
+def _file_mapper(
+    query: ValidatedQuery,
+    registry: KnowledgeRegistry,
+    params: dict[str, str],
+    memo: dict,
+) -> Callable[[int, Any, Callable[[str], bytes]], Fragment]:
+    """``map_file(node, meta, read)``: the fragment of one file for ``query``.
+
+    ``meta`` has the file's id and times; ``read(file_id)`` is called only
+    when ``memo`` holds no payload for the file. Payloads are keyed by the
+    extractor functions, so registries that differ in them never share one.
+    """
     if not query.selects:
         raise EngineError("query has no select statement")
     library = query.selects[0].library
-    kind = _file_kind(data_file.data)
-    proc_id = library.extractor_for(kind)
-    if proc_id is None:
-        raise ExtractorFailure(data_file.file_id, f"no extractor for kind {kind!r}")
-    extractor = registry.procedure(proc_id)
-    ctx = MapContext(area=query.ast.area, time=query.ast.time, params=params or {})
-    try:
-        payload_time, payload = extractor(data_file.data, ctx)
-    except DslakeError as exc:
-        raise ExtractorFailure(data_file.file_id, str(exc)) from exc
-    return Fragment(
-        file_id=data_file.file_id,
-        node=node,
-        t0=data_file.t0,
-        t1=data_file.t1,
-        payload=payload,
-        payload_time=payload_time,
-    )
+    extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
+    payloads = memo.setdefault(extractors, {})
+    qkey = _query_key(query, params)
+
+    def map_file(node: int, meta, read: Callable[[str], bytes]) -> Fragment:
+        key = (meta.file_id, qkey)
+        found = payloads.get(key)
+        if found is None:
+            data = read(meta.file_id)
+            kind = _file_kind(data)
+            proc_id = library.extractor_for(kind)
+            if proc_id is None:
+                raise ExtractorFailure(meta.file_id, f"no extractor for kind {kind!r}")
+            extractor = registry.procedure(proc_id)
+            ctx = MapContext(
+                area=query.ast.area,
+                time=query.ast.time,
+                params=params,
+                memo=memo.setdefault(extractor, {}),
+            )
+            try:
+                found = payloads[key] = extractor(data, ctx)
+            except DslakeError as exc:
+                raise ExtractorFailure(meta.file_id, str(exc)) from exc
+        payload_time, payload = found
+        return Fragment(
+            file_id=meta.file_id,
+            node=node,
+            t0=meta.t0,
+            t1=meta.t1,
+            payload=payload,
+            payload_time=payload_time,
+        )
+
+    return map_file
 
 
 def _file_kind(data: bytes) -> str:
     head = data[:64].split(None, 1)
     return head[0].decode("utf-8", "replace") if head else ""
-
-
-# Extraction results are pure functions of (file bytes, query inputs) and
-# file ids are content addresses, so payloads can be reused across submits
-# and node counts.
-_payload_cache: OrderedDict[tuple, tuple] = OrderedDict()
-_payload_cache_lock = Lock()
-_PAYLOAD_CACHE_MAX = 65536
 
 
 def _query_key(query: ValidatedQuery, params: dict[str, str]) -> tuple:
@@ -164,38 +193,11 @@ class Engine:
 
         query = validate(parse(request.script), self.registry)
         metas = layout.dataset_files(request.dataset)
-        qkey = _query_key(query, request.extra_params)
 
-        def map_one(meta) -> Fragment:
-            node = layout.serving_node(meta.file_id)
-            cache_key = (meta.file_id, qkey)
-            with _payload_cache_lock:
-                cached = _payload_cache.get(cache_key)
-            if cached is not None:
-                payload_time, payload = cached
-                return Fragment(
-                    file_id=meta.file_id,
-                    node=node,
-                    t0=meta.t0,
-                    t1=meta.t1,
-                    payload=payload,
-                    payload_time=payload_time,
-                )
-            data_file = DataFile(
-                file_id=meta.file_id,
-                dataset=meta.dataset,
-                t0=meta.t0,
-                t1=meta.t1,
-                data=layout.read(meta.file_id),
-            )
-            fragment = run_map(node, data_file, query, self.registry, request.extra_params)
-            with _payload_cache_lock:
-                _payload_cache[cache_key] = (fragment.payload_time, fragment.payload)
-                if len(_payload_cache) > _PAYLOAD_CACHE_MAX:
-                    _payload_cache.popitem(last=False)
-            return fragment
-
-        fragments = canonical_order([map_one(meta) for meta in metas])
+        map_file = _file_mapper(query, self.registry, request.extra_params, layout.memo)
+        fragments = canonical_order(
+            [map_file(layout.serving_node(m.file_id), m, layout.read) for m in metas]
+        )
         document = run_reduce(
             fragments, query, self.registry, layout, request.extra_params
         )
@@ -236,6 +238,7 @@ def run_reduce(
         read_file=layout.read,
         file_for=lambda ts: file_for.get(ts, ""),
         params=params,
+        memo=layout.memo.setdefault(combiner, {}),
     )
     try:
         objects: list[DomainObject] = combiner(center_sets, ctx)

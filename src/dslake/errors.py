@@ -13,6 +13,15 @@ def undecodable_at(exc: UnicodeDecodeError) -> tuple[int, int]:
     return head.count(b"\n") + 1, exc.start - head.rfind(b"\n")
 
 
+def read_utf8(path, error: type[DslakeError]) -> str:
+    """``path`` as UTF-8 text; a byte that is not UTF-8 raises ``error``
+    naming the file and line."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}:{undecodable_at(exc)[0]}: not UTF-8 text") from None
+
+
 # --- query language ---------------------------------------------------------
 
 class LexError(DslakeError):
@@ -77,6 +86,13 @@ class UnknownPackageInput(ValidationError):
 
 class DanglingSimulate(ValidationError):
     """A simulate statement with no preceding select to consume."""
+
+
+# --- command line -------------------------------------------------------------
+
+class ConfigError(DslakeError):
+    """A malformed configuration value; names the file line, environment
+    variable or flag it came from."""
 
 
 # --- knowledge registry -----------------------------------------------------

@@ -168,6 +168,7 @@ class MapContext:
     area: Any = None  # GeoBox
     time: Any = None  # TimeRange
     params: dict[str, str] = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)  # the extractor's namespace of StorageLayout.memo
 
 
 @dataclass
@@ -177,6 +178,7 @@ class ReduceContext:
     read_file: Callable[[str], bytes] = lambda file_id: b""
     file_for: Callable[[Any], str] = lambda ts: ""
     params: dict[str, str] = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)  # the combiner's namespace of StorageLayout.memo
 
 
 ProcedureTable = dict[str, Callable]

@@ -35,7 +35,7 @@ from dslake.errors import (
     StorageError,
     UnknownNode,
     UnreadableFile,
-    undecodable_at,
+    read_utf8,
 )
 from dslake.times import iso_seconds, parse_utc
 
@@ -109,7 +109,20 @@ class FileMeta:
 
 @dataclass
 class StorageLayout:
-    """The simulated node set, file placement, and failure state."""
+    """The simulated node set, file placement, and failure state.
+
+    ``memo`` holds results derived from the stored content: one dict per
+    owner, a procedure function or a library's extractor functions. Each
+    entry is a pure function of its owner, file bytes and query inputs, and
+    file ids are content addresses, so none goes stale. Entries are bounded
+    by the layout's files times its distinct query keys and are dropped
+    with the layout; reshaped views share them. Memory grows with the
+    number of distinct bodies too: the cyclone extractor keys minima on the
+    body text, so a dataset whose bodies are all distinct keeps a second
+    copy of its text here, plus every snapshot the combiner parsed. No
+    lock: an engine runs one submit at a time, and two concurrent readers
+    at worst compute a value twice.
+    """
 
     node_count: int
     replication: int
@@ -119,6 +132,7 @@ class StorageLayout:
     meta: dict[str, FileMeta] = field(default_factory=dict)
     volumes: list[set[str]] = field(default_factory=list)
     _verified: set[str] = field(default_factory=set)
+    memo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -242,7 +256,8 @@ class StorageLayout:
         if not conf_path.exists():
             raise StorageError(f"no fabric at {root}")
         conf: dict[str, int] = {}
-        for lineno, line in enumerate(_read_text(conf_path).splitlines(), start=1):
+        text = read_utf8(conf_path, StorageError)
+        for lineno, line in enumerate(text.splitlines(), start=1):
             key, _, value = line.partition("=")
             if key in ("node_count", "replication"):
                 try:
@@ -280,11 +295,21 @@ class StorageLayout:
     # -- derived views ----------------------------------------------------------
 
     def reshaped(self, node_count: int, replication: int | None = None) -> "StorageLayout":
-        """Same content re-placed onto a different simulated node set."""
+        """Same content re-placed onto a different simulated node set.
+
+        Failed nodes are nodes of this layout, so a layout with any of them
+        is not reshaped: the view would silently serve every replica.
+        """
+        if self.failed:
+            raise StorageError(
+                f"nodes {sorted(self.failed)} of {self.node_count} are failed;"
+                f" cannot reshape to {node_count} nodes"
+            )
         replication = replication or min(self.replication, node_count)
         view = StorageLayout(node_count=node_count, replication=replication)
         view.blobs = self.blobs  # shared: files are content-addressed
         view._verified = self._verified
+        view.memo = self.memo
         view.meta = self.meta
         for file_id in self.meta:
             nodes = tuple(place(file_id, node_count, replication))
@@ -297,7 +322,7 @@ class StorageLayout:
 def read_manifest(path: Path) -> list[FileMeta]:
     """A manifest's entries in file order; a malformed line raises ``StorageError``."""
     metas = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, StorageError).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -313,14 +338,6 @@ def read_manifest(path: Path) -> list[FileMeta]:
             raise StorageError(f"{path}:{lineno}: bad timestamp: {exc}") from None
         metas.append(FileMeta(file_id, dataset, *times, relpath))
     return metas
-
-
-def _read_text(path: Path) -> str:
-    """``path`` as UTF-8 text; a byte that is not UTF-8 raises ``StorageError``."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise StorageError(f"{path}:{undecodable_at(exc)[0]}: not UTF-8 text") from None
 
 
 def write_manifest(path: Path, metas: Iterable[FileMeta]) -> None:

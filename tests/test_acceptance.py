@@ -30,7 +30,7 @@ from dslake.lang.validate import validate
 from dslake.registry import KnowledgeRegistry
 from dslake.storage import DataFile, StorageLayout
 from dslake.cyclone.detect import interior_minima
-from dslake.cyclone.ensemble import SplitMix64
+from dslake.cyclone.rng import SplitMix64
 from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
 from dslake.cyclone.surrogate import bsm_surrogate
 from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic

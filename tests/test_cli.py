@@ -223,3 +223,51 @@ def test_fail_node_does_not_change_output(workdir, capsys):
     code, degraded, _ = run(capsys, "submit", "--dataset", "d1", str(script), "--fail-node", "0")
     assert code == 0
     assert degraded == baseline
+
+
+def test_fail_node_with_other_node_count_exit_one(workdir, capsys):
+    # a failed node is a node of the stored fabric, so a submit that
+    # reshapes the store must refuse it rather than serve every replica
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    _, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "9", "--out", "src-data")
+    run(capsys, "--nodes", "8", "ingest", out.strip())
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, err = run(
+        capsys, "--nodes", "4", "submit", "--dataset", "d1", str(script), "--fail-node", "0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: nodes [0] of 8 are failed; cannot reshape to 4 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "conf, env, argv, message",
+    [
+        (b"nodes=2\n\xff\n", {}, [], "dslake.conf:2: not UTF-8 text"),
+        (b"# fabric\nnodes = x\n", {}, [], "dslake.conf:2: nodes is not an integer: 'x'"),
+        (None, {"DSLAKE_REPLICATION": "two"}, [],
+         "environment variable DSLAKE_REPLICATION: replication is not an integer: 'two'"),
+        (None, {}, ["--nodes", "4.5"], "flag --nodes: nodes is not an integer: '4.5'"),
+        (b"seed=1\n", {"DSLAKE_SEED": "-"}, [],
+         "environment variable DSLAKE_SEED: seed is not an integer: '-'"),
+    ],
+    ids=["not-utf8", "file-line", "env", "flag", "env-over-file"],
+)
+def test_malformed_config_value_exit_one(workdir, capsys, monkeypatch, conf, env, argv, message):
+    if conf is not None:
+        (workdir / "dslake.conf").write_bytes(conf)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv, "registry", "list")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_results_that_are_not_utf8_exit_one(workdir, capsys):
+    results = workdir / "dslake-storage" / "results"
+    results.mkdir(parents=True)
+    (results / "abc.txt").write_bytes(b"RESULT abc\n\xfe\n")
+    code, out, err = run(capsys, "results", "abc")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith("abc.txt:2: not UTF-8 text")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from dslake.errors import ExtractorFailure, UnreadableFile
+import dslake.cyclone.plugin as plugin
+import dslake.engine as engine
+from dslake.errors import ExtractorFailure, StorageError, UnreadableFile
 from dslake.engine import (
     EngineConfig,
     Fragment,
@@ -20,12 +22,14 @@ from dslake.lang.parser import parse
 from dslake.lang.validate import validate
 from dslake.registry import (
     ExecutionMode,
+    KnowledgeRegistry,
     PackageDescriptor,
     PackageInput,
     PackageOutputDecl,
     Placement,
 )
 from dslake.storage import DataFile, StorageLayout
+from dslake.cyclone.plugin import register_cyclone_domain
 from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import FIG5_AREA, FIG5_SCRIPT, utc
@@ -321,3 +325,70 @@ def test_unstartable_external_package_is_a_failed_simulation(registry):
     scratch = sim.failure_reason.rsplit("scratch kept at ", 1)[1].rstrip(")")
     assert (Path(scratch) / "cyclone.txt").exists()  # the materialized input
     shutil.rmtree(scratch)
+
+
+def test_submit_refuses_to_reshape_a_layout_with_failed_nodes(registry):
+    # failed nodes belong to the stored fabric: a submit at another node
+    # count must not silently serve every replica again
+    layout, _ = synthetic_layout(
+        seed=10, count=1, north_east=1, end=(2011, 1, 10, 18), node_count=8
+    )
+    for node in range(8):
+        layout.fail_node(node)
+    with pytest.raises(StorageError, match=r"nodes \[0, 1, 2, 3, 4, 5, 6, 7\] of 8 .* 4 nodes"):
+        submit(fig5_request(node_count=4), registry, layout)
+
+
+def test_payloads_are_not_shared_across_registries(registry):
+    # the memo keys payloads by extractor function, not by procedure id: a
+    # second registry whose extractor finds nothing sees no centers
+    layout, _ = synthetic_layout(seed=6, count=2, north_east=1, end=(2011, 2, 28, 18))
+    assert len(submit(fig5_request(), registry, layout).objects) == 1
+
+    blind = register_cyclone_domain(KnowledgeRegistry())
+    extract = blind.procedures["cyclone.extract_centers"]
+    blind.procedures["cyclone.extract_centers"] = lambda data, ctx: (extract(data, ctx)[0], [])
+    assert submit(fig5_request(), blind, layout).objects == []
+
+
+def test_each_layout_extracts_each_file_once(registry):
+    layout, _ = synthetic_layout(
+        seed=5, count=3, north_east=1, end=(2011, 2, 28, 18), node_count=8
+    )
+    extract = registry.procedures["cyclone.extract_centers"]
+    calls = []
+
+    def counting(data, ctx):
+        calls.append(data)
+        return extract(data, ctx)
+
+    registry.procedures["cyclone.extract_centers"] = counting
+    metas = layout.dataset_files("d1")
+    texts = {
+        submit(fig5_request(node_count=n, replication=min(2, n)), registry, layout)
+        .canonical_text()
+        for n in (1, 2, 4, 8)
+    }
+    assert len(texts) == 1
+    assert len(calls) == len(metas)
+
+    # the memo goes with the layout: a fresh one holding the same files
+    # extracts them again
+    fresh = StorageLayout(node_count=8, replication=2).ingest(
+        DataFile(m.file_id, m.dataset, m.t0, m.t1, layout.read(m.file_id)) for m in metas
+    )
+    assert submit(fig5_request(), registry, fresh).canonical_text() in texts
+    assert len(calls) == 2 * len(metas)
+
+
+@pytest.mark.parametrize("module", [engine, plugin], ids=["engine", "plugin"])
+def test_no_module_level_cache(module):
+    # derived results live in the layout's memo; upper-case names are
+    # constant tables (the gauges the plugin imports)
+    mutable = (dict, list, set, bytearray, type(threading.Lock()))
+    state = [
+        name
+        for name, value in vars(module).items()
+        if not (name.startswith("__") or name.isupper()) and isinstance(value, mutable)
+    ]
+    assert state == []

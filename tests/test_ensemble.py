@@ -1,10 +1,4 @@
-import math
-import statistics
-
-import pytest
-
-from dslake.cyclone.ensemble import EnsembleSigmas, SplitMix64, generate_ensemble
-from test_surrogate import params
+from dslake.cyclone.rng import SplitMix64
 
 
 def test_splitmix_reference_sequence():
@@ -15,59 +9,3 @@ def test_splitmix_reference_sequence():
         3203168211198807973,
         9817491932198370423,
     ]
-
-
-def test_member_zero_is_original():
-    original = params(depth=40.0, bearing=50.0)
-    members = generate_ensemble(original, 1, seed=9)
-    assert members == [original]
-    assert generate_ensemble(original, 5, seed=9)[0] == original
-
-
-def test_same_seed_same_ensemble():
-    original = params(depth=40.0, bearing=50.0)
-    a = generate_ensemble(original, 50, seed=123)
-    b = generate_ensemble(original, 50, seed=123)
-    assert a == b
-    c = generate_ensemble(original, 50, seed=124)
-    assert a != c
-
-
-def test_depth_clamped_and_bearing_wrapped():
-    original = params(depth=0.5, bearing=359.5)
-    members = generate_ensemble(
-        original, 500, seed=5, sigmas=EnsembleSigmas(depth_hpa=5.0, bearing_deg=40.0)
-    )
-    for m in members:
-        assert m.depth >= 0.0
-        assert 0.0 <= m.average_bearing < 360.0
-        assert m.mean_speed_kmh >= 0.0
-        assert m.central_pressure == pytest.approx(m.ambient_pressure - m.depth)
-
-
-def test_sector_tracks_perturbed_bearing():
-    from dslake.cyclone.geo import classify_direction
-
-    members = generate_ensemble(params(depth=40.0, bearing=45.0), 100, seed=11)
-    for m in members:
-        assert m.direction_sector == classify_direction(m.average_bearing)
-
-
-def test_large_sample_mean_within_band():
-    # frozen-seed statistical check: mean depth of 10000 members stays
-    # within the 3-sigma band 5*3/sqrt(10000) = 0.15 of the original
-    original = params(depth=40.0, bearing=45.0)
-    members = generate_ensemble(
-        original, 10000, seed=2011, sigmas=EnsembleSigmas(depth_hpa=5.0)
-    )
-    mean_depth = statistics.fmean(m.depth for m in members)
-    assert abs(mean_depth - 40.0) <= 0.15
-    spread = statistics.pstdev(m.depth for m in members)
-    assert spread == pytest.approx(5.0, rel=0.1)
-
-
-def test_undefined_bearing_members_stay_undefined():
-    original = params(depth=40.0, bearing=None)
-    members = generate_ensemble(original, 10, seed=3)
-    assert all(m.average_bearing is None for m in members)
-    assert all(m.direction_sector is None for m in members)

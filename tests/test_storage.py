@@ -145,6 +145,17 @@ def test_read_verifies_content_address():
         layout.read(f.file_id)
 
 
+def test_reshape_refuses_failed_nodes():
+    layout = StorageLayout(node_count=8, replication=2).ingest(make_file(i) for i in range(8))
+    layout.fail_node(3)
+    with pytest.raises(StorageError, match=r"nodes \[3\] of 8 are failed; cannot reshape to 4"):
+        layout.reshaped(4)
+    layout.recover_node(3)
+    view = layout.reshaped(4)
+    assert view.node_count == 4 and view.failed == set()
+    assert view.memo is layout.memo  # derived results go with the content
+
+
 def test_dataset_files_sorted():
     files = [make_file(i) for i in range(30)]
     layout = StorageLayout(node_count=2, replication=1).ingest(files)
