@@ -12,7 +12,10 @@
 ``--registry`` are global options and go before the verb. Configuration
 precedence: flags > environment (DSLAKE_STORAGE_ROOT, DSLAKE_NODES,
 DSLAKE_REPLICATION, DSLAKE_SEED) > config file (key=value lines, --config
-or ./dslake.conf) > defaults. Results go to stdout, diagnostics to stderr;
+or ./dslake.conf) > defaults. ``submit`` runs at the stored fabric's node
+count unless ``nodes`` is set, with replication min(stored replication,
+nodes) unless ``replication`` is set; the defaults of 2 and 2 only shape a
+store that ``ingest`` creates. Results go to stdout, diagnostics to stderr;
 exit 0 on success, 1 on domain errors (a malformed configuration value
 among them), 2 on usage or file errors.
 """
@@ -49,7 +52,9 @@ from dslake.storage import (
 )
 from dslake.cyclone.plugin import register_cyclone_domain
 
-DEFAULTS = {"storage_root": "./dslake-storage", "nodes": "2", "replication": "2", "seed": "0"}
+DEFAULTS = {"storage_root": "./dslake-storage", "seed": "0"}
+NEW_STORE_NODES = 2
+NEW_STORE_REPLICATION = 2
 ENV_KEYS = {
     "storage_root": "DSLAKE_STORAGE_ROOT",
     "nodes": "DSLAKE_NODES",
@@ -61,8 +66,8 @@ ENV_KEYS = {
 @dataclass
 class CliConfig:
     storage_root: Path
-    node_count: int
-    replication: int
+    node_count: int | None  # None: not set by a flag, the environment or a file
+    replication: int | None
     registry_paths: list[Path]
     seed: int
 
@@ -111,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("script", type=Path)
     p.add_argument("--dataset", required=True)
     p.add_argument("--fail-node", type=int, action="append", default=None,
-                   help="fail node K of the stored fabric (repeatable); needs"
-                        " --nodes equal to the stored node count")
+                   help="fail node K of the stored fabric (repeatable); refused"
+                        " with --nodes other than the stored node count")
     p.add_argument("--emit-csv", type=Path, default=None)
     p.set_defaults(handler=_cmd_submit)
 
@@ -146,7 +151,9 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         if value is not None:
             values[key], origins[key] = str(value), f"flag --{key.replace('_', '-')}"
 
-    def integer(key: str) -> int:
+    def integer(key: str) -> int | None:
+        if key not in values:
+            return None
         try:
             return int(values[key])
         except ValueError:
@@ -246,7 +253,9 @@ def _cmd_ingest(args, config: CliConfig) -> int:
 def _load_or_create_layout(config: CliConfig) -> StorageLayout:
     if (config.storage_root / "fabric.conf").exists():
         return StorageLayout.load(config.storage_root)
-    return StorageLayout(node_count=config.node_count, replication=config.replication)
+    nodes = NEW_STORE_NODES if config.node_count is None else config.node_count
+    replication = NEW_STORE_REPLICATION if config.replication is None else config.replication
+    return StorageLayout(node_count=nodes, replication=replication)
 
 
 def _cmd_submit(args, config: CliConfig) -> int:
@@ -254,12 +263,14 @@ def _cmd_submit(args, config: CliConfig) -> int:
     layout = _load_or_create_layout(config)
     for node in args.fail_node or []:
         layout.fail_node(node)
+    nodes = layout.node_count if config.node_count is None else config.node_count
+    replication = config.replication
+    if replication is None:
+        replication = min(layout.replication, nodes)
     request = TaskRequest(
         dataset=args.dataset,
         script=_read_script(args.script),
-        engine_config=EngineConfig(
-            node_count=config.node_count, replication=config.replication
-        ),
+        engine_config=EngineConfig(node_count=nodes, replication=replication),
     )
     document = submit(request, registry, layout)
     text = document.canonical_text()

@@ -17,6 +17,7 @@ combiner keys the snapshots it parses by file id, a content address.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 from dslake.errors import CombinerFailure, FormatError
@@ -183,7 +184,8 @@ def bsm_descriptor() -> PackageDescriptor:
 
 
 def bsm_external_descriptor(name: str = "BSM", python_exe: str | None = None) -> PackageDescriptor:
-    """BSM wrapped as an external command (same surrogate underneath)."""
+    """BSM wrapped as an external command: the builtin's inputs and outputs,
+    the same surrogate underneath."""
     import sys
 
     exe = python_exe or sys.executable
@@ -192,17 +194,12 @@ def bsm_external_descriptor(name: str = "BSM", python_exe: str | None = None) ->
         " --start {input:startTime} --cyclone {input:cyclone}"
         " --horizon {input:horizon} --out {outdir}"
     )
-    return PackageDescriptor(
+    return replace(
+        bsm_descriptor(),
         name=name,
-        inputs=(
-            PackageInput("startTime", "datetime", required=True),
-            PackageInput("cyclone", "cyclone-params", required=True),
-            PackageInput("horizon", "duration", required=False, default="96h"),
-        ),
-        outputs=(PackageOutputDecl("level", "timeseries-cm", indexable=True),),
         execution_mode=ExecutionMode.EXTERNAL_COMMAND,
-        placement=Placement.ON_AGGREGATOR,
         command_template=template,
+        procedure=None,
     )
 
 

@@ -394,9 +394,9 @@ def _plant_random(
     """Randomly place cyclones that the tracker can provably keep apart.
 
     ``accept(candidate, placed)``, when given, judges each candidate that
-    keeps its distance from the cyclones placed before it; a refused
-    candidate is redrawn from the same stream. Returns None once one
-    cyclone has been refused ``_CYCLONE_REDRAWS`` times.
+    keeps its distance from the spec's listed cyclones and the ones placed
+    before it; a refused candidate is redrawn from the same stream. Returns
+    None once one cyclone has been refused ``_CYCLONE_REDRAWS`` times.
     """
     if spec.random_north_east > spec.random_count:
         raise SpecError("more north-east cyclones requested than total")
@@ -453,7 +453,7 @@ def _plant_random(
             end_lat, end_lon = candidate.center_at(candidate.t_end)
             if not (lat_lo <= end_lat <= lat_hi and lon_lo <= end_lon <= lon_hi):
                 continue
-            if not _safe_against(candidate, planted, spec):
+            if not _safe_against(candidate, [*spec.cyclones, *planted], spec):
                 continue
             if accept is None or accept(candidate, planted):
                 planted.append(candidate)
@@ -561,12 +561,7 @@ def parse_spec_text(text: str) -> SyntheticSpec:
         raise SpecError(f"line {values['time'][0]}: time takes two timestamps: start end")
     return SyntheticSpec(
         dataset=values["dataset"][1],
-        area=GeoBox(
-            lat_min=min(corners[0], corners[2]),
-            lon_min=min(corners[1], corners[3]),
-            lat_max=max(corners[0], corners[2]),
-            lon_max=max(corners[1], corners[3]),
-        ),
+        area=GeoBox.from_corners(corners[:2], corners[2:]),
         start=bounds[0],
         end=bounds[1],
         step_hours=value("step", int, 6),

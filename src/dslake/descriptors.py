@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from dslake.errors import DescriptorLoadError
+from dslake.errors import DescriptorLoadError, undecodable_at
 from dslake.registry import (
     DomainLibraryDescriptor,
     ExecutionMode,
@@ -85,7 +85,11 @@ def load_descriptor_file(
     path: Path,
 ) -> tuple[list[DomainLibraryDescriptor], list[PackageDescriptor]]:
     path = Path(path)
-    return load_descriptors(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DescriptorLoadError(str(path), undecodable_at(exc)[0], "not UTF-8 text") from None
+    return load_descriptors(text, source=str(path))
 
 
 def dump_descriptors(

@@ -55,6 +55,7 @@ from dslake.report import (
     ObjectRecord,
     ResultDocument,
     SimulationRecord,
+    indexed_name,
 )
 from dslake.storage import DataFile, StorageLayout
 
@@ -198,11 +199,10 @@ class Engine:
         fragments = canonical_order(
             [map_file(layout.serving_node(m.file_id), m, layout.read) for m in metas]
         )
-        document = run_reduce(
-            fragments, query, self.registry, layout, request.extra_params
+        return run_reduce(
+            fragments, query, self.registry, layout, request.extra_params,
+            task_id=request.task_id(),
         )
-        document.task_id = request.task_id()
-        return document
 
 
 def submit(
@@ -217,8 +217,10 @@ def run_reduce(
     registry: KnowledgeRegistry,
     layout: StorageLayout,
     params: dict[str, str] | None = None,
+    task_id: str = "",
 ) -> ResultDocument:
-    """Aggregate canonically ordered fragments into the result document."""
+    """Aggregate canonically ordered fragments into the result document of
+    task ``task_id``, which external packages see as ``DSLAKE_TASK_ID``."""
     params = params or {}
     if not query.selects:
         raise EngineError("query has no select statement")
@@ -274,12 +276,12 @@ def run_reduce(
         sim
         for plan in query.simulates
         for sim in _run_simulations(
-            plan, selected_per_select[plan.select_index], registry, layout
+            plan, selected_per_select[plan.select_index], registry, layout, task_id
         )
     ]
 
-    document = ResultDocument(
-        task_id="",
+    return ResultDocument(
+        task_id=task_id,
         objects=sorted(object_records.values(), key=lambda r: r.object_id),
         simulations=simulations,
         diagnostics=Diagnostics(
@@ -288,7 +290,6 @@ def run_reduce(
             nodes_used={f.node for f in fragments},
         ),
     )
-    return document
 
 
 def _run_simulations(
@@ -296,6 +297,7 @@ def _run_simulations(
     selected: list[DomainObject],
     registry: KnowledgeRegistry,
     layout: StorageLayout,
+    task_id: str,
 ) -> list[SimulationRecord]:
     records = []
     for obj in selected:
@@ -306,32 +308,20 @@ def _run_simulations(
             provenance=obj.provenance,
         )
         try:
-            bindings: dict[str, Any] = {}
-            for name, expr in plan.explicit_bindings:
-                bindings[name] = evaluate_binding(expr, obj.params)
-            for name, param_name in plan.implicit_bindings:
-                bindings[name] = obj.params[param_name]
+            bindings = {name: evaluate_binding(expr, obj.params) for name, expr in plan.bindings}
 
             node = None
             if plan.package.placement is Placement.ON_NODE and obj.provenance:
                 node = layout.serving_node(obj.provenance[-1])
 
             output = invoke(
-                PackageInvocation(
-                    package=plan.package,
-                    bindings=bindings,
-                    object_id=obj.object_id,
-                ),
+                PackageInvocation(package=plan.package, bindings=bindings, task_id=task_id),
                 registry,
             )
             record.node = node
             record.wall_time_s = output.wall_time_s
-            for item in plan.requested_outputs:
-                indices = tuple(idx.value for idx in item.indices)
-                key = item.name
-                if indices:
-                    key = f"{item.name}[{','.join(str(i) for i in indices)}]"
-                record.outputs[key] = output.lookup(item.name, indices)
+            for name, indices in plan.outputs:
+                record.outputs[indexed_name(name, indices)] = output.lookup(name, indices)
         except DslakeError as exc:
             # partial-failure policy: record and keep processing the rest
             record.status = "failed"

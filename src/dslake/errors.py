@@ -138,10 +138,6 @@ class UnreadableFile(StorageError):
     pass
 
 
-class UnknownDataset(StorageError):
-    pass
-
-
 # --- engine and package execution -------------------------------------------
 
 class EngineError(DslakeError):

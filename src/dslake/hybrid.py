@@ -15,8 +15,8 @@ Series values use fixed four-decimal rendering; indexed outputs appear
 under their indexed name, e.g. ``level[440,414]``. Template placeholders
 are ``{input:<name>}`` (literal or materialized file path) and
 ``{outdir}``. The environment is passed through unchanged except
-``DSLAKE_TASK_ID``. Scratch directories are deleted on success and
-retained on failure.
+``DSLAKE_TASK_ID``, which holds the submit's task id. Scratch directories
+are deleted on success and retained on failure.
 
 Invocations are independent: no shared mutable state, safe to run
 concurrently.
@@ -31,13 +31,14 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Any
 
 from dslake.errors import BindingError, PackageFailure, UnboundReference
 from dslake.lang.ast import DateLit, DurationLit, Expr, IntLit, Offset, Ref
 from dslake.registry import ExecutionMode, KnowledgeRegistry, PackageDescriptor
+from dslake.report import indexed_name
 from dslake.times import UTC, iso_seconds, parse_utc
 
 Series = list[tuple[datetime, float]]
@@ -60,21 +61,18 @@ class IndexedSeries:
 class PackageInvocation:
     package: PackageDescriptor
     bindings: dict[str, Any]
-    object_id: str = ""
     task_id: str = ""
 
 
 @dataclass
 class PackageOutput:
     outputs: dict[str, Any]
-    exit_status: str = "ok"  # "ok" or "failed"
-    failure_reason: str | None = None
     wall_time_s: float = 0.0
 
     def lookup(self, name: str, indices: tuple[int, ...] = ()) -> Any:
         """Resolve a requested output, applying indices when given."""
         if indices:
-            keyed = f"{name}[{','.join(str(i) for i in indices)}]"
+            keyed = indexed_name(name, indices)
             if keyed in self.outputs:
                 return self.outputs[keyed]
         if name in self.outputs:
@@ -139,7 +137,7 @@ def invoke(invocation: PackageInvocation, registry: KnowledgeRegistry) -> Packag
     for inp in package.inputs:
         if inp.name not in bindings:
             if inp.default is not None:
-                bindings[inp.name] = _parse_default(inp.default, inp.semantic_type)
+                bindings[inp.name] = inp.default_value()
             elif inp.required:
                 raise BindingError(
                     f"required input {inp.name!r} of {package.name} not bound"
@@ -168,11 +166,7 @@ def invoke(invocation: PackageInvocation, registry: KnowledgeRegistry) -> Packag
         outputs = _run_external(package, bindings, invocation.task_id)
 
     _check_declared(package, outputs)
-    return PackageOutput(
-        outputs=outputs,
-        exit_status="ok",
-        wall_time_s=time.perf_counter() - started,
-    )
+    return PackageOutput(outputs=outputs, wall_time_s=time.perf_counter() - started)
 
 
 def _check_declared(package: PackageDescriptor, outputs: dict[str, Any]) -> None:
@@ -182,20 +176,6 @@ def _check_declared(package: PackageDescriptor, outputs: dict[str, Any]) -> None
         if any(key.startswith(f"{decl.name}[") for key in outputs):
             continue
         raise PackageFailure(f"declared output {decl.name!r} missing")
-
-
-def _parse_default(text: str, semantic_type: str) -> Any:
-    if semantic_type == "duration":
-        if text.endswith("d"):
-            return timedelta(hours=24 * int(text[:-1]))
-        return timedelta(hours=int(text.rstrip("h")))
-    if semantic_type == "datetime":
-        return parse_utc(text)
-    if semantic_type == "int":
-        return int(text)
-    if semantic_type == "float":
-        return float(text)
-    return text
 
 
 # --- external command mode ----------------------------------------------------

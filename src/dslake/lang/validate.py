@@ -3,9 +3,16 @@
 Resolution covers object types (alias-aware), filter keywords (through
 the library's keyword shortcuts), packages (case-sensitive), package
 inputs and outputs, and every reference used in binding expressions.
-The result carries a binding plan describing how each simulate statement
-consumes the result set of its nearest preceding select, with per-object
-fan-out under ``semantic_association yes``.
+
+Each simulate statement becomes a ``SimulatePlan``, everything the engine
+needs to run its package once per object selected by the nearest
+preceding select: one bindings table of (input, expression) pairs, and
+the requested outputs with their indices resolved to integers.
+``semantic_association yes`` lets bindings use the object's parameters:
+those written in the script, and every input that an object parameter
+matches by name and semantic type. It does not change how often the
+package runs: once per selected object either way. Inputs left unbound
+take their package default when the package runs.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dslake.lang.ast import (
     Expr,
     IntLit,
     Offset,
-    OutItem,
     QueryAst,
     Ref,
     SelectStmt,
@@ -67,11 +73,9 @@ class SimulatePlan:
     statement_index: int
     package: PackageDescriptor
     select_index: int  # index into ValidatedQuery.selects
-    fan_out: bool  # one invocation per selected object
-    explicit_bindings: tuple[tuple[str, Expr], ...]
-    implicit_bindings: tuple[tuple[str, str], ...]  # input name -> object param
-    default_bindings: tuple[tuple[str, str], ...]  # input name -> default text
-    requested_outputs: tuple[OutItem, ...]
+    fan_out: bool  # semantic_association yes: bindings may use object params
+    bindings: tuple[tuple[str, Expr], ...]  # input name -> expression
+    outputs: tuple[tuple[str, tuple[int, ...]], ...]  # output name, indices
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,7 @@ def _validate_simulate(
 
     object_params = {name for name, _ in select.info.output_params}
 
-    explicit: list[tuple[str, Expr]] = []
-    bound_names: set[str] = set()
+    bindings: list[tuple[str, Expr]] = []
     for name, expr in stmt.in_bindings:
         if package.input_named(name) is None:
             raise UnknownPackageInput(
@@ -233,27 +236,21 @@ def _validate_simulate(
                     ref, detail=f"not an output parameter of {select.info.name}"
                 )
             resolved.add(ref)
-        explicit.append((name, expr))
-        bound_names.add(name)
+        bindings.append((name, expr))
 
-    implicit: list[tuple[str, str]] = []
-    defaults: list[tuple[str, str]] = []
+    bound_names = {name for name, _ in bindings}
     for inp in package.inputs:
         if inp.name in bound_names:
             continue
-        if fan_out and inp.name in object_params:
-            if select.info.param_type(inp.name) == inp.semantic_type:
-                implicit.append((inp.name, inp.name))
-                continue
-        if inp.default is not None:
-            defaults.append((inp.name, inp.default))
-            continue
-        if inp.required:
+        if fan_out and select.info.param_type(inp.name) == inp.semantic_type:
+            bindings.append((inp.name, Ref(inp.name)))
+        elif inp.default is None and inp.required:
             raise UnboundReference(
                 inp.name,
                 detail=f"required input of {package.name} cannot be bound",
             )
 
+    outputs = []
     for item in stmt.out:
         out_decl = package.output_named(item.name)
         if out_decl is None:
@@ -271,16 +268,15 @@ def _validate_simulate(
                     raise ValidationError(
                         item.name, detail="indices must be integer literals"
                     )
+        outputs.append((item.name, tuple(idx.value for idx in item.indices)))
 
     return SimulatePlan(
         statement_index=index,
         package=package,
         select_index=select_index,
         fan_out=fan_out,
-        explicit_bindings=tuple(explicit),
-        implicit_bindings=tuple(implicit),
-        default_bindings=tuple(defaults),
-        requested_outputs=stmt.out,
+        bindings=tuple(bindings),
+        outputs=tuple(outputs),
     )
 
 

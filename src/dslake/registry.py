@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from datetime import timedelta
 from enum import Enum
 from typing import Any, Callable
 
@@ -24,6 +25,7 @@ from dslake.errors import (
     UnknownObjectType,
     UnknownPackage,
 )
+from dslake.times import parse_utc
 
 
 class StructureLevel(Enum):
@@ -98,6 +100,23 @@ class PackageInput:
     required: bool = True
     default: str | None = None
 
+    def default_value(self) -> Any:
+        """The default text as a value of the input's semantic type: ``96h``
+        and ``4d`` are durations, datetimes are ISO-8601 UTC, and a type
+        with no parser keeps the text. Malformed text raises ``ValueError``."""
+        text = self.default
+        if self.semantic_type == "duration":
+            if text.endswith("d"):
+                return timedelta(hours=24 * int(text[:-1]))
+            return timedelta(hours=int(text.rstrip("h")))
+        if self.semantic_type == "datetime":
+            return parse_utc(text)
+        if self.semantic_type == "int":
+            return int(text)
+        if self.semantic_type == "float":
+            return float(text)
+        return text
+
 
 @dataclass(frozen=True)
 class PackageOutputDecl:
@@ -132,6 +151,16 @@ class PackageDescriptor:
         return None
 
     def check(self) -> None:
+        for inp in self.inputs:
+            if inp.default is None:
+                continue
+            try:
+                inp.default_value()
+            except (ValueError, OverflowError):
+                raise RegistryError(
+                    f"package {self.name}: input {inp.name!r} has a malformed"
+                    f" {inp.semantic_type} default {inp.default!r}"
+                ) from None
         if self.execution_mode is ExecutionMode.EXTERNAL_COMMAND:
             if not self.command_template:
                 raise MalformedTemplate(
@@ -286,6 +315,3 @@ class KnowledgeRegistry:
         if fn is None:
             raise RegistryError(f"procedure {proc_id!r} not registered")
         return fn
-
-    def canonical_keyword(self, library: DomainLibraryDescriptor, keyword: str) -> str:
-        return library.canonical_keyword(keyword)

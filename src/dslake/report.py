@@ -83,12 +83,17 @@ class ResultDocument:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+def indexed_name(name: str, indices: tuple[int, ...]) -> str:
+    """The key of an indexed output, e.g. ``level[440,414]``; ``name`` alone
+    when there are no indices."""
+    return f"{name}[{','.join(map(str, indices))}]" if indices else name
+
+
 def _render_entry(lines: list[str], kind: str, name: str, value: Any) -> None:
     by_index = getattr(value, "by_index", None)
     if by_index is not None:  # an un-indexed request for an indexable output
         for indices in sorted(by_index):
-            keyed = f"{name}[{','.join(str(i) for i in indices)}]"
-            _render_entry(lines, kind, keyed, by_index[indices])
+            _render_entry(lines, kind, indexed_name(name, indices), by_index[indices])
         return
     if _is_series(value):
         lines.append(f"  {kind} {name} series {len(value)}")

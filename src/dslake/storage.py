@@ -111,6 +111,9 @@ class FileMeta:
 class StorageLayout:
     """The simulated node set, file placement, and failure state.
 
+    ``placements`` holds each file's replica nodes in placement order; a
+    read is served by the first that has not failed.
+
     ``memo`` holds results derived from the stored content: one dict per
     owner, a procedure function or a library's extractor functions. Each
     entry is a pure function of its owner, file bytes and query inputs, and
@@ -130,7 +133,6 @@ class StorageLayout:
     failed: set[int] = field(default_factory=set)
     blobs: dict[str, bytes] = field(default_factory=dict)
     meta: dict[str, FileMeta] = field(default_factory=dict)
-    volumes: list[set[str]] = field(default_factory=list)
     _verified: set[str] = field(default_factory=set)
     memo: dict = field(default_factory=dict)
 
@@ -141,8 +143,6 @@ class StorageLayout:
             raise InvalidReplication(
                 f"replication {self.replication} not in [1, {self.node_count}]"
             )
-        if not self.volumes:
-            self.volumes = [set() for _ in range(self.node_count)]
 
     # -- ingestion ---------------------------------------------------------
 
@@ -172,8 +172,6 @@ class StorageLayout:
                 t1=f.t1,
                 relative_path=f"{f.dataset}/{f.file_id}.snap",
             )
-            for node in nodes:
-                self.volumes[node].add(f.file_id)
         return self
 
     # -- failure injection ---------------------------------------------------
@@ -198,7 +196,7 @@ class StorageLayout:
         if nodes is None:
             raise UnreadableFile(f"unknown file {file_id}")
         for node in nodes:
-            if node not in self.failed and file_id in self.volumes[node]:
+            if node not in self.failed:
                 return node
         raise UnreadableFile(f"no surviving replica of {file_id}")
 
@@ -213,13 +211,6 @@ class StorageLayout:
                 )
             self._verified.add(file_id)
         return data
-
-    def readable(self, file_id: str) -> bool:
-        try:
-            self.serving_node(file_id)
-            return True
-        except UnreadableFile:
-            return False
 
     def dataset_files(self, dataset: str) -> list[FileMeta]:
         """Dataset metadata ordered by (t0, file_id); empty if unknown."""
@@ -243,8 +234,8 @@ class StorageLayout:
             manifest_dir = root / "datasets" / dataset
             manifest_dir.mkdir(parents=True, exist_ok=True)
             write_manifest(manifest_dir / "manifest.tsv", metas)
-        for node, volume in enumerate(self.volumes):
-            for file_id in volume:
+        for file_id, nodes in self.placements.items():
+            for node in nodes:
                 target = root / f"node-{node}" / self.meta[file_id].relative_path
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_bytes(self.blobs[file_id])
@@ -288,8 +279,6 @@ class StorageLayout:
                 layout.placements[file_id] = nodes
                 layout.blobs[file_id] = data
                 layout.meta[file_id] = meta
-                for node in nodes:
-                    layout.volumes[node].add(file_id)
         return layout
 
     # -- derived views ----------------------------------------------------------
@@ -312,10 +301,7 @@ class StorageLayout:
         view.memo = self.memo
         view.meta = self.meta
         for file_id in self.meta:
-            nodes = tuple(place(file_id, node_count, replication))
-            view.placements[file_id] = nodes
-            for node in nodes:
-                view.volumes[node].add(file_id)
+            view.placements[file_id] = tuple(place(file_id, node_count, replication))
         return view
 
 

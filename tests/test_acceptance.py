@@ -264,9 +264,21 @@ def test_criterion_6_fault_equivalence():
         layout = StorageLayout(node_count=4, replication=2).ingest(files)
         baseline = submit(fig5_request(node_count=4), registry, layout).canonical_text()
         failed_node = seed % 4  # replication 2 makes any single failure survivable
-        layout.fail_node(failed_node)
-        degraded = submit(fig5_request(node_count=4), registry, layout).canonical_text()
-        layout.recover_node(failed_node)
+        # a fresh layout has an empty memo, so the degraded submit reads
+        # every file it maps, and fails over those first placed on failed_node
+        degraded_layout = StorageLayout(node_count=4, replication=2).ingest(files)
+        degraded_layout.fail_node(failed_node)
+        read, served = degraded_layout.read, []
+
+        def counting_read(file_id):
+            served.append(file_id)
+            return read(file_id)
+
+        degraded_layout.read = counting_read
+        degraded = submit(fig5_request(node_count=4), registry, degraded_layout).canonical_text()
+        assert any(degraded_layout.placements[f][0] == failed_node for f in served), (
+            f"seed {seed}: no read failed over"
+        )
         assert degraded == baseline, f"seed {seed}: failure changed the bytes"
 
 

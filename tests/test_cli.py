@@ -241,6 +241,45 @@ def test_fail_node_with_other_node_count_exit_one(workdir, capsys):
     assert err == "error: nodes [0] of 8 are failed; cannot reshape to 4 nodes\n"
 
 
+def test_submit_defaults_to_the_stored_fabric_shape(workdir, capsys):
+    # without --nodes a submit runs at the stored node count, and without
+    # --replication at the stored replication capped by the node count
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    _, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "9", "--out", "src-data")
+    run(capsys, "--nodes", "8", "ingest", out.strip())
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    submit = ["submit", "--dataset", "d1", str(script)]
+    code, reference, _ = run(capsys, "--nodes", "8", *submit)
+    assert code == 0 and reference.startswith("RESULT ")
+    for argv in ([*submit, "--fail-node", "0"], ["--nodes", "1", *submit]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, reference), err
+
+
+@pytest.mark.parametrize(
+    "kd_bytes, message",
+    [
+        (b"[package P]\ninput x duration optional 9x\noutput y float\n",
+         "package P: input 'x' has a malformed duration default '9x'"),
+        (b"[package P]\n# \xff\n", "bad.kd:2: not UTF-8 text"),
+    ],
+    ids=["malformed-default", "not-utf8"],
+)
+@pytest.mark.parametrize("verb", ["registry", "submit"])
+def test_malformed_descriptor_file_exit_one(workdir, capsys, kd_bytes, message, verb):
+    kd = workdir / "bad.kd"
+    kd.write_bytes(kd_bytes)
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    argv = ["list"] if verb == "registry" else ["--dataset", "d1", str(script)]
+    code, out, err = run(capsys, "--registry", str(kd), verb, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "conf, env, argv, message",
     [

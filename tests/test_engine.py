@@ -327,6 +327,55 @@ def test_unstartable_external_package_is_a_failed_simulation(registry):
     shutil.rmtree(scratch)
 
 
+def test_external_package_sees_the_task_id(registry, tmp_path):
+    import sys
+
+    probe = tmp_path / "task_probe.py"
+    probe.write_text(
+        "import os, sys, pathlib\n"
+        "out = pathlib.Path(sys.argv[1])\n"
+        "(out / 'outputs.tsv').write_text(f\"task\\t{os.environ['DSLAKE_TASK_ID']}\\n\")\n"
+    )
+    registry.register_package(
+        PackageDescriptor(
+            name="PROBE",
+            outputs=(PackageOutputDecl("task", "string"),),
+            execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+            command_template=f"{sys.executable} {probe} {{outdir}}",
+        )
+    )
+    layout, _ = synthetic_layout(seed=13, count=1, north_east=1, end=(2011, 2, 28, 18))
+    script = "select cyclone-path\nsimulate\n  with PROBE\n  out(task)\n"
+    doc = submit(
+        TaskRequest(dataset="d1", script=script, engine_config=EngineConfig(4, 2)),
+        registry,
+        layout,
+    )
+    (sim,) = doc.simulations
+    assert sim.status == "ok"
+    assert sim.outputs["task"] == doc.task_id != ""
+
+
+def test_object_without_a_bound_parameter_is_a_failed_simulation(registry):
+    # an input bound by name to an object parameter is a reference like any
+    # other: an object that lacks it fails its simulation, not the submit
+    layout, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
+    combine = registry.procedures["cyclone.combine_paths"]
+
+    def combine_without_cyclone(center_sets, ctx):
+        objects = combine(center_sets, ctx)
+        for obj in objects:
+            del obj.params["cyclone"]
+        return objects
+
+    registry.procedures["cyclone.combine_paths"] = combine_without_cyclone
+    doc = submit(fig5_request(), registry, layout)
+    assert len(doc.simulations) == 2
+    for sim in doc.simulations:
+        assert sim.status == "failed"
+        assert sim.failure_reason == "UnboundReference: 'cyclone'"
+
+
 def test_submit_refuses_to_reshape_a_layout_with_failed_nodes(registry):
     # failed nodes belong to the stored fabric: a submit at another node
     # count must not silently serve every replica again

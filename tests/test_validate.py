@@ -29,12 +29,12 @@ def test_fig5_validates(registry, fig5_script):
     (plan,) = vq.binding_plan
     assert plan.fan_out is True
     assert plan.select_index == 0
-    assert dict(plan.explicit_bindings) == {
-        "startTime": Offset(base=Ref("EndTime"), sign=-1, delta=DurationLit(48))
+    # the cyclone parameters flow in by name; the horizon is left to its default
+    assert dict(plan.bindings) == {
+        "startTime": Offset(base=Ref("EndTime"), sign=-1, delta=DurationLit(48)),
+        "cyclone": Ref("cyclone"),
     }
-    # the cyclone parameters flow in by name, the horizon by default
-    assert dict(plan.implicit_bindings) == {"cyclone": "cyclone"}
-    assert dict(plan.default_bindings) == {"horizon": "96h"}
+    assert plan.outputs == (("level", (440, 414)),)
 
 
 def test_empty_registry_unknown_object(fig5_script):
