@@ -6,7 +6,7 @@
     dslake [--nodes N] submit --dataset <id> <script.dq> [--fail-node K]
                   [--emit-csv PATH]
     dslake results <task_id>
-    dslake registry list
+    dslake registry list          # the registry as .kd descriptor text
 
 ``--config``, ``--storage-root``, ``--nodes``, ``--replication`` and
 ``--registry`` are global options and go before the verb. Configuration
@@ -15,9 +15,11 @@ DSLAKE_REPLICATION, DSLAKE_SEED) > config file (key=value lines, --config
 or ./dslake.conf) > defaults. ``submit`` runs at the stored fabric's node
 count unless ``nodes`` is set, with replication min(stored replication,
 nodes) unless ``replication`` is set; the defaults of 2 and 2 only shape a
-store that ``ingest`` creates. Results go to stdout, diagnostics to stderr;
-exit 0 on success, 1 on domain errors (a malformed configuration value
-among them), 2 on usage or file errors.
+store that ``ingest`` creates. ``--fail-node`` names a node of the stored
+fabric, so a submit that sets another node count or replication refuses
+it. Results go to stdout, diagnostics to stderr; exit 0 on success, 1 on
+domain errors (a malformed configuration value among them), 2 on usage
+or file errors.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dslake.errors import (
     read_utf8,
     undecodable_at,
 )
-from dslake.descriptors import load_descriptor_file
+from dslake.descriptors import dump_descriptors, load_descriptor_file
 from dslake.engine import EngineConfig, TaskRequest, submit
 from dslake.lang.formatter import format_query
 from dslake.lang.parser import parse
@@ -117,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--fail-node", type=int, action="append", default=None,
                    help="fail node K of the stored fabric (repeatable); refused"
-                        " with --nodes other than the stored node count")
+                        " with --nodes or --replication other than the stored one")
     p.add_argument("--emit-csv", type=Path, default=None)
     p.set_defaults(handler=_cmd_submit)
 
@@ -312,25 +314,9 @@ def _cmd_results(args, config: CliConfig) -> int:
 
 def _cmd_registry(args, config: CliConfig) -> int:
     registry = _load_registry(config)
-    for name in sorted(registry.libraries):
-        library = registry.libraries[name]
-        print(f"library {name}")
-        for info in library.object_types:
-            aliases = f" (aliases: {', '.join(info.aliases)})" if info.aliases else ""
-            print(f"  object {info.name} [{info.structure_level.value}]{aliases}")
-            for pname, ptype in info.output_params:
-                print(f"    param {pname}: {ptype}")
-            for _, keyword, _ in library.filters:
-                print(f"    filter {keyword}")
-    for name in sorted(registry.packages):
-        package = registry.packages[name]
-        print(f"package {name} [{package.execution_mode.value}]")
-        for inp in package.inputs:
-            required = "required" if inp.required else f"optional ({inp.default})"
-            print(f"  input {inp.name}: {inp.semantic_type} {required}")
-        for out in package.outputs:
-            indexable = " indexable" if out.indexable else ""
-            print(f"  output {out.name}: {out.semantic_type}{indexable}")
+    libraries = [library for _, library in sorted(registry.libraries.items())]
+    packages = [package for _, package in sorted(registry.packages.items())]
+    sys.stdout.write(dump_descriptors(libraries, packages))
     return 0
 
 

@@ -17,9 +17,13 @@ combiner keys the snapshots it parses by file id, a content address.
 
 from __future__ import annotations
 
+import shlex
+import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
+import dslake
 from dslake.errors import CombinerFailure, FormatError
 from dslake.registry import (
     DomainLibraryDescriptor,
@@ -183,14 +187,22 @@ def bsm_descriptor() -> PackageDescriptor:
     )
 
 
+# run bsm_cmd with the source root given as the first argument first on sys.path
+_BSM_BOOT = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1));"
+    " from dslake.cyclone.bsm_cmd import main; sys.exit(main())"
+)
+
+
 def bsm_external_descriptor(name: str = "BSM", python_exe: str | None = None) -> PackageDescriptor:
     """BSM wrapped as an external command: the builtin's inputs and outputs,
-    the same surrogate underneath."""
-    import sys
-
-    exe = python_exe or sys.executable
+    the same surrogate underneath. The command names the source root of
+    this ``dslake``, so the child finds it from a checkout or an install
+    whatever its environment."""
+    root = str(Path(dslake.__file__).resolve().parent.parent)
     template = (
-        f"{exe} -m dslake.cyclone.bsm_cmd"
+        f"{shlex.quote(python_exe or sys.executable)} -c {shlex.quote(_BSM_BOOT)}"
+        f" {shlex.quote(root)}"
         " --start {input:startTime} --cyclone {input:cyclone}"
         " --horizon {input:horizon} --out {outdir}"
     )

@@ -1,33 +1,24 @@
 """Loading and writing declarative knowledge descriptors (``.kd`` files).
 
-Line-oriented key-value text with section headers, UTF-8, ``#`` comments.
-Unknown keys are a load error. Two section kinds:
-
-    [package NAME]
-    input <name> <semantic-type> required|optional [<default>]
-    output <name> <semantic-type> [indexable]
-    mode builtin|external
-    placement aggregator|node
-    command <template...>            # external mode
-    procedure <procedure-id>         # builtin mode
-
-    [library NAME]
-    object <name> atomic|file-level|high-level [<fragment-type>]
-    alias <object-name> <alias>
-    param <object-name> <param-name> <semantic-type>
-    extractor <file-kind> <procedure-id>
-    combiner <object-name> <procedure-id>
-    filter <object-name> <keyword> <procedure-id>
-    keyword-alias <alias> <canonical>
-
-Descriptors loaded from text compare equal to the ones that produced the
-text (round-trip law); executable procedure ids are resolved against the
-registry's procedure table at registration time, not here.
+Line-oriented UTF-8 text: a ``[package NAME]`` or ``[library NAME]``
+section header, then ``<key> <words...>`` lines; ``#`` starts a comment.
+The key tables ``PACKAGE_KEYS`` and ``LIBRARY_KEYS`` are the format's
+single definition, read by both ``load_descriptors`` and
+``dump_descriptors``: each key's descriptor field, word grammar and word
+conversions. An unknown key, a line whose words do not fit its grammar, a
+single-valued key given twice and a name declared twice in one section
+are load errors. Loading the dumped text gives back the descriptors
+(round-trip law); the dumper refuses a value that would not read back,
+such as a word holding a space or a ``#``. Procedure ids are resolved
+when the registry registers a descriptor, not here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import Any, Callable
 
 from dslake.errors import DescriptorLoadError, undecodable_at
 from dslake.registry import (
@@ -41,17 +32,78 @@ from dslake.registry import (
     StructureLevel,
 )
 
-_LEVELS = {level.value: level for level in StructureLevel}
-_MODES = {mode.value: mode for mode in ExecutionMode}
-_PLACEMENTS = {placement.value: placement for placement in Placement}
+
+@dataclass(frozen=True)
+class Key:
+    """One kind of line. ``usage`` is the grammar of the words after the key:
+    ``<x>`` any word, ``a|b`` one of these, ``[...]`` an optional trailing
+    slot (``None`` when absent), ``<x...>`` the rest of the line. ``load``
+    makes a field item of the words and ``dump`` gives them back; a tuple
+    field collects an item per line, any other field takes one line."""
+
+    field: str
+    usage: str
+    load: Callable[..., Any] = lambda *words: words
+    dump: Callable[[Any], tuple] = lambda item: item
+    per_object: bool = False  # the first word names an object of the library
+    named: bool = False  # items have a ``name`` that is unique in the section
+
+
+def _choices(enum: type[Enum]) -> str:
+    return "|".join(member.value for member in enum)
+
+
+PACKAGE_KEYS = {
+    "input": Key(
+        "inputs", "<name> <semantic-type> required|optional [<default>]",
+        lambda name, type_, need, default: PackageInput(name, type_, need == "required", default),
+        lambda inp: (inp.name, inp.semantic_type,
+                     "required" if inp.required else "optional", inp.default),
+        named=True,
+    ),
+    "output": Key(
+        "outputs", "<name> <semantic-type> [indexable]",
+        lambda name, type_, indexable: PackageOutputDecl(name, type_, indexable is not None),
+        lambda out: (out.name, out.semantic_type, "indexable" if out.indexable else None),
+        named=True,
+    ),
+    "mode": Key("execution_mode", _choices(ExecutionMode), ExecutionMode, lambda m: (m.value,)),
+    "placement": Key("placement", _choices(Placement), Placement, lambda p: (p.value,)),
+    "command": Key("command_template", "<template...>", str, lambda text: (text,)),
+    "procedure": Key("procedure", "<procedure-id>", str, lambda proc_id: (proc_id,)),
+}
+
+LIBRARY_KEYS = {
+    "object": Key(
+        "object_types", f"<name> {_choices(StructureLevel)} [<fragment-type>]",
+        lambda name, level, fragment: ObjectTypeInfo(
+            name, structure_level=StructureLevel(level), fragment_type=fragment
+        ),
+        lambda info: (info.name, info.structure_level.value, info.fragment_type),
+        named=True,
+    ),
+    "alias": Key("aliases", "<object> <alias>", str, lambda alias: (alias,), per_object=True),
+    "param": Key("output_params", "<object> <name> <semantic-type>", per_object=True),
+    "extractor": Key("extractors", "<file-kind> <procedure-id>"),
+    "combiner": Key("combiners", "<object> <procedure-id>"),
+    "filter": Key("filters", "<object> <keyword> <procedure-id>"),
+    "keyword-alias": Key("keyword_aliases", "<alias> <canonical>"),
+}
+
+_SECTIONS = {
+    "package": (PackageDescriptor, PACKAGE_KEYS),
+    "library": (DomainLibraryDescriptor, LIBRARY_KEYS),
+}
+
+Descriptor = DomainLibraryDescriptor | PackageDescriptor
 
 
 def load_descriptors(
     text: str, source: str = "<string>"
 ) -> tuple[list[DomainLibraryDescriptor], list[PackageDescriptor]]:
-    libraries: list[DomainLibraryDescriptor] = []
-    packages: list[PackageDescriptor] = []
-    section: _PackageBuilder | _LibraryBuilder | None = None
+    done: list[Descriptor] = []
+    keys: dict[str, Key] = {}
+    given: set[str] = set()  # the keys given so far in the current section
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -60,25 +112,34 @@ def load_descriptors(
         if line.startswith("["):
             if not line.endswith("]"):
                 raise DescriptorLoadError(source, lineno, "unterminated section header")
-            if section is not None:
-                _finish(section, libraries, packages, source)
             head = line[1:-1].split()
-            if len(head) != 2 or head[0] not in ("package", "library"):
+            if len(head) != 2 or head[0] not in _SECTIONS:
                 raise DescriptorLoadError(
                     source, lineno, "section must be [package NAME] or [library NAME]"
                 )
-            if head[0] == "package":
-                section = _PackageBuilder(head[1], lineno)
-            else:
-                section = _LibraryBuilder(head[1], lineno)
+            kind, keys = _SECTIONS[head[0]]
+            done.append(kind(name=head[1]))
+            given = set()
             continue
-        if section is None:
+        if not done:
             raise DescriptorLoadError(source, lineno, "content before first section")
-        section.feed(line, lineno, source)
+        word, _, rest = line.partition(" ")
+        if word not in keys:
+            raise DescriptorLoadError(source, lineno, f"unknown key {word!r}")
+        key = keys[word]
+        words = _words(key.usage, rest.strip())
+        if words is None:
+            raise DescriptorLoadError(source, lineno, f"{word} {key.usage}")
+        try:
+            done[-1] = _add(done[-1], key, words, word in given)
+        except ValueError as exc:
+            raise DescriptorLoadError(source, lineno, f"{word} {exc}") from None
+        given.add(word)
 
-    if section is not None:
-        _finish(section, libraries, packages, source)
-    return libraries, packages
+    return (
+        [d for d in done if isinstance(d, DomainLibraryDescriptor)],
+        [d for d in done if isinstance(d, PackageDescriptor)],
+    )
 
 
 def load_descriptor_file(
@@ -95,197 +156,82 @@ def load_descriptor_file(
 def dump_descriptors(
     libraries: list[DomainLibraryDescriptor], packages: list[PackageDescriptor]
 ) -> str:
+    """The ``.kd`` text of the descriptors; ``ValueError`` for a descriptor
+    whose text would not load back as itself."""
     blocks = []
-    for lib in libraries:
-        lines = [f"[library {lib.name}]"]
-        for info in lib.object_types:
-            entry = f"object {info.name} {info.structure_level.value}"
-            if info.fragment_type:
-                entry += f" {info.fragment_type}"
-            lines.append(entry)
-            for alias in info.aliases:
-                lines.append(f"alias {info.name} {alias}")
-            for pname, ptype in info.output_params:
-                lines.append(f"param {info.name} {pname} {ptype}")
-        for kind, proc_id in lib.extractors:
-            lines.append(f"extractor {kind} {proc_id}")
-        for otype, proc_id in lib.combiners:
-            lines.append(f"combiner {otype} {proc_id}")
-        for otype, keyword, proc_id in lib.filters:
-            lines.append(f"filter {otype} {keyword} {proc_id}")
-        for alias, canonical in lib.keyword_aliases:
-            lines.append(f"keyword-alias {alias} {canonical}")
-        blocks.append("\n".join(lines))
-    for pkg in packages:
-        lines = [f"[package {pkg.name}]"]
-        for inp in pkg.inputs:
-            entry = f"input {inp.name} {inp.semantic_type}"
-            entry += " required" if inp.required else " optional"
-            if inp.default is not None:
-                entry += f" {inp.default}"
-            lines.append(entry)
-        for out in pkg.outputs:
-            entry = f"output {out.name} {out.semantic_type}"
-            if out.indexable:
-                entry += " indexable"
-            lines.append(entry)
-        lines.append(f"mode {pkg.execution_mode.value}")
-        lines.append(f"placement {pkg.placement.value}")
-        if pkg.command_template:
-            lines.append(f"command {pkg.command_template}")
-        if pkg.procedure:
-            lines.append(f"procedure {pkg.procedure}")
-        blocks.append("\n".join(lines))
+    for desc in (*libraries, *packages):
+        section = "library" if isinstance(desc, DomainLibraryDescriptor) else "package"
+        keys = _SECTIONS[section][1]
+        lines = [f"[{section} {desc.name}]"]
+        for word, key in keys.items():
+            if key.per_object:
+                continue
+            for item in _items(getattr(desc, key.field)):
+                lines.append(_line(word, key.dump(item)))
+                if word != "object":
+                    continue
+                for sub_word, sub in keys.items():  # an object's own lines follow it
+                    if sub.per_object:
+                        lines += [
+                            _line(sub_word, (item.name, *sub.dump(part)))
+                            for part in getattr(item, sub.field)
+                        ]
+        block = "\n".join(lines)
+        try:
+            loaded = load_descriptors(block)
+        except DescriptorLoadError:
+            loaded = None
+        if loaded not in (([desc], []), ([], [desc])):
+            raise ValueError(f"{section} {desc.name!r} does not read back from its .kd text")
+        blocks.append(block)
     return "\n\n".join(blocks) + "\n"
 
 
-class _PackageBuilder:
-    def __init__(self, name: str, lineno: int):
-        self.name = name
-        self.lineno = lineno
-        self.inputs: list[PackageInput] = []
-        self.outputs: list[PackageOutputDecl] = []
-        self.mode = ExecutionMode.BUILTIN
-        self.placement = Placement.ON_AGGREGATOR
-        self.command: str | None = None
-        self.procedure: str | None = None
-
-    def feed(self, line: str, lineno: int, source: str) -> None:
-        key, _, rest = line.partition(" ")
-        fields = rest.split()
-        if key == "input":
-            if len(fields) < 3 or fields[2] not in ("required", "optional"):
-                raise DescriptorLoadError(
-                    source, lineno, "input <name> <type> required|optional [default]"
-                )
-            default = fields[3] if len(fields) > 3 else None
-            self.inputs.append(
-                PackageInput(fields[0], fields[1], fields[2] == "required", default)
-            )
-        elif key == "output":
-            if len(fields) < 2 or (len(fields) == 3 and fields[2] != "indexable"):
-                raise DescriptorLoadError(
-                    source, lineno, "output <name> <type> [indexable]"
-                )
-            self.outputs.append(
-                PackageOutputDecl(fields[0], fields[1], len(fields) == 3)
-            )
-        elif key == "mode":
-            if rest not in _MODES:
-                raise DescriptorLoadError(source, lineno, f"unknown mode {rest!r}")
-            self.mode = _MODES[rest]
-        elif key == "placement":
-            if rest not in _PLACEMENTS:
-                raise DescriptorLoadError(source, lineno, f"unknown placement {rest!r}")
-            self.placement = _PLACEMENTS[rest]
-        elif key == "command":
-            self.command = rest
-        elif key == "procedure":
-            self.procedure = rest
-        else:
-            raise DescriptorLoadError(source, lineno, f"unknown package key {key!r}")
-
-    def build(self) -> PackageDescriptor:
-        return PackageDescriptor(
-            name=self.name,
-            inputs=tuple(self.inputs),
-            outputs=tuple(self.outputs),
-            execution_mode=self.mode,
-            placement=self.placement,
-            command_template=self.command,
-            procedure=self.procedure,
-        )
+def _words(usage: str, rest: str) -> list[str | None] | None:
+    """The words of ``rest`` in the slots of ``usage``, padded with ``None``
+    for absent optional slots; ``None`` when ``rest`` does not fit."""
+    slots = usage.split()
+    if slots[-1].endswith("...>"):
+        return [rest] if rest else None
+    words: list[str | None] = list(rest.split())
+    if not sum(not slot.startswith("[") for slot in slots) <= len(words) <= len(slots):
+        return None
+    words += [None] * (len(slots) - len(words))
+    for slot, word in zip(slots, words):
+        choices = slot.strip("[]")
+        if word is not None and not choices.startswith("<") and word not in choices.split("|"):
+            return None
+    return words
 
 
-class _LibraryBuilder:
-    def __init__(self, name: str, lineno: int):
-        self.name = name
-        self.lineno = lineno
-        self.objects: dict[str, dict] = {}
-        self.order: list[str] = []
-        self.extractors: list[tuple[str, str]] = []
-        self.combiners: list[tuple[str, str]] = []
-        self.filters: list[tuple[str, str, str]] = []
-        self.keyword_aliases: list[tuple[str, str]] = []
-
-    def _object(self, name: str, lineno: int, source: str) -> dict:
-        obj = self.objects.get(name)
-        if obj is None:
-            raise DescriptorLoadError(
-                source, lineno, f"object {name!r} not declared in this library"
-            )
-        return obj
-
-    def feed(self, line: str, lineno: int, source: str) -> None:
-        key, _, rest = line.partition(" ")
-        fields = rest.split()
-        if key == "object":
-            if len(fields) < 2 or fields[1] not in _LEVELS:
-                raise DescriptorLoadError(
-                    source, lineno, "object <name> atomic|file-level|high-level [fragment]"
-                )
-            self.objects[fields[0]] = {
-                "level": _LEVELS[fields[1]],
-                "fragment": fields[2] if len(fields) > 2 else None,
-                "aliases": [],
-                "params": [],
-            }
-            self.order.append(fields[0])
-        elif key == "alias":
-            if len(fields) != 2:
-                raise DescriptorLoadError(source, lineno, "alias <object> <alias>")
-            self._object(fields[0], lineno, source)["aliases"].append(fields[1])
-        elif key == "param":
-            if len(fields) != 3:
-                raise DescriptorLoadError(source, lineno, "param <object> <name> <type>")
-            self._object(fields[0], lineno, source)["params"].append(
-                (fields[1], fields[2])
-            )
-        elif key == "extractor":
-            if len(fields) != 2:
-                raise DescriptorLoadError(source, lineno, "extractor <kind> <procedure>")
-            self.extractors.append((fields[0], fields[1]))
-        elif key == "combiner":
-            if len(fields) != 2:
-                raise DescriptorLoadError(source, lineno, "combiner <object> <procedure>")
-            self.combiners.append((fields[0], fields[1]))
-        elif key == "filter":
-            if len(fields) != 3:
-                raise DescriptorLoadError(
-                    source, lineno, "filter <object> <keyword> <procedure>"
-                )
-            self.filters.append((fields[0], fields[1], fields[2]))
-        elif key == "keyword-alias":
-            if len(fields) != 2:
-                raise DescriptorLoadError(source, lineno, "keyword-alias <alias> <canonical>")
-            self.keyword_aliases.append((fields[0], fields[1]))
-        else:
-            raise DescriptorLoadError(source, lineno, f"unknown library key {key!r}")
-
-    def build(self) -> DomainLibraryDescriptor:
-        object_types = tuple(
-            ObjectTypeInfo(
-                name=name,
-                aliases=tuple(self.objects[name]["aliases"]),
-                structure_level=self.objects[name]["level"],
-                output_params=tuple(self.objects[name]["params"]),
-                fragment_type=self.objects[name]["fragment"],
-            )
-            for name in self.order
-        )
-        return DomainLibraryDescriptor(
-            name=self.name,
-            object_types=object_types,
-            extractors=tuple(self.extractors),
-            combiners=tuple(self.combiners),
-            filters=tuple(self.filters),
-            keyword_aliases=tuple(self.keyword_aliases),
-        )
+def _add(desc: Descriptor, key: Key, words: list, repeated: bool) -> Descriptor:
+    """``desc`` with the item of one line added to ``key.field``."""
+    if not key.per_object:
+        return _put(desc, key, key.load(*words), repeated)
+    names = [info.name for info in desc.object_types]
+    if words[0] not in names:
+        raise ValueError(f"names object {words[0]!r}, not declared in this library")
+    i = names.index(words[0])
+    info = _put(desc.object_types[i], key, key.load(*words[1:]), repeated)
+    return replace(desc, object_types=(*desc.object_types[:i], info, *desc.object_types[i + 1:]))
 
 
-def _finish(section, libraries, packages, source) -> None:
-    built = section.build()
-    if isinstance(built, PackageDescriptor):
-        packages.append(built)
-    else:
-        libraries.append(built)
+def _put(target: Any, key: Key, item: Any, repeated: bool) -> Any:
+    old = getattr(target, key.field)
+    if not isinstance(old, tuple):
+        if repeated:
+            raise ValueError("given twice in one section")
+        return replace(target, **{key.field: item})
+    if key.named and any(other.name == item.name for other in old):
+        raise ValueError(f"{item.name!r} declared twice")
+    return replace(target, **{key.field: (*old, item)})
+
+
+def _items(value: Any) -> tuple:
+    if isinstance(value, tuple):
+        return value
+    return () if value is None else (value,)
+
+
+def _line(word: str, words: tuple) -> str:
+    return " ".join([word, *(w for w in words if w is not None)])

@@ -189,7 +189,7 @@ class Engine:
     def submit(self, request: TaskRequest) -> ResultDocument:
         config = request.engine_config
         layout = self.layout
-        if config.node_count != layout.node_count:
+        if (config.node_count, config.replication) != (layout.node_count, layout.replication):
             layout = layout.reshaped(config.node_count, config.replication)
 
         query = validate(parse(request.script), self.registry)

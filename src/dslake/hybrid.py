@@ -11,8 +11,9 @@ External output contract (all files tab-separated UTF-8):
     <outdir>/outputs.tsv      lines: <name> <TAB> <value-or-series-path>
     series files              lines: <ISO-8601 time> <TAB> <value>
 
-Series values use fixed four-decimal rendering; indexed outputs appear
-under their indexed name, e.g. ``level[440,414]``. Template placeholders
+Series values use fixed four-decimal rendering. An indexable output has
+one line per index, e.g. ``level[440,414]``, and is read back as one
+``IndexedSeries``, as a builtin procedure returns it. Template placeholders
 are ``{input:<name>}`` (literal or materialized file path) and
 ``{outdir}``. The environment is passed through unchanged except
 ``DSLAKE_TASK_ID``, which holds the submit's task id. Scratch directories
@@ -25,6 +26,7 @@ concurrently.
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -38,7 +40,6 @@ from typing import Any
 from dslake.errors import BindingError, PackageFailure, UnboundReference
 from dslake.lang.ast import DateLit, DurationLit, Expr, IntLit, Offset, Ref
 from dslake.registry import ExecutionMode, KnowledgeRegistry, PackageDescriptor
-from dslake.report import indexed_name
 from dslake.times import UTC, iso_seconds, parse_utc
 
 Series = list[tuple[datetime, float]]
@@ -71,18 +72,14 @@ class PackageOutput:
 
     def lookup(self, name: str, indices: tuple[int, ...] = ()) -> Any:
         """Resolve a requested output, applying indices when given."""
-        if indices:
-            keyed = indexed_name(name, indices)
-            if keyed in self.outputs:
-                return self.outputs[keyed]
-        if name in self.outputs:
-            value = self.outputs[name]
-            if indices:
-                if isinstance(value, IndexedSeries):
-                    return value.at(indices)
-                raise PackageFailure(f"output {name} is not indexable")
+        if name not in self.outputs:
+            raise PackageFailure(f"output {name} missing")
+        value = self.outputs[name]
+        if not indices:
             return value
-        raise PackageFailure(f"output {name} missing")
+        if not isinstance(value, IndexedSeries):
+            raise PackageFailure(f"output {name} is not indexable")
+        return value.at(indices)
 
 
 def evaluate_binding(expr: Expr, object_params: dict[str, Any]) -> Any:
@@ -171,14 +168,13 @@ def invoke(invocation: PackageInvocation, registry: KnowledgeRegistry) -> Packag
 
 def _check_declared(package: PackageDescriptor, outputs: dict[str, Any]) -> None:
     for decl in package.outputs:
-        if decl.name in outputs:
-            continue
-        if any(key.startswith(f"{decl.name}[") for key in outputs):
-            continue
-        raise PackageFailure(f"declared output {decl.name!r} missing")
+        if decl.name not in outputs:
+            raise PackageFailure(f"declared output {decl.name!r} missing")
 
 
 # --- external command mode ----------------------------------------------------
+
+_INDEX_RE = re.compile(r"\[(-?\d+(?:,-?\d+)*)\]")  # the index of a ``name[i,j]`` line
 
 
 def _run_external(
@@ -228,6 +224,7 @@ def _run_external_in(
             f"{package.name} wrote no outputs.tsv (scratch kept at {scratch})"
         )
     outputs: dict[str, Any] = {}
+    indexed: dict[str, dict[tuple[int, ...], Any]] = {}
     for lineno, line in enumerate(manifest.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
@@ -240,12 +237,19 @@ def _run_external_in(
         base = name.split("[", 1)[0]
         decl = package.output_named(base)
         if decl is not None and decl.semantic_type.startswith("timeseries"):
-            outputs[name] = _read_series(scratch, raw, package.name)
+            value = _read_series(scratch, raw, package.name)
         else:
             try:
-                outputs[name] = float(raw)
+                value = float(raw)
             except ValueError:
-                outputs[name] = raw
+                value = raw
+        index = _INDEX_RE.fullmatch(name[len(base):])
+        if decl is not None and decl.indexable and index:
+            indexed.setdefault(base, {})[tuple(map(int, index[1].split(",")))] = value
+        else:
+            outputs[name] = value
+    for base, by_index in indexed.items():
+        outputs[base] = IndexedSeries(by_index)
     return outputs
 
 

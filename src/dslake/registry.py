@@ -229,9 +229,10 @@ class KnowledgeRegistry:
             raise DuplicateName(f"domain library {descriptor.name!r}")
         procedures = procedures or {}
 
-        for info in descriptor.object_types:
+        claimed: dict[str, int] = {}  # name or alias -> its object type's position
+        for i, info in enumerate(descriptor.object_types):
             for key in (info.name, *info.aliases):
-                if key in self._object_index:
+                if key in self._object_index or claimed.setdefault(key, i) != i:
                     raise DuplicateName(f"object type or alias {key!r}")
             if info.structure_level is StructureLevel.HIGH_LEVEL:
                 if descriptor.combiner_for(info.name) is None:

@@ -310,3 +310,17 @@ def test_results_that_are_not_utf8_exit_one(workdir, capsys):
     code, out, err = run(capsys, "results", "abc")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.rstrip().endswith("abc.txt:2: not UTF-8 text")
+
+
+def test_registry_list_is_descriptor_text(workdir, capsys):
+    # the listing is the registry's libraries and packages as .kd text, in
+    # name order, so it loads back as exactly them
+    from dslake.cyclone.plugin import bsm_descriptor, bsm_external_descriptor, library_descriptor
+    from dslake.descriptors import dump_descriptors, load_descriptors
+
+    external = bsm_external_descriptor(name="A-BSM")
+    kd = workdir / "extra.kd"
+    kd.write_text(dump_descriptors([], [external]))
+    code, listing, err = run(capsys, "--registry", str(kd), "registry", "list")
+    assert (code, err) == (0, "")
+    assert load_descriptors(listing) == ([library_descriptor()], [external, bsm_descriptor()])

@@ -2,11 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslake.descriptors import dump_descriptors, load_descriptors
-from dslake.errors import DescriptorLoadError
+from dslake.descriptors import (
+    LIBRARY_KEYS,
+    PACKAGE_KEYS,
+    dump_descriptors,
+    load_descriptor_file,
+    load_descriptors,
+)
+from dslake.errors import DescriptorLoadError, RegistryError
 from dslake.registry import (
     DomainLibraryDescriptor,
     ExecutionMode,
+    KnowledgeRegistry,
     ObjectTypeInfo,
     PackageDescriptor,
     PackageInput,
@@ -14,7 +21,7 @@ from dslake.registry import (
     Placement,
     StructureLevel,
 )
-from dslake.cyclone.plugin import bsm_descriptor, library_descriptor
+from dslake.cyclone.plugin import bsm_descriptor, library_descriptor, register_cyclone_domain
 
 SAMPLE = """\
 # the storm-surge service
@@ -138,3 +145,126 @@ def test_descriptor_round_trip(libs, pkgs):
     loaded_libs, loaded_pkgs = load_descriptors(text)
     assert loaded_libs == libs
     assert loaded_pkgs == pkgs
+
+
+# --- malformed lines --------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("[package P]\noutput level timeseries-cm indexable extra\n", 2,
+         "output <name> <semantic-type> [indexable]"),
+        ("[package P]\ninput h duration optional 96h junk more\n", 2,
+         "input <name> <semantic-type> required|optional [<default>]"),
+        ("[package P]\nprocedure a b c\n", 2, "procedure <procedure-id>"),
+        ("[library L]\nobject x atomic\nobject x atomic\n", 3, "object 'x' declared twice"),
+        ("[package P]\ninput h duration\n", 2,
+         "input <name> <semantic-type> required|optional [<default>]"),
+        ("[package P]\nmode remote\n", 2, "mode builtin|external"),
+        ("[package P]\nmode builtin\n\nmode external\n", 4, "mode given twice in one section"),
+        ("[library L]\nparam x Depth float\n", 2,
+         "param names object 'x', not declared in this library"),
+    ],
+    ids=["extra-flag-word", "extra-default-words", "procedure-words", "object-twice",
+         "missing-words", "enum", "scalar-twice", "undeclared-object"],
+)
+def test_malformed_line_is_load_error(text, line, message):
+    with pytest.raises(DescriptorLoadError) as err:
+        load_descriptors(text)
+    assert err.value.line == line
+    assert str(err.value) == f"<string>:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "package",
+    [
+        PackageDescriptor("P", command_template="runner --tag #1 {outdir}"),  # '#' starts a comment
+        PackageDescriptor("P", inputs=(PackageInput("a b", "int"),)),  # a word with a space
+        PackageDescriptor("P", command_template=""),  # written as no line at all
+    ],
+    ids=["hash", "space", "empty"],
+)
+def test_dump_refuses_what_would_not_load_back(package):
+    with pytest.raises(ValueError, match="package 'P' does not read back"):
+        dump_descriptors([], [package])
+
+
+# --- fuzzing: any input gives descriptors or a typed error -------------------------
+
+VOCABULARY = [
+    "x", "y", "P", "cyclone-path", "cyclon-path", "grid", "direction", "int", "float",
+    "duration", "datetime", "96h", "4d", "9x", "2011-01-01T00:00Z", "{outdir}",
+    "{input:x}", "{x}", "cyclone.extract_centers", "cyclone.combine_paths",
+    "cyclone.filter_direction", "cyclone.bsm", "required", "high-level", "#",
+]
+
+
+@st.composite
+def kd_sections(draw):
+    """A section whose lines mostly fit their key's usage: now and then a
+    word is wrong or extra, or a line is arbitrary text."""
+    kind, keys = draw(st.sampled_from([("package", PACKAGE_KEYS), ("library", LIBRARY_KEYS)]))
+    lines = [f"[{kind} {draw(st.sampled_from(['P', 'Q', 'L', 'M', 'BSM', 'cyclone']))}]"]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(st.text(max_size=12)))
+            continue
+        word = draw(st.sampled_from(sorted(keys)))
+        words = [word]
+        for slot in keys[word].usage.split():
+            if slot.startswith("[") and draw(st.booleans()):
+                break
+            choices = slot.strip("[]")
+            if choices.startswith("<") or draw(st.integers(0, 19)) == 0:
+                words.append(draw(st.sampled_from(VOCABULARY)))
+            else:
+                words.append(draw(st.sampled_from(choices.split("|"))))
+        if draw(st.integers(0, 19)) == 0:
+            words.append(draw(st.sampled_from(VOCABULARY)))
+        lines.append(" ".join(words))
+    return "\n".join(lines)
+
+
+kd_texts = st.lists(kd_sections(), max_size=3).map("\n".join) | st.text(max_size=40)
+
+
+def _load_or_error(text):
+    try:
+        return load_descriptors(text)
+    except DescriptorLoadError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(kd_texts)
+def test_any_text_loads_or_is_load_error(text):
+    loaded = _load_or_error(text)
+    if loaded is not None:  # what loads obeys the round-trip law
+        assert load_descriptors(dump_descriptors(*loaded)) == loaded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=200) | kd_texts.map(lambda t: t.encode("utf-8", "surrogatepass")))
+def test_any_bytes_load_or_are_load_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.kd"
+    path.write_bytes(data)
+    try:
+        load_descriptor_file(path)
+    except DescriptorLoadError as exc:
+        assert exc.path == str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kd_texts)
+def test_what_loads_registers_or_is_registry_error(text):
+    loaded = _load_or_error(text)
+    if loaded is None:
+        return
+    registry = register_cyclone_domain(KnowledgeRegistry())
+    try:
+        for library in loaded[0]:
+            registry.register_domain_library(library)
+        for package in loaded[1]:
+            registry.register_package(package)
+    except RegistryError:
+        pass

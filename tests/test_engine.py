@@ -9,6 +9,7 @@ import pytest
 import dslake.cyclone.plugin as plugin
 import dslake.engine as engine
 from dslake.errors import ExtractorFailure, StorageError, UnreadableFile
+from dslake.hybrid import IndexedSeries
 from dslake.engine import (
     EngineConfig,
     Fragment,
@@ -29,7 +30,7 @@ from dslake.registry import (
     Placement,
 )
 from dslake.storage import DataFile, StorageLayout
-from dslake.cyclone.plugin import register_cyclone_domain
+from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
 from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import FIG5_AREA, FIG5_SCRIPT, utc
@@ -441,3 +442,55 @@ def test_no_module_level_cache(module):
         if not (name.startswith("__") or name.isupper()) and isinstance(value, mutable)
     ]
     assert state == []
+
+
+def test_submit_refuses_another_replication_on_failed_nodes(registry):
+    # the shape of a layout is its node count and its replication: a submit
+    # at the same node count but another replication reshapes, so a failed
+    # node is refused rather than silently run at the stored replication
+    layout, _ = synthetic_layout(seed=10, count=1, north_east=1, end=(2011, 1, 10, 18))
+    layout.fail_node(0)
+    with pytest.raises(StorageError, match=r"nodes \[0\] of 4 are failed"):
+        submit(fig5_request(node_count=4, replication=1), registry, layout)
+
+
+def test_submit_reshapes_to_the_requested_replication(registry, monkeypatch):
+    layout, _ = synthetic_layout(seed=10, count=1, north_east=1, end=(2011, 1, 10, 18))
+    reshaped = StorageLayout.reshaped
+    shapes = []
+
+    def spy(self, node_count, replication=None):
+        shapes.append((node_count, replication))
+        return reshaped(self, node_count, replication)
+
+    monkeypatch.setattr(StorageLayout, "reshaped", spy)
+    submit(fig5_request(node_count=4, replication=2), registry, layout)
+    assert shapes == []
+    submit(fig5_request(node_count=4, replication=3), registry, layout)
+    assert shapes == [(4, 3)]
+
+
+def _four_decimals(value):
+    if isinstance(value, IndexedSeries):
+        return {index: _four_decimals(series) for index, series in value.by_index.items()}
+    return [(ts, f"{level:.4f}") for ts, level in value]
+
+
+@pytest.mark.parametrize("output", ["level", "level[440,414]"])
+def test_builtin_and_external_bsm_give_equal_outputs(registry, output):
+    # an external package's indexed lines are read into the IndexedSeries
+    # the builtin returns, so an un-indexed request works in both modes
+    registry.register_package(bsm_external_descriptor(name="BSM-X"))
+    layout, _ = synthetic_layout(seed=3, count=2, north_east=1, end=(2011, 2, 28, 18))
+    outputs = {}
+    for package in ("BSM", "BSM-X"):
+        script = FIG5_SCRIPT.replace("with BSM", f"with {package}").replace(
+            "out(level[440,414])", f"out({output})"
+        )
+        request = TaskRequest(dataset="d1", script=script, engine_config=EngineConfig(4, 2))
+        sims = submit(request, registry, layout).simulations
+        assert sims and all(sim.status == "ok" for sim in sims)
+        outputs[package] = [
+            {name: _four_decimals(value) for name, value in sim.outputs.items()} for sim in sims
+        ]
+    assert outputs["BSM"] == outputs["BSM-X"]

@@ -283,3 +283,14 @@ def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
     scratch = kept_scratch(err.value)
     assert (scratch / "level.tsv").exists()
     shutil.rmtree(scratch)
+
+
+def test_external_bsm_runs_without_pythonpath(registry, monkeypatch):
+    # the command names the source root of this dslake, so the child finds
+    # it whatever environment it inherits
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    external = bsm_external_descriptor(name="BSM-X")
+    registry.register_package(external)
+    bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
+    out = invoke(PackageInvocation(package=external, bindings=bindings), registry)
+    assert len(out.lookup("level", (440, 414))) == 97

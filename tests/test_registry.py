@@ -188,3 +188,22 @@ def test_alias_closure(registry):
                 assert registry.resolve_object_type(alias) == registry.resolve_object_type(
                     info.name
                 )
+
+
+@pytest.mark.parametrize(
+    "object_types",
+    [
+        (ObjectTypeInfo("p", aliases=("q",), structure_level=StructureLevel.ATOMIC),) * 2,
+        (
+            ObjectTypeInfo("p", structure_level=StructureLevel.ATOMIC),
+            ObjectTypeInfo("r", aliases=("p",), structure_level=StructureLevel.ATOMIC),
+        ),
+    ],
+    ids=["object-twice", "alias-of-another-object"],
+)
+def test_name_repeated_within_one_library_rejected(object_types):
+    registry = KnowledgeRegistry()
+    library = DomainLibraryDescriptor(name="lib", object_types=object_types)
+    with pytest.raises(DuplicateName, match="object type or alias 'p'"):
+        registry.register_domain_library(library)
+    assert registry.libraries == {} and registry._object_index == {}
