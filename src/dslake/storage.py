@@ -1,11 +1,16 @@
 """Simulated multi-node file storage with deterministic placement.
 
 Nodes live in one process. Placement is rendezvous hashing: for each node
-n the score is a 64-bit FNV-1a hash of the file id concatenated with the
-node id rendered in decimal, and a file's replicas go to the
+n the score is a 64-bit FNV-1a hash of the file id (UTF-8) concatenated
+with the node id rendered in decimal, and a file's replicas go to the
 ``replication`` highest-scoring nodes in descending score order (ties by
 ascending node id). File ids are content addresses: the SHA-256 hex
 digest of the file bytes.
+
+Placement is computed for a whole list of file ids at once (``place_all``):
+the same hash in numpy ``uint64``, which wraps mod 2**64 as ``fnv1a64``
+does. ``ingest``, ``load`` and ``reshaped`` place their files in one call;
+``place`` and ``placement_scores`` are the one-file case of it.
 
 On-disk layout (used by the CLI):
 
@@ -14,7 +19,8 @@ On-disk layout (used by the CLI):
     <root>/datasets/<dataset>/manifest.tsv
 
 Manifest columns (tab-separated): file_id, dataset, t0, t1, relative_path;
-times are ISO-8601 UTC.
+times are ISO-8601 UTC. A stored manifest's relative path is always
+``<dataset>/<file_id>.snap``, with ``<dataset>`` the manifest's directory.
 
 Mutations (ingest, fail, recover) are serialized by the caller; reads are
 safe to run concurrently with other reads.
@@ -25,9 +31,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from dslake.errors import (
     DuplicateFile,
@@ -45,34 +52,69 @@ _MASK64 = (1 << 64) - 1
 
 
 def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a of ``data``, continuing from ``state``."""
     h = state
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 
-@lru_cache(maxsize=65536)
-def _prefix_hash(file_id: str) -> int:
-    return fnv1a64(file_id.encode())
+def _scores(file_ids: Sequence[str], node_count: int) -> np.ndarray:
+    """(files, node_count) ``uint64`` rendezvous scores, ``fnv1a64`` per entry.
+
+    One pass per byte column hashes every id. The ids are taken longest
+    first, so the ones long enough to have a byte in a column are its first
+    rows, and only those advance. One pass per node then extends each hash
+    by the node id. Products wrap mod 2**64.
+    """
+    encoded = [file_id.encode() for file_id in file_ids]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    order = np.argsort(-lengths, kind="stable")
+    by_length = lengths[order]
+    data = np.frombuffer(b"".join([encoded[i] for i in order.tolist()]), dtype=np.uint8)
+    starts = np.cumsum(by_length) - by_length
+    longer = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)))
+    prime = np.uint64(_FNV_PRIME)
+    hashes = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
+    for col, rows in enumerate(longer.tolist()):
+        hashes[:rows] = (hashes[:rows] ^ data[starts[:rows] + col]) * prime
+    prefix = np.empty_like(hashes)
+    prefix[order] = hashes
+    scores = np.empty((len(encoded), node_count), dtype=np.uint64)
+    for node in range(node_count):
+        h = prefix
+        for byte in str(node).encode():
+            h = (h ^ np.uint64(byte)) * prime
+        scores[:, node] = h
+    return scores
 
 
-def placement_scores(file_id: str, node_count: int) -> list[tuple[int, int]]:
-    """(score, node) pairs, highest score first, ties by node id."""
-    prefix = _prefix_hash(file_id)
-    scored = [
-        (fnv1a64(str(node).encode(), prefix), node) for node in range(node_count)
-    ]
-    scored.sort(key=lambda sn: (-sn[0], sn[1]))
-    return scored
+def _ranked(scores: np.ndarray) -> np.ndarray:
+    """Node ids of each row by descending score, ties by ascending node id."""
+    return np.argsort(~scores, axis=1, kind="stable")
 
 
-def place(file_id: str, node_count: int, replication: int) -> list[int]:
-    """Deterministic rendezvous placement of one file."""
+def place_all(
+    file_ids: Sequence[str], node_count: int, replication: int
+) -> list[tuple[int, ...]]:
+    """Rendezvous placement of every file of ``file_ids``, in their order."""
     if not 1 <= replication <= node_count:
         raise InvalidReplication(
             f"replication {replication} not in [1, {node_count}]"
         )
-    return [node for _, node in placement_scores(file_id, node_count)[:replication]]
+    ranked = _ranked(_scores(file_ids, node_count))
+    return list(zip(*ranked[:, :replication].T.tolist()))
+
+
+def placement_scores(file_id: str, node_count: int) -> list[tuple[int, int]]:
+    """(score, node) pairs, highest score first, ties by node id."""
+    scores = _scores([file_id], node_count)
+    return [(int(scores[0, node]), node) for node in _ranked(scores)[0].tolist()]
+
+
+def place(file_id: str, node_count: int, replication: int) -> list[int]:
+    """Deterministic rendezvous placement of one file."""
+    return list(place_all([file_id], node_count, replication)[0])
 
 
 @dataclass(frozen=True)
@@ -153,16 +195,29 @@ class StorageLayout:
     ) -> "StorageLayout":
         """Record placements and store bytes on every placement node.
 
-        ``placement_fn`` overrides rendezvous placement; tests use it to
-        exercise arbitrary file-to-node assignments.
+        All or nothing: a file already stored or given twice raises
+        ``DuplicateFile``, and a non-distinct placement ``StorageError``,
+        before any file is recorded. ``placement_fn`` overrides rendezvous
+        placement; tests use it to exercise arbitrary file-to-node
+        assignments.
         """
-        chooser = placement_fn or place
+        files = list(files)
+        batch: set[str] = set()
         for f in files:
-            if f.file_id in self.blobs:
+            if f.file_id in self.blobs or f.file_id in batch:
                 raise DuplicateFile(f.file_id)
-            nodes = tuple(chooser(f.file_id, self.node_count, self.replication))
-            if len(set(nodes)) != len(nodes):
-                raise StorageError(f"placement nodes not distinct: {nodes}")
+            batch.add(f.file_id)
+        ids = [f.file_id for f in files]
+        if placement_fn is None:
+            placements = place_all(ids, self.node_count, self.replication)
+        else:
+            placements = [
+                tuple(placement_fn(fid, self.node_count, self.replication)) for fid in ids
+            ]
+            for nodes in placements:
+                if len(set(nodes)) != len(nodes):
+                    raise StorageError(f"placement nodes not distinct: {nodes}")
+        for f, nodes in zip(files, placements):
             self.placements[f.file_id] = nodes
             self.blobs[f.file_id] = f.data
             self.meta[f.file_id] = FileMeta(
@@ -265,9 +320,14 @@ class StorageLayout:
         if not datasets_dir.exists():
             return layout
         for manifest in sorted(datasets_dir.glob("*/manifest.tsv")):
-            for meta in read_manifest(manifest):
+            metas = read_manifest(manifest)
+            for meta in metas:
+                _check_stored_path(manifest, meta)
+            placements = place_all(
+                [meta.file_id for meta in metas], layout.node_count, layout.replication
+            )
+            for meta, nodes in zip(metas, placements):
                 file_id = meta.file_id
-                nodes = tuple(place(file_id, layout.node_count, layout.replication))
                 data = None
                 for node in nodes:
                     candidate = root / f"node-{node}" / meta.relative_path
@@ -300,9 +360,30 @@ class StorageLayout:
         view._verified = self._verified
         view.memo = self.memo
         view.meta = self.meta
-        for file_id in self.meta:
-            view.placements[file_id] = tuple(place(file_id, node_count, replication))
+        view.placements = dict(
+            zip(self.meta, place_all(list(self.meta), node_count, replication))
+        )
         return view
+
+
+def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
+    """Refuse a stored manifest entry that ``save`` would not have written.
+
+    Its dataset names the manifest's directory and its relative path is
+    ``<dataset>/<file_id>.snap``, so every replica path stays inside
+    ``node-<k>/<dataset>/``.
+    """
+    dataset = manifest.parent.name
+    if (
+        meta.dataset != dataset
+        or "/" in meta.file_id
+        or meta.relative_path != f"{dataset}/{meta.file_id}.snap"
+    ):
+        raise StorageError(
+            f"{manifest}: file {meta.file_id!r} of dataset {meta.dataset!r} at"
+            f" {meta.relative_path!r}: a stored file is {dataset}/<file_id>.snap,"
+            " with no '/' in its id"
+        )
 
 
 def read_manifest(path: Path) -> list[FileMeta]:

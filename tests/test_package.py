@@ -11,7 +11,7 @@ def test_bsm_command_imports_no_numpy_or_engine():
     # BSM package; its start-up cost is what that process imports
     probe = (
         "import sys, dslake.cyclone.bsm_cmd\n"
-        "heavy = ('numpy', 'dslake.engine', 'dslake.lang')\n"
+        "heavy = ('numpy', 'dslake.engine', 'dslake.lang', 'dslake.storage')\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )
     proc = subprocess.run(

@@ -2,6 +2,7 @@ import hashlib
 import random
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,15 @@ from dslake.errors import (
     UnknownNode,
     UnreadableFile,
 )
-from dslake.storage import DataFile, StorageLayout, fnv1a64, place, placement_scores
+from dslake.storage import (
+    DataFile,
+    StorageLayout,
+    _ranked,
+    fnv1a64,
+    place,
+    place_all,
+    placement_scores,
+)
 
 from conftest import utc
 
@@ -24,6 +33,29 @@ def reference_fnv1a64(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * 1099511628211) % 2**64
     return h
+
+
+def reference_ranking(file_id: str, node_count: int) -> list[int]:
+    # rendezvous hashing as documented: score node n by the hash of the id
+    # followed by n in decimal; highest score first, ties by node id
+    scores = [
+        (reference_fnv1a64(file_id.encode() + str(node).encode()), node)
+        for node in range(node_count)
+    ]
+    return [node for _, node in sorted(scores, key=lambda sn: (-sn[0], sn[1]))]
+
+
+MIXED_IDS = [
+    "",
+    "a",
+    "f1",
+    "é",
+    "日本語ファイル",
+    "ab\x00c",
+    "x" * 100,
+    hashlib.sha256(b"grid payload 0").hexdigest(),
+    *(hashlib.sha256(str(i).encode()).hexdigest()[: i * 7 % 65] for i in range(24)),
+]
 
 
 def make_file(i: int, dataset: str = "d") -> DataFile:
@@ -65,15 +97,46 @@ def test_invalid_replication():
         StorageLayout(node_count=2, replication=3)
 
 
+def test_place_all_matches_reference_at_1_to_20_nodes():
+    # node ids from 10 on hash two suffix bytes
+    for node_count in range(1, 21):
+        ranked = [reference_ranking(fid, node_count) for fid in MIXED_IDS]
+        for replication in range(1, node_count + 1):
+            expected = [tuple(r[:replication]) for r in ranked]
+            assert place_all(MIXED_IDS, node_count, replication) == expected
+        assert [place(fid, node_count, node_count) for fid in MIXED_IDS] == ranked
+
+
+@settings(max_examples=60)
+@given(st.lists(st.text(max_size=40), max_size=12), st.integers(1, 20), st.data())
+def test_place_all_matches_reference_on_any_ids(file_ids, node_count, data):
+    replication = data.draw(st.integers(1, node_count))
+    expected = [tuple(reference_ranking(fid, node_count)[:replication]) for fid in file_ids]
+    assert place_all(file_ids, node_count, replication) == expected
+
+
+def test_placement_scores_are_the_reference_hashes():
+    for fid in MIXED_IDS:
+        scored = placement_scores(fid, 12)
+        assert [node for _, node in scored] == reference_ranking(fid, 12)
+        for score, node in scored:
+            assert score == reference_fnv1a64(fid.encode() + str(node).encode())
+
+
+def test_ranking_ties_go_to_the_lower_node():
+    # 64-bit scores practically never tie, so pin the tie rule on the ranking
+    scores = np.array([[5, 7, 7, 5], [2**64 - 1, 0, 2**63, 2**63]], dtype=np.uint64)
+    assert _ranked(scores).tolist() == [[1, 2, 0, 3], [0, 2, 3, 1]]
+
+
 def test_load_balance_10k_files():
     # statistical check re-derived from the documented hash itself: with
     # 10000 files on 8 nodes (replication 1) the max load stays within
     # 1.35x of the mean
     rng = random.Random(20110109)
     loads = [0] * 8
-    for _ in range(10000):
-        file_id = hashlib.sha256(str(rng.random()).encode()).hexdigest()
-        (node,) = place(file_id, 8, 1)
+    file_ids = [hashlib.sha256(str(rng.random()).encode()).hexdigest() for _ in range(10000)]
+    for (node,) in place_all(file_ids, 8, 1):
         loads[node] += 1
     mean = sum(loads) / 8
     assert max(loads) <= 1.35 * mean
@@ -99,6 +162,30 @@ def test_ingest_duplicate_file():
     layout = StorageLayout(node_count=4, replication=2).ingest([f])
     with pytest.raises(DuplicateFile):
         layout.ingest([f])
+
+
+def _contents(layout):
+    return dict(layout.placements), dict(layout.blobs), dict(layout.meta)
+
+
+@pytest.mark.parametrize("batch", [[2, 1], [2, 2], [2, 3, 2]], ids=["stored", "twice", "twice-later"])
+def test_refused_ingest_records_nothing(batch):
+    layout = StorageLayout(node_count=4, replication=2).ingest([make_file(1)])
+    before = _contents(layout)
+    with pytest.raises(DuplicateFile):
+        layout.ingest(make_file(i) for i in batch)
+    assert _contents(layout) == before
+
+
+def test_ingest_with_non_distinct_placement_records_nothing():
+    layout = StorageLayout(node_count=4, replication=2)
+    bad = make_file(2).file_id
+    with pytest.raises(StorageError, match="not distinct"):
+        layout.ingest(
+            [make_file(1), make_file(2)],
+            placement_fn=lambda fid, n, r: (0, 0) if fid == bad else (0, 1),
+        )
+    assert _contents(layout) == ({}, {}, {})
 
 
 def test_read_survives_one_failure_with_replication_two():
@@ -175,6 +262,51 @@ def test_on_disk_round_trip(tmp_path):
     assert loaded.placements == layout.placements
     for f in files:
         assert loaded.read(f.file_id) == f.data
+
+
+@pytest.mark.parametrize("node_count", [1, 2, 9, 10, 11, 20])
+def test_load_reproduces_placements(tmp_path, node_count):
+    files = [make_file(i) for i in range(12)]
+    for replication in sorted({1, min(2, node_count), node_count}):
+        root = tmp_path / f"r{replication}"
+        layout = StorageLayout(node_count=node_count, replication=replication).ingest(files)
+        layout.save(root)
+        loaded = StorageLayout.load(root)
+        assert loaded.placements == layout.placements
+        assert loaded.reshaped(node_count).placements == layout.placements
+
+
+def test_reshape_places_like_an_ingest_at_the_new_node_count():
+    files = [make_file(i) for i in range(40)]
+    view = StorageLayout(node_count=8, replication=2).ingest(files).reshaped(13, 3)
+    direct = StorageLayout(node_count=13, replication=3).ingest(files)
+    assert view.placements == direct.placements
+
+
+@pytest.mark.parametrize(
+    "file_id, dataset, relpath",
+    [
+        (None, "d", ""),
+        (None, "d", "d"),
+        (None, "d", "/etc/hostname"),
+        (None, "d", "../../fabric.conf"),
+        (None, "d", "d/../../fabric.conf"),
+        ("x/../../../fabric", "d", "d/x/../../../fabric.snap"),
+        (None, "e", "e/{fid}.snap"),
+    ],
+    ids=["empty", "dataset-dir", "absolute", "parent", "inner-parent", "id-with-slash",
+         "other-dataset"],
+)
+def test_load_refuses_path_save_would_not_write(tmp_path, file_id, dataset, relpath):
+    f = make_file(0)
+    StorageLayout(node_count=3, replication=2).ingest([f]).save(tmp_path)
+    manifest = tmp_path / "datasets" / "d" / "manifest.tsv"
+    fid = file_id or f.file_id
+    _, _, t0, t1, _ = manifest.read_text().rstrip("\n").split("\t")
+    manifest.write_text("\t".join((fid, dataset, t0, t1, relpath.format(fid=fid))) + "\n")
+    with pytest.raises(StorageError) as err:
+        StorageLayout.load(tmp_path)
+    assert str(err.value).startswith(f"{manifest}: file {fid!r} ")
 
 
 @pytest.mark.parametrize(
