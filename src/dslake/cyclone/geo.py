@@ -56,7 +56,9 @@ def initial_bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float
     dl = l2 - l1
     y = math.sin(dl) * math.cos(p2)
     x = math.cos(p1) * math.sin(p2) - math.sin(p1) * math.cos(p2) * math.cos(dl)
-    return math.degrees(math.atan2(y, x)) % 360.0
+    bearing = math.degrees(math.atan2(y, x)) % 360.0
+    # A negative angle smaller than half an ulp of 360 rounds up to 360.0.
+    return 0.0 if bearing == 360.0 else bearing
 
 
 def destination_point(

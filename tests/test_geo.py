@@ -58,6 +58,16 @@ def vector_bearing(lat1, lon1, lat2, lon2):
     return (math.degrees(math.atan2(y, x))) % 360.0
 
 
+def vector_resolves_bearing(lat1, lon1, lat2, lon2):
+    """Whether the 3-vector oracle can tell the direction between two points.
+
+    Unit-vector components carry ~1e-16 rounding, so the great-circle normal
+    of points closer than ~1e-8 rad (about 6 cm) points anywhere: at 5e-324
+    degrees apart it is the zero vector and the oracle reads 0 for any step.
+    """
+    return _norm(_cross(_unit(lat1, lon1), _unit(lat2, lon2))) > 1e-8
+
+
 def angles_close(a, b, tol):
     diff = abs(a - b) % 360.0
     return min(diff, 360.0 - diff) <= tol
@@ -104,6 +114,11 @@ def test_bearing_known_value():
     assert b == pytest.approx(vector_bearing(55.0, 20.0, 60.0, 25.0), abs=1e-6)
 
 
+def test_bearing_tiny_negative_angle_stays_below_360():
+    # atan2 gives about -1.5e-211 degrees here; the modulo alone returns 360.0
+    assert initial_bearing(0.0, 0.0, 8.320402373875375e-39, -2.1593612669819434e-251) == 0.0
+
+
 def test_bearing_degenerate():
     with pytest.raises(DegenerateBearing):
         initial_bearing(55.0, 20.0, 55.0, 20.0)
@@ -113,6 +128,13 @@ def test_bearing_degenerate():
 @given(lats, lons, lats, lons)
 def test_bearing_matches_vector_oracle_both_ways(lat1, lon1, lat2, lon2):
     if (lat1, lon1) == (lat2, lon2):
+        with pytest.raises(DegenerateBearing):
+            initial_bearing(lat1, lon1, lat2, lon2)
+        return
+    if not vector_resolves_bearing(lat1, lon1, lat2, lon2):
+        # Below the oracle's resolution: still a bearing, in range, both ways.
+        assert 0.0 <= initial_bearing(lat1, lon1, lat2, lon2) < 360.0
+        assert 0.0 <= initial_bearing(lat2, lon2, lat1, lon1) < 360.0
         return
     assert angles_close(
         initial_bearing(lat1, lon1, lat2, lon2),
