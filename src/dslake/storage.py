@@ -10,7 +10,7 @@ digest of the file bytes.
 Placement is computed for a whole list of file ids at once (``place_all``):
 the same hash in numpy ``uint64``, which wraps mod 2**64 as ``fnv1a64``
 does. ``ingest``, ``load`` and ``reshaped`` place their files in one call;
-``place`` and ``placement_scores`` are the one-file case of it.
+``place`` is the one-file case of it.
 
 On-disk layout (used by the CLI):
 
@@ -21,6 +21,8 @@ On-disk layout (used by the CLI):
 Manifest columns (tab-separated): file_id, dataset, t0, t1, relative_path;
 times are ISO-8601 UTC. A stored manifest's relative path is always
 ``<dataset>/<file_id>.snap``, with ``<dataset>`` the manifest's directory.
+``ingest`` refuses a file whose names would not make such a path (see
+``_storable``), and ``load`` refuses a manifest line that does not hold one.
 
 Mutations (ingest, fail, recover) are serialized by the caller; reads are
 safe to run concurrently with other reads.
@@ -106,12 +108,6 @@ def place_all(
     return list(zip(*ranked[:, :replication].T.tolist()))
 
 
-def placement_scores(file_id: str, node_count: int) -> list[tuple[int, int]]:
-    """(score, node) pairs, highest score first, ties by node id."""
-    scores = _scores([file_id], node_count)
-    return [(int(scores[0, node]), node) for node in _ranked(scores)[0].tolist()]
-
-
 def place(file_id: str, node_count: int, replication: int) -> list[int]:
     """Deterministic rendezvous placement of one file."""
     return list(place_all([file_id], node_count, replication)[0])
@@ -195,17 +191,22 @@ class StorageLayout:
     ) -> "StorageLayout":
         """Record placements and store bytes on every placement node.
 
-        All or nothing: a file already stored or given twice raises
-        ``DuplicateFile``, and a non-distinct placement ``StorageError``,
-        before any file is recorded. ``placement_fn`` overrides rendezvous
-        placement; tests use it to exercise arbitrary file-to-node
-        assignments.
+        All or nothing: before any file is recorded, a file already stored
+        or given twice raises ``DuplicateFile``, and a file whose names
+        ``save`` cannot store (see ``_storable``) or a placement whose nodes
+        are not distinct raises ``StorageError``. ``placement_fn``
+        overrides rendezvous placement; tests use it to exercise arbitrary
+        file-to-node assignments.
         """
         files = list(files)
         batch: set[str] = set()
         for f in files:
             if f.file_id in self.blobs or f.file_id in batch:
                 raise DuplicateFile(f.file_id)
+            if not _storable(f.file_id, f.dataset):
+                raise StorageError(
+                    f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}"
+                )
             batch.add(f.file_id)
         ids = [f.file_id for f in files]
         if placement_fn is None:
@@ -366,23 +367,36 @@ class StorageLayout:
         return view
 
 
-def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
-    """Refuse a stored manifest entry that ``save`` would not have written.
+_STORED_FORM = (
+    "a stored file is <dataset>/<file_id>.snap, with no '/', tab, NUL or"
+    " line break in either name and a dataset other than '.' and '..'"
+)
 
-    Its dataset names the manifest's directory and its relative path is
-    ``<dataset>/<file_id>.snap``, so every replica path stays inside
-    ``node-<k>/<dataset>/``.
-    """
+
+def _storable(file_id: str, dataset: str) -> bool:
+    """Whether ``<dataset>/<file_id>.snap`` stays in its node directory and
+    the file's manifest line reads back as written."""
+    names = file_id + dataset
+    return (
+        dataset not in ("", ".", "..")
+        and not any(c in names for c in "/\t\0")
+        and len(f"{names}.".splitlines()) == 1
+    )
+
+
+def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
+    """Refuse a stored manifest entry that ``save`` would not have written:
+    one whose dataset is not the manifest's directory or whose relative path
+    is not ``<dataset>/<file_id>.snap`` of storable names."""
     dataset = manifest.parent.name
     if (
         meta.dataset != dataset
-        or "/" in meta.file_id
+        or not _storable(meta.file_id, dataset)
         or meta.relative_path != f"{dataset}/{meta.file_id}.snap"
     ):
         raise StorageError(
             f"{manifest}: file {meta.file_id!r} of dataset {meta.dataset!r} at"
-            f" {meta.relative_path!r}: a stored file is {dataset}/<file_id>.snap,"
-            " with no '/' in its id"
+            f" {meta.relative_path!r}: {_STORED_FORM}"
         )
 
 

@@ -170,6 +170,30 @@ def test_full_pipeline_and_determinism(workdir, capsys):
     assert "package BSM" in listing
 
 
+def test_ingest_of_an_unstorable_file_id_exit_one(workdir, capsys):
+    # the id would put the replica outside node-<k>/<dataset>/: refused
+    # before anything is written, and the store stays loadable
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    _, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "3", "--out", "src-data")
+    manifest = Path(out.strip())
+    code, _, _ = run(capsys, "ingest", str(manifest))
+    assert code == 0
+    _, *rest = manifest.read_text().splitlines()[0].split("\t")
+    bad = workdir / "bad.tsv"
+    bad.write_text("\t".join(["../../../escaped", *rest[:3], str(manifest.parent / rest[3])]))
+    before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+    code, out, err = run(capsys, "ingest", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: file '../../../escaped' of dataset 'd1': ")
+    assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
+    assert not (workdir / "escaped.snap").exists()
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, _ = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert code == 0 and out.startswith("RESULT ")
+
+
 def test_emit_csv(workdir, capsys):
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)

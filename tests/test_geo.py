@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dslake.errors import DegenerateBearing
@@ -62,10 +62,39 @@ def vector_resolves_bearing(lat1, lon1, lat2, lon2):
     """Whether the 3-vector oracle can tell the direction between two points.
 
     Unit-vector components carry ~1e-16 rounding, so the great-circle normal
-    of points closer than ~1e-8 rad (about 6 cm) points anywhere: at 5e-324
-    degrees apart it is the zero vector and the oracle reads 0 for any step.
+    of two points within ~1e-8 rad (about 6 cm) of each other, or of each
+    other's antipode, points anywhere: at 5e-324 degrees apart it is the
+    zero vector and the oracle reads 0 for any step.
     """
     return _norm(_cross(_unit(lat1, lon1), _unit(lat2, lon2))) > 1e-8
+
+
+def nearly_coincident(lat1, lon1, lat2, lon2):
+    return sum(x * y for x, y in zip(_unit(lat1, lon1), _unit(lat2, lon2))) > 0.0
+
+
+def planar_bearing(lat1, lon1, lat2, lon2):
+    """Bearing of a step too short for the 3-vector oracle, on the flat local map."""
+    east = (lon2 - lon1) * math.cos(math.radians(lat2))
+    return math.degrees(math.atan2(east, lat2 - lat1)) % 360.0
+
+
+def planar_tolerance(lat1, lon1, lat2, lon2):
+    """Degrees by which initial_bearing may miss planar_bearing.
+
+    The flat map ignores the meridians' convergence: under 4e-6 degrees for
+    a step below 1e-8 rad at |lat| <= 85. initial_bearing works in radians,
+    where every input and product carries a relative rounding of 2**-53, so
+    the step it sees is blurred by about 2**-53 times the coordinates, and
+    a subnormal step by whole units of 2**-1074: the direction is off by up
+    to that blur over the step, 8x and 16x over here. At (0, 0) a step of
+    1e-300 degrees resolves; one of 5e-324 does not, and there any bearing
+    passes (initial_bearing reads 0 for a westward one).
+    """
+    step = math.hypot(lat2 - lat1, (lon2 - lon1) * math.cos(math.radians(lat2)))
+    blur = 2**-50 * (abs(lat1) + abs(lat2) + abs(lon1) + abs(lon2) + step)
+    blur += math.degrees(2**-1070)
+    return 1e-5 + (math.degrees(blur / step) if step else 180.0)
 
 
 def angles_close(a, b, tol):
@@ -126,15 +155,26 @@ def test_bearing_degenerate():
 
 @settings(max_examples=200)
 @given(lats, lons, lats, lons)
+@example(0.0, 0.0, -5e-324, 0.0)
+@example(0.0, 0.0, -1e-300, 0.0)
+@example(0.0, 0.0, 0.0, -1e-300)
+@example(45.0, 10.0, 45.0, 10.0 + 1e-9)
+@example(-60.0, 170.0, -60.0 - 1e-12, 170.0 + 1e-12)
+@example(0.0, -90.0, 0.0, 90.0)
 def test_bearing_matches_vector_oracle_both_ways(lat1, lon1, lat2, lon2):
     if (lat1, lon1) == (lat2, lon2):
         with pytest.raises(DegenerateBearing):
             initial_bearing(lat1, lon1, lat2, lon2)
         return
     if not vector_resolves_bearing(lat1, lon1, lat2, lon2):
-        # Below the oracle's resolution: still a bearing, in range, both ways.
-        assert 0.0 <= initial_bearing(lat1, lon1, lat2, lon2) < 360.0
-        assert 0.0 <= initial_bearing(lat2, lon2, lat1, lon1) < 360.0
+        # Below the oracle's resolution: a bearing in range both ways, and
+        # for a short step the one the flat local map gives. Nearly antipodal
+        # points have no one direction between them.
+        for a, b in (((lat1, lon1), (lat2, lon2)), ((lat2, lon2), (lat1, lon1))):
+            bearing = initial_bearing(*a, *b)
+            assert 0.0 <= bearing < 360.0
+            if nearly_coincident(*a, *b):
+                assert angles_close(bearing, planar_bearing(*a, *b), planar_tolerance(*a, *b))
         return
     assert angles_close(
         initial_bearing(lat1, lon1, lat2, lon2),

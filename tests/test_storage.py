@@ -21,7 +21,6 @@ from dslake.storage import (
     fnv1a64,
     place,
     place_all,
-    placement_scores,
 )
 
 from conftest import utc
@@ -79,8 +78,8 @@ def test_place_all_nodes_when_replication_equals_node_count():
     nodes = place("f1", 5, 5)
     assert sorted(nodes) == [0, 1, 2, 3, 4]
     # ordered by descending score
-    scores = dict((n, s) for s, n in placement_scores("f1", 5))
-    assert [scores[n] for n in nodes] == sorted(scores.values(), reverse=True)
+    scores = [reference_fnv1a64(f"f1{n}".encode()) for n in nodes]
+    assert scores == sorted(scores, reverse=True)
 
 
 def test_place_prefix_consistency():
@@ -113,14 +112,6 @@ def test_place_all_matches_reference_on_any_ids(file_ids, node_count, data):
     replication = data.draw(st.integers(1, node_count))
     expected = [tuple(reference_ranking(fid, node_count)[:replication]) for fid in file_ids]
     assert place_all(file_ids, node_count, replication) == expected
-
-
-def test_placement_scores_are_the_reference_hashes():
-    for fid in MIXED_IDS:
-        scored = placement_scores(fid, 12)
-        assert [node for _, node in scored] == reference_ranking(fid, 12)
-        for score, node in scored:
-            assert score == reference_fnv1a64(fid.encode() + str(node).encode())
 
 
 def test_ranking_ties_go_to_the_lower_node():
@@ -186,6 +177,36 @@ def test_ingest_with_non_distinct_placement_records_nothing():
             placement_fn=lambda fid, n, r: (0, 0) if fid == bad else (0, 1),
         )
     assert _contents(layout) == ({}, {}, {})
+
+
+@pytest.mark.parametrize(
+    "file_id, dataset",
+    [
+        ("../../../escaped", "d"),
+        ("x", ""),
+        ("x", "."),
+        ("x", ".."),
+        ("x", "a/b"),
+        ("x", "/etc"),
+        ("tab\tid", "d"),
+        ("line\nid", "d"),
+        ("line\u2028id", "d"),
+        ("nul\0id", "d"),
+    ],
+    ids=["id-with-slash", "no-dataset", "dot", "dot-dot", "nested", "absolute", "tab",
+         "newline", "line-separator", "nul"],
+)
+def test_ingest_refuses_what_save_could_not_store(tmp_path, file_id, dataset):
+    layout = StorageLayout(node_count=3, replication=2).ingest([make_file(1)])
+    layout.save(tmp_path / "store")
+    before = _contents(layout)
+    bad = DataFile(file_id, dataset, utc(2011, 1, 1), utc(2011, 1, 1), b"bytes")
+    with pytest.raises(StorageError) as err:
+        layout.ingest([make_file(2), bad])
+    assert str(err.value).startswith(f"file {file_id!r} of dataset {dataset!r}: ")
+    assert _contents(layout) == before
+    layout.save(tmp_path / "store")
+    assert StorageLayout.load(tmp_path / "store").placements == layout.placements
 
 
 def test_read_survives_one_failure_with_replication_two():
@@ -292,10 +313,11 @@ def test_reshape_places_like_an_ingest_at_the_new_node_count():
         (None, "d", "../../fabric.conf"),
         (None, "d", "d/../../fabric.conf"),
         ("x/../../../fabric", "d", "d/x/../../../fabric.snap"),
+        ("nul\0id", "d", "d/nul\0id.snap"),
         (None, "e", "e/{fid}.snap"),
     ],
     ids=["empty", "dataset-dir", "absolute", "parent", "inner-parent", "id-with-slash",
-         "other-dataset"],
+         "id-with-nul", "other-dataset"],
 )
 def test_load_refuses_path_save_would_not_write(tmp_path, file_id, dataset, relpath):
     f = make_file(0)
