@@ -48,14 +48,16 @@ def haversine_grid_km(lat: float, lon: float, lats: np.ndarray, lons: np.ndarray
 def initial_bearing(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Initial great-circle bearing from the first point to the second.
 
-    Raises DegenerateBearing for coincident points.
+    Raises DegenerateBearing for coincident points and for a step that
+    vanishes in the arithmetic (a subnormal one at (0, 0), say), which has
+    no direction to report.
     """
-    if lat1 == lat2 and lon1 == lon2:
-        raise DegenerateBearing(f"coincident points ({lat1}, {lon1})")
     p1, l1, p2, l2 = map(math.radians, (lat1, lon1, lat2, lon2))
     dl = l2 - l1
     y = math.sin(dl) * math.cos(p2)
     x = math.cos(p1) * math.sin(p2) - math.sin(p1) * math.cos(p2) * math.cos(dl)
+    if y == x == 0.0:
+        raise DegenerateBearing(f"no direction from ({lat1}, {lon1}) to ({lat2}, {lon2})")
     bearing = math.degrees(math.atan2(y, x)) % 360.0
     # A negative angle smaller than half an ulp of 360 rounds up to 360.0.
     return 0.0 if bearing == 360.0 else bearing

@@ -17,7 +17,7 @@ from datetime import datetime
 
 import numpy as np
 
-from dslake.errors import FormatError
+from dslake.errors import FormatError, undecodable_at
 from dslake.times import iso_minutes, parse_utc
 
 PRESSURE_MIN_HPA = 850.0
@@ -60,13 +60,18 @@ class GridSnapshot:
         return self.lon0 + self.dlon * np.arange(self.nlon)
 
 
+def snapshot_text(data: bytes) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 raises ``FormatError``
+    naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(undecodable_at(exc)[0], "not UTF-8 text") from None
+
+
 def parse_grid_snapshot(data: bytes) -> GridSnapshot:
     """Parse and validate a snapshot from its byte representation."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(1, f"not UTF-8 text: {exc}") from None
-    header, _, body = text.partition("\n")
+    header, _, body = snapshot_text(data).partition("\n")
     lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
 
     rows = body.split("\n")

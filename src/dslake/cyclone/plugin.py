@@ -7,16 +7,21 @@ Procedure contract with the engine:
   * filter(object params dict, value) -> bool
   * builtin package procedure(bindings dict) -> outputs dict
 
+The script is the whole task: contexts carry no settings, so the extractor
+detects below ``DEFAULT_THRESHOLD_HPA`` and the combiner uses the defaults
+of ``track`` and ``parametrize``.
+
 ``MapContext.memo`` and ``ReduceContext.memo`` are the procedure's own
 namespace of the storage layout's memo; it keeps there only pure
 functions of its inputs and the stored bytes. The extractor keys minima
-scans on the grid body text, threshold and shape, so identical bodies
-(the common all-background case) are scanned once per layout; the
-combiner keys the snapshots it parses by file id, a content address.
+scans on the grid body text and shape, so identical bodies (the common
+all-background case) are scanned once per layout; the combiner keys the
+snapshots it parses by file id, a content address.
 """
 
 from __future__ import annotations
 
+import os
 import shlex
 import sys
 from dataclasses import replace
@@ -24,7 +29,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import dslake
-from dslake.errors import CombinerFailure, FormatError
+from dslake.errors import CombinerFailure, RegistryError
 from dslake.registry import (
     DomainLibraryDescriptor,
     DomainObject,
@@ -46,10 +51,10 @@ from dslake.cyclone.detect import (
     centers_at,
     interior_minima,
 )
-from dslake.cyclone.grid import parse_grid_snapshot, parse_header
-from dslake.cyclone.params import DEFAULT_DENSIFY_FACTOR, parametrize
+from dslake.cyclone.grid import parse_grid_snapshot, parse_header, snapshot_text
+from dslake.cyclone.params import parametrize
 from dslake.cyclone.surrogate import GAUGES, bsm_surrogate
-from dslake.cyclone.track import DEFAULT_GATE_SPEED_KMH, track
+from dslake.cyclone.track import track
 
 LIBRARY_NAME = "cyclone"
 OBJECT_TYPE = "cyclone-path"
@@ -68,22 +73,17 @@ OUTPUT_PARAMS = (
 )
 
 def extract_centers(data: bytes, ctx: MapContext) -> tuple[datetime, list[CycloneCenter]]:
-    threshold = float(ctx.params.get("threshold", DEFAULT_THRESHOLD_HPA))
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(1, f"not UTF-8 text: {exc}") from None
-    header, _, body = text.partition("\n")
+    header, _, body = snapshot_text(data).partition("\n")
     lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
 
     if ctx.time is not None and not ctx.time.contains(ts):
         return ts, []
 
-    key = (body, threshold, nlat, nlon)
+    key = (body, nlat, nlon)
     minima = ctx.memo.get(key)
     if minima is None:
         snapshot = parse_grid_snapshot(data)  # full validation on first sight
-        minima = ctx.memo[key] = interior_minima(snapshot.values, threshold)
+        minima = ctx.memo[key] = interior_minima(snapshot.values, DEFAULT_THRESHOLD_HPA)
 
     return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts, ctx.area)
 
@@ -105,13 +105,10 @@ def combine_paths(
     center_sets: list[tuple[datetime, list[CycloneCenter]]],
     ctx: ReduceContext,
 ) -> list[DomainObject]:
-    gate_speed = float(ctx.params.get("gate_speed", DEFAULT_GATE_SPEED_KMH))
-    k = int(ctx.params.get("densify", DEFAULT_DENSIFY_FACTOR))
-    paths = track(center_sets, gate_speed)
     snapshot_for = _snapshot_accessor(ctx)
     objects = []
-    for path in paths:
-        params = parametrize(path, snapshot_for, k)
+    for path in track(center_sets):
+        params = parametrize(path, snapshot_for)
         provenance = []
         for center in path.centers:
             file_id = ctx.file_for(center.timestamp)
@@ -187,22 +184,24 @@ def bsm_descriptor() -> PackageDescriptor:
     )
 
 
-# run bsm_cmd with the source root given as the first argument first on sys.path
+# run bsm_cmd with the source root, hex-encoded in the first argument, first on sys.path
 _BSM_BOOT = (
-    "import sys; sys.path.insert(0, sys.argv.pop(1));"
+    "import os, sys; sys.path.insert(0, os.fsdecode(bytes.fromhex(sys.argv.pop(1))));"
     " from dslake.cyclone.bsm_cmd import main; sys.exit(main())"
 )
 
 
-def bsm_external_descriptor(name: str = "BSM", python_exe: str | None = None) -> PackageDescriptor:
+def bsm_external_descriptor(name: str = "BSM") -> PackageDescriptor:
     """BSM wrapped as an external command: the builtin's inputs and outputs,
     the same surrogate underneath. The command names the source root of
-    this ``dslake``, so the child finds it from a checkout or an install
-    whatever its environment."""
-    root = str(Path(dslake.__file__).resolve().parent.parent)
+    this ``dslake`` in hex, which no directory name can turn into a
+    placeholder or a ``.kd`` comment, so the child finds it from a checkout
+    or an install whatever its environment."""
+    if any(c in sys.executable for c in "{}#"):
+        raise RegistryError(f"interpreter path {sys.executable!r} holds '{{', '}}' or '#'")
+    root = os.fsencode(Path(dslake.__file__).resolve().parent.parent).hex()
     template = (
-        f"{shlex.quote(python_exe or sys.executable)} -c {shlex.quote(_BSM_BOOT)}"
-        f" {shlex.quote(root)}"
+        f"{shlex.quote(sys.executable)} -c {shlex.quote(_BSM_BOOT)} {root}"
         " --start {input:startTime} --cyclone {input:cyclone}"
         " --horizon {input:horizon} --out {outdir}"
     )

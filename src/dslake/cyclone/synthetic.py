@@ -47,7 +47,14 @@ from dslake.cyclone.geo import (
     haversine_km,
     initial_bearing,
 )
-from dslake.cyclone.grid import GridSnapshot, render_body, render_grid_snapshot, render_header
+from dslake.cyclone.detect import DEFAULT_THRESHOLD_HPA, interior_minima
+from dslake.cyclone.grid import (
+    GridSnapshot,
+    parse_grid_snapshot,
+    render_body,
+    render_grid_snapshot,
+    render_header,
+)
 from dslake.cyclone.track import CyclonePath
 
 BACKGROUND_HPA = 1013.25
@@ -330,23 +337,19 @@ def detection_is_clean(
     files: Iterable[DataFile],
     cyclones: list[PlantedCyclone],
     spec: SyntheticSpec,
-    threshold: float = 1000.0,
 ) -> bool:
     """Check that each alive cyclone shows as exactly one strict minimum.
 
     Works on the parsed-back bytes so it sees exactly what the engine
     will see, quantization included.
     """
-    from dslake.cyclone.detect import interior_minima
-    from dslake.cyclone.grid import parse_grid_snapshot
-
     tolerance_km = 1.5 * spec.spacing_deg * 111.0
     for f in files:
         alive = [c for c in cyclones if c.alive(f.t0)]
         if not alive:
             continue
         snapshot = parse_grid_snapshot(f.data)
-        minima = interior_minima(snapshot.values, threshold)
+        minima = interior_minima(snapshot.values, DEFAULT_THRESHOLD_HPA)
         if len(minima) != len(alive):
             return False
         positions = [

@@ -70,7 +70,6 @@ class EngineConfig:
 class TaskRequest:
     dataset: str
     script: str
-    extra_params: dict[str, str] = field(default_factory=dict)
     engine_config: EngineConfig = field(default_factory=EngineConfig)
 
     def task_id(self) -> str:
@@ -79,9 +78,6 @@ class TaskRequest:
         h.update(self.dataset.encode())
         h.update(b"\x00")
         h.update(self.script.encode())
-        for key in sorted(self.extra_params):
-            h.update(b"\x00")
-            h.update(f"{key}={self.extra_params[key]}".encode())
         return h.hexdigest()[:16]
 
 
@@ -90,7 +86,6 @@ class Fragment:
     file_id: str
     node: int
     t0: datetime
-    t1: datetime
     payload: list
     payload_time: datetime  # the snapshot instant reported by the extractor
 
@@ -105,17 +100,15 @@ def run_map(
     data_file: DataFile,
     query: ValidatedQuery,
     registry: KnowledgeRegistry,
-    params: dict[str, str] | None = None,
 ) -> Fragment:
     """Apply the domain extractor to one file; never consults other files."""
-    map_file = _file_mapper(query, registry, params or {}, {})
+    map_file = _file_mapper(query, registry, {})
     return map_file(node, data_file, lambda file_id: data_file.data)
 
 
 def _file_mapper(
     query: ValidatedQuery,
     registry: KnowledgeRegistry,
-    params: dict[str, str],
     memo: dict,
 ) -> Callable[[int, Any, Callable[[str], bytes]], Fragment]:
     """``map_file(node, meta, read)``: the fragment of one file for ``query``.
@@ -129,7 +122,7 @@ def _file_mapper(
     library = query.selects[0].library
     extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
     payloads = memo.setdefault(extractors, {})
-    qkey = _query_key(query, params)
+    qkey = _query_key(query)
 
     def map_file(node: int, meta, read: Callable[[str], bytes]) -> Fragment:
         key = (meta.file_id, qkey)
@@ -144,7 +137,6 @@ def _file_mapper(
             ctx = MapContext(
                 area=query.ast.area,
                 time=query.ast.time,
-                params=params,
                 memo=memo.setdefault(extractor, {}),
             )
             try:
@@ -156,7 +148,6 @@ def _file_mapper(
             file_id=meta.file_id,
             node=node,
             t0=meta.t0,
-            t1=meta.t1,
             payload=payload,
             payload_time=payload_time,
         )
@@ -169,13 +160,12 @@ def _file_kind(data: bytes) -> str:
     return head[0].decode("utf-8", "replace") if head else ""
 
 
-def _query_key(query: ValidatedQuery, params: dict[str, str]) -> tuple:
+def _query_key(query: ValidatedQuery) -> tuple:
     area = query.ast.area
     time = query.ast.time
     return (
         None if area is None else (area.lat_min, area.lon_min, area.lat_max, area.lon_max),
         None if time is None else (time.first_day, time.last_day),
-        tuple(sorted(params.items())),
     )
 
 
@@ -195,14 +185,11 @@ class Engine:
         query = validate(parse(request.script), self.registry)
         metas = layout.dataset_files(request.dataset)
 
-        map_file = _file_mapper(query, self.registry, request.extra_params, layout.memo)
+        map_file = _file_mapper(query, self.registry, layout.memo)
         fragments = canonical_order(
             [map_file(layout.serving_node(m.file_id), m, layout.read) for m in metas]
         )
-        return run_reduce(
-            fragments, query, self.registry, layout, request.extra_params,
-            task_id=request.task_id(),
-        )
+        return run_reduce(fragments, query, self.registry, layout, task_id=request.task_id())
 
 
 def submit(
@@ -216,12 +203,10 @@ def run_reduce(
     query: ValidatedQuery,
     registry: KnowledgeRegistry,
     layout: StorageLayout,
-    params: dict[str, str] | None = None,
     task_id: str = "",
 ) -> ResultDocument:
     """Aggregate canonically ordered fragments into the result document of
     task ``task_id``, which external packages see as ``DSLAKE_TASK_ID``."""
-    params = params or {}
     if not query.selects:
         raise EngineError("query has no select statement")
     type_names = {sel.info.name for sel in query.selects}
@@ -239,7 +224,6 @@ def run_reduce(
     ctx = ReduceContext(
         read_file=layout.read,
         file_for=lambda ts: file_for.get(ts, ""),
-        params=params,
         memo=layout.memo.setdefault(combiner, {}),
     )
     try:

@@ -196,7 +196,6 @@ class MapContext:
 
     area: Any = None  # GeoBox
     time: Any = None  # TimeRange
-    params: dict[str, str] = field(default_factory=dict)
     memo: dict = field(default_factory=dict)  # the extractor's namespace of StorageLayout.memo
 
 
@@ -206,7 +205,6 @@ class ReduceContext:
 
     read_file: Callable[[str], bytes] = lambda file_id: b""
     file_for: Callable[[Any], str] = lambda ts: ""
-    params: dict[str, str] = field(default_factory=dict)
     memo: dict = field(default_factory=dict)  # the combiner's namespace of StorageLayout.memo
 
 
@@ -301,15 +299,6 @@ class KnowledgeRegistry:
         if pkg is None:
             raise UnknownPackage(name)
         return pkg
-
-    def resolve(self, name: str) -> ObjectTypeInfo | PackageDescriptor:
-        entry = self._object_index.get(name)
-        if entry is not None:
-            return entry[1]
-        pkg = self.packages.get(name)
-        if pkg is not None:
-            return pkg
-        raise UnknownObjectType(name)
 
     def procedure(self, proc_id: str) -> Callable:
         fn = self.procedures.get(proc_id)

@@ -329,6 +329,9 @@ class StorageLayout:
             )
             for meta, nodes in zip(metas, placements):
                 file_id = meta.file_id
+                if file_id in layout.meta:
+                    first = datasets_dir / layout.meta[file_id].dataset / "manifest.tsv"
+                    raise StorageError(f"{manifest}: file {file_id!r} is also listed in {first}")
                 data = None
                 for node in nodes:
                     candidate = root / f"node-{node}" / meta.relative_path
@@ -344,7 +347,7 @@ class StorageLayout:
 
     # -- derived views ----------------------------------------------------------
 
-    def reshaped(self, node_count: int, replication: int | None = None) -> "StorageLayout":
+    def reshaped(self, node_count: int, replication: int) -> "StorageLayout":
         """Same content re-placed onto a different simulated node set.
 
         Failed nodes are nodes of this layout, so a layout with any of them
@@ -355,7 +358,6 @@ class StorageLayout:
                 f"nodes {sorted(self.failed)} of {self.node_count} are failed;"
                 f" cannot reshape to {node_count} nodes"
             )
-        replication = replication or min(self.replication, node_count)
         view = StorageLayout(node_count=node_count, replication=replication)
         view.blobs = self.blobs  # shared: files are content-addressed
         view._verified = self._verified

@@ -24,10 +24,12 @@ from dslake.lang.validate import validate
 from dslake.registry import (
     ExecutionMode,
     KnowledgeRegistry,
+    MapContext,
     PackageDescriptor,
     PackageInput,
     PackageOutputDecl,
     Placement,
+    ReduceContext,
 )
 from dslake.storage import DataFile, StorageLayout
 from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
@@ -52,11 +54,10 @@ def synthetic_layout(seed=1, count=5, north_east=2, end=(2011, 12, 31, 18),
     return layout, truth
 
 
-def fig5_request(node_count=4, replication=2, **extra):
+def fig5_request(node_count=4, replication=2):
     return TaskRequest(
         dataset="d1",
         script=FIG5_SCRIPT,
-        extra_params=dict(extra),
         engine_config=EngineConfig(node_count=node_count, replication=replication),
     )
 
@@ -132,7 +133,7 @@ def test_direction_filter_by_bearing(registry):
 def test_canonical_order_sort_law():
     def frag(ts_hour, fid):
         ts = utc(2011, 1, 1, ts_hour)
-        return Fragment(file_id=fid, node=0, t0=ts, t1=ts, payload=[], payload_time=ts)
+        return Fragment(file_id=fid, node=0, t0=ts, payload=[], payload_time=ts)
 
     fragments = [frag(6, "b"), frag(0, "z"), frag(6, "a"), frag(0, "a")]
     ordered = canonical_order(fragments)
@@ -291,7 +292,8 @@ def test_diagnostics_counts(registry):
 def test_map_stage_runs_on_the_submitting_thread(registry, monkeypatch):
     # extraction holds the interpreter lock, so map threads cost CPU and
     # save nothing: a submit at 4 nodes must map on the calling thread, and
-    # no option may size a map pool
+    # no option may size a map pool; the script is the whole task, so no
+    # request field or procedure context carries settings either
     layout, _ = synthetic_layout(seed=14, count=1, north_east=1, end=(2011, 1, 10, 18))
 
     def refuse(thread):
@@ -300,8 +302,16 @@ def test_map_stage_runs_on_the_submitting_thread(registry, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     doc = submit(fig5_request(node_count=4), registry, layout)
     assert doc.diagnostics.files_mapped == len(layout.dataset_files("d1"))
-    fields = [f.name for f in dataclasses.fields(EngineConfig)]
-    assert fields == ["node_count", "replication"]
+    fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (EngineConfig, TaskRequest, MapContext, ReduceContext)
+    }
+    assert fields == {
+        "EngineConfig": ["node_count", "replication"],
+        "TaskRequest": ["dataset", "script", "engine_config"],
+        "MapContext": ["area", "time", "memo"],
+        "ReduceContext": ["read_file", "file_for", "memo"],
+    }
 
 
 def test_unstartable_external_package_is_a_failed_simulation(registry):

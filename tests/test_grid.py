@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dslake.errors import FormatError
+from dslake.registry import MapContext
 from dslake.cyclone.grid import (
     GridSnapshot,
     densify,
     parse_grid_snapshot,
     render_grid_snapshot,
 )
+from dslake.cyclone.plugin import extract_centers
 
 from conftest import utc
 
@@ -69,6 +71,25 @@ def test_non_numeric_cell():
     with pytest.raises(FormatError) as err:
         parse_grid_snapshot(data)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [parse_grid_snapshot, lambda data: extract_centers(data, MapContext())],
+    ids=["grid", "extractor"],
+)
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"grid 48.0 -25.0 0.5 0.5 2 2 2011-01-01T00:00Z\xff\n1000 1000\n1000 1000\n", 1),
+        (b"grid 48.0 -25.0 0.5 0.5 2 2 2011-01-01T00:00Z\n1000 1000\n1000 10\xe90\n", 3),
+    ],
+    ids=["header", "row"],
+)
+def test_bytes_that_are_not_utf8_name_their_line(parse, data, line):
+    with pytest.raises(FormatError) as err:
+        parse(data)
+    assert (err.value.line, err.value.message) == (line, "not UTF-8 text")
 
 
 def test_densify_identity():

@@ -1,11 +1,13 @@
 import os
+import re
 import shutil
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
-from dslake.errors import BindingError, PackageFailure, UnboundReference
+from dslake.descriptors import dump_descriptors, load_descriptors
+from dslake.errors import BindingError, PackageFailure, RegistryError, UnboundReference
 from dslake.hybrid import (
     IndexedSeries,
     PackageInvocation,
@@ -294,3 +296,36 @@ def test_external_bsm_runs_without_pythonpath(registry, monkeypatch):
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
     out = invoke(PackageInvocation(package=external, bindings=bindings), registry)
     assert len(out.lookup("level", (440, 414))) == 97
+
+
+def test_external_bsm_from_an_odd_source_directory(registry, monkeypatch, tmp_path):
+    # braces and '#' in the source root must reach neither the template's
+    # placeholders nor the .kd comment syntax
+    import dslake
+
+    root = tmp_path / "odd{x}#dir"
+    shutil.copytree(
+        Path(dslake.__file__).parent, root / "dslake", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.setattr(dslake, "__file__", str(root / "dslake" / "__init__.py"))
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    registry.register_package(bsm_external_descriptor(name="BSM-X"))
+    ([], [external]) = load_descriptors(dump_descriptors([], [registry.resolve_package("BSM-X")]))
+    bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
+    builtin_out = invoke(
+        PackageInvocation(package=registry.resolve_package("BSM"), bindings=dict(bindings)),
+        registry,
+    )
+    external_out = invoke(PackageInvocation(package=external, bindings=dict(bindings)), registry)
+    a = builtin_out.lookup("level", (440, 414))
+    b = external_out.lookup("level", (440, 414))
+    assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
+
+
+@pytest.mark.parametrize("bad", ["{", "}", "#"])
+def test_external_bsm_refuses_an_interpreter_it_cannot_write(monkeypatch, bad):
+    exe = f"/usr/py{bad}3/bin/python"
+    monkeypatch.setattr("sys.executable", exe)
+    with pytest.raises(RegistryError, match=re.escape(repr(exe))):
+        bsm_external_descriptor()
+

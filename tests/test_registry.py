@@ -37,8 +37,8 @@ def test_empty_registry_resolves_nothing():
     empty = KnowledgeRegistry()
     with pytest.raises(UnknownObjectType):
         empty.resolve_object_type("cyclone-path")
-    with pytest.raises(UnknownObjectType):
-        empty.resolve("")
+    with pytest.raises(UnknownPackage):
+        empty.resolve_package("BSM")
 
 
 def test_bsm_registered_case_sensitive(registry):
@@ -136,9 +136,9 @@ def test_lookups_do_not_mutate(registry):
     )
     registry.resolve_object_type("cyclon-path")
     registry.resolve_package("BSM")
-    registry.resolve("cyclone-path")
+    registry.library_of("cyclone-path")
     with pytest.raises(UnknownObjectType):
-        registry.resolve("nothing-here")
+        registry.resolve_object_type("nothing-here")
     assert before == (
         dict(registry.libraries),
         dict(registry.packages),

@@ -256,9 +256,9 @@ def test_reshape_refuses_failed_nodes():
     layout = StorageLayout(node_count=8, replication=2).ingest(make_file(i) for i in range(8))
     layout.fail_node(3)
     with pytest.raises(StorageError, match=r"nodes \[3\] of 8 are failed; cannot reshape to 4"):
-        layout.reshaped(4)
+        layout.reshaped(4, 2)
     layout.recover_node(3)
-    view = layout.reshaped(4)
+    view = layout.reshaped(4, 2)
     assert view.node_count == 4 and view.failed == set()
     assert view.memo is layout.memo  # derived results go with the content
 
@@ -294,7 +294,7 @@ def test_load_reproduces_placements(tmp_path, node_count):
         layout.save(root)
         loaded = StorageLayout.load(root)
         assert loaded.placements == layout.placements
-        assert loaded.reshaped(node_count).placements == layout.placements
+        assert loaded.reshaped(node_count, replication).placements == layout.placements
 
 
 def test_reshape_places_like_an_ingest_at_the_new_node_count():
@@ -382,6 +382,20 @@ def test_load_rejects_manifest_that_is_not_utf8(tmp_path):
     with pytest.raises(StorageError) as err:
         StorageLayout.load(tmp_path)
     assert str(err.value) == f"{manifest}:2: not UTF-8 text"
+
+
+
+def test_load_refuses_one_file_in_two_datasets(tmp_path):
+    # ingest refuses such a file as DuplicateFile; load must not move it
+    # silently to the last dataset
+    f, g = make_file(0, dataset="a"), make_file(1, dataset="b")
+    StorageLayout(node_count=3, replication=2).ingest([f, g]).save(tmp_path)
+    first, second = (tmp_path / "datasets" / name / "manifest.tsv" for name in "ab")
+    line = first.read_text().replace("\ta\t", "\tb\t").replace("\ta/", "\tb/")
+    second.write_text(second.read_text() + line)
+    with pytest.raises(StorageError) as err:
+        StorageLayout.load(tmp_path)
+    assert str(err.value) == f"{second}: file {f.file_id!r} is also listed in {first}"
 
 
 @settings(max_examples=60)
