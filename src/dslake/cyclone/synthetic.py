@@ -18,10 +18,9 @@ A random plan is accepted only if every planted cyclone is cleanly
 detectable in the rendered bytes of every snapshot it is alive in. Each
 random cyclone is checked as it is placed, on its own alive snapshots
 rendered with every cyclone placed before it; a dirty one is redrawn from
-the same stream, so the cyclones placed before it stay. Only when one
-cyclone stays dirty through a fixed number of draws is the whole plan
-replanned, from an independent stream derived from ``(seed, attempt)``.
-A seed whose first plan is clean draws nothing else and keeps its bytes.
+the same stream, so the cyclones placed before it stay. A cyclone that
+stays dirty through a fixed number of draws fails the spec: the planner
+draws from one stream, seeded by the seed itself.
 """
 
 from __future__ import annotations
@@ -157,26 +156,11 @@ class GroundTruth:
         return "\n".join(lines) + "\n"
 
 
-_REPLAN_ATTEMPTS = 25
-# dirty draws of one random cyclone after which its whole plan is replanned
+# dirty draws of one random cyclone after which the spec is refused
 _CYCLONE_REDRAWS = 10
 
 # a live snapshot's time -> (its alive cyclones, its render)
 _Renders = dict[datetime, tuple[tuple[PlantedCyclone, ...], DataFile]]
-
-
-def _plan_seed(seed: int, attempt: int) -> int:
-    """Seed of the random planner's stream for plan ``attempt``.
-
-    Plan 0 draws from ``seed`` itself. Each replan draws from an independent
-    stream: ``(seed, attempt)`` is mixed through SplitMix64's output
-    function. Stepping the seed by SplitMix64's state increment would only
-    replay plan 0's stream shifted by a few draws, and with it the same
-    dirty cyclone.
-    """
-    if attempt == 0:
-        return seed
-    return SplitMix64(seed ^ (attempt << 32)).next_u64()
 
 
 def generate_synthetic(
@@ -192,39 +176,32 @@ def generate_synthetic(
     snapshots rendered with every cyclone placed so far, and a dirty one
     is redrawn from the same stream. A clean render is kept with its alive
     cyclones, so a snapshot is rendered and parsed again only when a
-    cyclone placed later is alive in it too; the plan is accepted once
-    every live snapshot has passed on its final bytes. The uniform
-    background snapshots are rendered once, for the accepted plan.
+    cyclone placed later is alive in it too. The final pass renders the
+    snapshots where only listed cyclones are alive, and checks them when
+    the spec plants random ones. The uniform background snapshots are
+    rendered once, for the accepted plan.
 
-    After ``_CYCLONE_REDRAWS`` dirty draws of one cyclone the plan is
-    replaced by a replan drawn from an independent stream derived from
-    ``(seed, attempt)``, so a seed whose first plan is clean keeps its
-    bytes. Raises ``SpecError``, naming the seed, when no plan in the
-    attempt budget is clean.
+    Raises ``SpecError``, naming the seed, when one random cyclone is
+    still dirty after ``_CYCLONE_REDRAWS`` draws, and when a snapshot
+    where only listed cyclones are alive is dirty: no draw can mend that.
     """
     times = spec.snapshot_times()
-    for attempt in range(_REPLAN_ATTEMPTS):
-        renders: _Renders = {}
-        cyclones = list(spec.cyclones)
-        if spec.random_count:
+    renders: _Renders = {}
+    cyclones = list(spec.cyclones)
+    if spec.random_count:
 
-            def clean_with(candidate: PlantedCyclone, placed: list[PlantedCyclone]) -> bool:
-                return _render_checked(
-                    spec, [*cyclones, *placed, candidate], _alive_times(candidate, times), renders
-                )
+        def clean_with(candidate: PlantedCyclone, placed: list[PlantedCyclone]) -> bool:
+            return _render_checked(
+                spec, [*cyclones, *placed, candidate], _alive_times(candidate, times), renders
+            )
 
-            planted = _plant_random(spec, _plan_seed(seed, attempt), clean_with)
-            if planted is None:
-                continue
-            cyclones.extend(planted)
-        _check_separation(cyclones, times, spec.step_hours)
-        live_times = sorted({ts for c in cyclones for ts in _alive_times(c, times)})
-        if _render_checked(spec, cyclones, live_times, renders, check=bool(spec.random_count)):
-            break
-    else:
+        cyclones.extend(_plant_random(spec, seed, clean_with))
+    _check_separation(cyclones, times, spec.step_hours)
+    live_times = sorted({ts for c in cyclones for ts in _alive_times(c, times)})
+    if not _render_checked(spec, cyclones, live_times, renders, check=bool(spec.random_count)):
         raise SpecError(
-            f"could not plant cleanly detectable cyclones for seed {seed}"
-            f" in {_REPLAN_ATTEMPTS} attempts; relax the spec"
+            "listed cyclones are not cleanly detectable where no random cyclone"
+            f" is alive (seed {seed}); relax the spec"
         )
     background = _render_background(spec, [ts for ts in times if ts not in renders])
     files = sorted([*(f for _, f in renders.values()), *background], key=lambda f: f.t0)
@@ -393,13 +370,14 @@ def _plant_random(
     spec: SyntheticSpec,
     seed: int,
     accept: Callable[[PlantedCyclone, list[PlantedCyclone]], bool] | None = None,
-) -> list[PlantedCyclone] | None:
+) -> list[PlantedCyclone]:
     """Randomly place cyclones that the tracker can provably keep apart.
 
     ``accept(candidate, placed)``, when given, judges each candidate that
     keeps its distance from the spec's listed cyclones and the ones placed
-    before it; a refused candidate is redrawn from the same stream. Returns
-    None once one cyclone has been refused ``_CYCLONE_REDRAWS`` times.
+    before it; a refused candidate is redrawn from the same stream. Raises
+    ``SpecError`` once one cyclone has been refused ``_CYCLONE_REDRAWS``
+    times.
     """
     if spec.random_north_east > spec.random_count:
         raise SpecError("more north-east cyclones requested than total")
@@ -463,7 +441,10 @@ def _plant_random(
                 break
             refused += 1
             if refused == _CYCLONE_REDRAWS:
-                return None
+                raise SpecError(
+                    f"could not plant a cleanly detectable cyclone {k} for seed {seed}"
+                    f" in {_CYCLONE_REDRAWS} draws; relax the spec"
+                )
         else:
             raise SpecError(
                 f"could not place cyclone {k} without overlap; relax the spec"

@@ -15,17 +15,14 @@ exactly one path. All tie-breaks are documented and deterministic:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
 from dslake.errors import NonmonotonicTimestamps
 from dslake.times import iso_seconds
 from dslake.cyclone.detect import CycloneCenter
 from dslake.cyclone.geo import haversine_km
-
-if TYPE_CHECKING:
-    from dslake.cyclone.surrogate import CycloneParams
 
 DEFAULT_GATE_SPEED_KMH = 120.0
 
@@ -34,7 +31,6 @@ DEFAULT_GATE_SPEED_KMH = 120.0
 class CyclonePath:
     path_id: str
     centers: tuple[CycloneCenter, ...]
-    params: "CycloneParams | None" = field(default=None, compare=False)
 
     @property
     def start_time(self) -> datetime:

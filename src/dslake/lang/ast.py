@@ -118,37 +118,3 @@ class QueryAst:
     time: TimeRange | None = None
     statements: tuple[Statement, ...] = field(default_factory=tuple)
 
-    def identifier_names(self) -> set[str]:
-        """All identifiers that validation must resolve.
-
-        Literals and opaque filter/option values are excluded; this is the
-        right-hand side of the resolved-names law checked in tests.
-        """
-        names: set[str] = set()
-        for stmt in self.statements:
-            if isinstance(stmt, SelectStmt):
-                names.add(stmt.object_type)
-                names.update(k for k, _ in stmt.filters)
-                _collect_out_names(stmt.out, names)
-            else:
-                names.add(stmt.package)
-                names.update(k for k, _ in stmt.options)
-                for bname, expr in stmt.in_bindings:
-                    names.add(bname)
-                    _collect_expr_refs(expr, names)
-                _collect_out_names(stmt.out, names)
-        return names
-
-
-def _collect_out_names(items: tuple[OutItem, ...], names: set[str]) -> None:
-    for item in items:
-        names.add(item.name)
-        for idx in item.indices:
-            _collect_expr_refs(idx, names)
-
-
-def _collect_expr_refs(expr: Expr, names: set[str]) -> None:
-    if isinstance(expr, Ref):
-        names.add(expr.name)
-    elif isinstance(expr, Offset):
-        _collect_expr_refs(expr.base, names)

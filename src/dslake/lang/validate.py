@@ -17,7 +17,7 @@ take their package default when the package runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from dslake.errors import (
     DanglingSimulate,
@@ -52,16 +52,12 @@ KNOWN_OPTIONS = frozenset({"semantic_association"})
 
 @dataclass(frozen=True)
 class FilterBinding:
-    keyword: str  # as written in the script
-    canonical: str
-    value: str
     procedure_id: str
-    select_index: int
+    value: str
 
 
 @dataclass(frozen=True)
 class SelectResolution:
-    statement_index: int
     info: ObjectTypeInfo
     library: DomainLibraryDescriptor
     filters: tuple[FilterBinding, ...]
@@ -83,57 +79,24 @@ class ValidatedQuery:
     ast: QueryAst
     selects: tuple[SelectResolution, ...]
     simulates: tuple[SimulatePlan, ...]
-    resolved_names: frozenset[str] = field(default_factory=frozenset)
-
-    @property
-    def resolved_object(self) -> ObjectTypeInfo | None:
-        return self.selects[0].info if self.selects else None
-
-    @property
-    def resolved_filters(self) -> tuple[FilterBinding, ...]:
-        return tuple(f for sel in self.selects for f in sel.filters)
-
-    @property
-    def resolved_packages(self) -> tuple[PackageDescriptor, ...]:
-        return tuple(plan.package for plan in self.simulates)
-
-    @property
-    def binding_plan(self) -> tuple[SimulatePlan, ...]:
-        return self.simulates
 
 
 def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
     selects: list[SelectResolution] = []
     simulates: list[SimulatePlan] = []
-    resolved: set[str] = set()
 
     for index, stmt in enumerate(ast.statements):
         if isinstance(stmt, SelectStmt):
-            selects.append(
-                _validate_select(stmt, index, registry, resolved)
-            )
+            selects.append(_validate_select(stmt, registry))
         else:
-            simulates.append(
-                _validate_simulate(stmt, index, selects, registry, resolved)
-            )
+            simulates.append(_validate_simulate(stmt, index, selects, registry))
 
-    return ValidatedQuery(
-        ast=ast,
-        selects=tuple(selects),
-        simulates=tuple(simulates),
-        resolved_names=frozenset(resolved),
-    )
+    return ValidatedQuery(ast=ast, selects=tuple(selects), simulates=tuple(simulates))
 
 
-def _validate_select(
-    stmt: SelectStmt,
-    index: int,
-    registry: KnowledgeRegistry,
-    resolved: set[str],
-) -> SelectResolution:
+def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectResolution:
     info = registry.resolve_object_type(stmt.object_type)
     library = registry.library_of(stmt.object_type)
-    resolved.add(stmt.object_type)
 
     filters = []
     for keyword, value in stmt.filters:
@@ -141,21 +104,11 @@ def _validate_select(
         proc_id = library.filter_for(info.name, canonical)
         if proc_id is None:
             raise UnknownFilterKeyword(keyword, detail=f"object type {info.name}")
-        resolved.add(keyword)
-        filters.append(
-            FilterBinding(
-                keyword=keyword,
-                canonical=canonical,
-                value=value,
-                procedure_id=proc_id,
-                select_index=index,
-            )
-        )
+        filters.append(FilterBinding(procedure_id=proc_id, value=value))
 
     requested = []
     for item in stmt.out:
         if item.name == OBJECT_PARAMS_NAME:
-            resolved.add(item.name)
             for idx in item.indices:
                 if not isinstance(idx, Ref):
                     raise UnknownOutputName(
@@ -165,7 +118,6 @@ def _validate_select(
                     raise UnknownOutputName(
                         idx.name, detail=f"not a parameter of {info.name}"
                     )
-                resolved.add(idx.name)
                 requested.append(idx.name)
         else:
             if item.indices:
@@ -176,11 +128,9 @@ def _validate_select(
                 raise UnknownOutputName(
                     item.name, detail=f"not a parameter of {info.name}"
                 )
-            resolved.add(item.name)
             requested.append(item.name)
 
     return SelectResolution(
-        statement_index=index,
         info=info,
         library=library,
         filters=tuple(filters),
@@ -193,7 +143,6 @@ def _validate_simulate(
     index: int,
     selects: list[SelectResolution],
     registry: KnowledgeRegistry,
-    resolved: set[str],
 ) -> SimulatePlan:
     if not selects:
         raise DanglingSimulate(
@@ -203,13 +152,11 @@ def _validate_simulate(
     select = selects[select_index]
 
     package = registry.resolve_package(stmt.package)
-    resolved.add(stmt.package)
 
     fan_out = False
     for keyword, value in stmt.options:
         if keyword not in KNOWN_OPTIONS:
             raise UnknownOptionKeyword(keyword)
-        resolved.add(keyword)
         if keyword == "semantic_association":
             if value not in ("yes", "no"):
                 raise ValidationError(
@@ -225,7 +172,6 @@ def _validate_simulate(
             raise UnknownPackageInput(
                 name, detail=f"not an input of package {package.name}"
             )
-        resolved.add(name)
         for ref in _refs_of(expr):
             if not fan_out:
                 raise UnboundReference(
@@ -235,7 +181,6 @@ def _validate_simulate(
                 raise UnboundReference(
                     ref, detail=f"not an output parameter of {select.info.name}"
                 )
-            resolved.add(ref)
         bindings.append((name, expr))
 
     bound_names = {name for name, _ in bindings}
@@ -257,7 +202,6 @@ def _validate_simulate(
             raise UnknownOutputName(
                 item.name, detail=f"not an output of package {package.name}"
             )
-        resolved.add(item.name)
         if item.indices:
             if not out_decl.indexable:
                 raise ValidationError(

@@ -12,7 +12,6 @@ import time
 from datetime import timedelta
 
 import numpy as np
-import pytest
 
 from dslake.engine import (
     EngineConfig,
@@ -110,10 +109,10 @@ def test_criterion_1_golden_parse():
     assert simulate.out == (OutItem(name="level", indices=(IntLit(440), IntLit(414))),)
 
     vq = validate(ast, registry)
-    assert vq.resolved_object.name == "cyclone-path"
-    assert vq.resolved_filters[0].canonical == "direction"
-    assert vq.resolved_packages[0].name == "BSM"
-    assert vq.binding_plan[0].fan_out
+    assert vq.selects[0].info.name == "cyclone-path"
+    assert vq.selects[0].filters[0].procedure_id == "cyclone.filter_direction"
+    assert vq.simulates[0].package.name == "BSM"
+    assert vq.simulates[0].fan_out
 
     assert parse(format_query(ast)) == ast
     assert time.perf_counter() - started < 1.0

@@ -1,4 +1,3 @@
-import os
 import re
 import shutil
 from datetime import timedelta

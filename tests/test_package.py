@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +33,31 @@ def test_public_names_resolve(name):
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError):
         dslake.no_such_name
+
+
+def _unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    # an attribute chain's base (``np`` of ``np.zeros``) is a Name node too
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_module_imports():
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    unused = [
+        entry
+        for path in files
+        if path.name != "__init__.py"
+        for entry in _unused_module_imports(path)
+    ]
+    assert files
+    assert unused == []

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from datetime import timedelta
 
 import numpy as np
 import pytest

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,8 +109,8 @@ def year_spec():
 
 @pytest.mark.parametrize("seed", [29, 42])
 def test_year_seeds_plant_after_replans(seed):
-    # the first plan of each seed draws a dirty cyclone, which is redrawn
-    # within plan 0
+    # each seed draws a dirty cyclone, which is redrawn from the seed's
+    # one stream
     spec = year_spec()
     files, truth = generate_synthetic(spec, seed=seed)
     assert len(files) == len(spec.snapshot_times())
@@ -167,7 +168,7 @@ def test_year_seed_with_clean_first_plan_keeps_its_bytes():
 
 
 def test_refused_candidate_is_redrawn_keeping_the_cyclones_before_it(monkeypatch):
-    # seed 2's first plan is clean; refuse the first draw of its third
+    # seed 2 draws no dirty cyclone; refuse the first draw of its third
     # cyclone once and only that cyclone is drawn again, from the same stream
     spec = year_spec()
     first_plan = _plant_random(spec, 2)
@@ -190,11 +191,44 @@ def test_refused_candidate_is_redrawn_keeping_the_cyclones_before_it(monkeypatch
     assert oracle(files, list(planted), truth.spec)
 
 
-def test_exhausted_replans_name_seed_and_budget(monkeypatch):
-    monkeypatch.setattr(synthetic, "detection_is_clean", lambda *args: False)
+def counting_oracle(monkeypatch, verdict=None):
+    """Patch the generator's oracle; return the list its calls are appended to."""
+    calls = []
+    oracle = synthetic.detection_is_clean
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args) if verdict is None else verdict
+
+    monkeypatch.setattr(synthetic, "detection_is_clean", counted)
+    return calls
+
+
+def test_exhausted_redraws_name_seed_and_budget(monkeypatch):
+    calls = counting_oracle(monkeypatch, verdict=False)
     spec = base_spec(end=utc(2011, 2, 8), random_count=1)
-    with pytest.raises(SpecError, match="for seed 7 in 25 attempts; relax the spec"):
+    with pytest.raises(SpecError, match="cyclone 0 for seed 7 in 10 draws; relax the spec"):
         generate_synthetic(spec, seed=7)
+    assert len(calls) == synthetic._CYCLONE_REDRAWS
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_undetectable_listed_cyclone_fails_at_once(monkeypatch, seed):
+    # 5 hPa below the background never drops under the 1000 hPa threshold,
+    # so no draw of the random cyclone can make the listed one detectable
+    shallow = PlantedCyclone(
+        t_start=utc(2011, 2, 2), t_end=utc(2011, 2, 4), lat=55.0, lon=0.0,
+        bearing=45.0, speed_kmh=30.0, depth_hpa=5.0, sigma_km=250.0,
+    )
+    spec = base_spec(cyclones=(shallow,), random_count=1)
+    calls = counting_oracle(monkeypatch)
+    with pytest.raises(SpecError, match="listed cyclones are not cleanly detectable"):
+        generate_synthetic(spec, seed=seed)
+    assert len(calls) <= synthetic._CYCLONE_REDRAWS + 1
+    # a spec of listed cyclones alone is rendered as written, unchecked
+    files, truth = generate_synthetic(replace(spec, random_count=0), seed=seed)
+    assert truth.spec.cyclones == (shallow,)
+    assert len(files) == len(spec.snapshot_times())
 
 
 def test_ground_truth_canonical_text_stable():

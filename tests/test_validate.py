@@ -18,15 +18,15 @@ from dslake.registry import KnowledgeRegistry
 
 def test_fig5_validates(registry, fig5_script):
     vq = validate(parse(fig5_script), registry)
-    assert vq.resolved_object.name == "cyclone-path"  # alias resolved
-    (filter_binding,) = vq.resolved_filters
-    assert filter_binding.keyword == "directon"
-    assert filter_binding.canonical == "direction"
+    (select,) = vq.selects
+    assert select.info.name == "cyclone-path"  # alias resolved
+    (filter_binding,) = select.filters
+    # "directon" resolves through the keyword shortcut to the direction filter
+    assert filter_binding.procedure_id == "cyclone.filter_direction"
     assert filter_binding.value == "north-east"
-    (package,) = vq.resolved_packages
-    assert package.name == "BSM"
 
-    (plan,) = vq.binding_plan
+    (plan,) = vq.simulates
+    assert plan.package.name == "BSM"
     assert plan.fan_out is True
     assert plan.select_index == 0
     # the cyclone parameters flow in by name; the horizon is left to its default
@@ -87,9 +87,20 @@ def test_unknown_option(registry):
         validate(parse(script), registry)
 
 
-def test_unknown_select_out_param(registry):
-    with pytest.raises(UnknownOutputName):
-        validate(parse("select cyclone-path\n  out(Params[Nope])"), registry)
+@pytest.mark.parametrize(
+    "out, detail",
+    [
+        ("Params[Nope]", "not a parameter"),
+        ("Nope", "not a parameter"),
+        ("Params[3]", "takes parameter names"),
+        ("EndTime[1]", "take no indices"),
+    ],
+    ids=["params-nope", "nope", "params-index", "endtime-index"],
+)
+def test_unknown_select_out_param(registry, out, detail):
+    # one case per refusal of a select's out clause
+    with pytest.raises(UnknownOutputName, match=detail):
+        validate(parse(f"select cyclone-path\n  out({out})"), registry)
 
 
 def test_unknown_simulate_output(registry):
@@ -117,13 +128,3 @@ def test_required_input_unbound_without_association(registry):
         validate(parse(script), registry)
     assert err.value.name in ("startTime", "cyclone")
 
-
-def test_resolved_names_cover_identifiers(registry, fig5_script):
-    # every identifier of the AST is resolved, literals and opaque filter
-    # values excluded
-    ast = parse(fig5_script)
-    vq = validate(ast, registry)
-    assert set(vq.resolved_names) == ast.identifier_names()
-    assert "north-east" not in vq.resolved_names  # opaque value
-    assert "EndTime" in vq.resolved_names
-    assert "directon" in vq.resolved_names
