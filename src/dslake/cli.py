@@ -11,14 +11,15 @@
 ``--config``, ``--storage-root``, ``--nodes``, ``--replication`` and
 ``--registry`` are global options and go before the verb. Configuration
 precedence: flags > environment (DSLAKE_STORAGE_ROOT, DSLAKE_NODES,
-DSLAKE_REPLICATION, DSLAKE_SEED) > config file (key=value lines, --config
-or ./dslake.conf) > defaults. ``submit`` runs at the stored fabric's node
-count unless ``nodes`` is set, with replication min(stored replication,
-nodes) unless ``replication`` is set; the defaults of 2 and 2 only shape a
-store that ``ingest`` creates. ``--fail-node`` names a node of the stored
-fabric, so a submit that sets another node count or replication refuses
-it. Results go to stdout, diagnostics to stderr; exit 0 on success, 1 on
-domain errors (a malformed configuration value among them), 2 on usage
+DSLAKE_REPLICATION, DSLAKE_SEED) > config file (--config or ./dslake.conf:
+key=value lines of storage_root, nodes, replication, seed and registry)
+> defaults. ``submit`` runs at the stored fabric's node count unless
+``nodes`` is set, with replication min(stored replication, nodes) unless
+``replication`` is set; the defaults of 2 and 2 only shape a store that
+``ingest`` creates. ``--fail-node`` names a node of the stored fabric, so
+a submit that sets another node count or replication refuses it. Results
+go to stdout, diagnostics to stderr; exit 0 on success, 1 on domain errors
+(a malformed configuration value or config line among them), 2 on usage
 or file errors.
 """
 
@@ -63,6 +64,7 @@ ENV_KEYS = {
     "replication": "DSLAKE_REPLICATION",
     "seed": "DSLAKE_SEED",
 }
+FILE_KEYS = (*ENV_KEYS, "registry")
 
 
 @dataclass
@@ -142,9 +144,15 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         text = read_utf8(config_path, ConfigError)
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
-            if line and "=" in line:
-                key, value = (part.strip() for part in line.split("=", 1))
-                values[key], origins[key] = value, f"{config_path}:{lineno}"
+            if not line:
+                continue
+            key, equals, value = line.partition("=")
+            key, where = key.strip(), f"{config_path}:{lineno}"
+            if not equals:
+                raise ConfigError(f"{where}: not a key=value line: {line!r}")
+            if key not in FILE_KEYS:
+                raise ConfigError(f"{where}: unknown key {key!r}; keys are {', '.join(FILE_KEYS)}")
+            values[key], origins[key] = value.strip(), where
     for key, env in ENV_KEYS.items():
         if os.environ.get(env):
             values[key], origins[key] = os.environ[env], f"environment variable {env}"
@@ -288,20 +296,21 @@ def _cmd_submit(args, config: CliConfig) -> int:
 def _write_csv(path: Path, document) -> None:
     import csv
 
+    from dslake.report import expanded, is_series
     from dslake.times import iso_seconds
 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["object_id", "package", "output", "time", "value"])
         for sim in document.simulations:
-            for name, value in sorted(sim.outputs.items()):
-                if isinstance(value, list):
-                    for ts, level in value:
-                        writer.writerow(
-                            [sim.object_id, sim.package, name, iso_seconds(ts), f"{level:.4f}"]
-                        )
-                else:
-                    writer.writerow([sim.object_id, sim.package, name, "", value])
+            for output, value in sorted(sim.outputs.items()):
+                for name, entry in expanded(output, value):
+                    row = [sim.object_id, sim.package, name]
+                    if is_series(entry):
+                        for ts, level in entry:
+                            writer.writerow([*row, iso_seconds(ts), f"{level:.4f}"])
+                    else:
+                        writer.writerow([*row, "", entry])
 
 
 def _cmd_results(args, config: CliConfig) -> int:

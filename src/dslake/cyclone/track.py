@@ -24,7 +24,7 @@ from dslake.times import iso_seconds
 from dslake.cyclone.detect import CycloneCenter
 from dslake.cyclone.geo import haversine_km
 
-DEFAULT_GATE_SPEED_KMH = 120.0
+GATE_SPEED_KMH = 120.0  # v_max
 
 
 @dataclass
@@ -56,7 +56,6 @@ def _center_key(c: CycloneCenter) -> tuple:
 
 def track(
     center_sets: Iterable[tuple[datetime, Sequence[CycloneCenter]]],
-    gate_speed_kmh: float = DEFAULT_GATE_SPEED_KMH,
 ) -> list[CyclonePath]:
     """Associate per-snapshot center sets into time-ordered paths."""
     active: list[list[CycloneCenter]] = []
@@ -73,7 +72,7 @@ def track(
             continue
 
         dt_hours = (ts - prev_ts).total_seconds() / 3600.0
-        gate_km = gate_speed_kmh * dt_hours
+        gate_km = GATE_SPEED_KMH * dt_hours
         unclaimed = list(range(len(ordered)))
         extended: list[list[CycloneCenter]] = []
         for path in sorted(active, key=lambda p: _center_key(p[-1])):

@@ -9,9 +9,9 @@ chaining.
 Determinism contract: for fixed (request, dataset bytes, registry) the
 canonical result document is byte-identical whatever the node count, the
 map completion order, or any survivable failure state. Everything the
-reduce consumes is content-addressed, fragments are canonically ordered
-before aggregation, and node-dependent facts stay out of the canonical
-text.
+reduce consumes is content-addressed, the reduce orders its own input by
+(t0, file_id) whatever order the fragments arrive in, and node-dependent
+facts stay out of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
 in module state: payloads under the select library's extractor functions
@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Callable
 
 from dslake.errors import (
     CombinerFailure,
@@ -57,7 +56,7 @@ from dslake.report import (
     SimulationRecord,
     indexed_name,
 )
-from dslake.storage import DataFile, StorageLayout
+from dslake.storage import StorageLayout
 
 
 @dataclass
@@ -90,45 +89,32 @@ class Fragment:
     payload_time: datetime  # the snapshot instant reported by the extractor
 
 
-def canonical_order(fragments: list[Fragment]) -> list[Fragment]:
-    """Stable sort by (t0, file_id); the aggregation input order."""
-    return sorted(fragments, key=lambda f: (f.t0, f.file_id))
-
-
 def run_map(
-    node: int,
-    data_file: DataFile,
+    layout: StorageLayout,
+    dataset: str,
     query: ValidatedQuery,
     registry: KnowledgeRegistry,
-) -> Fragment:
-    """Apply the domain extractor to one file; never consults other files."""
-    map_file = _file_mapper(query, registry, {})
-    return map_file(node, data_file, lambda file_id: data_file.data)
+) -> list[Fragment]:
+    """The map stage: one fragment per file of ``dataset``, each from its
+    own file alone, served by the file's first surviving node.
 
-
-def _file_mapper(
-    query: ValidatedQuery,
-    registry: KnowledgeRegistry,
-    memo: dict,
-) -> Callable[[int, Any, Callable[[str], bytes]], Fragment]:
-    """``map_file(node, meta, read)``: the fragment of one file for ``query``.
-
-    ``meta`` has the file's id and times; ``read(file_id)`` is called only
-    when ``memo`` holds no payload for the file. Payloads are keyed by the
-    extractor functions, so registries that differ in them never share one.
+    A file is read and extracted only when the layout's memo holds no
+    payload for it. Payloads are keyed by the extractor functions, so
+    registries that differ in them never share one.
     """
     if not query.selects:
         raise EngineError("query has no select statement")
     library = query.selects[0].library
     extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
-    payloads = memo.setdefault(extractors, {})
+    payloads = layout.memo.setdefault(extractors, {})
     qkey = _query_key(query)
-
-    def map_file(node: int, meta, read: Callable[[str], bytes]) -> Fragment:
+    fragments = []
+    for meta in layout.dataset_files(dataset):
+        node = layout.serving_node(meta.file_id)
         key = (meta.file_id, qkey)
         found = payloads.get(key)
         if found is None:
-            data = read(meta.file_id)
+            data = layout.read(meta.file_id)
             kind = _file_kind(data)
             proc_id = library.extractor_for(kind)
             if proc_id is None:
@@ -137,22 +123,15 @@ def _file_mapper(
             ctx = MapContext(
                 area=query.ast.area,
                 time=query.ast.time,
-                memo=memo.setdefault(extractor, {}),
+                memo=layout.memo.setdefault(extractor, {}),
             )
             try:
                 found = payloads[key] = extractor(data, ctx)
             except DslakeError as exc:
                 raise ExtractorFailure(meta.file_id, str(exc)) from exc
         payload_time, payload = found
-        return Fragment(
-            file_id=meta.file_id,
-            node=node,
-            t0=meta.t0,
-            payload=payload,
-            payload_time=payload_time,
-        )
-
-    return map_file
+        fragments.append(Fragment(meta.file_id, node, meta.t0, payload, payload_time))
+    return fragments
 
 
 def _file_kind(data: bytes) -> str:
@@ -183,12 +162,7 @@ class Engine:
             layout = layout.reshaped(config.node_count, config.replication)
 
         query = validate(parse(request.script), self.registry)
-        metas = layout.dataset_files(request.dataset)
-
-        map_file = _file_mapper(query, self.registry, layout.memo)
-        fragments = canonical_order(
-            [map_file(layout.serving_node(m.file_id), m, layout.read) for m in metas]
-        )
+        fragments = run_map(layout, request.dataset, query, self.registry)
         return run_reduce(fragments, query, self.registry, layout, task_id=request.task_id())
 
 
@@ -205,8 +179,14 @@ def run_reduce(
     layout: StorageLayout,
     task_id: str = "",
 ) -> ResultDocument:
-    """Aggregate canonically ordered fragments into the result document of
-    task ``task_id``, which external packages see as ``DSLAKE_TASK_ID``."""
+    """Aggregate fragments, in whatever order they arrive, into the result
+    document of task ``task_id``, which external packages see as
+    ``DSLAKE_TASK_ID``.
+
+    The reduce orders its own input: fragments are taken by (t0, file_id),
+    so centers that share an instant reach the combiner in that order, and
+    ``file_for`` gives the lowest file id of each instant.
+    """
     if not query.selects:
         raise EngineError("query has no select statement")
     type_names = {sel.info.name for sel in query.selects}
@@ -214,8 +194,15 @@ def run_reduce(
         raise CombinerFailure("one object type per task is supported")
     select0 = query.selects[0]
 
-    center_sets = _group_by_time(fragments)
-    file_for = _file_index(fragments)
+    grouped: dict[datetime, list] = {}
+    file_for: dict[datetime, str] = {}
+    nodes_used: set[int] = set()
+    for fragment in sorted(fragments, key=lambda f: (f.t0, f.file_id)):
+        ts = fragment.payload_time
+        grouped.setdefault(ts, []).extend(fragment.payload)
+        file_for[ts] = min(fragment.file_id, file_for.get(ts, fragment.file_id))
+        nodes_used.add(fragment.node)
+    center_sets = sorted(grouped.items())  # instants are distinct keys
 
     combiner_id = select0.library.combiner_for(select0.info.name)
     if combiner_id is None:
@@ -271,7 +258,7 @@ def run_reduce(
         diagnostics=Diagnostics(
             files_mapped=len(fragments),
             fragments=len(fragments),
-            nodes_used={f.node for f in fragments},
+            nodes_used=nodes_used,
         ),
     )
 
@@ -313,19 +300,3 @@ def _run_simulations(
             record.outputs = {}
         records.append(record)
     return records
-
-
-def _group_by_time(fragments: list[Fragment]) -> list[tuple[datetime, list]]:
-    grouped: dict[datetime, list] = {}
-    for fragment in fragments:
-        grouped.setdefault(fragment.payload_time, []).extend(fragment.payload)
-    return [(ts, grouped[ts]) for ts in sorted(grouped)]
-
-
-def _file_index(fragments: list[Fragment]) -> dict[datetime, str]:
-    index: dict[datetime, str] = {}
-    for fragment in fragments:
-        existing = index.get(fragment.payload_time)
-        if existing is None or fragment.file_id < existing:
-            index[fragment.payload_time] = fragment.file_id
-    return index

@@ -69,7 +69,6 @@ class SimulatePlan:
     statement_index: int
     package: PackageDescriptor
     select_index: int  # index into ValidatedQuery.selects
-    fan_out: bool  # semantic_association yes: bindings may use object params
     bindings: tuple[tuple[str, Expr], ...]  # input name -> expression
     outputs: tuple[tuple[str, tuple[int, ...]], ...]  # output name, indices
 
@@ -218,7 +217,6 @@ def _validate_simulate(
         statement_index=index,
         package=package,
         select_index=select_index,
-        fan_out=fan_out,
         bindings=tuple(bindings),
         outputs=tuple(outputs),
     )

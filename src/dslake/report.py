@@ -89,18 +89,23 @@ def indexed_name(name: str, indices: tuple[int, ...]) -> str:
     return f"{name}[{','.join(map(str, indices))}]" if indices else name
 
 
-def _render_entry(lines: list[str], kind: str, name: str, value: Any) -> None:
+def expanded(name: str, value: Any) -> list[tuple[str, Any]]:
+    """``(name, value)`` as the entries it renders to: an un-indexed request
+    for an indexable output gives one entry per index, e.g. ``level[440,414]``."""
     by_index = getattr(value, "by_index", None)
-    if by_index is not None:  # an un-indexed request for an indexable output
-        for indices in sorted(by_index):
-            _render_entry(lines, kind, indexed_name(name, indices), by_index[indices])
-        return
-    if _is_series(value):
-        lines.append(f"  {kind} {name} series {len(value)}")
-        for ts, level in value:
-            lines.append(f"    {iso_seconds(ts)} {level:.4f}")
-    else:
-        lines.append(f"  {kind} {name} {render_value(value)}")
+    if by_index is None:
+        return [(name, value)]
+    return [(indexed_name(name, indices), by_index[indices]) for indices in sorted(by_index)]
+
+
+def _render_entry(lines: list[str], kind: str, name: str, value: Any) -> None:
+    for name, value in expanded(name, value):
+        if is_series(value):
+            lines.append(f"  {kind} {name} series {len(value)}")
+            for ts, level in value:
+                lines.append(f"    {iso_seconds(ts)} {level:.4f}")
+        else:
+            lines.append(f"  {kind} {name} {render_value(value)}")
 
 
 def render_value(value: Any) -> str:
@@ -125,7 +130,7 @@ def render_value(value: Any) -> str:
     return str(value)
 
 
-def _is_series(value: Any) -> bool:
+def is_series(value: Any) -> bool:
     return (
         isinstance(value, list)
         and bool(value)

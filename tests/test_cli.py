@@ -212,6 +212,29 @@ def test_emit_csv(workdir, capsys):
     assert rows[1][2] == "level[440,414]"
 
 
+def test_emit_csv_expands_an_unindexed_indexable_output(workdir, capsys):
+    # out(level) asks for every gauge of BSM; the CSV has one row per gauge
+    # and instant, like the canonical text, not the repr of the series map
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    _, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "3", "--out", "src-data")
+    run(capsys, "ingest", out.strip())
+    import csv
+
+    rows = {}
+    for output in ("level", "level[440,414]"):
+        script = workdir / "fig5.dq"
+        script.write_text(FIG5_SCRIPT.replace("out(level[440,414])", f"out({output})"))
+        code, text, _ = run(
+            capsys, "submit", "--dataset", "d1", str(script), "--emit-csv", "levels.csv"
+        )
+        assert code == 0 and "output level[440,414] series 97" in text
+        with open(workdir / "levels.csv", newline="") as handle:
+            rows[output] = list(csv.reader(handle))
+    assert len(rows["level"]) > 97
+    assert rows["level"] == rows["level[440,414]"]
+
+
 def test_config_precedence_env_and_flags(workdir, capsys, monkeypatch):
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)
@@ -313,8 +336,15 @@ def test_malformed_descriptor_file_exit_one(workdir, capsys, kd_bytes, message, 
         (None, {}, ["--nodes", "4.5"], "flag --nodes: nodes is not an integer: '4.5'"),
         (b"seed=1\n", {"DSLAKE_SEED": "-"}, [],
          "environment variable DSLAKE_SEED: seed is not an integer: '-'"),
+        (b"# fabric\nnodes 4\n", {}, [], "dslake.conf:2: not a key=value line: 'nodes 4'"),
+        (b"node=3\n", {}, [], "dslake.conf:1: unknown key 'node';"
+         " keys are storage_root, nodes, replication, seed, registry"),
+        (b"nodes=2\nrepliction = 1  # typo\n", {}, [],
+         "dslake.conf:2: unknown key 'repliction';"
+         " keys are storage_root, nodes, replication, seed, registry"),
     ],
-    ids=["not-utf8", "file-line", "env", "flag", "env-over-file"],
+    ids=["not-utf8", "file-line", "env", "flag", "env-over-file",
+         "no-equals", "unknown-key", "misspelt-key"],
 )
 def test_malformed_config_value_exit_one(workdir, capsys, monkeypatch, conf, env, argv, message):
     if conf is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import shutil
 import threading
@@ -14,7 +15,6 @@ from dslake.engine import (
     EngineConfig,
     Fragment,
     TaskRequest,
-    canonical_order,
     run_map,
     run_reduce,
     submit,
@@ -130,66 +130,67 @@ def test_direction_filter_by_bearing(registry):
     assert doc.objects[0].requested_params["EndTime"] == ne_path.end_time
 
 
-def test_canonical_order_sort_law():
-    def frag(ts_hour, fid):
-        ts = utc(2011, 1, 1, ts_hour)
-        return Fragment(file_id=fid, node=0, t0=ts, payload=[], payload_time=ts)
+def test_reduce_orders_its_own_input(registry):
+    # fragments that share an instant reach the combiner in (t0, file_id)
+    # order, and file_for gives the lowest file id of the instant, however
+    # the fragments arrive; "c" reports instant 0 from a file that starts at 3
+    def frag(t0_hour, fid, instant_hour):
+        t0, ts = utc(2011, 1, 1, t0_hour), utc(2011, 1, 1, instant_hour)
+        return Fragment(file_id=fid, node=0, t0=t0, payload=[fid], payload_time=ts)
 
-    fragments = [frag(6, "b"), frag(0, "z"), frag(6, "a"), frag(0, "a")]
-    ordered = canonical_order(fragments)
-    assert [(f.t0.hour, f.file_id) for f in ordered] == [
-        (0, "a"), (0, "z"), (6, "a"), (6, "b"),
-    ]
-    assert canonical_order([]) == []
-    rng = random.Random(0)
-    for _ in range(20):
-        shuffled = fragments[:]
-        rng.shuffle(shuffled)
-        assert canonical_order(shuffled) == ordered
+    seen = []
+
+    def recording(center_sets, ctx):
+        seen.append((center_sets, [ctx.file_for(ts) for ts, _ in center_sets], ctx.file_for(None)))
+        return []
+
+    registry.procedures["cyclone.combine_paths"] = recording
+    query = validate(parse(FIG5_SCRIPT), registry)
+    layout = StorageLayout(node_count=1, replication=1)
+    fragments = [frag(6, "b", 6), frag(0, "z", 0), frag(6, "a", 6), frag(3, "c", 0)]
+    for arrival in itertools.permutations(fragments):
+        run_reduce(list(arrival), query, registry, layout)
+    expected = (
+        [(utc(2011, 1, 1, 0), ["z", "c"]), (utc(2011, 1, 1, 6), ["a", "b"])],
+        ["c", "a"],
+        "",
+    )
+    assert seen == [expected] * 24
+    run_reduce([], query, registry, layout)
+    assert seen[-1] == ([], [], "")
 
 
 def test_reduce_invariant_under_fragment_permutation(registry):
     layout, _ = synthetic_layout(seed=7, count=2, north_east=1, end=(2011, 1, 31, 18))
     query = validate(parse(FIG5_SCRIPT), registry)
-    metas = layout.dataset_files("d1")
-    fragments = []
-    for meta in metas:
-        data_file = DataFile(
-            file_id=meta.file_id, dataset=meta.dataset, t0=meta.t0, t1=meta.t1,
-            data=layout.read(meta.file_id),
-        )
-        fragments.append(run_map(layout.serving_node(meta.file_id), data_file, query, registry))
-    baseline = run_reduce(canonical_order(fragments), query, registry, layout).canonical_text()
+    fragments = run_map(layout, "d1", query, registry)
+    baseline = run_reduce(fragments, query, registry, layout).canonical_text()
     rng = random.Random(11)
     for _ in range(50):
         shuffled = fragments[:]
         rng.shuffle(shuffled)
-        text = run_reduce(canonical_order(shuffled), query, registry, layout).canonical_text()
-        assert text == baseline
+        assert run_reduce(shuffled, query, registry, layout).canonical_text() == baseline
 
 
 def test_run_map_time_prefilter(registry):
     layout, _ = synthetic_layout(seed=8, count=1, north_east=1, end=(2011, 2, 28, 18))
     script = FIG5_SCRIPT.replace("time 01.01.2011 - 31.12.2011", "time 01.06.2011 - 30.06.2011")
     query = validate(parse(script), registry)
-    meta = layout.dataset_files("d1")[0]  # january snapshot, outside june
-    data_file = DataFile(
-        file_id=meta.file_id, dataset=meta.dataset, t0=meta.t0, t1=meta.t1,
-        data=layout.read(meta.file_id),
-    )
-    fragment = run_map(0, data_file, query, registry)
-    assert fragment.payload == []
-    assert fragment.payload_time == meta.t0
+    metas = layout.dataset_files("d1")  # january and february, outside june
+    fragments = run_map(layout, "d1", query, registry)
+    assert [f.file_id for f in fragments] == [m.file_id for m in metas]
+    assert all(f.payload == [] for f in fragments)
+    assert [f.payload_time for f in fragments] == [m.t0 for m in metas]
+    assert [f.node for f in fragments] == [layout.serving_node(m.file_id) for m in metas]
 
 
 def test_run_map_corrupted_snapshot(registry):
     query = validate(parse(FIG5_SCRIPT), registry)
-    bad = DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), b"grid nonsense\n")
-    with pytest.raises(ExtractorFailure):
-        run_map(0, bad, query, registry)
-    unknown_kind = DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), b"blob 1 2\n")
-    with pytest.raises(ExtractorFailure):
-        run_map(0, unknown_kind, query, registry)
+    for data in (b"grid nonsense\n", b"blob 1 2\n"):  # corrupt, and of an unknown kind
+        bad = DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), data)
+        layout = StorageLayout(node_count=1, replication=1).ingest([bad])
+        with pytest.raises(ExtractorFailure, match=bad.file_id):
+            run_map(layout, "d1", query, registry)
 
 
 def test_fault_equivalence_smoke(registry):
@@ -478,6 +479,67 @@ def test_submit_reshapes_to_the_requested_replication(registry, monkeypatch):
     assert shapes == []
     submit(fig5_request(node_count=4, replication=3), registry, layout)
     assert shapes == [(4, 3)]
+
+
+def test_perfbench_spans_see_the_map_stage():
+    # perfbench/spans.py times a submit from outside: it wraps the names
+    # dslake.engine looks up and derives the map stage from the gap between
+    # dataset_files and run_reduce. A child interpreter runs it on one
+    # small traced submit, so a refactor that moves those names fails here.
+    import json
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import dslake
+
+    probe = textwrap.dedent(f"""\
+        import json, spans
+        tracer = spans.Tracer()
+        tracer.install()
+        from datetime import datetime, timezone
+        from dslake.cyclone.plugin import register_cyclone_domain
+        from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
+        from dslake.engine import Engine, EngineConfig, TaskRequest
+        from dslake.lang.ast import GeoBox
+        from dslake.registry import KnowledgeRegistry
+        from dslake.storage import StorageLayout
+
+        def utc(*args):
+            return datetime(*args, tzinfo=timezone.utc)
+
+        area = GeoBox(*{dataclasses.astuple(FIG5_AREA)!r})
+        spec = SyntheticSpec("d1", area, utc(2011, 1, 1), utc(2011, 1, 3, 18),
+                             random_count=1, random_north_east=1)
+        files, _ = generate_synthetic(spec, seed=3)
+        layout = StorageLayout(node_count=4, replication=2).ingest(files)
+        registry = register_cyclone_domain(KnowledgeRegistry())
+        tracer.wrap_registry(registry)
+        request = TaskRequest("d1", {FIG5_SCRIPT!r}, EngineConfig(4, 2))
+        tracer.request("cold", Engine(registry, layout).submit, request)
+        staged = spans.with_map_stage(tracer.spans)
+        (stage,) = [s for s in staged if s[spans.NAME] == "engine.map"]
+        under = [s[spans.NAME] for s in staged if s[spans.PARENT] == stage[spans.ID]]
+        metrics = spans.request_metrics(tracer.spans)
+        print(json.dumps({{
+            "files": len(files),
+            "under": sorted(set(under)),
+            "extracts": under.count("proc.cyclone.extract_centers"),
+            "reads": under.count("storage.read"),
+            "calls": metrics["engine.extractor_calls"],
+            "wall_ms": metrics["engine.map_wall_ms"],
+        }}))
+    """)
+    src = Path(dslake.__file__).parent.parent
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(perfbench)])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["under"] == ["proc.cyclone.extract_centers", "storage.read"]
+    assert found["extracts"] == found["reads"] == found["calls"] == found["files"] == 12
+    assert found["wall_ms"] > 0
 
 
 def _four_decimals(value):

@@ -66,7 +66,7 @@ def test_moving_path_bearing_and_speed():
     s1 = quantized(snapshot(field1, lat0=40.0, lon0=0.0, ts=t1))
     (c0,) = detect_centers(s0, 1000.0)
     (c1,) = detect_centers(s1, 1000.0)
-    (path,) = track([(t0, [c0]), (t1, [c1])], gate_speed_kmh=200.0)
+    (path,) = track([(t0, [c0]), (t1, [c1])])
     params = parametrize(path, make_accessor([s0, s1]), k=4)
     assert params.average_bearing == pytest.approx(26.2, abs=0.5)
     assert params.direction_sector == "north-east"

@@ -108,7 +108,7 @@ def year_spec():
 
 
 @pytest.mark.parametrize("seed", [29, 42])
-def test_year_seeds_plant_after_replans(seed):
+def test_year_seeds_plant_after_redraws(seed):
     # each seed draws a dirty cyclone, which is redrawn from the seed's
     # one stream
     spec = year_spec()

@@ -27,7 +27,6 @@ def test_fig5_validates(registry, fig5_script):
 
     (plan,) = vq.simulates
     assert plan.package.name == "BSM"
-    assert plan.fan_out is True
     assert plan.select_index == 0
     # the cyclone parameters flow in by name; the horizon is left to its default
     assert dict(plan.bindings) == {
