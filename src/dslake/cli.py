@@ -296,8 +296,7 @@ def _cmd_submit(args, config: CliConfig) -> int:
 def _write_csv(path: Path, document) -> None:
     import csv
 
-    from dslake.report import expanded, is_series
-    from dslake.times import iso_seconds
+    from dslake.report import expanded, is_series, render_value
 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -308,9 +307,9 @@ def _write_csv(path: Path, document) -> None:
                     row = [sim.object_id, sim.package, name]
                     if is_series(entry):
                         for ts, level in entry:
-                            writer.writerow([*row, iso_seconds(ts), f"{level:.4f}"])
+                            writer.writerow([*row, render_value(ts), render_value(level)])
                     else:
-                        writer.writerow([*row, "", entry])
+                        writer.writerow([*row, "", render_value(entry)])
 
 
 def _cmd_results(args, config: CliConfig) -> int:

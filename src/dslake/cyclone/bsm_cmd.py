@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from dslake.times import iso_seconds, parse_utc
+from dslake.times import duration_hours, iso_seconds, parse_utc
 from dslake.cyclone.surrogate import GAUGES, CycloneParams, bsm_surrogate
 
 
@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
 
     start = parse_utc(args.start)
     params = CycloneParams.from_portable_text(Path(args.cyclone).read_text())
-    horizon_hours = int(args.horizon.rstrip("h"))
+    horizon_hours = duration_hours(args.horizon)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -1,4 +1,5 @@
-"""Cyclone center detection: strict local pressure minima below a threshold."""
+"""Cyclone center detection: strict local pressure minima below
+``THRESHOLD_HPA``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 from dslake.lang.ast import GeoBox
 from dslake.cyclone.grid import GridSnapshot
 
-DEFAULT_THRESHOLD_HPA = 1000.0
+THRESHOLD_HPA = 1000.0
 
 
 @dataclass(frozen=True)
@@ -22,17 +23,13 @@ class CycloneCenter:
     grid_index: tuple[int, int]
 
 
-def detect_centers(
-    snapshot: GridSnapshot,
-    threshold: float = DEFAULT_THRESHOLD_HPA,
-    area: GeoBox | None = None,
-) -> list[CycloneCenter]:
-    """Interior cells below threshold and strictly below all 8 neighbors.
+def detect_centers(snapshot: GridSnapshot, area: GeoBox | None = None) -> list[CycloneCenter]:
+    """Interior cells below the threshold and strictly below all 8 neighbors.
 
     Border cells are never centers. Results are sorted by (lat, lon),
     i.e. by grid index since spacings are positive.
     """
-    minima = interior_minima(snapshot.values, threshold)
+    minima = interior_minima(snapshot.values)
     lat0, lon0, dlat, dlon = snapshot.lat0, snapshot.lon0, snapshot.dlat, snapshot.dlon
     return centers_at(minima, lat0, lon0, dlat, dlon, snapshot.timestamp, area)
 
@@ -53,10 +50,10 @@ def centers_at(
     return centers
 
 
-def interior_minima(values: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
-    """(i, j, value) for strict 8-neighborhood minima below threshold."""
+def interior_minima(values: np.ndarray) -> list[tuple[int, int, float]]:
+    """(i, j, value) for strict 8-neighborhood minima below the threshold."""
     c = values[1:-1, 1:-1]
-    mask = c < threshold
+    mask = c < THRESHOLD_HPA
     for di, dj in (
         (-1, -1), (-1, 0), (-1, 1),
         (0, -1), (0, 1),

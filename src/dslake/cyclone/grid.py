@@ -18,7 +18,7 @@ from datetime import datetime
 import numpy as np
 
 from dslake.errors import FormatError, undecodable_at
-from dslake.times import iso_minutes, parse_utc
+from dslake.times import decimal_text, iso_minutes, parse_utc
 
 PRESSURE_MIN_HPA = 850.0
 PRESSURE_MAX_HPA = 1100.0
@@ -145,10 +145,8 @@ def render_header(
     lat0: float, lon0: float, dlat: float, dlon: float, nlat: int, nlon: int, ts: datetime
 ) -> bytes:
     """The header line ``parse_header`` reads, newline included."""
-    return (
-        f"grid {_num(lat0)} {_num(lon0)} {_num(dlat)} {_num(dlon)}"
-        f" {nlat} {nlon} {iso_minutes(ts)}\n"
-    ).encode()
+    numbers = " ".join(map(decimal_text, (lat0, lon0, dlat, dlon)))
+    return f"grid {numbers} {nlat} {nlon} {iso_minutes(ts)}\n".encode()
 
 
 def render_body(values: np.ndarray) -> bytes:
@@ -200,12 +198,3 @@ def densify(snapshot: GridSnapshot, k: int) -> GridSnapshot:
         timestamp=snapshot.timestamp,
         values=dense,
     )
-
-
-def _num(x: float) -> str:
-    s = repr(float(x))
-    if "e" in s or "E" in s:
-        s = f"{x:.12f}".rstrip("0")
-        if s.endswith("."):
-            s += "0"
-    return s

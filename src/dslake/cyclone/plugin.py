@@ -8,7 +8,7 @@ Procedure contract with the engine:
   * builtin package procedure(bindings dict) -> outputs dict
 
 The script is the whole task: contexts carry no settings, so the extractor
-detects below ``DEFAULT_THRESHOLD_HPA`` and the combiner uses the defaults
+detects below ``THRESHOLD_HPA`` and the combiner uses the defaults
 of ``track`` and ``parametrize``.
 
 ``MapContext.memo`` and ``ReduceContext.memo`` are the procedure's own
@@ -45,12 +45,7 @@ from dslake.registry import (
     StructureLevel,
 )
 from dslake.hybrid import IndexedSeries
-from dslake.cyclone.detect import (
-    DEFAULT_THRESHOLD_HPA,
-    CycloneCenter,
-    centers_at,
-    interior_minima,
-)
+from dslake.cyclone.detect import CycloneCenter, centers_at, interior_minima
 from dslake.cyclone.grid import parse_grid_snapshot, parse_header, snapshot_text
 from dslake.cyclone.params import parametrize
 from dslake.cyclone.surrogate import GAUGES, bsm_surrogate
@@ -83,7 +78,7 @@ def extract_centers(data: bytes, ctx: MapContext) -> tuple[datetime, list[Cyclon
     minima = ctx.memo.get(key)
     if minima is None:
         snapshot = parse_grid_snapshot(data)  # full validation on first sight
-        minima = ctx.memo[key] = interior_minima(snapshot.values, DEFAULT_THRESHOLD_HPA)
+        minima = ctx.memo[key] = interior_minima(snapshot.values)
 
     return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts, ctx.area)
 

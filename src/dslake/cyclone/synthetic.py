@@ -46,7 +46,7 @@ from dslake.cyclone.geo import (
     haversine_km,
     initial_bearing,
 )
-from dslake.cyclone.detect import DEFAULT_THRESHOLD_HPA, interior_minima
+from dslake.cyclone.detect import detect_centers
 from dslake.cyclone.grid import (
     GridSnapshot,
     parse_grid_snapshot,
@@ -325,17 +325,13 @@ def detection_is_clean(
         alive = [c for c in cyclones if c.alive(f.t0)]
         if not alive:
             continue
-        snapshot = parse_grid_snapshot(f.data)
-        minima = interior_minima(snapshot.values, DEFAULT_THRESHOLD_HPA)
-        if len(minima) != len(alive):
+        centers = detect_centers(parse_grid_snapshot(f.data))
+        if len(centers) != len(alive):
             return False
-        positions = [
-            (snapshot.lat_of(i), snapshot.lon_of(j)) for i, j, _ in minima
-        ]
         for c in alive:
             truth = c.center_at(f.t0)
             near = [
-                p for p in positions if haversine_km(*truth, *p) <= tolerance_km
+                p for p in centers if haversine_km(*truth, p.lat, p.lon) <= tolerance_km
             ]
             if len(near) != 1:
                 return False

@@ -30,6 +30,7 @@ is a single sequential stage. One submit at a time per engine instance.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -39,7 +40,7 @@ from dslake.errors import (
     EngineError,
     ExtractorFailure,
 )
-from dslake.hybrid import PackageInvocation, evaluate_binding, invoke
+from dslake.hybrid import evaluate_binding, invoke, output_at
 from dslake.lang.parser import parse
 from dslake.lang.validate import SimulatePlan, ValidatedQuery, validate
 from dslake.registry import (
@@ -285,14 +286,12 @@ def _run_simulations(
             if plan.package.placement is Placement.ON_NODE and obj.provenance:
                 node = layout.serving_node(obj.provenance[-1])
 
-            output = invoke(
-                PackageInvocation(package=plan.package, bindings=bindings, task_id=task_id),
-                registry,
-            )
+            started = time.perf_counter()
+            outputs = invoke(plan.package, bindings, registry, task_id)
+            record.wall_time_s = time.perf_counter() - started
             record.node = node
-            record.wall_time_s = output.wall_time_s
             for name, indices in plan.outputs:
-                record.outputs[indexed_name(name, indices)] = output.lookup(name, indices)
+                record.outputs[indexed_name(name, indices)] = output_at(outputs, name, indices)
         except DslakeError as exc:
             # partial-failure policy: record and keep processing the rest
             record.status = "failed"

@@ -1,10 +1,15 @@
 """Hybrid package execution: builtin procedures and external commands.
 
-Abstract package calls are translated through the package descriptor:
-builtin mode dispatches to a registered procedure in-process, external
-mode materializes inputs into a per-invocation scratch directory, expands
-the command template, runs the command, and reads declared outputs back
-from an ``outputs.tsv`` the command must write.
+``invoke(package, bindings, registry, task_id)`` is one package run, a
+plain call: it fills defaults, checks each binding against the descriptor
+(``BindingError``), and returns the outputs as a dict by name, every
+declared one present, or raises ``PackageFailure``. ``output_at`` picks a
+requested output out of that dict. The engine times each run itself.
+
+Builtin mode calls a registered procedure in-process. External mode
+materializes inputs into a per-invocation scratch directory, expands the
+command template, runs the command, and reads declared outputs back from
+an ``outputs.tsv`` the command must write.
 
 External output contract (all files tab-separated UTF-8):
 
@@ -31,7 +36,6 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -51,35 +55,20 @@ class IndexedSeries:
 
     by_index: dict[tuple[int, ...], Series]
 
-    def at(self, indices: tuple[int, ...]) -> Series:
-        series = self.by_index.get(tuple(indices))
-        if series is None:
-            raise PackageFailure(f"no series at index {list(indices)}")
-        return series
 
-
-@dataclass
-class PackageInvocation:
-    package: PackageDescriptor
-    bindings: dict[str, Any]
-    task_id: str = ""
-
-
-@dataclass
-class PackageOutput:
-    outputs: dict[str, Any]
-    wall_time_s: float = 0.0
-
-    def lookup(self, name: str, indices: tuple[int, ...] = ()) -> Any:
-        """Resolve a requested output, applying indices when given."""
-        if name not in self.outputs:
-            raise PackageFailure(f"output {name} missing")
-        value = self.outputs[name]
-        if not indices:
-            return value
-        if not isinstance(value, IndexedSeries):
-            raise PackageFailure(f"output {name} is not indexable")
-        return value.at(indices)
+def output_at(outputs: dict[str, Any], name: str, indices: tuple[int, ...] = ()) -> Any:
+    """One run's output ``name``; with indices, its series at those indices."""
+    if name not in outputs:
+        raise PackageFailure(f"output {name} missing")
+    value = outputs[name]
+    if not indices:
+        return value
+    if not isinstance(value, IndexedSeries):
+        raise PackageFailure(f"output {name} is not indexable")
+    series = value.by_index.get(tuple(indices))
+    if series is None:
+        raise PackageFailure(f"no series at index {list(indices)}")
+    return series
 
 
 def evaluate_binding(expr: Expr, object_params: dict[str, Any]) -> Any:
@@ -126,11 +115,14 @@ def semantic_type_of(value: Any) -> str:
     return type(value).__name__
 
 
-def invoke(invocation: PackageInvocation, registry: KnowledgeRegistry) -> PackageOutput:
-    """Run one package invocation and collect its declared outputs."""
-    package = invocation.package
-    bindings = dict(invocation.bindings)
-
+def invoke(
+    package: PackageDescriptor,
+    bindings: dict[str, Any],
+    registry: KnowledgeRegistry,
+    task_id: str = "",
+) -> dict[str, Any]:
+    """Run one package on ``bindings`` and return its outputs by name."""
+    bindings = dict(bindings)
     for inp in package.inputs:
         if inp.name not in bindings:
             if inp.default is not None:
@@ -150,7 +142,6 @@ def invoke(invocation: PackageInvocation, registry: KnowledgeRegistry) -> Packag
                 f" {declared.semantic_type}, got {actual}"
             )
 
-    started = time.perf_counter()
     if package.execution_mode is ExecutionMode.BUILTIN:
         proc = registry.procedure(package.procedure or package.name)
         try:
@@ -160,16 +151,12 @@ def invoke(invocation: PackageInvocation, registry: KnowledgeRegistry) -> Packag
         except Exception as exc:
             raise PackageFailure(f"{package.name}: {exc}") from exc
     else:
-        outputs = _run_external(package, bindings, invocation.task_id)
+        outputs = _run_external(package, bindings, task_id)
 
-    _check_declared(package, outputs)
-    return PackageOutput(outputs=outputs, wall_time_s=time.perf_counter() - started)
-
-
-def _check_declared(package: PackageDescriptor, outputs: dict[str, Any]) -> None:
     for decl in package.outputs:
         if decl.name not in outputs:
             raise PackageFailure(f"declared output {decl.name!r} missing")
+    return outputs
 
 
 # --- external command mode ----------------------------------------------------
@@ -180,19 +167,9 @@ _INDEX_RE = re.compile(r"\[(-?\d+(?:,-?\d+)*)\]")  # the index of a ``name[i,j]`
 def _run_external(
     package: PackageDescriptor, bindings: dict[str, Any], task_id: str
 ) -> dict[str, Any]:
+    # the scratch is removed once the outputs are read; a PackageFailure
+    # leaves it in place and names it
     scratch = Path(tempfile.mkdtemp(prefix=f"dslake-{package.name}-"))
-    # a PackageFailure leaves the scratch in place and names it
-    outputs = _run_external_in(package, bindings, task_id, scratch)
-    shutil.rmtree(scratch, ignore_errors=True)
-    return outputs
-
-
-def _run_external_in(
-    package: PackageDescriptor,
-    bindings: dict[str, Any],
-    task_id: str,
-    scratch: Path,
-) -> dict[str, Any]:
     substitutions = {"{outdir}": str(scratch)}
     for name, value in bindings.items():
         substitutions[f"{{input:{name}}}"] = _materialize(name, value, scratch)
@@ -250,6 +227,7 @@ def _run_external_in(
             outputs[name] = value
     for base, by_index in indexed.items():
         outputs[base] = IndexedSeries(by_index)
+    shutil.rmtree(scratch, ignore_errors=True)
     return outputs
 
 

@@ -21,6 +21,7 @@ from dslake.lang.ast import (
     SelectStmt,
     SimulateStmt,
 )
+from dslake.times import decimal_text
 
 
 def format_query(ast: QueryAst) -> str:
@@ -29,8 +30,8 @@ def format_query(ast: QueryAst) -> str:
     if ast.area is not None:
         a = ast.area
         headers.append(
-            f"area {_coord(a.lat_min)},{_coord(a.lon_min)}"
-            f" - {_coord(a.lat_max)},{_coord(a.lon_max)}"
+            f"area {decimal_text(a.lat_min)},{decimal_text(a.lon_min)}"
+            f" - {decimal_text(a.lat_max)},{decimal_text(a.lon_max)}"
         )
     if ast.time is not None:
         headers.append(f"time {_date(ast.time.first_day)} - {_date(ast.time.last_day)}")
@@ -95,16 +96,3 @@ def _expr(expr: Expr) -> str:
 
 def _date(d: _dt.date) -> str:
     return f"{d.day:02d}.{d.month:02d}.{d.year:04d}"
-
-
-def _coord(x: float) -> str:
-    # repr round-trips exactly; fall back to expanded form for the tiny
-    # magnitudes where repr switches to exponent notation
-    s = repr(float(x))
-    if "e" in s or "E" in s:
-        s = f"{x:.12f}".rstrip("0")
-        if s.endswith("."):
-            s += "0"
-    if "." not in s:
-        s += ".0"
-    return s

@@ -42,6 +42,7 @@ from dslake.lang.ast import (
     TimeRange,
 )
 from dslake.lang.tokens import Token, TokenKind, tokenize
+from dslake.times import duration_hours
 
 _VALUE_KINDS = (
     TokenKind.IDENT,
@@ -276,9 +277,10 @@ class _Parser:
 
     def _parse_duration_lit(self) -> DurationLit:
         tok = self._advance()
-        count = int(tok.text[:-1])
-        hours = count * 24 if tok.text[-1] == "d" else count
-        return DurationLit(hours=hours)
+        try:
+            return DurationLit(hours=duration_hours(tok.text))
+        except ValueError:
+            self._error("a duration literal", tok)
 
     def _parse_value(self) -> str:
         tok = self._peek()

@@ -25,7 +25,7 @@ from dslake.errors import (
     UnknownObjectType,
     UnknownPackage,
 )
-from dslake.times import parse_utc
+from dslake.times import duration_hours, parse_utc
 
 
 class StructureLevel(Enum):
@@ -106,9 +106,7 @@ class PackageInput:
         with no parser keeps the text. Malformed text raises ``ValueError``."""
         text = self.default
         if self.semantic_type == "duration":
-            if text.endswith("d"):
-                return timedelta(hours=24 * int(text[:-1]))
-            return timedelta(hours=int(text.rstrip("h")))
+            return timedelta(hours=duration_hours(text))
         if self.semantic_type == "datetime":
             return parse_utc(text)
         if self.semantic_type == "int":

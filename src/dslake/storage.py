@@ -8,8 +8,8 @@ ascending node id). File ids are content addresses: the SHA-256 hex
 digest of the file bytes.
 
 Placement is computed for a whole list of file ids at once (``place_all``):
-the same hash in numpy ``uint64``, which wraps mod 2**64 as ``fnv1a64``
-does. ``ingest``, ``load`` and ``reshaped`` place their files in one call;
+the hash in numpy ``uint64``, whose products wrap mod 2**64 as FNV-1a's
+do. ``ingest``, ``load`` and ``reshaped`` place their files in one call;
 ``place`` is the one-file case of it.
 
 On-disk layout (used by the CLI):
@@ -50,19 +50,11 @@ from dslake.times import iso_seconds, parse_utc
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-
-def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a of ``data``, continuing from ``state``."""
-    h = state
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
 
 
 def _scores(file_ids: Sequence[str], node_count: int) -> np.ndarray:
-    """(files, node_count) ``uint64`` rendezvous scores, ``fnv1a64`` per entry.
+    """(files, node_count) ``uint64`` rendezvous scores: the 64-bit FNV-1a
+    hash of each file id followed by each node id.
 
     One pass per byte column hashes every id. The ids are taken longest
     first, so the ones long enough to have a byte in a column are its first

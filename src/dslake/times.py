@@ -1,4 +1,4 @@
-"""UTC timestamp parsing and rendering used across file formats.
+"""Text of times, durations and numbers shared by the file formats.
 
 Python 3.10's ``fromisoformat`` rejects the trailing ``Z``, so parsing is
 done by hand here. All datetimes in the package are timezone-aware UTC.
@@ -35,3 +35,23 @@ def iso_minutes(dt: datetime) -> str:
 def iso_seconds(dt: datetime) -> str:
     """Render to second precision, e.g. ``2011-01-01T00:00:00Z``."""
     return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def duration_hours(text: str) -> int:
+    """The hours of ``<ASCII digits>h`` or ``<ASCII digits>d``, e.g. ``96h``
+    or ``4d``. Any other text raises ``ValueError``."""
+    count, unit = text[:-1], text[-1:]
+    if not (count.isascii() and count.isdigit() and unit in ("h", "d")):
+        raise ValueError(f"malformed duration {text!r}")
+    return int(count) * (24 if unit == "d" else 1)
+
+
+def decimal_text(x: float) -> str:
+    """``repr`` of ``x``, which reads back exactly, except where repr would
+    use an exponent: there twelve fixed decimals, trailing zeros dropped."""
+    s = repr(float(x))
+    if "e" in s or "E" in s:
+        s = f"{x:.12f}".rstrip("0")
+        if s.endswith("."):
+            s += "0"
+    return s

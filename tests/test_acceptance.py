@@ -20,7 +20,7 @@ from dslake.engine import (
     run_reduce,
     submit,
 )
-from dslake.hybrid import PackageInvocation, invoke
+from dslake.hybrid import invoke, output_at
 from dslake.lang.ast import DurationLit, GeoBox, IntLit, Offset, OutItem, Ref, TimeRange
 from dslake.lang.formatter import format_query
 from dslake.lang.parser import parse
@@ -177,7 +177,7 @@ def test_criterion_4_detection_oracle():
         values = rng.uniform(955.0, 1065.0, (nlat, nlon))
         if trial % 3 == 0:
             values = np.round(values, -1)  # plateaus and exact ties
-        if interior_minima(values, 1000.0) != brute_force_minima(values, 1000.0):
+        if interior_minima(values) != brute_force_minima(values, 1000.0):
             mismatches += 1
     assert mismatches == 0
 
@@ -366,10 +366,10 @@ def test_criterion_9_mode_equivalence():
             "cyclone": cyclone,
             "horizon": timedelta(hours=96),
         }
-        a = invoke(PackageInvocation(package=builtin, bindings=dict(bindings)), registry)
-        b = invoke(PackageInvocation(package=external, bindings=dict(bindings)), registry)
-        series_a = a.lookup("level", (440, 414))
-        series_b = b.lookup("level", (440, 414))
+        a = invoke(builtin, dict(bindings), registry)
+        b = invoke(external, dict(bindings), registry)
+        series_a = output_at(a, "level", (440, 414))
+        series_b = output_at(b, "level", (440, 414))
         # exact at the documented fixed-precision serialization
         rendered_a = [(t, f"{v:.4f}") for t, v in series_a]
         rendered_b = [(t, f"{v:.4f}") for t, v in series_b]

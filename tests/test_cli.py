@@ -235,6 +235,47 @@ def test_emit_csv_expands_an_unindexed_indexable_output(workdir, capsys):
     assert rows["level"] == rows["level[440,414]"]
 
 
+def test_emit_csv_renders_a_scalar_as_the_canonical_text_does(workdir, capsys):
+    # a float output is four decimals in the CSV row as in the canonical text
+    import csv
+    import sys
+
+    from dslake.descriptors import dump_descriptors
+    from dslake.registry import ExecutionMode, PackageDescriptor, PackageInput, PackageOutputDecl
+
+    command = workdir / "peak.py"
+    command.write_text(
+        "import pathlib, sys\n"
+        "(pathlib.Path(sys.argv[1]) / 'outputs.tsv').write_text('peak\\t1.23456789\\n')\n"
+    )
+    peak = PackageDescriptor(
+        name="PEAK",
+        inputs=(PackageInput("startTime", "datetime", required=True),),
+        outputs=(PackageOutputDecl("peak", "float"),),
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template=f"{sys.executable} {command} {{outdir}}",
+    )
+    kd = workdir / "peak.kd"
+    kd.write_text(dump_descriptors([], [peak]))
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    _, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "3", "--out", "src-data")
+    run(capsys, "ingest", out.strip())
+    script = workdir / "peak.dq"
+    script.write_text(
+        FIG5_SCRIPT.replace("with BSM", "with PEAK").replace("out(level[440,414])", "out(peak)")
+    )
+    code, text, err = run(
+        capsys, "--registry", str(kd), "submit", "--dataset", "d1", str(script),
+        "--emit-csv", "peak.csv",
+    )
+    assert code == 0, err
+    assert "output peak 1.2346" in text
+    with open(workdir / "peak.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert rows and all(row[2:] == ["peak", "", "1.2346"] for row in rows)
+
+
 def test_config_precedence_env_and_flags(workdir, capsys, monkeypatch):
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)

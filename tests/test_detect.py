@@ -44,13 +44,13 @@ def gaussian_depression(nlat, nlon, center_lat, center_lon, depth, sigma_km,
 
 def test_uniform_field_no_centers():
     snap = snapshot(np.full((10, 12), 1013.25))
-    assert detect_centers(snap, 1000.0) == []
+    assert detect_centers(snap) == []
 
 
 def test_single_planted_depression():
     field = gaussian_depression(30, 40, 57.0, -18.0, depth=40.0, sigma_km=300.0)
     snap = snapshot(field)
-    centers = detect_centers(snap, 1000.0)
+    centers = detect_centers(snap)
     assert len(centers) == 1
     (center,) = centers
     # the detected node is the nearest grid node to the planted center
@@ -66,7 +66,7 @@ def test_two_depressions_far_apart():
     extra = gaussian_depression(36, 110, 58.0, 18.0, 35.0, 300.0)
     combined = field + extra - 1013.25  # superpose the two depressions
     snap = snapshot(combined)
-    centers = detect_centers(snap, 1000.0)
+    centers = detect_centers(snap)
     assert len(centers) == 2
     assert centers == sorted(centers, key=lambda c: (c.lat, c.lon))
 
@@ -76,20 +76,20 @@ def test_area_filter():
     snap = snapshot(field)
     inside = GeoBox(50.0, -25.0, 62.0, -10.0)
     outside = GeoBox(50.0, 0.0, 62.0, 10.0)
-    assert len(detect_centers(snap, 1000.0, inside)) == 1
-    assert detect_centers(snap, 1000.0, outside) == []
+    assert len(detect_centers(snap, inside)) == 1
+    assert detect_centers(snap, outside) == []
 
 
 def test_border_cells_never_centers():
     values = np.full((5, 5), 1013.25)
     values[0, 2] = 900.0  # border minimum must be ignored
-    assert interior_minima(values, 1000.0) == []
+    assert interior_minima(values) == []
 
 
 def test_plateau_is_not_strict_minimum():
     values = np.full((5, 5), 1013.25)
     values[2, 2] = values[2, 3] = 950.0
-    assert interior_minima(values, 1000.0) == []
+    assert interior_minima(values) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -104,5 +104,5 @@ def test_matches_brute_force_oracle(nlat, nlon, seed, coarse):
     values = rng.uniform(960.0, 1060.0, (nlat, nlon))
     if coarse:
         values = np.round(values, -1)  # provoke plateaus and ties
-    got = interior_minima(values, 1000.0)
+    got = interior_minima(values)
     assert got == brute_force_minima(values, 1000.0)

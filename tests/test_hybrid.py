@@ -9,9 +9,9 @@ from dslake.descriptors import dump_descriptors, load_descriptors
 from dslake.errors import BindingError, PackageFailure, RegistryError, UnboundReference
 from dslake.hybrid import (
     IndexedSeries,
-    PackageInvocation,
     evaluate_binding,
     invoke,
+    output_at,
     semantic_type_of,
 )
 from dslake.lang.ast import DateLit, DurationLit, Offset, Ref
@@ -96,16 +96,11 @@ def test_date_literal_is_utc_midnight():
 def test_bsm_builtin_invocation(registry):
     package = registry.resolve_package("BSM")
     out = invoke(
-        PackageInvocation(
-            package=package,
-            bindings={
-                "startTime": utc(2005, 1, 7),
-                "cyclone": params(depth=53.0, bearing=45.0),
-            },
-        ),
+        package,
+        {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)},
         registry,
     )
-    series = out.lookup("level", (440, 414))
+    series = output_at(out, "level", (440, 414))
     assert dict(series)[utc(2005, 1, 9)] == pytest.approx(53.0)
     assert len(series) == 97  # default 96 h horizon
 
@@ -113,23 +108,15 @@ def test_bsm_builtin_invocation(registry):
 def test_missing_required_input(registry):
     package = registry.resolve_package("BSM")
     with pytest.raises(BindingError):
-        invoke(
-            PackageInvocation(package=package, bindings={"startTime": utc(2005, 1, 7)}),
-            registry,
-        )
+        invoke(package, {"startTime": utc(2005, 1, 7)}, registry)
 
 
 def test_binding_type_mismatch(registry):
     package = registry.resolve_package("BSM")
     with pytest.raises(BindingError):
         invoke(
-            PackageInvocation(
-                package=package,
-                bindings={
-                    "startTime": "2005-01-07",  # string, not datetime
-                    "cyclone": params(),
-                },
-            ),
+            package,
+            {"startTime": "2005-01-07", "cyclone": params()},  # string, not datetime
             registry,
         )
 
@@ -145,10 +132,15 @@ def test_semantic_type_tags():
 
 def test_indexed_series_lookup():
     series = [(utc(2011, 1, 1), 1.0)]
-    indexed = IndexedSeries({(440, 414): series})
-    assert indexed.at((440, 414)) == series
-    with pytest.raises(PackageFailure):
-        indexed.at((1, 2))
+    outputs = {"level": IndexedSeries({(440, 414): series})}
+    assert output_at(outputs, "level", (440, 414)) == series
+    assert output_at(outputs, "level") is outputs["level"]
+    with pytest.raises(PackageFailure, match=re.escape("no series at index [1, 2]")):
+        output_at(outputs, "level", (1, 2))
+    with pytest.raises(PackageFailure, match="output peak missing"):
+        output_at(outputs, "peak")
+    with pytest.raises(PackageFailure, match="output peak is not indexable"):
+        output_at({"peak": 1.5}, "peak", (0,))
 
 
 # --- external command mode ----------------------------------------------------------
@@ -173,9 +165,7 @@ def test_external_command_without_outputs_file_fails():
     descriptor = _echo_descriptor("echo {input:word}")
     registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(
-            PackageInvocation(package=descriptor, bindings={"word": "hi"}), registry
-        )
+        invoke(descriptor, {"word": "hi"}, registry)
     shutil.rmtree(kept_scratch(err.value))
     assert "outputs.tsv" in str(err.value)
 
@@ -185,7 +175,7 @@ def test_external_command_nonzero_exit_fails():
     descriptor = _echo_descriptor("false")
     registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(PackageInvocation(package=descriptor, bindings={"word": "hi"}), registry)
+        invoke(descriptor, {"word": "hi"}, registry)
     shutil.rmtree(kept_scratch(err.value))
 
 
@@ -196,7 +186,7 @@ def test_external_command_that_cannot_start_fails():
     descriptor = _echo_descriptor("no-such-program-xyz {outdir}")
     registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(PackageInvocation(package=descriptor, bindings={"word": "hi"}), registry)
+        invoke(descriptor, {"word": "hi"}, registry)
     scratch = kept_scratch(err.value)
     assert scratch.is_dir()
     shutil.rmtree(scratch)
@@ -213,15 +203,10 @@ def test_external_bsm_matches_builtin(registry):
         "cyclone": params(depth=53.0, bearing=45.0),
         "horizon": timedelta(hours=96),
     }
-    builtin_out = invoke(
-        PackageInvocation(package=registry.resolve_package("BSM"), bindings=dict(bindings)),
-        registry,
-    )
-    external_out = invoke(
-        PackageInvocation(package=external, bindings=dict(bindings)), registry
-    )
-    a = builtin_out.lookup("level", (440, 414))
-    b = external_out.lookup("level", (440, 414))
+    builtin_out = invoke(registry.resolve_package("BSM"), dict(bindings), registry)
+    external_out = invoke(external, dict(bindings), registry)
+    a = output_at(builtin_out, "level", (440, 414))
+    b = output_at(external_out, "level", (440, 414))
     assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
 
 
@@ -243,10 +228,8 @@ def test_task_id_exported_to_environment(registry, tmp_path):
         command_template=f"{sys.executable} {marker} {{outdir}}",
     )
     registry.register_package(descriptor)
-    out = invoke(
-        PackageInvocation(package=descriptor, bindings={}, task_id="task-77"), registry
-    )
-    assert out.outputs["token"] == "task-77"
+    out = invoke(descriptor, {}, registry, task_id="task-77")
+    assert out["token"] == "task-77"
 
 
 @pytest.mark.parametrize(
@@ -279,7 +262,7 @@ def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
     )
     registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(PackageInvocation(package=descriptor, bindings={}), registry)
+        invoke(descriptor, {}, registry)
     assert str(err.value).startswith("SERIES: series file level.tsv line 2:")
     scratch = kept_scratch(err.value)
     assert (scratch / "level.tsv").exists()
@@ -293,8 +276,8 @@ def test_external_bsm_runs_without_pythonpath(registry, monkeypatch):
     external = bsm_external_descriptor(name="BSM-X")
     registry.register_package(external)
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
-    out = invoke(PackageInvocation(package=external, bindings=bindings), registry)
-    assert len(out.lookup("level", (440, 414))) == 97
+    out = invoke(external, bindings, registry)
+    assert len(output_at(out, "level", (440, 414))) == 97
 
 
 def test_external_bsm_from_an_odd_source_directory(registry, monkeypatch, tmp_path):
@@ -311,13 +294,10 @@ def test_external_bsm_from_an_odd_source_directory(registry, monkeypatch, tmp_pa
     registry.register_package(bsm_external_descriptor(name="BSM-X"))
     ([], [external]) = load_descriptors(dump_descriptors([], [registry.resolve_package("BSM-X")]))
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
-    builtin_out = invoke(
-        PackageInvocation(package=registry.resolve_package("BSM"), bindings=dict(bindings)),
-        registry,
-    )
-    external_out = invoke(PackageInvocation(package=external, bindings=dict(bindings)), registry)
-    a = builtin_out.lookup("level", (440, 414))
-    b = external_out.lookup("level", (440, 414))
+    builtin_out = invoke(registry.resolve_package("BSM"), dict(bindings), registry)
+    external_out = invoke(external, dict(bindings), registry)
+    a = output_at(builtin_out, "level", (440, 414))
+    b = output_at(external_out, "level", (440, 414))
     assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
 
 

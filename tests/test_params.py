@@ -27,7 +27,7 @@ def test_stationary_single_snapshot():
     ts = utc(2011, 1, 15)
     field = gaussian_depression(36, 110, 57.0, 2.0, depth=40.0, sigma_km=300.0)
     snap = quantized(snapshot(field, ts=ts))
-    (c,) = detect_centers(snap, 1000.0)
+    (c,) = detect_centers(snap)
     (path,) = track([(ts, [c])])
     params = parametrize(path, make_accessor([snap]), k=4)
     assert params.mean_speed_kmh == 0.0
@@ -47,7 +47,7 @@ def test_gaussian_radius_matches_analytic_contour():
         50, 100, 30.0, 0.0, depth=40.0, sigma_km=sigma, lat0=18.0, lon0=-25.0
     )
     snap = quantized(snapshot(field, lat0=18.0, lon0=-25.0, ts=ts))
-    (c,) = detect_centers(snap, 1000.0)
+    (c,) = detect_centers(snap)
     (path,) = track([(ts, [c])])
     params = parametrize(path, make_accessor([snap]), k=4)
 
@@ -64,8 +64,8 @@ def test_moving_path_bearing_and_speed():
     field1 = gaussian_depression(56, 116, 60.0, 25.0, 40.0, 300.0, lat0=40.0, lon0=0.0)
     s0 = quantized(snapshot(field0, lat0=40.0, lon0=0.0, ts=t0))
     s1 = quantized(snapshot(field1, lat0=40.0, lon0=0.0, ts=t1))
-    (c0,) = detect_centers(s0, 1000.0)
-    (c1,) = detect_centers(s1, 1000.0)
+    (c0,) = detect_centers(s0)
+    (c1,) = detect_centers(s1)
     (path,) = track([(t0, [c0]), (t1, [c1])])
     params = parametrize(path, make_accessor([s0, s1]), k=4)
     assert params.average_bearing == pytest.approx(26.2, abs=0.5)
@@ -84,7 +84,7 @@ def test_uniform_window_depth_zero():
     values = np.full((20, 20), 995.0)
     values[10, 10] = 990.0
     snap = snapshot(values, ts=ts)
-    (c,) = detect_centers(snap, 1000.0)
+    (c,) = detect_centers(snap)
     (path,) = track([(ts, [c])])
     params = parametrize(path, make_accessor([snap]), k=2)
     assert params.depth == pytest.approx(5.0)

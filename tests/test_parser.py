@@ -109,6 +109,12 @@ def test_offset_on_integer_rejected():
         parse("select x\nsimulate\n  with P\n  in(t: 5 - 48h)")
 
 
+def test_duration_with_a_non_ascii_digit_rejected():
+    with pytest.raises(ParseError) as err:
+        parse("select x\nsimulate\n  with P\n  in(t: E - 1\u0665h)")
+    assert (err.value.line, err.value.col) == (4, 13)
+
+
 def test_bad_calendar_date():
     with pytest.raises(ParseError):
         parse("time 32.01.2011 - 31.12.2011\nselect x")

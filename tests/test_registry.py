@@ -67,6 +67,11 @@ def test_malformed_template_rejected():
     [
         ("duration", "9x"),
         ("duration", "9999999999d"),  # beyond timedelta's range
+        ("duration", "96hh"),
+        ("duration", "-5h"),
+        ("duration", "5"),  # no unit
+        ("duration", "1_000h"),
+        ("duration", "\u0665h"),  # an Arabic-Indic digit five
         ("datetime", "2011-13-01T00:00Z"),
         ("int", "4.5"),
         ("float", "big"),

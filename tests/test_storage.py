@@ -17,7 +17,7 @@ from dslake.storage import (
     DataFile,
     StorageLayout,
     _ranked,
-    fnv1a64,
+    _scores,
     place,
     place_all,
 )
@@ -62,11 +62,15 @@ def make_file(i: int, dataset: str = "d") -> DataFile:
 
 
 def test_fnv_reference_vectors():
-    # classic FNV-1a test vectors plus the reference reimplementation
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    for sample in (b"foobar", b"dslake", b"node-7"):
-        assert fnv1a64(sample) == reference_fnv1a64(sample)
+    # classic FNV-1a test vectors pin the reference, and the vectorized
+    # scores are the reference hash of each id followed by each node id
+    assert reference_fnv1a64(b"") == 0xCBF29CE484222325
+    assert reference_fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    scores = _scores(MIXED_IDS, 3)
+    for row, file_id in enumerate(MIXED_IDS):
+        for node in range(3):
+            expected = reference_fnv1a64(file_id.encode() + str(node).encode())
+            assert int(scores[row, node]) == expected
 
 
 def test_place_deterministic():

@@ -64,7 +64,7 @@ def test_single_cyclone_recovered_with_matching_sector():
     sets = []
     for f in sorted(files, key=lambda f: f.t0):
         snap = parse_grid_snapshot(f.data)
-        sets.append((snap.timestamp, detect_centers(snap, 1000.0, spec.area)))
+        sets.append((snap.timestamp, detect_centers(snap, spec.area)))
     paths = [p for p in track(sets) if len(p.centers) > 1]
     assert len(paths) == 1
     assert gt.matches(paths[0], tolerance_km=60.0)
