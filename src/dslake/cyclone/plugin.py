@@ -179,7 +179,12 @@ def bsm_descriptor() -> PackageDescriptor:
     )
 
 
-# run bsm_cmd with the source root, hex-encoded in the first argument, first on sys.path
+# run bsm_cmd with the source root, hex-encoded in the first argument, first on
+# sys.path. The command runs this under -S: the child needs nothing from
+# site-packages, and the site step's .pth files import re and pathlib, most of
+# the child's start-up CPU. Not -I: it implies -E, which drops PYTHONPATH and
+# PYTHONDONTWRITEBYTECODE, so a child would write __pycache__/ into the source
+# tree even where the parent's environment forbids it.
 _BSM_BOOT = (
     "import os, sys; sys.path.insert(0, os.fsdecode(bytes.fromhex(sys.argv.pop(1))));"
     " from dslake.cyclone.bsm_cmd import main; sys.exit(main())"
@@ -196,7 +201,7 @@ def bsm_external_descriptor(name: str = "BSM") -> PackageDescriptor:
         raise RegistryError(f"interpreter path {sys.executable!r} holds '{{', '}}' or '#'")
     root = os.fsencode(Path(dslake.__file__).resolve().parent.parent).hex()
     template = (
-        f"{shlex.quote(sys.executable)} -c {shlex.quote(_BSM_BOOT)} {root}"
+        f"{shlex.quote(sys.executable)} -S -c {shlex.quote(_BSM_BOOT)} {root}"
         " --start {input:startTime} --cyclone {input:cyclone}"
         " --horizon {input:horizon} --out {outdir}"
     )

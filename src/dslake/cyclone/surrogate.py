@@ -13,13 +13,17 @@ w = 0. Gauges are addressed by grid index; only the Saint-Petersburg
 gauge (440, 414) is registered.
 
 ``CycloneParams``, the package's input, lives here rather than beside
-``parametrize`` so that the external command imports no numpy.
+``parametrize`` so that the external command imports no numpy. It is a
+``collections.namedtuple`` subclass, not a dataclass: the external command
+imports this module in every child it starts, and ``dataclasses`` (through
+``inspect``, ``re`` and ``ast``) costs about as much CPU as all the rest of
+a child started under ``-S``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from datetime import datetime, timedelta
 
 from dslake.errors import FormatError, UnknownGauge
@@ -33,16 +37,20 @@ DEFAULT_HORIZON_HOURS = 96
 GAUGES = {(440, 414): "saint-petersburg"}
 
 
-@dataclass(frozen=True)
-class CycloneParams:
-    end_time: datetime
-    central_pressure: float  # hPa
-    ambient_pressure: float  # hPa
-    depth: float  # ambient - central, hPa, >= 0
-    radius_km: float
-    mean_speed_kmh: float
-    average_bearing: float | None  # degrees in [0, 360); None for length-1 paths
-    direction_sector: str | None
+class CycloneParams(
+    namedtuple(
+        "CycloneParams",
+        "end_time central_pressure ambient_pressure depth radius_km"
+        " mean_speed_kmh average_bearing direction_sector",
+    )
+):
+    """One path's BSM input: ``end_time`` (aware UTC datetime), the
+    ``central_pressure`` and ``ambient_pressure`` in hPa, ``depth`` =
+    ambient - central in hPa (>= 0), ``radius_km``, ``mean_speed_kmh``,
+    ``average_bearing`` in degrees in [0, 360) and ``direction_sector``,
+    both None for a length-1 path. Immutable and hashable."""
+
+    __slots__ = ()
 
     semantic_type = "cyclone-params"
 
@@ -76,7 +84,7 @@ class CycloneParams:
                     raise FormatError(lineno, f"expected key=value, found {line!r}")
                 found[key] = (lineno, raw)
         values: dict[str, object] = {}
-        for name in (f.name for f in fields(CycloneParams)):
+        for name in CycloneParams._fields:
             if name not in found:
                 raise FormatError(len(lines) + 1, f"missing key {name!r}")
             lineno, raw = found[name]

@@ -304,10 +304,17 @@ class _Parser:
         if tok is not None and tok.kind is TokenKind.COORD_PAIR:
             self._advance()
             lat_s, lon_s = tok.text.split(",")
-            return float(lat_s), float(lon_s)
-        lat = self._parse_coord_component()
-        self._expect_punct(",")
-        lon = self._parse_coord_component()
+            lat, lon = float(lat_s), float(lon_s)
+        else:
+            lat = self._parse_coord_component()
+            self._expect_punct(",")
+            lon = self._parse_coord_component()
+        # a digit string too long for a float reads as inf, which is refused
+        # here too, so the formatter never writes a coordinate parse refuses
+        if not -90.0 <= lat <= 90.0:
+            self._error("a latitude in [-90, 90]", tok)
+        if not -180.0 <= lon <= 180.0:
+            self._error("a longitude in [-180, 180]", tok)
         return lat, lon
 
     def _parse_coord_component(self) -> float:

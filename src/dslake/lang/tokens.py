@@ -30,10 +30,14 @@ PUNCT_CHARS = frozenset("()[],:-+")
 # A coordinate pair is two signed decimals joined by a comma with no
 # whitespace; both components must carry a fractional part, which is what
 # separates "48.3416,-24.7851" (one token) from "440,414" (three tokens).
-_COORD_RE = re.compile(r"-?\d+\.\d+,-?\d+\.\d+")
-_DATE_RE = re.compile(r"\d{2}\.\d{2}\.\d{4}")
+# Digits are ASCII only: ``\d`` also matches other scripts' digits, which
+# ``float`` and ``int`` read as their values. A duration alone keeps ``\d``:
+# the parser's ``duration_hours`` refuses a non-ASCII digit and reports it at
+# the duration's own token.
+_COORD_RE = re.compile(r"-?[0-9]+\.[0-9]+,-?[0-9]+\.[0-9]+")
+_DATE_RE = re.compile(r"[0-9]{2}\.[0-9]{2}\.[0-9]{4}")
 _DURATION_RE = re.compile(r"\d+[hd]")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
 _IDENT_START_RE = re.compile(r"[A-Za-z_]")
 
 

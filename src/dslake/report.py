@@ -121,7 +121,9 @@ def render_value(value: Any) -> str:
         return str(value)
     if isinstance(value, str):
         return value
-    fields = getattr(value, "__dataclass_fields__", None)
+    # a record renders as its sorted fields: a dataclass, or a namedtuple
+    # such as CycloneParams
+    fields = getattr(value, "__dataclass_fields__", None) or getattr(value, "_fields", None)
     if fields:
         parts = [
             f"{name}={render_value(getattr(value, name))}" for name in sorted(fields)

@@ -1,5 +1,6 @@
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,22 +8,35 @@ from pathlib import Path
 import pytest
 
 import dslake
+from dslake.cyclone.plugin import bsm_external_descriptor
 
 
 def test_bsm_command_imports_no_numpy_or_engine():
     # the engine starts one interpreter per selected path for the external
-    # BSM package; its start-up cost is what that process imports. The
-    # child finds this dslake whether or not the suite ran under PYTHONPATH.
+    # BSM package; its start-up cost is what that process imports. The probe
+    # starts as the command does, under -S, and finds this dslake whether or
+    # not the suite ran under PYTHONPATH. argparse, dataclasses and pathlib
+    # (and re and inspect under them) would about double a child's CPU.
     probe = (
         "import sys, dslake.cyclone.bsm_cmd\n"
-        "heavy = ('numpy', 'dslake.engine', 'dslake.lang', 'dslake.storage')\n"
+        "heavy = ('numpy', 'dslake.engine', 'dslake.lang', 'dslake.storage',\n"
+        "         'argparse', 'dataclasses', 'pathlib', 'inspect', 're')\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dslake.__file__).parent.parent)}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout.strip() == ""
+
+
+def test_bsm_command_starts_without_site_but_keeps_the_environment():
+    # -S skips the site step; -I would also drop PYTHONPATH and
+    # PYTHONDONTWRITEBYTECODE from the child's environment
+    argv = shlex.split(bsm_external_descriptor().command_template)
+    assert argv[0] == sys.executable
+    assert argv.index("-S") < argv.index("-c")
+    assert "-I" not in argv
 
 
 @pytest.mark.parametrize("name", dslake.__all__)

@@ -83,6 +83,31 @@ def test_integer_coordinates_accepted():
     assert ast.area == GeoBox(48.0, -25.0, 66.0, 33.0)
 
 
+def test_coordinate_bounds_are_inclusive():
+    ast = parse("area -90.0,-180.0 - 90.0,180.0\nselect x")
+    assert ast.area == GeoBox(-90.0, -180.0, 90.0, 180.0)
+
+
+@pytest.mark.parametrize(
+    "area, col, expected",
+    [
+        ("95.0,1.0 - 66.1605,32.8710", 6, "a latitude in [-90, 90]"),
+        ("1.0,1.0 - -90.5,32.8710", 16, "a latitude in [-90, 90]"),
+        ("1.0,180.0001 - 66.1605,32.8710", 6, "a longitude in [-180, 180]"),
+        ("1.0,1.0 - 66.1605,-181.0", 16, "a longitude in [-180, 180]"),
+        ("1.0,1.0 - 66,200", 16, "a longitude in [-180, 180]"),
+        ("1" + "0" * 400 + ".0,1.0 - 66.1605,32.8710", 6, "a latitude in [-90, 90]"),
+    ],
+    ids=["lat-high", "lat-low", "lon-high", "lon-low", "integer-pair", "inf"],
+)
+def test_coordinate_out_of_range_rejected_at_its_token(area, col, expected):
+    # a latitude too long for a float would read as inf, which the
+    # formatter writes as text parse refuses
+    with pytest.raises(ParseError) as err:
+        parse(f"area {area}\nselect x")
+    assert (err.value.line, err.value.col, err.value.expected) == (1, col, expected)
+
+
 def test_corners_normalized():
     ast = parse("area 66.0,33.0 - 48.0,-25.0\nselect x")
     assert ast.area == GeoBox(48.0, -25.0, 66.0, 33.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dslake.errors import FormatError, UnknownGauge
 from dslake.cyclone.params import CycloneParams
 from dslake.cyclone.surrogate import bsm_surrogate
+from dslake.report import render_value
 
 from conftest import utc
 
@@ -94,6 +95,35 @@ def test_monotone_in_depth(bearing, hour, depths):
 def test_portable_text_round_trip(bearing):
     original = params(bearing=bearing)
     assert CycloneParams.from_portable_text(original.portable_text()) == original
+
+
+def test_params_are_an_immutable_keyword_built_record():
+    p = params()
+    assert CycloneParams._fields == (
+        "end_time", "central_pressure", "ambient_pressure", "depth", "radius_km",
+        "mean_speed_kmh", "average_bearing", "direction_sector",
+    )
+    assert CycloneParams.semantic_type == "cyclone-params"
+    assert hash(p) == hash(params()) and p == params() and p != params(depth=1.0)
+    with pytest.raises(AttributeError):
+        p.depth = 1.0
+    with pytest.raises(AttributeError):
+        p.extra = 1.0
+    assert repr(p) == (
+        "CycloneParams(end_time=datetime.datetime(2005, 1, 9, 0, 0,"
+        " tzinfo=datetime.timezone.utc), central_pressure=960.25,"
+        " ambient_pressure=1013.25, depth=53.0, radius_km=400.0,"
+        " mean_speed_kmh=50.0, average_bearing=45.0, direction_sector='north-east')"
+    )
+
+
+def test_params_render_as_sorted_fields():
+    # how a requested ``Params[cyclone]`` reads in the canonical result text
+    assert render_value(params()) == (
+        "{ambient_pressure=1013.2500 average_bearing=45.0000 central_pressure=960.2500"
+        " depth=53.0000 direction_sector=north-east end_time=2005-01-09T00:00:00Z"
+        " mean_speed_kmh=50.0000 radius_km=400.0000}"
+    )
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,24 @@ def test_unknown_character_position():
     assert (err.value.line, err.value.col) == (2, 3)
 
 
+@pytest.mark.parametrize(
+    "script, col",
+    [
+        ("48.\u0663416,-24.7851", 3),  # ARABIC-INDIC THREE in a coordinate
+        ("48.3416,-24.785\u0661", 16),
+        ("0\u0661.01.2011", 2),  # in a date
+        ("44\u0660", 3),  # in a number
+        ("1.\u0665", 2),
+    ],
+)
+def test_digits_are_ascii_only(script, col):
+    # float() and int() read any script's digits, so a token that took
+    # them would carry their value
+    with pytest.raises(LexError) as err:
+        tokenize(script)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_positions_reproduce_source(fig5_script):
     # placing each token text back at its (line, col) must reproduce all
     # non-whitespace source (comments excluded)
