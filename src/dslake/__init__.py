@@ -19,7 +19,7 @@ _MODULE_OF = {
     "KnowledgeRegistry": "dslake.registry",
     "StorageLayout": "dslake.storage",
     "DataFile": "dslake.storage",
-    "place": "dslake.storage",
+    "place_all": "dslake.storage",
     "Engine": "dslake.engine",
     "EngineConfig": "dslake.engine",
     "TaskRequest": "dslake.engine",

@@ -240,16 +240,16 @@ def _cmd_ingest(args, config: CliConfig) -> int:
         raise FileNotFoundError(f"manifest {args.manifest}")
     base = args.manifest.parent
     layout = _load_or_create_layout(config)
-    files = [
-        DataFile(
-            file_id=meta.file_id,
-            dataset=meta.dataset,
-            t0=meta.t0,
-            t1=meta.t1,
-            data=(base / meta.relative_path).read_bytes(),
-        )
-        for meta in read_manifest(args.manifest)
-    ]
+    files = []
+    for meta in read_manifest(args.manifest):
+        data = (base / meta.relative_path).read_bytes()
+        f = DataFile.from_bytes(meta.dataset, meta.t0, meta.t1, data)
+        if f.file_id != meta.file_id:
+            raise StorageError(
+                f"file {meta.file_id!r} of dataset {meta.dataset!r}: {args.manifest}"
+                f" names it, but its content digest is {f.file_id}"
+            )
+        files.append(f)
     layout.ingest(files)
     layout.save(config.storage_root)
     print(

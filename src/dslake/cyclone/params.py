@@ -32,7 +32,6 @@ DEFAULT_DENSIFY_FACTOR = 4
 def parametrize(
     path: CyclonePath,
     snapshot_for: Callable[[datetime], GridSnapshot],
-    k: int = DEFAULT_DENSIFY_FACTOR,
 ) -> CycloneParams:
     """Extract CycloneParams from a path and its final snapshot.
 
@@ -42,7 +41,7 @@ def parametrize(
         raise ValueError("cannot parametrize an empty path")
     last = path.centers[-1]
     coarse = _crop_to_window(snapshot_for(last.timestamp), last.lat, last.lon)
-    snap = densify(coarse, k)
+    snap = densify(coarse, DEFAULT_DENSIFY_FACTOR)
 
     i_lo, i_hi = _index_window(snap.lat0, snap.dlat, snap.nlat, last.lat)
     j_lo, j_hi = _index_window(snap.lon0, snap.dlon, snap.nlon, last.lon)

@@ -365,13 +365,13 @@ def _check_separation(
 def _plant_random(
     spec: SyntheticSpec,
     seed: int,
-    accept: Callable[[PlantedCyclone, list[PlantedCyclone]], bool] | None = None,
+    accept: Callable[[PlantedCyclone, list[PlantedCyclone]], bool],
 ) -> list[PlantedCyclone]:
     """Randomly place cyclones that the tracker can provably keep apart.
 
-    ``accept(candidate, placed)``, when given, judges each candidate that
-    keeps its distance from the spec's listed cyclones and the ones placed
-    before it; a refused candidate is redrawn from the same stream. Raises
+    ``accept(candidate, placed)`` judges each candidate that keeps its
+    distance from the spec's listed cyclones and the ones placed before it;
+    a refused candidate is redrawn from the same stream. Raises
     ``SpecError`` once one cyclone has been refused ``_CYCLONE_REDRAWS``
     times.
     """
@@ -432,7 +432,7 @@ def _plant_random(
                 continue
             if not _safe_against(candidate, [*spec.cyclones, *planted], spec):
                 continue
-            if accept is None or accept(candidate, planted):
+            if accept(candidate, planted):
                 planted.append(candidate)
                 break
             refused += 1

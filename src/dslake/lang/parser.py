@@ -25,6 +25,7 @@ least one statement. Dates are dd.mm.yyyy; durations are <int>h or <int>d.
 from __future__ import annotations
 
 import datetime as _dt
+from typing import Callable, TypeVar
 
 from dslake.errors import ParseError
 from dslake.lang.ast import (
@@ -43,6 +44,8 @@ from dslake.lang.ast import (
 )
 from dslake.lang.tokens import Token, TokenKind, tokenize
 from dslake.times import duration_hours
+
+T = TypeVar("T")
 
 _VALUE_KINDS = (
     TokenKind.IDENT,
@@ -87,17 +90,31 @@ class _Parser:
             raise ParseError(line, col, expected, "end of input")
         raise ParseError(tok.line, tok.col, expected, repr(tok.text))
 
-    def _expect_punct(self, char: str) -> Token:
+    def _accept(self, kind: TokenKind, text: str) -> Token | None:
+        """Consume and return the next token if it is ``text`` of ``kind``."""
         tok = self._peek()
-        if tok is None or not tok.is_punct(char):
-            self._error(repr(char), tok)
-        return self._advance()
+        if tok is not None and tok.kind is kind and tok.text == text:
+            return self._advance()
+        return None
+
+    def _expect_punct(self, char: str) -> Token:
+        tok = self._accept(TokenKind.PUNCT, char)
+        if tok is None:
+            self._error(repr(char), self._peek())
+        return tok
 
     def _expect_ident(self, what: str) -> Token:
         tok = self._peek()
         if tok is None or tok.kind is not TokenKind.IDENT:
             self._error(what, tok)
         return self._advance()
+
+    def _comma_list(self, parse_item: Callable[[], T]) -> tuple[T, ...]:
+        """One or more items separated by commas."""
+        items = [parse_item()]
+        while self._accept(TokenKind.PUNCT, ","):
+            items.append(parse_item())
+        return tuple(items)
 
     # -- grammar ---------------------------------------------------------
 
@@ -128,113 +145,65 @@ class _Parser:
                 break
 
         statements = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                break
-            if tok.is_keyword("select"):
+        while self._peek() is not None:
+            if self._accept(TokenKind.KEYWORD, "select"):
                 statements.append(self._parse_select())
-            elif tok.is_keyword("simulate"):
+            elif self._accept(TokenKind.KEYWORD, "simulate"):
                 statements.append(self._parse_simulate())
             else:
-                self._error("'select' or 'simulate'", tok)
+                self._error("'select' or 'simulate'", self._peek())
 
         if not statements and (area is not None or time is not None):
             self._error("a statement after the headers")
         return QueryAst(area=area, time=time, statements=tuple(statements))
 
     def _parse_select(self) -> SelectStmt:
-        self._advance()  # select
         object_type = self._expect_ident("object type name").text
-        filters = []
-        out: tuple[OutItem, ...] = ()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind is TokenKind.IDENT:
-                keyword = self._advance().text
-                filters.append((keyword, self._parse_value()))
-            elif tok is not None and tok.is_keyword("out"):
-                out = self._parse_out_clause()
-                break
-            else:
-                break
-        return SelectStmt(object_type=object_type, filters=tuple(filters), out=out)
-
-    def _parse_simulate(self) -> SimulateStmt:
-        self._advance()  # simulate
-        tok = self._peek()
-        if tok is None or not tok.is_keyword("with"):
-            self._error("'with'", tok)
-        self._advance()
-        package = self._expect_ident("package name").text
-        options = []
-        in_bindings: tuple[tuple[str, Expr], ...] = ()
-        out: tuple[OutItem, ...] = ()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind is TokenKind.IDENT:
-                keyword = self._advance().text
-                options.append((keyword, self._parse_value()))
-            else:
-                break
-        tok = self._peek()
-        if tok is not None and tok.is_keyword("in"):
-            self._advance()
-            self._expect_punct("(")
-            in_bindings = self._parse_bindings()
-            self._expect_punct(")")
-        tok = self._peek()
-        if tok is not None and tok.is_keyword("out"):
-            out = self._parse_out_clause()
-        return SimulateStmt(
-            package=package,
-            options=tuple(options),
-            in_bindings=in_bindings,
-            out=out,
+        filters = self._parse_pairs()
+        return SelectStmt(
+            object_type=object_type, filters=filters, out=self._parse_out_clause()
         )
 
+    def _parse_simulate(self) -> SimulateStmt:
+        if not self._accept(TokenKind.KEYWORD, "with"):
+            self._error("'with'", self._peek())
+        package = self._expect_ident("package name").text
+        options = self._parse_pairs()
+        in_bindings: tuple[tuple[str, Expr], ...] = ()
+        if self._accept(TokenKind.KEYWORD, "in"):
+            self._expect_punct("(")
+            in_bindings = self._comma_list(self._parse_binding)
+            self._expect_punct(")")
+        return SimulateStmt(
+            package=package,
+            options=options,
+            in_bindings=in_bindings,
+            out=self._parse_out_clause(),
+        )
+
+    def _parse_pairs(self) -> tuple[tuple[str, str], ...]:
+        """The ``ident value`` filters of a select or options of a simulate."""
+        pairs = []
+        while (tok := self._peek()) is not None and tok.kind is TokenKind.IDENT:
+            self._advance()
+            pairs.append((tok.text, self._parse_value()))
+        return tuple(pairs)
+
     def _parse_out_clause(self) -> tuple[OutItem, ...]:
-        self._advance()  # out
+        if not self._accept(TokenKind.KEYWORD, "out"):
+            return ()
         self._expect_punct("(")
-        items = [self._parse_out_item()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.is_punct(","):
-                self._advance()
-                items.append(self._parse_out_item())
-            else:
-                break
+        items = self._comma_list(self._parse_out_item)
         self._expect_punct(")")
-        return tuple(items)
+        return items
 
     def _parse_out_item(self) -> OutItem:
         name = self._expect_ident("output name").text
         indices: tuple[Expr, ...] = ()
-        tok = self._peek()
-        if tok is not None and tok.is_punct("["):
-            self._advance()
-            idx = [self._parse_expr()]
-            while True:
-                tok = self._peek()
-                if tok is not None and tok.is_punct(","):
-                    self._advance()
-                    idx.append(self._parse_expr())
-                else:
-                    break
+        if self._accept(TokenKind.PUNCT, "["):
+            indices = self._comma_list(self._parse_expr)
             self._expect_punct("]")
-            indices = tuple(idx)
         return OutItem(name=name, indices=indices)
-
-    def _parse_bindings(self) -> tuple[tuple[str, Expr], ...]:
-        bindings = [self._parse_binding()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.is_punct(","):
-                self._advance()
-                bindings.append(self._parse_binding())
-            else:
-                break
-        return tuple(bindings)
 
     def _parse_binding(self) -> tuple[str, Expr]:
         name = self._expect_ident("binding name").text
@@ -245,7 +214,7 @@ class _Parser:
         expr = self._parse_term()
         while True:
             tok = self._peek()
-            if tok is not None and (tok.is_punct("-") or tok.is_punct("+")):
+            if tok is not None and tok.kind is TokenKind.PUNCT and tok.text in ("-", "+"):
                 if not isinstance(expr, (Ref, DateLit, Offset)):
                     self._error("an offsettable base (reference or date)", tok)
                 sign = -1 if tok.text == "-" else 1
@@ -318,12 +287,8 @@ class _Parser:
         return lat, lon
 
     def _parse_coord_component(self) -> float:
-        sign = 1.0
+        sign = -1.0 if self._accept(TokenKind.PUNCT, "-") else 1.0
         tok = self._peek()
-        if tok is not None and tok.is_punct("-"):
-            self._advance()
-            sign = -1.0
-            tok = self._peek()
         if tok is None or tok.kind is not TokenKind.NUMBER:
             self._error("a coordinate", tok)
         return sign * float(self._advance().text)

@@ -9,8 +9,7 @@ digest of the file bytes.
 
 Placement is computed for a whole list of file ids at once (``place_all``):
 the hash in numpy ``uint64``, whose products wrap mod 2**64 as FNV-1a's
-do. ``ingest``, ``load`` and ``reshaped`` place their files in one call;
-``place`` is the one-file case of it.
+do. ``ingest``, ``load`` and ``reshaped`` place their files in one call.
 
 On-disk layout (used by the CLI):
 
@@ -34,7 +33,7 @@ import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,11 +97,6 @@ def place_all(
         )
     ranked = _ranked(_scores(file_ids, node_count))
     return list(zip(*ranked[:, :replication].T.tolist()))
-
-
-def place(file_id: str, node_count: int, replication: int) -> list[int]:
-    """Deterministic rendezvous placement of one file."""
-    return list(place_all([file_id], node_count, replication)[0])
 
 
 @dataclass(frozen=True)
@@ -176,19 +170,12 @@ class StorageLayout:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest(
-        self,
-        files: Iterable[DataFile],
-        placement_fn: Callable[[str, int, int], Sequence[int]] | None = None,
-    ) -> "StorageLayout":
+    def ingest(self, files: Iterable[DataFile]) -> "StorageLayout":
         """Record placements and store bytes on every placement node.
 
         All or nothing: before any file is recorded, a file already stored
         or given twice raises ``DuplicateFile``, and a file whose names
-        ``save`` cannot store (see ``_storable``) or a placement whose nodes
-        are not distinct raises ``StorageError``. ``placement_fn``
-        overrides rendezvous placement; tests use it to exercise arbitrary
-        file-to-node assignments.
+        ``save`` cannot store (see ``_storable``) raises ``StorageError``.
         """
         files = list(files)
         batch: set[str] = set()
@@ -200,16 +187,7 @@ class StorageLayout:
                     f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}"
                 )
             batch.add(f.file_id)
-        ids = [f.file_id for f in files]
-        if placement_fn is None:
-            placements = place_all(ids, self.node_count, self.replication)
-        else:
-            placements = [
-                tuple(placement_fn(fid, self.node_count, self.replication)) for fid in ids
-            ]
-            for nodes in placements:
-                if len(set(nodes)) != len(nodes):
-                    raise StorageError(f"placement nodes not distinct: {nodes}")
+        placements = place_all([f.file_id for f in files], self.node_count, self.replication)
         for f, nodes in zip(files, placements):
             self.placements[f.file_id] = nodes
             self.blobs[f.file_id] = f.data
@@ -350,15 +328,17 @@ class StorageLayout:
                 f"nodes {sorted(self.failed)} of {self.node_count} are failed;"
                 f" cannot reshape to {node_count} nodes"
             )
-        view = StorageLayout(node_count=node_count, replication=replication)
-        view.blobs = self.blobs  # shared: files are content-addressed
-        view._verified = self._verified
-        view.memo = self.memo
-        view.meta = self.meta
-        view.placements = dict(
-            zip(self.meta, place_all(list(self.meta), node_count, replication))
+        # Only the memo is shared: a file ingested into the view must not
+        # appear in this layout's tables, nor count as verified for them.
+        return StorageLayout(
+            node_count=node_count,
+            replication=replication,
+            placements=dict(zip(self.meta, place_all(list(self.meta), node_count, replication))),
+            blobs=dict(self.blobs),
+            meta=dict(self.meta),
+            _verified=set(self._verified),
+            memo=self.memo,
         )
-        return view
 
 
 _STORED_FORM = (

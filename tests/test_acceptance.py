@@ -26,7 +26,7 @@ from dslake.lang.formatter import format_query
 from dslake.lang.parser import parse
 from dslake.lang.validate import validate
 from dslake.registry import KnowledgeRegistry
-from dslake.storage import DataFile, StorageLayout
+from dslake.storage import StorageLayout
 from dslake.cyclone.detect import interior_minima
 from dslake.cyclone.rng import SplitMix64
 from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
@@ -213,14 +213,9 @@ def test_criterion_5_stitching_oracle():
 
     rng = random.Random(55)
     for assignment in range(20):
-        def random_placement(file_id, node_count, replication, _rng=rng):
-            return _rng.sample(range(node_count), replication)
-
-        layout = StorageLayout(node_count=3, replication=1)
-        layout.ingest(
-            [DataFile(f.file_id, f.dataset, f.t0, f.t1, f.data) for f in files],
-            placement_fn=random_placement,
-        )
+        layout = StorageLayout(node_count=3, replication=1).ingest(files)
+        for f in files:  # an arbitrary assignment in place of rendezvous placement
+            layout.placements[f.file_id] = tuple(rng.sample(range(3), 1))
         spread = {layout.placements[f.file_id][0] for f in files}
         paths = paths_for(layout)
         assert len(paths) == 1

@@ -193,6 +193,28 @@ def test_ingest_of_an_unstorable_file_id_exit_one(workdir, capsys):
     assert code == 0 and out.startswith("RESULT ")
 
 
+def test_ingest_of_a_file_that_does_not_hash_to_its_id_exit_one(workdir, capsys):
+    # stored under a wrong id, every later read of the dataset would fail
+    # its digest check: refused before anything is written
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    _, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "3", "--out", "src-data")
+    manifest = Path(out.strip())
+    _, *rest = manifest.read_text().splitlines()[0].split("\t")
+    bad = workdir / "bad.tsv"
+    bad.write_text("\t".join(["deadbeef", *rest[:3], str(manifest.parent / rest[3])]))
+    code, out, err = run(capsys, "ingest", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: file 'deadbeef' of dataset 'd1': {bad} names it,")
+    assert not (workdir / "dslake-storage").exists()
+    code, _, _ = run(capsys, "ingest", str(manifest))
+    assert code == 0
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, _ = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert code == 0 and out.startswith("RESULT ")
+
+
 def test_emit_csv(workdir, capsys):
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)

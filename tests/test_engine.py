@@ -39,7 +39,7 @@ from conftest import FIG5_AREA, FIG5_SCRIPT, utc
 
 
 def synthetic_layout(seed=1, count=5, north_east=2, end=(2011, 12, 31, 18),
-                     node_count=4, replication=2, placement_fn=None):
+                     node_count=4, replication=2):
     spec = SyntheticSpec(
         dataset="d1",
         area=FIG5_AREA,
@@ -50,7 +50,7 @@ def synthetic_layout(seed=1, count=5, north_east=2, end=(2011, 12, 31, 18),
     )
     files, truth = generate_synthetic(spec, seed=seed)
     layout = StorageLayout(node_count=node_count, replication=replication)
-    layout.ingest(files, placement_fn=placement_fn)
+    layout.ingest(files)
     return layout, truth
 
 

@@ -18,7 +18,6 @@ from dslake.storage import (
     StorageLayout,
     _ranked,
     _scores,
-    place,
     place_all,
 )
 
@@ -74,11 +73,11 @@ def test_fnv_reference_vectors():
 
 
 def test_place_deterministic():
-    assert place("f1", 4, 2) == place("f1", 4, 2)
+    assert place_all(["f1"], 4, 2)[0] == place_all(["f1"], 4, 2)[0]
 
 
 def test_place_all_nodes_when_replication_equals_node_count():
-    nodes = place("f1", 5, 5)
+    nodes = place_all(["f1"], 5, 5)[0]
     assert sorted(nodes) == [0, 1, 2, 3, 4]
     # ordered by descending score
     scores = [reference_fnv1a64(f"f1{n}".encode()) for n in nodes]
@@ -87,14 +86,14 @@ def test_place_all_nodes_when_replication_equals_node_count():
 
 def test_place_prefix_consistency():
     # the highest-score subset is stable as replication grows
-    assert place("f9", 8, 2) == place("f9", 8, 4)[:2]
+    assert place_all(["f9"], 8, 2)[0] == place_all(["f9"], 8, 4)[0][:2]
 
 
 def test_invalid_replication():
     with pytest.raises(InvalidReplication):
-        place("f1", 4, 5)
+        place_all(["f1"], 4, 5)
     with pytest.raises(InvalidReplication):
-        place("f1", 4, 0)
+        place_all(["f1"], 4, 0)
     with pytest.raises(InvalidReplication):
         StorageLayout(node_count=2, replication=3)
 
@@ -106,7 +105,7 @@ def test_place_all_matches_reference_at_1_to_20_nodes():
         for replication in range(1, node_count + 1):
             expected = [tuple(r[:replication]) for r in ranked]
             assert place_all(MIXED_IDS, node_count, replication) == expected
-        assert [place(fid, node_count, node_count) for fid in MIXED_IDS] == ranked
+        assert [list(place_all([fid], node_count, node_count)[0]) for fid in MIXED_IDS] == ranked
 
 
 @settings(max_examples=60)
@@ -169,17 +168,6 @@ def test_refused_ingest_records_nothing(batch):
     with pytest.raises(DuplicateFile):
         layout.ingest(make_file(i) for i in batch)
     assert _contents(layout) == before
-
-
-def test_ingest_with_non_distinct_placement_records_nothing():
-    layout = StorageLayout(node_count=4, replication=2)
-    bad = make_file(2).file_id
-    with pytest.raises(StorageError, match="not distinct"):
-        layout.ingest(
-            [make_file(1), make_file(2)],
-            placement_fn=lambda fid, n, r: (0, 0) if fid == bad else (0, 1),
-        )
-    assert _contents(layout) == ({}, {}, {})
 
 
 @pytest.mark.parametrize(
@@ -264,6 +252,22 @@ def test_reshape_refuses_failed_nodes():
     view = layout.reshaped(4, 2)
     assert view.node_count == 4 and view.failed == set()
     assert view.memo is layout.memo  # derived results go with the content
+
+
+def test_ingest_into_a_reshaped_view_leaves_its_parent_alone():
+    a, b = make_file(1), make_file(2)
+    parent = StorageLayout(node_count=8, replication=2).ingest([a])
+    before = _contents(parent)
+    view = parent.reshaped(4, 2).ingest([b])
+    assert view.read(b.file_id) == b.data
+    assert _contents(parent) == before
+    assert [m.file_id for m in parent.dataset_files("d")] == [a.file_id]
+    with pytest.raises(UnreadableFile, match="unknown file"):
+        parent.serving_node(b.file_id)
+    # the view's digest check of b does not vouch for the parent's own b
+    parent.ingest([DataFile(b.file_id, "d", b.t0, b.t1, b"tampered")])
+    with pytest.raises(UnreadableFile, match="content digest mismatch"):
+        parent.read(b.file_id)
 
 
 def test_dataset_files_sorted():
@@ -409,7 +413,7 @@ def test_load_refuses_one_file_in_two_datasets(tmp_path):
 )
 def test_replication_invariant(file_id, node_count, data):
     replication = data.draw(st.integers(1, node_count))
-    nodes = place(file_id, node_count, replication)
+    nodes = place_all([file_id], node_count, replication)[0]
     assert len(set(nodes)) == replication
     # any failed set smaller than the replication factor keeps it readable
     blob = file_id.encode()

@@ -114,3 +114,37 @@ def test_lexer_total_on_alphabet_soup(script):
         assert isinstance(tok, Token)
         assert tok.text
         assert tok.line >= 1 and tok.col >= 1
+
+
+K = TokenKind
+
+
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        # a tab and a CR are one column each
+        ("select\tx\r out", [(K.KEYWORD, "select", 1, 1), (K.IDENT, "x", 1, 8),
+                             (K.KEYWORD, "out", 1, 11)]),
+        # a comment that runs to the end of the script
+        ("select x # tail", [(K.KEYWORD, "select", 1, 1), (K.IDENT, "x", 1, 8)]),
+        # a hyphen before a digit is an operator
+        ("a-1", [(K.IDENT, "a", 1, 1), (K.PUNCT, "-", 1, 2), (K.NUMBER, "1", 1, 3)]),
+        # a duration's later digits may be non-ASCII; the parser refuses it
+        ("1\u0665h", [(K.DURATION, "1\u0665h", 1, 1)]),
+    ],
+)
+def test_token_kinds_texts_and_positions(script, expected):
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(script)] == expected
+
+
+@pytest.mark.parametrize(
+    "script, col, message",
+    [
+        ("48hx", 3, "illegal character 'h' after number"),
+        ("01.01.2011x", 6, "illegal character '.'"),
+    ],
+)
+def test_word_glued_to_a_literal_is_refused(script, col, message):
+    with pytest.raises(LexError) as err:
+        tokenize(script)
+    assert (err.value.line, err.value.col, err.value.message) == (1, col, message)
