@@ -8,7 +8,6 @@ from datetime import datetime
 
 import numpy as np
 
-from dslake.lang.ast import GeoBox
 from dslake.cyclone.grid import GridSnapshot
 
 THRESHOLD_HPA = 1000.0
@@ -23,7 +22,7 @@ class CycloneCenter:
     grid_index: tuple[int, int]
 
 
-def detect_centers(snapshot: GridSnapshot, area: GeoBox | None = None) -> list[CycloneCenter]:
+def detect_centers(snapshot: GridSnapshot) -> list[CycloneCenter]:
     """Interior cells below the threshold and strictly below all 8 neighbors.
 
     Border cells are never centers. Results are sorted by (lat, lon),
@@ -31,23 +30,19 @@ def detect_centers(snapshot: GridSnapshot, area: GeoBox | None = None) -> list[C
     """
     minima = interior_minima(snapshot.values)
     lat0, lon0, dlat, dlon = snapshot.lat0, snapshot.lon0, snapshot.dlat, snapshot.dlon
-    return centers_at(minima, lat0, lon0, dlat, dlon, snapshot.timestamp, area)
+    return centers_at(minima, lat0, lon0, dlat, dlon, snapshot.timestamp)
 
 
 def centers_at(
     minima: list[tuple[int, int, float]],
     lat0: float, lon0: float, dlat: float, dlon: float,
     timestamp: datetime,
-    area: GeoBox | None = None,
 ) -> list[CycloneCenter]:
-    """Centers at grid minima ``(i, j, pressure)``, dropping those outside ``area``."""
-    centers = []
-    for i, j, pressure in minima:
-        lat = lat0 + i * dlat
-        lon = lon0 + j * dlon
-        if area is None or area.contains(lat, lon):
-            centers.append(CycloneCenter(lat, lon, pressure, timestamp, (i, j)))
-    return centers
+    """Centers at grid minima ``(i, j, pressure)``."""
+    return [
+        CycloneCenter(lat0 + i * dlat, lon0 + j * dlon, pressure, timestamp, (i, j))
+        for i, j, pressure in minima
+    ]
 
 
 def interior_minima(values: np.ndarray) -> list[tuple[int, int, float]]:

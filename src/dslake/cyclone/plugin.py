@@ -2,17 +2,19 @@
 
 Procedure contract with the engine:
 
-  * extractor(data, MapContext) -> (timestamp, [CycloneCenter])
+  * extractor(data, memo) -> (timestamp, [items with .lat and .lon])
   * combiner([(timestamp, [CycloneCenter])], ReduceContext) -> [DomainObject]
   * filter(object params dict, value) -> bool
   * builtin package procedure(bindings dict) -> outputs dict
 
-The script is the whole task: contexts carry no settings, so the extractor
+The script is the whole task: no procedure sees settings, so the extractor
 detects below ``THRESHOLD_HPA`` and the combiner uses the defaults
-of ``track`` and ``parametrize``.
+of ``track`` and ``parametrize``. The extractor sees no query either: its
+result is a function of the file's bytes, and the engine selects the
+instants and centers a query's time and area clauses ask for.
 
-``MapContext.memo`` and ``ReduceContext.memo`` are the procedure's own
-namespace of the storage layout's memo; it keeps there only pure
+The extractor's ``memo`` and ``ReduceContext.memo`` are the procedure's
+own namespace of the storage layout's memo; it keeps there only pure
 functions of its inputs and the stored bytes. The extractor keys minima
 scans on the grid body text and shape, so identical bodies (the common
 all-background case) are scanned once per layout; the combiner keys the
@@ -35,7 +37,6 @@ from dslake.registry import (
     DomainObject,
     ExecutionMode,
     KnowledgeRegistry,
-    MapContext,
     ObjectTypeInfo,
     PackageDescriptor,
     PackageInput,
@@ -67,20 +68,15 @@ OUTPUT_PARAMS = (
     ("cyclone", "cyclone-params"),
 )
 
-def extract_centers(data: bytes, ctx: MapContext) -> tuple[datetime, list[CycloneCenter]]:
+def extract_centers(data: bytes, memo: dict) -> tuple[datetime, list[CycloneCenter]]:
     header, _, body = snapshot_text(data).partition("\n")
     lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
-
-    if ctx.time is not None and not ctx.time.contains(ts):
-        return ts, []
-
     key = (body, nlat, nlon)
-    minima = ctx.memo.get(key)
+    minima = memo.get(key)
     if minima is None:
         snapshot = parse_grid_snapshot(data)  # full validation on first sight
-        minima = ctx.memo[key] = interior_minima(snapshot.values)
-
-    return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts, ctx.area)
+        minima = memo[key] = interior_minima(snapshot.values)
+    return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts)
 
 
 def _snapshot_accessor(ctx: ReduceContext):

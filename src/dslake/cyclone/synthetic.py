@@ -481,7 +481,8 @@ def parse_spec_text(text: str) -> SyntheticSpec:
                 speed=<km/h> depth=<hPa> sigma=<km>
         random-cyclones count=<n> northeast=<m>
 
-    A malformed line raises ``SpecError`` with its line number.
+    A malformed line raises ``SpecError`` with its line number, and so do an
+    unknown or repeated field and a second line of any key but ``cyclone``.
     """
     values: dict[str, tuple[int, str]] = {}
     cyclones: list[PlantedCyclone] = []
@@ -492,8 +493,10 @@ def parse_spec_text(text: str) -> SyntheticSpec:
         if not line:
             continue
         key, _, rest = line.partition(" ")
+        if key in values:
+            raise SpecError(f"line {lineno}: a second {key!r} line")
         if key == "cyclone":
-            kv = _spec_fields(lineno, rest)
+            kv = _spec_fields(lineno, rest, _CYCLONE_FIELDS)
             try:
                 cyclones.append(
                     PlantedCyclone(
@@ -512,7 +515,8 @@ def parse_spec_text(text: str) -> SyntheticSpec:
             except ValueError as exc:
                 raise SpecError(f"line {lineno}: bad cyclone field: {exc}") from None
         elif key == "random-cyclones":
-            kv = _spec_fields(lineno, rest)
+            values[key] = (lineno, rest)
+            kv = _spec_fields(lineno, rest, ("count", "northeast"))
             random_count = _spec_value(lineno, "count", kv.get("count", "0"), int)
             random_ne = _spec_value(lineno, "northeast", kv.get("northeast", "0"), int)
         elif key in ("dataset", "area", "time", "step", "spacing", "background"):
@@ -553,13 +557,20 @@ def parse_spec_text(text: str) -> SyntheticSpec:
     )
 
 
-def _spec_fields(lineno: int, rest: str) -> dict[str, str]:
-    """The ``key=value`` fields of a spec line."""
+_CYCLONE_FIELDS = ("t_start", "t_end", "lat", "lon", "bearing", "speed", "depth", "sigma")
+
+
+def _spec_fields(lineno: int, rest: str, known: tuple[str, ...]) -> dict[str, str]:
+    """The ``key=value`` fields of a spec line, each one of ``known`` at most once."""
     fields = {}
     for part in rest.split():
         key, eq, value = part.partition("=")
         if not eq:
             raise SpecError(f"line {lineno}: expected key=value, found {part!r}")
+        if key not in known:
+            raise SpecError(f"line {lineno}: unknown field {key!r}")
+        if key in fields:
+            raise SpecError(f"line {lineno}: field {key!r} given twice")
         fields[key] = value
     return fields
 

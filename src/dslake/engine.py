@@ -14,10 +14,12 @@ reduce consumes is content-addressed, the reduce orders its own input by
 facts stay out of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
-in module state: payloads under the select library's extractor functions
-and (file id, query key), and one namespace per procedure, passed as
-``MapContext.memo`` or ``ReduceContext.memo``. Reshaped views share the
-memo, so a file mapped once for a query is not read or extracted again.
+in module state: each file's map record under the select library's
+extractor functions and the file id, and one namespace per procedure,
+passed to the extractor or as ``ReduceContext.memo``. A record is a
+function of the file's bytes alone; the query's area and time select
+from it. Reshaped views share the memo, so a file mapped once is not
+read or extracted again, whatever the later queries ask.
 
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
@@ -46,7 +48,6 @@ from dslake.lang.validate import SimulatePlan, ValidatedQuery, validate
 from dslake.registry import (
     DomainObject,
     KnowledgeRegistry,
-    MapContext,
     Placement,
     ReduceContext,
 )
@@ -100,37 +101,39 @@ def run_map(
     own file alone, served by the file's first surviving node.
 
     A file is read and extracted only when the layout's memo holds no
-    payload for it. Payloads are keyed by the extractor functions, so
-    registries that differ in them never share one.
+    record for it. Records are keyed by the extractor functions, so
+    registries that differ in them never share one. The query selects
+    from each record: an instant outside its time range gives an empty
+    payload, and only items inside its area are kept.
     """
     if not query.selects:
         raise EngineError("query has no select statement")
     library = query.selects[0].library
     extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
-    payloads = layout.memo.setdefault(extractors, {})
-    qkey = _query_key(query)
+    records = layout.memo.setdefault(extractors, {})
+    area, period = query.ast.area, query.ast.time
     fragments = []
     for meta in layout.dataset_files(dataset):
         node = layout.serving_node(meta.file_id)
-        key = (meta.file_id, qkey)
-        found = payloads.get(key)
-        if found is None:
+        record = records.get(meta.file_id)
+        if record is None:
             data = layout.read(meta.file_id)
             kind = _file_kind(data)
             proc_id = library.extractor_for(kind)
             if proc_id is None:
                 raise ExtractorFailure(meta.file_id, f"no extractor for kind {kind!r}")
             extractor = registry.procedure(proc_id)
-            ctx = MapContext(
-                area=query.ast.area,
-                time=query.ast.time,
-                memo=layout.memo.setdefault(extractor, {}),
-            )
             try:
-                found = payloads[key] = extractor(data, ctx)
+                record = records[meta.file_id] = extractor(
+                    data, layout.memo.setdefault(extractor, {})
+                )
             except DslakeError as exc:
                 raise ExtractorFailure(meta.file_id, str(exc)) from exc
-        payload_time, payload = found
+        payload_time, payload = record
+        if period is not None and not period.contains(payload_time):
+            payload = []
+        elif payload and area is not None:
+            payload = [item for item in payload if area.contains(item.lat, item.lon)]
         fragments.append(Fragment(meta.file_id, node, meta.t0, payload, payload_time))
     return fragments
 
@@ -138,15 +141,6 @@ def run_map(
 def _file_kind(data: bytes) -> str:
     head = data[:64].split(None, 1)
     return head[0].decode("utf-8", "replace") if head else ""
-
-
-def _query_key(query: ValidatedQuery) -> tuple:
-    area = query.ast.area
-    time = query.ast.time
-    return (
-        None if area is None else (area.lat_min, area.lon_min, area.lat_max, area.lon_max),
-        None if time is None else (time.first_day, time.last_day),
-    )
 
 
 class Engine:

@@ -7,7 +7,7 @@ which is what the format/parse round-trip law is stated over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
 from dslake.times import UTC
 
@@ -45,13 +45,7 @@ class TimeRange:
     last_day: date
 
     def contains(self, ts: datetime) -> bool:
-        start = datetime(
-            self.first_day.year, self.first_day.month, self.first_day.day, tzinfo=UTC
-        )
-        end = datetime(
-            self.last_day.year, self.last_day.month, self.last_day.day, tzinfo=UTC
-        ) + timedelta(days=1)
-        return start <= ts < end
+        return self.first_day <= ts.astimezone(UTC).date() <= self.last_day
 
 
 # --- expressions -------------------------------------------------------------

@@ -18,8 +18,9 @@ Grammar (whitespace-insensitive; ``#`` comments handled by the lexer):
     value    := ident | number | date | duration | coordpair
     coord    := coordpair | ["-"] number "," ["-"] number
 
-At most one area and one time header; a non-empty script must contain at
-least one statement. Dates are dd.mm.yyyy; durations are <int>h or <int>d.
+At most one area and one time header, whose second date is not before its
+first; a non-empty script must contain at least one statement. Dates are
+dd.mm.yyyy; durations are <int>h or <int>d.
 """
 
 from __future__ import annotations
@@ -139,7 +140,10 @@ class _Parser:
                 self._advance()
                 d0 = self._parse_date()
                 self._expect_punct("-")
+                last = self._peek()
                 d1 = self._parse_date()
+                if d1 < d0:
+                    self._error(f"a date on or after {d0:%d.%m.%Y}", last)
                 time = TimeRange(d0, d1)
             else:
                 break

@@ -189,15 +189,6 @@ class DomainObject:
 
 
 @dataclass
-class MapContext:
-    """Query-side inputs an extractor sees while mapping one file."""
-
-    area: Any = None  # GeoBox
-    time: Any = None  # TimeRange
-    memo: dict = field(default_factory=dict)  # the extractor's namespace of StorageLayout.memo
-
-
-@dataclass
 class ReduceContext:
     """Aggregation-side services available to a combiner."""
 

@@ -140,12 +140,12 @@ class StorageLayout:
 
     ``memo`` holds results derived from the stored content: one dict per
     owner, a procedure function or a library's extractor functions. Each
-    entry is a pure function of its owner, file bytes and query inputs, and
-    file ids are content addresses, so none goes stale. Entries are bounded
-    by the layout's files times its distinct query keys and are dropped
-    with the layout; reshaped views share them. Memory grows with the
-    number of distinct bodies too: the cyclone extractor keys minima on the
-    body text, so a dataset whose bodies are all distinct keeps a second
+    entry is a pure function of its owner and file bytes, and file ids are
+    content addresses, so none goes stale. A library's extractor functions
+    own one map record per file, whatever the queries ask. Entries are
+    dropped with the layout; reshaped views share them. Memory grows with
+    the number of distinct bodies too: the cyclone extractor keys minima on
+    the body text, so a dataset whose bodies are all distinct keeps a second
     copy of its text here, plus every snapshot the combiner parsed. No
     lock: an engine runs one submit at a time, and two concurrent readers
     at worst compute a value twice.

@@ -123,14 +123,29 @@ def test_criterion_1_golden_parse():
 def test_criterion_2_distribution_transparency():
     started = time.perf_counter()
     registry = fresh_registry()
+    extract = registry.procedures["cyclone.extract_centers"]
+    extracted = []
+
+    def counting(data, memo):
+        extracted.append(data)
+        return extract(data, memo)
+
+    registry.procedures["cyclone.extract_centers"] = counting
     node_counts = (1, 2, 4, 8)
     for seed in range(50):
         files, _ = generate_synthetic(year_spec(), seed=seed)
         layout = StorageLayout(node_count=8, replication=2).ingest(files)
         texts = set()
-        for n in node_counts:
+        # the layouts share one memo, so only the first node count maps;
+        # rotating it gives each node count the real map on a quarter of the seeds
+        for k, n in enumerate(node_counts[seed % 4:] + node_counts[:seed % 4]):
+            extracted.clear()
             doc = submit(fig5_request(node_count=n), registry, layout)
             texts.add(doc.canonical_text())
+            if k == 0:
+                assert sorted(extracted) == sorted(f.data for f in files), f"seed {seed}"
+            else:
+                assert extracted == [], f"seed {seed}: {n} nodes extracted again"
         assert len(texts) == 1, f"seed {seed}: node counts disagree"
     elapsed = time.perf_counter() - started
     print(f"\n[acceptance] criterion 2 runtime: {elapsed:.1f}s over 50 seeds x 4 layouts")

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslake.lang.ast import GeoBox
 from dslake.cyclone.detect import detect_centers, interior_minima
 from dslake.cyclone.geo import haversine_km
 
@@ -69,15 +68,6 @@ def test_two_depressions_far_apart():
     centers = detect_centers(snap)
     assert len(centers) == 2
     assert centers == sorted(centers, key=lambda c: (c.lat, c.lon))
-
-
-def test_area_filter():
-    field = gaussian_depression(30, 40, 57.0, -18.0, 40.0, 300.0)
-    snap = snapshot(field)
-    inside = GeoBox(50.0, -25.0, 62.0, -10.0)
-    outside = GeoBox(50.0, 0.0, 62.0, 10.0)
-    assert len(detect_centers(snap, inside)) == 1
-    assert detect_centers(snap, outside) == []
 
 
 def test_border_cells_never_centers():

@@ -24,7 +24,6 @@ from dslake.lang.validate import validate
 from dslake.registry import (
     ExecutionMode,
     KnowledgeRegistry,
-    MapContext,
     PackageDescriptor,
     PackageInput,
     PackageOutputDecl,
@@ -33,9 +32,12 @@ from dslake.registry import (
 )
 from dslake.storage import DataFile, StorageLayout
 from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
+from dslake.cyclone.grid import render_grid_snapshot
 from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import FIG5_AREA, FIG5_SCRIPT, utc
+from test_detect import gaussian_depression
+from test_grid import snapshot
 
 
 def synthetic_layout(seed=1, count=5, north_east=2, end=(2011, 12, 31, 18),
@@ -185,12 +187,36 @@ def test_run_map_time_prefilter(registry):
 
 
 def test_run_map_corrupted_snapshot(registry):
-    query = validate(parse(FIG5_SCRIPT), registry)
-    for data in (b"grid nonsense\n", b"blob 1 2\n"):  # corrupt, and of an unknown kind
-        bad = DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), data)
-        layout = StorageLayout(node_count=1, replication=1).ingest([bad])
-        with pytest.raises(ExtractorFailure, match=bad.file_id):
-            run_map(layout, "d1", query, registry)
+    # a map record depends on the file alone, so a snapshot that does not
+    # parse fails the map even where the time range excludes its instant
+    june = FIG5_SCRIPT.replace("time 01.01.2011 - 31.12.2011", "time 01.06.2011 - 30.06.2011")
+    bad_body = b"grid 48.0 -25.0 0.5 0.5 2 2 2011-01-01T00:00Z\n1000 oops\n1000 1000\n"
+    for script in (FIG5_SCRIPT, june):
+        query = validate(parse(script), registry)
+        # corrupt, of an unknown kind, and corrupt after a valid header
+        for data in (b"grid nonsense\n", b"blob 1 2\n", bad_body):
+            bad = DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), data)
+            layout = StorageLayout(node_count=1, replication=1).ingest([bad])
+            with pytest.raises(ExtractorFailure, match=bad.file_id):
+                run_map(layout, "d1", query, registry)
+
+
+def test_run_map_keeps_the_centers_inside_the_area(registry):
+    # one record per file; each query's area selects from it
+    field = gaussian_depression(30, 40, 57.0, -18.0, 40.0, 300.0)
+    data = render_grid_snapshot(snapshot(field, ts=utc(2011, 1, 1)))
+    layout = StorageLayout(node_count=1, replication=1).ingest(
+        [DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), data)]
+    )
+    inside = validate(parse("area 50.0,-25.0 - 62.0,-10.0\nselect cyclone-path"), registry)
+    outside = validate(parse("area 50.0,0.0 - 62.0,10.0\nselect cyclone-path"), registry)
+    (fragment,) = run_map(layout, "d1", inside, registry)
+    (center,) = fragment.payload
+    assert inside.ast.area.contains(center.lat, center.lon)
+    (fragment,) = run_map(layout, "d1", outside, registry)
+    assert fragment.payload == []
+    (fragment,) = run_map(layout, "d1", validate(parse("select cyclone-path"), registry), registry)
+    assert fragment.payload == [center]
 
 
 def test_fault_equivalence_smoke(registry):
@@ -305,12 +331,11 @@ def test_map_stage_runs_on_the_submitting_thread(registry, monkeypatch):
     assert doc.diagnostics.files_mapped == len(layout.dataset_files("d1"))
     fields = {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
-        for cls in (EngineConfig, TaskRequest, MapContext, ReduceContext)
+        for cls in (EngineConfig, TaskRequest, ReduceContext)
     }
     assert fields == {
         "EngineConfig": ["node_count", "replication"],
         "TaskRequest": ["dataset", "script", "engine_config"],
-        "MapContext": ["area", "time", "memo"],
         "ReduceContext": ["read_file", "file_for", "memo"],
     }
 
@@ -408,7 +433,7 @@ def test_payloads_are_not_shared_across_registries(registry):
 
     blind = register_cyclone_domain(KnowledgeRegistry())
     extract = blind.procedures["cyclone.extract_centers"]
-    blind.procedures["cyclone.extract_centers"] = lambda data, ctx: (extract(data, ctx)[0], [])
+    blind.procedures["cyclone.extract_centers"] = lambda data, memo: (extract(data, memo)[0], [])
     assert submit(fig5_request(), blind, layout).objects == []
 
 
@@ -419,9 +444,9 @@ def test_each_layout_extracts_each_file_once(registry):
     extract = registry.procedures["cyclone.extract_centers"]
     calls = []
 
-    def counting(data, ctx):
+    def counting(data, memo):
         calls.append(data)
-        return extract(data, ctx)
+        return extract(data, memo)
 
     registry.procedures["cyclone.extract_centers"] = counting
     metas = layout.dataset_files("d1")
@@ -440,6 +465,42 @@ def test_each_layout_extracts_each_file_once(registry):
     )
     assert submit(fig5_request(), registry, fresh).canonical_text() in texts
     assert len(calls) == 2 * len(metas)
+
+
+def test_new_area_and_time_reuse_each_files_record(registry):
+    # a warm engine maps each file once: a new area or time range selects
+    # from the records, and every memo namespace stays within its bound
+    layout, _ = synthetic_layout(seed=5, count=3, north_east=1, end=(2011, 2, 28, 18))
+    extract = registry.procedures["cyclone.extract_centers"]
+    calls = []
+
+    def counting(data, memo):
+        calls.append(data)
+        return extract(data, memo)
+
+    registry.procedures["cyclone.extract_centers"] = counting
+    warm = engine.Engine(registry, layout)
+    time_clause = "time 01.01.2011 - 31.12.2011\n"
+    scripts = [
+        FIG5_SCRIPT,
+        FIG5_SCRIPT.replace("area 48.3416,-24.7851", "area 52.0,-15.0"),
+        FIG5_SCRIPT.replace(time_clause, "time 01.01.2011 - 31.01.2011\n"),
+        FIG5_SCRIPT.replace(time_clause, ""),
+    ]
+    metas = layout.dataset_files("d1")
+    for script in scripts:
+        fresh = StorageLayout(node_count=4, replication=2).ingest(
+            DataFile(m.file_id, m.dataset, m.t0, m.t1, layout.read(m.file_id)) for m in metas
+        )
+        expected = submit(TaskRequest("d1", script), register_cyclone_domain(KnowledgeRegistry()),
+                          fresh).canonical_text()
+        assert warm.submit(TaskRequest("d1", script)).canonical_text() == expected
+    assert len(calls) == len(metas)
+    assert len(layout.memo[(counting,)]) == len(metas)
+    bodies = {layout.read(m.file_id).partition(b"\n")[2] for m in metas}
+    assert len(layout.memo[counting]) <= len(bodies)  # minima, keyed by body
+    combiner = registry.procedures["cyclone.combine_paths"]
+    assert len(layout.memo[combiner]) <= len(metas)
 
 
 @pytest.mark.parametrize("module", [engine, plugin], ids=["engine", "plugin"])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dslake.errors import FormatError
-from dslake.registry import MapContext
 from dslake.cyclone.grid import (
     GridSnapshot,
     densify,
@@ -75,7 +74,7 @@ def test_non_numeric_cell():
 
 @pytest.mark.parametrize(
     "parse",
-    [parse_grid_snapshot, lambda data: extract_centers(data, MapContext())],
+    [parse_grid_snapshot, lambda data: extract_centers(data, {})],
     ids=["grid", "extractor"],
 )
 @pytest.mark.parametrize(

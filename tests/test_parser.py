@@ -145,6 +145,36 @@ def test_bad_calendar_date():
         parse("time 32.01.2011 - 31.12.2011\nselect x")
 
 
+def test_reversed_time_range_rejected_at_its_second_date():
+    with pytest.raises(ParseError) as err:
+        parse("time 31.12.2011 - 01.01.2011\nselect x")
+    assert (err.value.line, err.value.col) == (1, 19)
+    assert err.value.expected == "a date on or after 31.12.2011"
+    one_day = parse("time 05.03.2011 - 05.03.2011\nselect x").time
+    assert one_day == TimeRange(dt.date(2011, 3, 5), dt.date(2011, 3, 5))
+
+
+JANUARY = TimeRange(dt.date(2011, 1, 2), dt.date(2011, 1, 31))
+PLUS_ONE = dt.timezone(dt.timedelta(hours=1))
+
+
+@pytest.mark.parametrize(
+    "ts, inside",
+    [
+        (dt.datetime(2011, 1, 2, tzinfo=dt.timezone.utc), True),
+        (dt.datetime(2011, 1, 31, 23, 59, 59, tzinfo=dt.timezone.utc), True),
+        (dt.datetime(2011, 2, 1, tzinfo=dt.timezone.utc), False),
+        (dt.datetime(2011, 1, 1, 23, 59, 59, tzinfo=dt.timezone.utc), False),
+        (dt.datetime(2011, 1, 2, 0, 30, tzinfo=PLUS_ONE), False),  # 01.01 23:30 UTC
+        (dt.datetime(2011, 2, 1, 0, 30, tzinfo=PLUS_ONE), True),  # 31.01 23:30 UTC
+    ],
+    ids=["first-midnight", "last-second", "next-midnight", "day-before",
+         "aware-before", "aware-last-day"],
+)
+def test_time_range_contains_whole_utc_days(ts, inside):
+    assert JANUARY.contains(ts) is inside
+
+
 def test_error_positions_inside_source():
     cases = [
         "select",

@@ -64,7 +64,7 @@ def test_single_cyclone_recovered_with_matching_sector():
     sets = []
     for f in sorted(files, key=lambda f: f.t0):
         snap = parse_grid_snapshot(f.data)
-        sets.append((snap.timestamp, detect_centers(snap, spec.area)))
+        sets.append((snap.timestamp, detect_centers(snap)))
     paths = [p for p in track(sets) if len(p.centers) > 1]
     assert len(paths) == 1
     assert gt.matches(paths[0], tolerance_km=60.0)
@@ -307,3 +307,31 @@ def test_parse_spec_malformed_line_names_it(text, message):
     with pytest.raises(SpecError) as err:
         parse_spec_text(text)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SPEC_HEAD + "random-cyclones count=3 north-east=1\n",
+         "line 4: unknown field 'north-east'"),
+        (SPEC_HEAD + "random-cyclones cnt=3\n", "line 4: unknown field 'cnt'"),
+        (SPEC_HEAD + CYCLONE + " colour=red\n", "line 4: unknown field 'colour'"),
+        (SPEC_HEAD + "step 6\nstep 12\n", "line 5: a second 'step' line"),
+        (SPEC_HEAD + "dataset e\n", "line 4: a second 'dataset' line"),
+        (SPEC_HEAD + "random-cyclones count=1\nrandom-cyclones count=2\n",
+         "line 5: a second 'random-cyclones' line"),
+        (SPEC_HEAD + "random-cyclones count=1 count=2\n", "line 4: field 'count' given twice"),
+        (SPEC_HEAD + CYCLONE + " lat=56\n", "line 4: field 'lat' given twice"),
+    ],
+    ids=["misspelt-northeast", "misspelt-count", "cyclone-extra-field", "second-step",
+         "second-dataset", "second-random-cyclones", "count-twice", "cyclone-field-twice"],
+)
+def test_parse_spec_refuses_unknown_and_repeated_fields(text, message):
+    with pytest.raises(SpecError) as err:
+        parse_spec_text(text)
+    assert str(err.value) == message
+
+
+def test_parse_spec_takes_many_cyclone_lines():
+    spec = parse_spec_text(SPEC_HEAD + CYCLONE + "\n" + CYCLONE.replace("lat=55", "lat=60") + "\n")
+    assert [c.lat for c in spec.cyclones] == [55.0, 60.0]
