@@ -12,15 +12,15 @@
 ``--registry`` are global options and go before the verb. Configuration
 precedence: flags > environment (DSLAKE_STORAGE_ROOT, DSLAKE_NODES,
 DSLAKE_REPLICATION, DSLAKE_SEED) > config file (--config or ./dslake.conf:
-key=value lines of storage_root, nodes, replication, seed and registry)
-> defaults. ``submit`` runs at the stored fabric's node count unless
-``nodes`` is set, with replication min(stored replication, nodes) unless
-``replication`` is set; the defaults of 2 and 2 only shape a store that
-``ingest`` creates. ``--fail-node`` names a node of the stored fabric, so
-a submit that sets another node count or replication refuses it. Results
-go to stdout, diagnostics to stderr; exit 0 on success, 1 on domain errors
-(a malformed configuration value or config line among them), 2 on usage
-or file errors.
+key=value lines of storage_root, nodes, replication, seed and registry,
+each key at most once) > defaults. ``submit`` runs at the stored fabric's
+node count unless ``nodes`` is set, with replication min(stored
+replication, nodes) unless ``replication`` is set; the defaults of 2 and 2
+only shape a store that ``ingest`` creates. ``--fail-node`` names a node of
+the stored fabric, so a submit that sets another node count or replication
+refuses it. Results go to stdout, diagnostics to stderr; exit 0 on success,
+1 on domain errors (a malformed configuration value or config line among
+them), 2 on usage or file errors.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ from dslake.errors import (
     ConfigError,
     DslakeError,
     ParseError,
+    Row,
     SpecError,
     StorageError,
+    read_keys,
     read_utf8,
     undecodable_at,
 )
@@ -64,7 +66,7 @@ ENV_KEYS = {
     "replication": "DSLAKE_REPLICATION",
     "seed": "DSLAKE_SEED",
 }
-FILE_KEYS = (*ENV_KEYS, "registry")
+FILE_KEYS = dict.fromkeys((*ENV_KEYS, "registry"), Row("text"))
 
 
 @dataclass
@@ -141,18 +143,12 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
     origins: dict[str, str] = {}  # where each value that is not a default came from
     config_path = args.config or Path("dslake.conf")
     if config_path.exists():
-        text = read_utf8(config_path, ConfigError)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, equals, value = line.partition("=")
-            key, where = key.strip(), f"{config_path}:{lineno}"
-            if not equals:
-                raise ConfigError(f"{where}: not a key=value line: {line!r}")
-            if key not in FILE_KEYS:
-                raise ConfigError(f"{where}: unknown key {key!r}; keys are {', '.join(FILE_KEYS)}")
-            values[key], origins[key] = value.strip(), where
+        found, lines = read_keys(
+            read_utf8(config_path, ConfigError), FILE_KEYS, "=",
+            lambda line, message: ConfigError(f"{config_path}:{line}: {message}"),
+        )
+        for key, value in found.items():
+            values[key], origins[key] = value, f"{config_path}:{lines[key]}"
     for key, env in ENV_KEYS.items():
         if os.environ.get(env):
             values[key], origins[key] = os.environ[env], f"environment variable {env}"

@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from datetime import datetime, timedelta
 
-from dslake.errors import FormatError, UnknownGauge
+from dslake.errors import FormatError, Row, UnknownGauge, read_keys
 from dslake.times import iso_seconds, parse_utc
 
 K_IB_CM_PER_HPA = 1.0
@@ -71,35 +71,19 @@ class CycloneParams(
 
     @staticmethod
     def from_portable_text(text: str) -> "CycloneParams":
-        """Parse ``portable_text`` output; malformed text is a FormatError.
+        """Parse ``portable_text`` output, a line per field by the table
+        ``_PORTABLE``; malformed text is a FormatError."""
+        return CycloneParams(**read_keys(text, _PORTABLE, "=", FormatError)[0])
 
-        A missing key is reported at the line after the last one.
-        """
-        found: dict[str, tuple[int, str]] = {}
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                key, sep, raw = line.partition("=")
-                if not sep:
-                    raise FormatError(lineno, f"expected key=value, found {line!r}")
-                found[key] = (lineno, raw)
-        values: dict[str, object] = {}
-        for name in CycloneParams._fields:
-            if name not in found:
-                raise FormatError(len(lines) + 1, f"missing key {name!r}")
-            lineno, raw = found[name]
-            try:
-                if raw == "none" and name in ("average_bearing", "direction_sector"):
-                    values[name] = None
-                elif name == "end_time":
-                    values[name] = parse_utc(raw)
-                elif name == "direction_sector":
-                    values[name] = raw
-                else:
-                    values[name] = float(raw)
-            except ValueError:
-                raise FormatError(lineno, f"{name}: bad value {raw!r}") from None
-        return CycloneParams(**values)
+
+_PORTABLE = {name: Row("a number", float, required=True) for name in CycloneParams._fields}
+_PORTABLE.update(
+    end_time=Row("a UTC time", parse_utc, required=True),
+    average_bearing=Row(
+        "a number or none", lambda t: None if t == "none" else float(t), required=True
+    ),
+    direction_sector=Row("a sector or none", lambda t: None if t == "none" else t, required=True),
+)
 
 
 def bearing_weight(bearing_deg: float | None) -> float:

@@ -34,7 +34,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from dslake.errors import SpecError
+from dslake.errors import Row, SpecError, read_keys
 from dslake.lang.ast import GeoBox
 from dslake.storage import DataFile
 from dslake.times import iso_seconds, parse_utc
@@ -48,6 +48,8 @@ from dslake.cyclone.geo import (
 )
 from dslake.cyclone.detect import detect_centers
 from dslake.cyclone.grid import (
+    PRESSURE_MAX_HPA,
+    PRESSURE_MIN_HPA,
     GridSnapshot,
     parse_grid_snapshot,
     render_body,
@@ -469,114 +471,77 @@ def _safe_against(
 
 
 def parse_spec_text(text: str) -> SyntheticSpec:
-    """Parse the line-oriented synthetic-spec format.
+    """Parse the synthetic-spec format, ``<key> <value>`` lines read by the
+    table ``_SPEC`` (each key once but ``cyclone``; see ``read_keys``):
 
         dataset d1
-        area <lat_min> <lon_min> <lat_max> <lon_max>
-        time <ISO start> <ISO end>
-        step <hours>
-        spacing <degrees>
-        background <hPa>                       # optional
+        area <lat_min> <lon_min> <lat_max> <lon_max>   # in [-90, 90] x [-180, 180]
+        time <ISO start> <ISO end>                     # start <= end
+        step <hours>                                   # optional: > 0, default 6
+        spacing <degrees>                              # optional: > 0, default 0.5
+        background <hPa>                               # optional: in [850, 1100]
         cyclone t_start=<ISO> t_end=<ISO> lat=<deg> lon=<deg> bearing=<deg>
-                speed=<km/h> depth=<hPa> sigma=<km>
-        random-cyclones count=<n> northeast=<m>
+                speed=<km/h> depth=<hPa> sigma=<km>    # sigma > 0
+        random-cyclones count=<n> northeast=<m>        # optional: n, m >= 0
 
-    A malformed line raises ``SpecError`` with its line number, and so do an
-    unknown or repeated field and a second line of any key but ``cyclone``.
+    The spacing must leave the area a grid of at least 2 x 2 points. Each
+    refusal is a ``SpecError`` naming the line.
     """
-    values: dict[str, tuple[int, str]] = {}
-    cyclones: list[PlantedCyclone] = []
-    random_count = 0
-    random_ne = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        if key in values:
-            raise SpecError(f"line {lineno}: a second {key!r} line")
-        if key == "cyclone":
-            kv = _spec_fields(lineno, rest, _CYCLONE_FIELDS)
-            try:
-                cyclones.append(
-                    PlantedCyclone(
-                        t_start=parse_utc(kv["t_start"]),
-                        t_end=parse_utc(kv["t_end"]),
-                        lat=float(kv["lat"]),
-                        lon=float(kv["lon"]),
-                        bearing=float(kv["bearing"]),
-                        speed_kmh=float(kv["speed"]),
-                        depth_hpa=float(kv["depth"]),
-                        sigma_km=float(kv["sigma"]),
-                    )
-                )
-            except KeyError as exc:
-                raise SpecError(f"line {lineno}: cyclone missing field {exc}") from None
-            except ValueError as exc:
-                raise SpecError(f"line {lineno}: bad cyclone field: {exc}") from None
-        elif key == "random-cyclones":
-            values[key] = (lineno, rest)
-            kv = _spec_fields(lineno, rest, ("count", "northeast"))
-            random_count = _spec_value(lineno, "count", kv.get("count", "0"), int)
-            random_ne = _spec_value(lineno, "northeast", kv.get("northeast", "0"), int)
-        elif key in ("dataset", "area", "time", "step", "spacing", "background"):
-            values[key] = (lineno, rest)
-        else:
-            raise SpecError(f"line {lineno}: unknown spec key {key!r}")
-
-    for required in ("dataset", "area", "time"):
-        if required not in values:
-            raise SpecError(f"spec is missing the {required!r} line")
-
-    def value(key, convert, default=None):
-        if key not in values:
-            return default
-        lineno, raw = values[key]
-        return _spec_value(lineno, key, raw, convert)
-
-    corners = value("area", lambda raw: [float(x) for x in raw.split()])
-    if len(corners) != 4:
-        raise SpecError(
-            f"line {values['area'][0]}: area takes four numbers:"
-            " lat_min lon_min lat_max lon_max"
-        )
-    bounds = value("time", lambda raw: [parse_utc(x) for x in raw.split()])
-    if len(bounds) != 2:
-        raise SpecError(f"line {values['time'][0]}: time takes two timestamps: start end")
-    return SyntheticSpec(
-        dataset=values["dataset"][1],
-        area=GeoBox.from_corners(corners[:2], corners[2:]),
-        start=bounds[0],
-        end=bounds[1],
-        step_hours=value("step", int, 6),
-        spacing_deg=value("spacing", float, 0.5),
-        background_hpa=value("background", float, BACKGROUND_HPA),
-        cyclones=tuple(cyclones),
-        random_count=random_count,
-        random_north_east=random_ne,
+    values, lines = read_keys(
+        text, _SPEC, " ", lambda line, message: SpecError(f"line {line}: {message}")
     )
+    (start, end), random = values["time"], values.get("random-cyclones", {})
+    spec = SyntheticSpec(
+        dataset=values["dataset"],
+        area=GeoBox.from_corners(values["area"][:2], values["area"][2:]),
+        start=start,
+        end=end,
+        step_hours=values.get("step", 6),
+        spacing_deg=values.get("spacing", 0.5),
+        background_hpa=values.get("background", BACKGROUND_HPA),
+        cyclones=tuple(PlantedCyclone(*map(c.get, _CYCLONE)) for c in values.get("cyclone", ())),
+        random_count=random.get("count", 0),
+        random_north_east=random.get("northeast", 0),
+    )
+    box = spec.area
+    if min(box.lat_max - box.lat_min, box.lon_max - box.lon_min) / spec.spacing_deg < 1:
+        raise SpecError(f"line {lines.get('spacing', lines['area'])}: spacing"
+                        f" {spec.spacing_deg:g} leaves the area under 2 x 2 grid points")
+    return spec
 
 
-_CYCLONE_FIELDS = ("t_start", "t_end", "lat", "lon", "bearing", "speed", "depth", "sigma")
-
-
-def _spec_fields(lineno: int, rest: str, known: tuple[str, ...]) -> dict[str, str]:
-    """The ``key=value`` fields of a spec line, each one of ``known`` at most once."""
-    fields = {}
-    for part in rest.split():
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise SpecError(f"line {lineno}: expected key=value, found {part!r}")
-        if key not in known:
-            raise SpecError(f"line {lineno}: unknown field {key!r}")
-        if key in fields:
-            raise SpecError(f"line {lineno}: field {key!r} given twice")
-        fields[key] = value
-    return fields
-
-
-def _spec_value(lineno: int, what: str, raw: str, convert):
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise SpecError(f"line {lineno}: bad {what} {raw!r}: {exc}") from None
+_NUMBER = Row("a number", float, required=True)
+_TIME = Row("a UTC time", parse_utc, required=True)
+_COUNT = Row("a whole number >= 0", int, lambda n: n >= 0)
+_CYCLONE = {  # in the order of PlantedCyclone's fields
+    "t_start": _TIME,
+    "t_end": _TIME,
+    "lat": _NUMBER,
+    "lon": _NUMBER,
+    "bearing": _NUMBER,
+    "speed": _NUMBER,
+    "depth": _NUMBER,
+    "sigma": Row("a number > 0", float, lambda km: km > 0, required=True),
+}
+_SPEC = {
+    "dataset": Row("a name", required=True),
+    "area": Row(
+        "four numbers lat_min lon_min lat_max lon_max in [-90, 90] x [-180, 180]",
+        lambda text: [float(x) for x in text.split()],
+        lambda c: len(c) == 4 and all(abs(x) <= 90 for x in c[::2])
+        and all(abs(x) <= 180 for x in c[1::2]),
+        required=True,
+    ),
+    "time": Row(
+        "two UTC times, start no later than end",
+        lambda text: [parse_utc(t) for t in text.split()],
+        lambda t: len(t) == 2 and t[0] <= t[1],
+        required=True,
+    ),
+    "step": Row("a whole number of hours > 0", int, lambda hours: hours > 0),
+    "spacing": Row("a number of degrees > 0", float, lambda deg: deg > 0),
+    "background": Row(f"a pressure in [{PRESSURE_MIN_HPA:g}, {PRESSURE_MAX_HPA:g}] hPa", float,
+                      lambda hpa: PRESSURE_MIN_HPA <= hpa <= PRESSURE_MAX_HPA),
+    "cyclone": Row("key=value fields", _CYCLONE, repeatable=True),
+    "random-cyclones": Row("key=value fields", {"count": _COUNT, "northeast": _COUNT}),
+}

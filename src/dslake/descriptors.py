@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
-from dslake.errors import DescriptorLoadError, undecodable_at
+from dslake.errors import DescriptorLoadError, numbered_lines, undecodable_at
 from dslake.registry import (
     DomainLibraryDescriptor,
     ExecutionMode,
@@ -105,10 +105,7 @@ def load_descriptors(
     keys: dict[str, Key] = {}
     given: set[str] = set()  # the keys given so far in the current section
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise DescriptorLoadError(source, lineno, "unterminated section header")

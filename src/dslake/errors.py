@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 
 class DslakeError(Exception):
     """Base class for every error raised by this package."""
@@ -20,6 +22,62 @@ def read_utf8(path, error: type[DslakeError]) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}:{undecodable_at(exc)[0]}: not UTF-8 text") from None
+
+
+def numbered_lines(text: str):
+    """``(line number, line)`` of each line of ``text`` that holds more than
+    a ``#`` comment, with the comment and the surrounding blanks dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+Row = namedtuple(
+    "Row", "what convert valid repeatable required", defaults=(str, None, False, False)
+)
+
+
+def read_keys(text: str, rows: dict, sep: str, fail) -> tuple[dict, dict]:
+    """The values and the line numbers by key of the ``key<sep>value`` lines
+    of ``text``, by the table ``rows`` of key -> ``Row``. A row's ``convert``
+    makes the value of the text after the separator, or is the table of a
+    value of ``key=value`` words; a repeatable key's value is a list.
+
+    The policy of every key/value format: ``#`` starts a comment, blank
+    lines are skipped, and key and value are stripped. Refused, each by
+    raising ``fail(line number, message)``, the format's own error: a line
+    without the separator (unless it is a blank: the value is then empty),
+    an unknown key, a key given twice that is not repeatable, a value that
+    ``convert`` raises ``ValueError`` on or that ``valid`` refuses (as not
+    ``what``), and a required key never given (at the line after the last).
+    """
+    values, lines, lineno = {}, {}, 0
+    for lineno, line in numbered_lines(text):
+        key, given, raw = (part.strip() for part in line.partition(sep))
+        row = rows.get(key)
+        if not (given or sep.isspace()):
+            raise fail(lineno, f"expected key{sep}value, found {line!r}")
+        if row is None:
+            raise fail(lineno, f"unknown key {key!r}; keys are {', '.join(rows)}")
+        if key in values and not row.repeatable:
+            raise fail(lineno, f"key {key!r} given twice")
+        if isinstance(row.convert, dict):
+            words = "\n".join(raw.split())
+            value = read_keys(words, row.convert, "=", lambda _, m: fail(lineno, m))[0]
+        else:
+            try:
+                value = row.convert(raw)
+                if row.valid and not row.valid(value):
+                    raise ValueError(raw)
+            except ValueError:
+                raise fail(lineno, f"{key} is not {row.what}: {raw!r}") from None
+        values[key] = [*values.get(key, ()), value] if row.repeatable else value
+        lines[key] = lineno
+    for key, row in rows.items():
+        if row.required and key not in values:
+            raise fail(lineno + 1, f"missing key {key!r}")
+    return values, lines
 
 
 # --- query language ---------------------------------------------------------

@@ -13,7 +13,7 @@ do. ``ingest``, ``load`` and ``reshaped`` place their files in one call.
 
 On-disk layout (used by the CLI):
 
-    <root>/fabric.conf                    # node_count=.. replication=..
+    <root>/fabric.conf                    # node_count=<n> and replication=<r>, each once
     <root>/node-<k>/<dataset>/<fid>.snap  # one copy per placement node
     <root>/datasets/<dataset>/manifest.tsv
 
@@ -42,7 +42,9 @@ from dslake.errors import (
     InvalidReplication,
     StorageError,
     UnknownNode,
+    Row,
     UnreadableFile,
+    read_keys,
     read_utf8,
 )
 from dslake.times import iso_seconds, parse_utc
@@ -272,20 +274,11 @@ class StorageLayout:
         conf_path = root / "fabric.conf"
         if not conf_path.exists():
             raise StorageError(f"no fabric at {root}")
-        conf: dict[str, int] = {}
-        text = read_utf8(conf_path, StorageError)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            key, _, value = line.partition("=")
-            if key in ("node_count", "replication"):
-                try:
-                    conf[key] = int(value)
-                except ValueError:
-                    raise StorageError(
-                        f"{conf_path}:{lineno}: {key} is not an integer: {value!r}"
-                    ) from None
-        for key in ("node_count", "replication"):
-            if key not in conf:
-                raise StorageError(f"{conf_path}: no {key}")
+        conf = read_keys(
+            read_utf8(conf_path, StorageError),
+            {key: Row("an integer", int, required=True) for key in ("node_count", "replication")},
+            "=", lambda line, message: StorageError(f"{conf_path}:{line}: {message}"),
+        )[0]
         layout = StorageLayout(**conf)
         datasets_dir = root / "datasets"
         if not datasets_dir.exists():

@@ -22,19 +22,22 @@ def parse_utc(text: str) -> datetime:
     elif s.endswith("+00:00"):
         s = s[:-6]
     dt = datetime.fromisoformat(s)
-    if dt.tzinfo is not None:
+    if dt.tzinfo is None:
+        return dt.replace(tzinfo=UTC)
+    try:
         return dt.astimezone(UTC)
-    return dt.replace(tzinfo=UTC)
+    except OverflowError:
+        raise ValueError(f"{text!r} is out of range in UTC") from None
 
 
 def iso_minutes(dt: datetime) -> str:
     """Render to minute precision, e.g. ``2011-01-01T00:00Z``."""
-    return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%MZ")
+    return dt.astimezone(UTC).isoformat(timespec="minutes")[:-6] + "Z"
 
 
 def iso_seconds(dt: datetime) -> str:
     """Render to second precision, e.g. ``2011-01-01T00:00:00Z``."""
-    return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.astimezone(UTC).isoformat(timespec="seconds")[:-6] + "Z"
 
 
 def duration_hours(text: str) -> int:

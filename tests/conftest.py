@@ -1,6 +1,7 @@
 from datetime import datetime
 
 import pytest
+from hypothesis import strategies as st
 
 from dslake.lang.ast import GeoBox
 from dslake.registry import KnowledgeRegistry
@@ -40,3 +41,16 @@ def registry() -> KnowledgeRegistry:
 @pytest.fixture()
 def fig5_script() -> str:
     return FIG5_SCRIPT
+
+
+def key_value_texts(head: str, keys: list[str], values: list[str], sep: str):
+    """Hypothesis strategy for fuzzing a key/value format: ``head`` or nothing,
+    then lines that mostly read ``<key><sep><value>``, the key one of
+    ``keys`` and the value up to three of ``values`` joined by spaces; now
+    and then the separator is missing or a comment, and a key, a value or a
+    whole line is arbitrary text."""
+    key = st.sampled_from(keys) | st.text(max_size=6)
+    value = st.lists(st.sampled_from(values), max_size=3).map(" ".join) | st.text(max_size=8)
+    line = st.tuples(key, st.sampled_from([sep, sep, sep, "", "#"]), value).map("".join)
+    lines = st.lists(line | st.text(max_size=16), max_size=6).map("\n".join)
+    return st.tuples(st.sampled_from(["", head]), lines).map("".join)

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from dslake.storage import (
     place_all,
 )
 
-from conftest import utc
+from conftest import key_value_texts, utc
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -341,13 +343,16 @@ def test_load_refuses_path_save_would_not_write(tmp_path, file_id, dataset, relp
 @pytest.mark.parametrize(
     "conf, message",
     [
-        ("replication=2\n", "fabric.conf: no node_count"),
-        ("node_count=3\n", "fabric.conf: no replication"),
+        ("replication=2\n", "fabric.conf:2: missing key 'node_count'"),
+        ("node_count=3\n", "fabric.conf:2: missing key 'replication'"),
         ("node_count=three\nreplication=2\n",
          "fabric.conf:1: node_count is not an integer: 'three'"),
         ("node_count=3\nreplication=\n", "fabric.conf:2: replication is not an integer: ''"),
+        ("node_count=2\nnode_count=3\nreplication=2\n", "fabric.conf:2: key 'node_count' given twice"),
+        ("node_count=3\nnode-count=9\nreplication=2\n",
+         "fabric.conf:2: unknown key 'node-count'; keys are node_count, replication"),
     ],
-    ids=["no-nodes", "no-replication", "word", "empty"],
+    ids=["no-nodes", "no-replication", "word", "empty", "repeated-key", "unknown-key"],
 )
 def test_load_rejects_bad_fabric_conf(tmp_path, conf, message):
     (tmp_path / "fabric.conf").write_text(conf)
@@ -373,6 +378,23 @@ def test_load_rejects_bad_manifest_line(tmp_path, line, message):
     with pytest.raises(StorageError) as err:
         StorageLayout.load(tmp_path)
     assert str(err.value).startswith(f"{manifest}:2: {message}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(key_value_texts(
+    "node_count=3\nreplication=2\n",
+    ["node_count", "replication"],
+    ["1", "2", "3", "0", "-1", "x", "2.5"],
+    "=",
+))
+def test_any_fabric_conf_gives_a_layout_or_a_storage_error(text):
+    with tempfile.TemporaryDirectory() as root:
+        Path(root, "fabric.conf").write_text(text, encoding="utf-8")
+        try:
+            layout = StorageLayout.load(Path(root))
+        except StorageError:
+            return
+    assert 1 <= layout.replication <= layout.node_count
 
 
 def test_load_rejects_fabric_conf_that_is_not_utf8(tmp_path):

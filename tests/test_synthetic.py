@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dslake.errors import SpecError
 from dslake.lang.ast import GeoBox
@@ -19,7 +20,7 @@ from dslake.cyclone.synthetic import (
 )
 from dslake.cyclone.track import track
 
-from conftest import FIG5_AREA, utc
+from conftest import FIG5_AREA, key_value_texts, utc
 
 
 def base_spec(**overrides):
@@ -276,52 +277,85 @@ CYCLONE = (
 )
 
 
+AREA_ROW = "four numbers lat_min lon_min lat_max lon_max in [-90, 90] x [-180, 180]"
+TIME_ROW = "two UTC times, start no later than end"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         (SPEC_HEAD + "cyclone lat\n", "line 4: expected key=value, found 'lat'"),
-        (SPEC_HEAD + "step six\n", "line 4: bad step 'six'"),
-        (SPEC_HEAD + "spacing half\n", "line 4: bad spacing 'half'"),
-        (SPEC_HEAD + "background high\n", "line 4: bad background 'high'"),
+        (SPEC_HEAD + "step six\n", "line 4: step is not a whole number of hours > 0: 'six'"),
+        (SPEC_HEAD + "spacing half\n", "line 4: spacing is not a number of degrees > 0: 'half'"),
+        (SPEC_HEAD + "background high\n",
+         "line 4: background is not a pressure in [850, 1100] hPa: 'high'"),
         ("dataset d\narea 48 -25 66 x\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n",
-         "line 2: bad area '48 -25 66 x'"),
+         f"line 2: area is not {AREA_ROW}: '48 -25 66 x'"),
         ("dataset d\narea 48 -25 66\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n",
-         "line 2: area takes four numbers"),
-        (SPEC_HEAD + "random-cyclones count=x\n", "line 4: bad count 'x'"),
-        (SPEC_HEAD + "random-cyclones count=2 northeast=one\n", "line 4: bad northeast 'one'"),
+         f"line 2: area is not {AREA_ROW}: '48 -25 66'"),
+        (SPEC_HEAD + "random-cyclones count=x\n", "line 4: count is not a whole number >= 0: 'x'"),
+        (SPEC_HEAD + "random-cyclones count=2 northeast=one\n",
+         "line 4: northeast is not a whole number >= 0: 'one'"),
         ("dataset d\narea 48 -25 66 33\ntime 2011-01-01T00:00Z\n",
-         "line 3: time takes two timestamps"),
-        ("dataset d\narea 48 -25 66 33\ntime a b c\n", "line 3: bad time 'a b c'"),
+         f"line 3: time is not {TIME_ROW}: '2011-01-01T00:00Z'"),
+        ("dataset d\narea 48 -25 66 33\ntime a b c\n", f"line 3: time is not {TIME_ROW}: 'a b c'"),
         (SPEC_HEAD + CYCLONE.replace("lat=55", "lat=north") + "\n",
-         "line 4: bad cyclone field"),
+         "line 4: lat is not a number: 'north'"),
         (SPEC_HEAD + CYCLONE.replace("2011-01-04T00:00Z", "soon") + "\n",
-         "line 4: bad cyclone field"),
-        (SPEC_HEAD + CYCLONE.replace(" sigma=300", "") + "\n",
-         "line 4: cyclone missing field 'sigma'"),
+         "line 4: t_end is not a UTC time: 'soon'"),
+        (SPEC_HEAD + CYCLONE.replace(" sigma=300", "") + "\n", "line 4: missing key 'sigma'"),
+        # values that parse but that the generator or the engine cannot use
+        (SPEC_HEAD + "step 0\n", "line 4: step is not a whole number of hours > 0: '0'"),
+        (SPEC_HEAD + "step -6\n", "line 4: step is not a whole number of hours > 0: '-6'"),
+        (SPEC_HEAD + "spacing 0\n", "line 4: spacing is not a number of degrees > 0: '0'"),
+        (SPEC_HEAD + "spacing -0.5\n", "line 4: spacing is not a number of degrees > 0: '-0.5'"),
+        (SPEC_HEAD + "spacing nan\n", "line 4: spacing is not a number of degrees > 0: 'nan'"),
+        ("dataset d\narea 48 -25 66 33\ntime 2011-01-10T00:00Z 2011-01-01T00:00Z\n",
+         f"line 3: time is not {TIME_ROW}: '2011-01-10T00:00Z 2011-01-01T00:00Z'"),
+        ("dataset d\narea 48 -25 100 33\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n",
+         f"line 2: area is not {AREA_ROW}: '48 -25 100 33'"),
+        ("dataset d\narea 48 -25 48.2 33\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\n",
+         "line 2: spacing 0.5 leaves the area under 2 x 2 grid points"),
+        (SPEC_HEAD + "spacing 40\n",
+         "line 4: spacing 40 leaves the area under 2 x 2 grid points"),
+        (SPEC_HEAD + "background 2000\n",
+         "line 4: background is not a pressure in [850, 1100] hPa: '2000'"),
+        (SPEC_HEAD + "background nan\n",
+         "line 4: background is not a pressure in [850, 1100] hPa: 'nan'"),
+        (SPEC_HEAD + CYCLONE.replace("sigma=300", "sigma=0") + "\n",
+         "line 4: sigma is not a number > 0: '0'"),
+        (SPEC_HEAD + "random-cyclones count=-2\n",
+         "line 4: count is not a whole number >= 0: '-2'"),
+        ("dataset d\narea 48 -25 66 33\ntime 0001-01-01T00:00+01:00 2011-01-01T00:00Z\n",
+         f"line 3: time is not {TIME_ROW}: '0001-01-01T00:00+01:00 2011-01-01T00:00Z'"),
     ],
     ids=["field-without-equals", "step", "spacing", "background", "area-word", "area-short",
          "count", "northeast", "time-one-field", "time-word", "cyclone-float",
-         "cyclone-time", "cyclone-missing"],
+         "cyclone-time", "cyclone-missing", "step-zero", "step-negative", "spacing-zero",
+         "spacing-negative", "spacing-nan", "time-reversed", "area-outside-the-globe",
+         "grid-under-2x2", "spacing-over-the-area", "background-high", "background-nan",
+         "sigma-zero", "count-negative", "time-before-year-1-in-utc"],
 )
 def test_parse_spec_malformed_line_names_it(text, message):
     with pytest.raises(SpecError) as err:
         parse_spec_text(text)
-    assert str(err.value).startswith(message)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
         (SPEC_HEAD + "random-cyclones count=3 north-east=1\n",
-         "line 4: unknown field 'north-east'"),
-        (SPEC_HEAD + "random-cyclones cnt=3\n", "line 4: unknown field 'cnt'"),
-        (SPEC_HEAD + CYCLONE + " colour=red\n", "line 4: unknown field 'colour'"),
-        (SPEC_HEAD + "step 6\nstep 12\n", "line 5: a second 'step' line"),
-        (SPEC_HEAD + "dataset e\n", "line 4: a second 'dataset' line"),
+         "line 4: unknown key 'north-east'; keys are count, northeast"),
+        (SPEC_HEAD + "random-cyclones cnt=3\n", "line 4: unknown key 'cnt'; keys are count, northeast"),
+        (SPEC_HEAD + CYCLONE + " colour=red\n", "line 4: unknown key 'colour';"
+         " keys are t_start, t_end, lat, lon, bearing, speed, depth, sigma"),
+        (SPEC_HEAD + "step 6\nstep 12\n", "line 5: key 'step' given twice"),
+        (SPEC_HEAD + "dataset e\n", "line 4: key 'dataset' given twice"),
         (SPEC_HEAD + "random-cyclones count=1\nrandom-cyclones count=2\n",
-         "line 5: a second 'random-cyclones' line"),
-        (SPEC_HEAD + "random-cyclones count=1 count=2\n", "line 4: field 'count' given twice"),
-        (SPEC_HEAD + CYCLONE + " lat=56\n", "line 4: field 'lat' given twice"),
+         "line 5: key 'random-cyclones' given twice"),
+        (SPEC_HEAD + "random-cyclones count=1 count=2\n", "line 4: key 'count' given twice"),
+        (SPEC_HEAD + CYCLONE + " lat=56\n", "line 4: key 'lat' given twice"),
     ],
     ids=["misspelt-northeast", "misspelt-count", "cyclone-extra-field", "second-step",
          "second-dataset", "second-random-cyclones", "count-twice", "cyclone-field-twice"],
@@ -335,3 +369,32 @@ def test_parse_spec_refuses_unknown_and_repeated_fields(text, message):
 def test_parse_spec_takes_many_cyclone_lines():
     spec = parse_spec_text(SPEC_HEAD + CYCLONE + "\n" + CYCLONE.replace("lat=55", "lat=60") + "\n")
     assert [c.lat for c in spec.cyclones] == [55.0, 60.0]
+
+
+SPEC_WORDS = [
+    "d", "48", "-25", "66", "33", "100", "48.2", "nan", "inf", "-0.5", "0", "6", "-6", "0.5",
+    "1e-320", "1013.25", "2000", "2011-01-01T00:00Z", "2011-01-10T18:00Z",
+    "0001-01-01T00:00+01:00", "count=3", "northeast=1", "count=-2", "cnt=1", "sigma=0",
+    CYCLONE.partition(" ")[2],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_value_texts(
+    SPEC_HEAD,
+    ["dataset", "area", "time", "step", "spacing", "background", "cyclone", "random-cyclones"],
+    SPEC_WORDS,
+    " ",
+))
+def test_any_spec_text_gives_a_usable_spec_or_a_spec_error(text):
+    try:
+        spec = parse_spec_text(text)
+    except SpecError:
+        return
+    box = spec.area
+    assert spec.step_hours > 0 and spec.start <= spec.end
+    assert min(box.lat_max - box.lat_min, box.lon_max - box.lon_min) / spec.spacing_deg >= 1
+    assert -90 <= box.lat_min and box.lat_max <= 90 and -180 <= box.lon_min and box.lon_max <= 180
+    assert 850 <= spec.background_hpa <= 1100
+    assert min(spec.random_count, spec.random_north_east) >= 0
+    assert all(c.sigma_km > 0 for c in spec.cyclones)
