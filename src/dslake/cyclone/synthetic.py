@@ -60,6 +60,10 @@ from dslake.cyclone.track import CyclonePath
 
 BACKGROUND_HPA = 1013.25
 
+# the most points a snapshot's grid may have: the generator allocates a
+# float64 field (8 MB) and renders ~8 MB of text per snapshot at this size
+MAX_GRID_POINTS = 1_000_000
+
 # the random planner keeps cyclones inside the area by this margin and
 # mutually apart by the tracking-safe floor below
 PLANT_MARGIN_DEG = 2.0
@@ -484,8 +488,11 @@ def parse_spec_text(text: str) -> SyntheticSpec:
                 speed=<km/h> depth=<hPa> sigma=<km>    # sigma > 0
         random-cyclones count=<n> northeast=<m>        # optional: n, m >= 0
 
-    The spacing must leave the area a grid of at least 2 x 2 points. Each
-    refusal is a ``SpecError`` naming the line.
+    The spacing must leave the area a grid of at least 2 x 2 points and at
+    most ``MAX_GRID_POINTS``. A step must reach from the earliest listed
+    time back, and from the latest forward, without leaving the years 1 to
+    9999 that a ``datetime`` holds. At most ``count`` random cyclones head
+    north-east. Each refusal is a ``SpecError`` naming the line.
     """
     values, lines = read_keys(
         text, _SPEC, " ", lambda line, message: SpecError(f"line {line}: {message}")
@@ -504,9 +511,27 @@ def parse_spec_text(text: str) -> SyntheticSpec:
         random_north_east=random.get("northeast", 0),
     )
     box = spec.area
-    if min(box.lat_max - box.lat_min, box.lon_max - box.lon_min) / spec.spacing_deg < 1:
-        raise SpecError(f"line {lines.get('spacing', lines['area'])}: spacing"
-                        f" {spec.spacing_deg:g} leaves the area under 2 x 2 grid points")
+    rows = (box.lat_max - box.lat_min) / spec.spacing_deg
+    cols = (box.lon_max - box.lon_min) / spec.spacing_deg
+    spacing = f"line {lines.get('spacing', lines['area'])}: spacing {spec.spacing_deg:g}"
+    if min(rows, cols) < 1:
+        raise SpecError(f"{spacing} leaves the area under 2 x 2 grid points")
+    # rows * cols, under the point count, goes first: it may be inf
+    if rows * cols > MAX_GRID_POINTS or math.prod(spec.grid_shape()) > MAX_GRID_POINTS:
+        raise SpecError(f"{spacing} gives the area over {MAX_GRID_POINTS} grid points")
+    listed = [spec.start, spec.end, *(t for c in spec.cyclones for t in (c.t_start, c.t_end))]
+    try:  # the generator's reach either side of the listed times
+        step = timedelta(hours=spec.step_hours)
+        min(listed) - step, max(listed) + step
+    except OverflowError:
+        raise SpecError(
+            f"line {lines.get('step', lines['time'])}: step {spec.step_hours} hours"
+            f" reaches past the years 1 to 9999 from {iso_seconds(min(listed))}"
+            f" or {iso_seconds(max(listed))}"
+        ) from None
+    if spec.random_north_east > spec.random_count:
+        raise SpecError(f"line {lines['random-cyclones']}: northeast {spec.random_north_east}"
+                        f" exceeds count {spec.random_count}")
     return spec
 
 

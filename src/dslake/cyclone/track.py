@@ -54,6 +54,10 @@ def _center_key(c: CycloneCenter) -> tuple:
     return (c.lat, c.lon, c.pressure)
 
 
+def _turn_key(path: list[CycloneCenter]) -> tuple:
+    return _center_key(path[-1])
+
+
 def track(
     center_sets: Iterable[tuple[datetime, Sequence[CycloneCenter]]],
 ) -> list[CyclonePath]:
@@ -65,6 +69,14 @@ def track(
     for ts, centers in center_sets:
         if prev_ts is not None and ts <= prev_ts:
             raise NonmonotonicTimestamps(f"{ts} does not follow {prev_ts}")
+        if not centers:
+            # most instants hold no center: every active path finishes, in
+            # the turn order of the matching loop below
+            if active:
+                finished.extend(sorted(active, key=_turn_key))
+                active = []
+            prev_ts = ts
+            continue
         ordered = sorted(centers, key=_center_key)
         if prev_ts is None:
             active = [[c] for c in ordered]
@@ -75,7 +87,7 @@ def track(
         gate_km = GATE_SPEED_KMH * dt_hours
         unclaimed = list(range(len(ordered)))
         extended: list[list[CycloneCenter]] = []
-        for path in sorted(active, key=lambda p: _center_key(p[-1])):
+        for path in sorted(active, key=_turn_key):
             last = path[-1]
             best_idx = None
             best_key = None

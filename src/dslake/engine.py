@@ -15,11 +15,16 @@ facts stay out of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
 in module state: each file's map record under the select library's
-extractor functions and the file id, and one namespace per procedure,
-passed to the extractor or as ``ReduceContext.memo``. A record is a
+extractor functions and the file id, one namespace per procedure,
+passed to the extractor or as ``ReduceContext.memo``, and the storage's
+own placements per shape (node count and replication). A record is a
 function of the file's bytes alone; the query's area and time select
 from it. Reshaped views share the memo, so a file mapped once is not
-read or extracted again, whatever the later queries ask.
+read or extracted again, whatever the later queries ask, and a submit at
+a shape used before places no file again. The map stage walks the
+layout's per-dataset file order (``StorageLayout.by_dataset``, through
+``dataset_files``), kept by ingest and load rather than sorted per
+submit, so a warm submit's map stage is one memo lookup per file.
 
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
@@ -35,6 +40,8 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
+from typing import NamedTuple
 
 from dslake.errors import (
     CombinerFailure,
@@ -46,6 +53,7 @@ from dslake.hybrid import evaluate_binding, invoke, output_at
 from dslake.lang.parser import parse
 from dslake.lang.validate import SimulatePlan, ValidatedQuery, validate
 from dslake.registry import (
+    DomainLibraryDescriptor,
     DomainObject,
     KnowledgeRegistry,
     Placement,
@@ -82,13 +90,15 @@ class TaskRequest:
         return h.hexdigest()[:16]
 
 
-@dataclass
-class Fragment:
+class Fragment(NamedTuple):
     file_id: str
     node: int
     t0: datetime
     payload: list
     payload_time: datetime  # the snapshot instant reported by the extractor
+
+
+_ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
 
 
 def run_map(
@@ -104,7 +114,8 @@ def run_map(
     record for it. Records are keyed by the extractor functions, so
     registries that differ in them never share one. The query selects
     from each record: an instant outside its time range gives an empty
-    payload, and only items inside its area are kept.
+    payload, and only items inside its area are kept. An empty payload,
+    the common case, needs neither test.
     """
     if not query.selects:
         raise EngineError("query has no select statement")
@@ -112,30 +123,43 @@ def run_map(
     extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
     records = layout.memo.setdefault(extractors, {})
     area, period = query.ast.area, query.ast.time
+    first, last = period.bounds() if period is not None else (None, None)
+    # with no node failed, a file is served by its first placement node
+    placements = None if layout.failed else layout.placements
     fragments = []
     for meta in layout.dataset_files(dataset):
-        node = layout.serving_node(meta.file_id)
-        record = records.get(meta.file_id)
+        file_id = meta.file_id
+        record = records.get(file_id)
         if record is None:
-            data = layout.read(meta.file_id)
-            kind = _file_kind(data)
-            proc_id = library.extractor_for(kind)
-            if proc_id is None:
-                raise ExtractorFailure(meta.file_id, f"no extractor for kind {kind!r}")
-            extractor = registry.procedure(proc_id)
-            try:
-                record = records[meta.file_id] = extractor(
-                    data, layout.memo.setdefault(extractor, {})
-                )
-            except DslakeError as exc:
-                raise ExtractorFailure(meta.file_id, str(exc)) from exc
+            record = records[file_id] = _extract(layout, file_id, library, registry)
         payload_time, payload = record
-        if period is not None and not period.contains(payload_time):
-            payload = []
-        elif payload and area is not None:
-            payload = [item for item in payload if area.contains(item.lat, item.lon)]
-        fragments.append(Fragment(meta.file_id, node, meta.t0, payload, payload_time))
+        if payload:
+            if first is not None and not first <= payload_time <= last:
+                payload = []
+            elif area is not None:
+                payload = [item for item in payload if area.contains(item.lat, item.lon)]
+        node = layout.serving_node(file_id) if placements is None else placements[file_id][0]
+        fragments.append(Fragment(file_id, node, meta.t0, payload, payload_time))
     return fragments
+
+
+def _extract(
+    layout: StorageLayout,
+    file_id: str,
+    library: DomainLibraryDescriptor,
+    registry: KnowledgeRegistry,
+) -> tuple:
+    """The map record of one file: its bytes through its kind's extractor."""
+    data = layout.read(file_id)
+    kind = _file_kind(data)
+    proc_id = library.extractor_for(kind)
+    if proc_id is None:
+        raise ExtractorFailure(file_id, f"no extractor for kind {kind!r}")
+    extractor = registry.procedure(proc_id)
+    try:
+        return extractor(data, layout.memo.setdefault(extractor, {}))
+    except DslakeError as exc:
+        raise ExtractorFailure(file_id, str(exc)) from exc
 
 
 def _file_kind(data: bytes) -> str:
@@ -192,11 +216,15 @@ def run_reduce(
     grouped: dict[datetime, list] = {}
     file_for: dict[datetime, str] = {}
     nodes_used: set[int] = set()
-    for fragment in sorted(fragments, key=lambda f: (f.t0, f.file_id)):
-        ts = fragment.payload_time
-        grouped.setdefault(ts, []).extend(fragment.payload)
-        file_for[ts] = min(fragment.file_id, file_for.get(ts, fragment.file_id))
-        nodes_used.add(fragment.node)
+    for file_id, node, _, payload, ts in sorted(fragments, key=_ARRIVAL_ORDER):
+        centers = grouped.get(ts)
+        if centers is None:
+            grouped[ts] = list(payload)
+            file_for[ts] = file_id
+        else:
+            centers.extend(payload)
+            file_for[ts] = min(file_for[ts], file_id)
+        nodes_used.add(node)
     center_sets = sorted(grouped.items())  # instants are distinct keys
 
     combiner_id = select0.library.combiner_for(select0.info.name)

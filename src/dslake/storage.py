@@ -9,7 +9,10 @@ digest of the file bytes.
 
 Placement is computed for a whole list of file ids at once (``place_all``):
 the hash in numpy ``uint64``, whose products wrap mod 2**64 as FNV-1a's
-do. ``ingest``, ``load`` and ``reshaped`` place their files in one call.
+do. It is a pure function of the file id and the shape (node count and
+replication), so the layout's memo keeps every placement per shape:
+``ingest``, ``load`` and ``reshaped`` place, in one call, only the ids
+not placed at their shape before.
 
 On-disk layout (used by the CLI):
 
@@ -138,19 +141,25 @@ class StorageLayout:
     """The simulated node set, file placement, and failure state.
 
     ``placements`` holds each file's replica nodes in placement order; a
-    read is served by the first that has not failed.
+    read is served by the first that has not failed. ``by_dataset`` holds
+    each dataset's files in (t0, file_id) order; an ingest replaces the
+    lists it changes rather than altering them, so a reshaped view starts
+    from its parent's lists without copying them.
 
     ``memo`` holds results derived from the stored content: one dict per
-    owner, a procedure function or a library's extractor functions. Each
-    entry is a pure function of its owner and file bytes, and file ids are
-    content addresses, so none goes stale. A library's extractor functions
-    own one map record per file, whatever the queries ask. Entries are
-    dropped with the layout; reshaped views share them. Memory grows with
-    the number of distinct bodies too: the cyclone extractor keys minima on
-    the body text, so a dataset whose bodies are all distinct keeps a second
-    copy of its text here, plus every snapshot the combiner parsed. No
-    lock: an engine runs one submit at a time, and two concurrent readers
-    at worst compute a value twice.
+    owner, a procedure function or a library's extractor functions, and
+    one per shape, ``("placements", node_count, replication)``, holding
+    every file's placement at that shape. Each entry is a pure function of
+    its owner (or shape) and the file id or bytes, and file ids are content
+    addresses, so none goes stale. A library's extractor functions own one
+    map record per file, whatever the queries ask. Entries are dropped with
+    the layout; reshaped views share them, so a view at a shape used before
+    places only the files new since. Memory grows by at most one placement
+    per file per shape in use, and with the number of distinct bodies too:
+    the cyclone extractor keys minima on the body text, so a dataset whose
+    bodies are all distinct keeps a second copy of its text here, plus
+    every snapshot the combiner parsed. No lock: an engine runs one submit
+    at a time, and two concurrent readers at worst compute a value twice.
     """
 
     node_count: int
@@ -159,6 +168,7 @@ class StorageLayout:
     failed: set[int] = field(default_factory=set)
     blobs: dict[str, bytes] = field(default_factory=dict)
     meta: dict[str, FileMeta] = field(default_factory=dict)
+    by_dataset: dict[str, list[FileMeta]] = field(default_factory=dict)
     _verified: set[str] = field(default_factory=set)
     memo: dict = field(default_factory=dict)
 
@@ -173,7 +183,8 @@ class StorageLayout:
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, files: Iterable[DataFile]) -> "StorageLayout":
-        """Record placements and store bytes on every placement node.
+        """Record placements, store bytes on every placement node, and keep
+        each dataset's file order.
 
         All or nothing: before any file is recorded, a file already stored
         or given twice raises ``DuplicateFile``, and a file whose names
@@ -189,18 +200,33 @@ class StorageLayout:
                     f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}"
                 )
             batch.add(f.file_id)
-        placements = place_all([f.file_id for f in files], self.node_count, self.replication)
-        for f, nodes in zip(files, placements):
-            self.placements[f.file_id] = nodes
+        placed = self._placed(batch)
+        added: dict[str, list[FileMeta]] = {}
+        for f in files:
+            self.placements[f.file_id] = placed[f.file_id]
             self.blobs[f.file_id] = f.data
-            self.meta[f.file_id] = FileMeta(
+            meta = self.meta[f.file_id] = FileMeta(
                 file_id=f.file_id,
                 dataset=f.dataset,
                 t0=f.t0,
                 t1=f.t1,
                 relative_path=f"{f.dataset}/{f.file_id}.snap",
             )
+            added.setdefault(f.dataset, []).append(meta)
+        for dataset, metas in added.items():
+            metas += self.by_dataset.get(dataset, [])
+            self.by_dataset[dataset] = sorted(metas, key=_time_order)
         return self
+
+    def _placed(self, file_ids: Iterable[str]) -> dict[str, tuple[int, ...]]:
+        """The memo's placements at this layout's shape, holding every id
+        of ``file_ids``; ids not placed at this shape before are placed in
+        one ``place_all`` call."""
+        known = self.memo.setdefault(("placements", self.node_count, self.replication), {})
+        new = [file_id for file_id in file_ids if file_id not in known]
+        if new:
+            known.update(zip(new, place_all(new, self.node_count, self.replication)))
+        return known
 
     # -- failure injection ---------------------------------------------------
 
@@ -242,9 +268,7 @@ class StorageLayout:
 
     def dataset_files(self, dataset: str) -> list[FileMeta]:
         """Dataset metadata ordered by (t0, file_id); empty if unknown."""
-        found = [m for m in self.meta.values() if m.dataset == dataset]
-        found.sort(key=lambda m: (m.t0, m.file_id))
-        return found
+        return list(self.by_dataset.get(dataset, ()))
 
     # -- on-disk mode ----------------------------------------------------------
 
@@ -254,11 +278,7 @@ class StorageLayout:
         (root / "fabric.conf").write_text(
             f"node_count={self.node_count}\nreplication={self.replication}\n"
         )
-        datasets: dict[str, list[FileMeta]] = {}
-        for meta in self.meta.values():
-            datasets.setdefault(meta.dataset, []).append(meta)
-        for dataset, metas in datasets.items():
-            metas.sort(key=lambda m: (m.t0, m.file_id))
+        for dataset, metas in self.by_dataset.items():
             manifest_dir = root / "datasets" / dataset
             manifest_dir.mkdir(parents=True, exist_ok=True)
             write_manifest(manifest_dir / "manifest.tsv", metas)
@@ -287,11 +307,10 @@ class StorageLayout:
             metas = read_manifest(manifest)
             for meta in metas:
                 _check_stored_path(manifest, meta)
-            placements = place_all(
-                [meta.file_id for meta in metas], layout.node_count, layout.replication
-            )
-            for meta, nodes in zip(metas, placements):
+            placed = layout._placed(meta.file_id for meta in metas)
+            for meta in metas:
                 file_id = meta.file_id
+                nodes = placed[file_id]
                 if file_id in layout.meta:
                     first = datasets_dir / layout.meta[file_id].dataset / "manifest.tsv"
                     raise StorageError(f"{manifest}: file {file_id!r} is also listed in {first}")
@@ -306,12 +325,15 @@ class StorageLayout:
                 layout.placements[file_id] = nodes
                 layout.blobs[file_id] = data
                 layout.meta[file_id] = meta
+            if metas:
+                layout.by_dataset[manifest.parent.name] = sorted(metas, key=_time_order)
         return layout
 
     # -- derived views ----------------------------------------------------------
 
     def reshaped(self, node_count: int, replication: int) -> "StorageLayout":
-        """Same content re-placed onto a different simulated node set.
+        """Same content re-placed onto a different simulated node set; only
+        files not placed at that shape before are placed (see ``memo``).
 
         Failed nodes are nodes of this layout, so a layout with any of them
         is not reshaped: the view would silently serve every replica.
@@ -321,17 +343,25 @@ class StorageLayout:
                 f"nodes {sorted(self.failed)} of {self.node_count} are failed;"
                 f" cannot reshape to {node_count} nodes"
             )
-        # Only the memo is shared: a file ingested into the view must not
-        # appear in this layout's tables, nor count as verified for them.
-        return StorageLayout(
+        # Only the memo and the unaltered order lists are shared: a file
+        # ingested into the view must not appear in this layout's tables, nor
+        # count as verified for them.
+        view = StorageLayout(
             node_count=node_count,
             replication=replication,
-            placements=dict(zip(self.meta, place_all(list(self.meta), node_count, replication))),
             blobs=dict(self.blobs),
             meta=dict(self.meta),
+            by_dataset=dict(self.by_dataset),
             _verified=set(self._verified),
             memo=self.memo,
         )
+        placed = view._placed(self.meta)
+        view.placements = {file_id: placed[file_id] for file_id in self.meta}
+        return view
+
+
+def _time_order(meta: FileMeta) -> tuple[datetime, str]:
+    return meta.t0, meta.file_id
 
 
 _STORED_FORM = (

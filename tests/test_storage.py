@@ -313,6 +313,63 @@ def test_reshape_places_like_an_ingest_at_the_new_node_count():
     assert view.placements == direct.placements
 
 
+def _counting_place_all(monkeypatch) -> list[str]:
+    placed = []
+
+    def counting(file_ids, node_count, replication):
+        placed.extend(file_ids)
+        return place_all(file_ids, node_count, replication)
+
+    monkeypatch.setattr("dslake.storage.place_all", counting)
+    return placed
+
+
+def test_a_second_view_at_a_shape_places_nothing(monkeypatch):
+    layout = StorageLayout(node_count=8, replication=2).ingest(make_file(i) for i in range(40))
+    first = layout.reshaped(4, 2)
+    placed = _counting_place_all(monkeypatch)
+    second = layout.reshaped(4, 2)
+    assert placed == []
+    assert second.placements == first.placements
+    assert second.placements is not first.placements
+
+
+def test_the_next_view_places_a_file_ingested_since(monkeypatch):
+    parent = StorageLayout(node_count=8, replication=2).ingest(make_file(i) for i in range(20))
+    parent.reshaped(4, 2)
+    new = make_file(20)
+    parent.ingest([new])
+    placed = _counting_place_all(monkeypatch)
+    view = parent.reshaped(4, 2)
+    assert placed == [new.file_id]
+    assert view.placements[new.file_id] == place_all([new.file_id], 4, 2)[0]
+    assert view.placements == StorageLayout(node_count=4, replication=2).ingest(
+        [make_file(i) for i in range(21)]
+    ).placements
+
+
+def test_views_sharing_a_memo_keep_their_shapes_and_file_order():
+    def in_order(layout):
+        metas = layout.dataset_files("d")
+        return [(m.t0, m.file_id) for m in metas] == sorted((m.t0, m.file_id) for m in metas)
+
+    files = [make_file(i) for i in range(30)]
+    parent = StorageLayout(node_count=8, replication=2).ingest(files[:10])
+    narrow, wide = parent.reshaped(4, 2), parent.reshaped(13, 3)
+    assert narrow.memo is wide.memo is parent.memo
+    parent.ingest(files[10:20])  # into the parent: its views keep what they had
+    narrow.ingest(files[20:25])  # into a view: its parent and sibling stay as they were
+    for layout, shape, held in ((parent, (8, 2), 20), (narrow, (4, 2), 15), (wide, (13, 3), 10)):
+        metas = layout.dataset_files("d")
+        assert len(metas) == len(layout.placements) == held and in_order(layout)
+        ids = [m.file_id for m in metas]
+        assert [layout.placements[i] for i in ids] == place_all(ids, *shape)
+    later = parent.reshaped(4, 2)
+    assert in_order(later) and len(later.placements) == 20
+    # one placement per file per shape in use: the parent's 20 and the view's 5
+    assert len(parent.memo[("placements", 4, 2)]) == 25
+
+
 @pytest.mark.parametrize(
     "file_id, dataset, relpath",
     [

@@ -1,5 +1,7 @@
 import hashlib
+import math
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dslake.cyclone import synthetic
 from dslake.cyclone.detect import detect_centers
 from dslake.cyclone.grid import parse_grid_snapshot
 from dslake.cyclone.synthetic import (
+    MAX_GRID_POINTS,
     PlantedCyclone,
     SyntheticSpec,
     _plant_random,
@@ -328,13 +331,24 @@ TIME_ROW = "two UTC times, start no later than end"
          "line 4: count is not a whole number >= 0: '-2'"),
         ("dataset d\narea 48 -25 66 33\ntime 0001-01-01T00:00+01:00 2011-01-01T00:00Z\n",
          f"line 3: time is not {TIME_ROW}: '0001-01-01T00:00+01:00 2011-01-01T00:00Z'"),
+        # each of these parsed, and then failed in the generator
+        (SPEC_HEAD + "step 10000000000000\n",
+         "line 4: step 10000000000000 hours reaches past the years 1 to 9999 from"
+         " 2011-01-01T00:00:00Z or 2011-01-10T18:00:00Z"),
+        ("dataset d\narea 48 -25 66 33\ntime 9999-12-31T00:00Z 9999-12-31T23:00Z\n",
+         "line 3: step 6 hours reaches past the years 1 to 9999 from"
+         " 9999-12-31T00:00:00Z or 9999-12-31T23:00:00Z"),
+        (SPEC_HEAD + "random-cyclones count=1 northeast=2\n", "line 4: northeast 2 exceeds count 1"),
+        (SPEC_HEAD + "spacing 0.0001\n",
+         "line 4: spacing 0.0001 gives the area over 1000000 grid points"),
     ],
     ids=["field-without-equals", "step", "spacing", "background", "area-word", "area-short",
          "count", "northeast", "time-one-field", "time-word", "cyclone-float",
          "cyclone-time", "cyclone-missing", "step-zero", "step-negative", "spacing-zero",
          "spacing-negative", "spacing-nan", "time-reversed", "area-outside-the-globe",
          "grid-under-2x2", "spacing-over-the-area", "background-high", "background-nan",
-         "sigma-zero", "count-negative", "time-before-year-1-in-utc"],
+         "sigma-zero", "count-negative", "time-before-year-1-in-utc", "step-past-the-years",
+         "default-step-past-the-years", "northeast-over-count", "grid-over-the-points"],
 )
 def test_parse_spec_malformed_line_names_it(text, message):
     with pytest.raises(SpecError) as err:
@@ -366,6 +380,15 @@ def test_parse_spec_refuses_unknown_and_repeated_fields(text, message):
     assert str(err.value) == message
 
 
+def test_grid_points_are_capped_at_the_constant():
+    # 500 x 2000 points is the most a snapshot may have; one column more is refused
+    head = "dataset d\ntime 2011-01-01T00:00Z 2011-01-10T18:00Z\nspacing 0.125\n"
+    spec = parse_spec_text(head + "area 0 -100 62.375 149.875\n")
+    assert spec.grid_shape() == (500, 2000) and 500 * 2000 == MAX_GRID_POINTS
+    with pytest.raises(SpecError, match="line 3: spacing 0.125 gives the area over 1000000"):
+        parse_spec_text(head + "area 0 -100 62.375 150\n")
+
+
 def test_parse_spec_takes_many_cyclone_lines():
     spec = parse_spec_text(SPEC_HEAD + CYCLONE + "\n" + CYCLONE.replace("lat=55", "lat=60") + "\n")
     assert [c.lat for c in spec.cyclones] == [55.0, 60.0]
@@ -375,6 +398,7 @@ SPEC_WORDS = [
     "d", "48", "-25", "66", "33", "100", "48.2", "nan", "inf", "-0.5", "0", "6", "-6", "0.5",
     "1e-320", "1013.25", "2000", "2011-01-01T00:00Z", "2011-01-10T18:00Z",
     "0001-01-01T00:00+01:00", "count=3", "northeast=1", "count=-2", "cnt=1", "sigma=0",
+    "10000000000000", "0.0001", "northeast=4", "9999-12-31T23:00Z",
     CYCLONE.partition(" ")[2],
 ]
 
@@ -396,5 +420,8 @@ def test_any_spec_text_gives_a_usable_spec_or_a_spec_error(text):
     assert min(box.lat_max - box.lat_min, box.lon_max - box.lon_min) / spec.spacing_deg >= 1
     assert -90 <= box.lat_min and box.lat_max <= 90 and -180 <= box.lon_min and box.lon_max <= 180
     assert 850 <= spec.background_hpa <= 1100
-    assert min(spec.random_count, spec.random_north_east) >= 0
+    assert 0 <= spec.random_north_east <= spec.random_count
+    assert math.prod(spec.grid_shape()) <= MAX_GRID_POINTS
+    step = timedelta(hours=spec.step_hours)  # the generator's reach either side
+    assert spec.start - step and spec.end + step
     assert all(c.sigma_km > 0 for c in spec.cyclones)

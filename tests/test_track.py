@@ -113,3 +113,36 @@ def test_tracking_partition(data):
         stamps = [c.timestamp for c in p.centers]
         assert stamps == sorted(stamps)
         assert len(set(stamps)) == len(stamps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_empty_instants_end_every_path(data):
+    # centers close enough to chain, in runs of instants separated by one or
+    # more empty instants: the paths are those of each run tracked alone
+    runs, sets, step = [], [], 0
+    for _ in range(data.draw(st.integers(1, 4))):
+        run = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            ts = hours(6 * step)
+            step += 1
+            run.append((ts, [
+                center(55 + data.draw(st.integers(-10, 10)) / 10.0,
+                       data.draw(st.integers(-10, 10)) / 10.0, ts,
+                       data.draw(st.integers(9800, 9990)) / 10.0)
+                for _ in range(data.draw(st.integers(1, 3)))
+            ]))
+        runs.append(run)
+        sets.extend(run)
+        for _ in range(data.draw(st.integers(1, 3))):
+            sets.append((hours(6 * step), []))
+            step += 1
+    if data.draw(st.booleans()):
+        sets.insert(0, (hours(-6), []))
+    separately = sorted(
+        (p for run in runs for p in track(run)),
+        key=lambda p: (p.start_time, p.centers[0].lat, p.centers[0].lon, p.centers[0].pressure),
+    )
+    assert [(p.path_id, p.centers) for p in track(sets)] == [
+        (p.path_id, p.centers) for p in separately
+    ]
