@@ -124,8 +124,6 @@ def run_map(
     records = layout.memo.setdefault(extractors, {})
     area, period = query.ast.area, query.ast.time
     first, last = period.bounds() if period is not None else (None, None)
-    # with no node failed, a file is served by its first placement node
-    placements = None if layout.failed else layout.placements
     fragments = []
     for meta in layout.dataset_files(dataset):
         file_id = meta.file_id
@@ -138,8 +136,9 @@ def run_map(
                 payload = []
             elif area is not None:
                 payload = [item for item in payload if area.contains(item.lat, item.lon)]
-        node = layout.serving_node(file_id) if placements is None else placements[file_id][0]
-        fragments.append(Fragment(file_id, node, meta.t0, payload, payload_time))
+        fragments.append(
+            Fragment(file_id, layout.serving_node(file_id), meta.t0, payload, payload_time)
+        )
     return fragments
 
 
