@@ -124,6 +124,8 @@ def run_map(
     records = layout.memo.setdefault(extractors, {})
     area, period = query.ast.area, query.ast.time
     first, last = period.bounds() if period is not None else (None, None)
+    # a file's serving node is its first placement node while no node is failed
+    placements = None if layout.failed else layout.placements
     fragments = []
     for meta in layout.dataset_files(dataset):
         file_id = meta.file_id
@@ -136,9 +138,8 @@ def run_map(
                 payload = []
             elif area is not None:
                 payload = [item for item in payload if area.contains(item.lat, item.lon)]
-        fragments.append(
-            Fragment(file_id, layout.serving_node(file_id), meta.t0, payload, payload_time)
-        )
+        node = layout.serving_node(file_id) if placements is None else placements[file_id][0]
+        fragments.append(Fragment(file_id, node, meta.t0, payload, payload_time))
     return fragments
 
 
