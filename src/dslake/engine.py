@@ -53,7 +53,6 @@ from dslake.hybrid import evaluate_binding, invoke, output_at
 from dslake.lang.parser import parse
 from dslake.lang.validate import SimulatePlan, ValidatedQuery, validate
 from dslake.registry import (
-    DomainLibraryDescriptor,
     DomainObject,
     KnowledgeRegistry,
     Placement,
@@ -123,7 +122,6 @@ def run_map(
     extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
     records = layout.memo.setdefault(extractors, {})
     area, period = query.ast.area, query.ast.time
-    first, last = period.bounds() if period is not None else (None, None)
     # a file's serving node is its first placement node while no node is failed
     placements = None if layout.failed else layout.placements
     fragments = []
@@ -131,35 +129,25 @@ def run_map(
         file_id = meta.file_id
         record = records.get(file_id)
         if record is None:
-            record = records[file_id] = _extract(layout, file_id, library, registry)
+            data = layout.read(file_id)
+            kind = _file_kind(data)
+            proc_id = library.extractor_for(kind)
+            if proc_id is None:
+                raise ExtractorFailure(file_id, f"no extractor for kind {kind!r}")
+            extractor = registry.procedure(proc_id)
+            try:
+                record = records[file_id] = extractor(data, layout.memo.setdefault(extractor, {}))
+            except DslakeError as exc:
+                raise ExtractorFailure(file_id, str(exc)) from exc
         payload_time, payload = record
         if payload:
-            if first is not None and not first <= payload_time <= last:
+            if period is not None and not period.contains(payload_time):
                 payload = []
             elif area is not None:
                 payload = [item for item in payload if area.contains(item.lat, item.lon)]
         node = layout.serving_node(file_id) if placements is None else placements[file_id][0]
         fragments.append(Fragment(file_id, node, meta.t0, payload, payload_time))
     return fragments
-
-
-def _extract(
-    layout: StorageLayout,
-    file_id: str,
-    library: DomainLibraryDescriptor,
-    registry: KnowledgeRegistry,
-) -> tuple:
-    """The map record of one file: its bytes through its kind's extractor."""
-    data = layout.read(file_id)
-    kind = _file_kind(data)
-    proc_id = library.extractor_for(kind)
-    if proc_id is None:
-        raise ExtractorFailure(file_id, f"no extractor for kind {kind!r}")
-    extractor = registry.procedure(proc_id)
-    try:
-        return extractor(data, layout.memo.setdefault(extractor, {}))
-    except DslakeError as exc:
-        raise ExtractorFailure(file_id, str(exc)) from exc
 
 
 def _file_kind(data: bytes) -> str:
@@ -217,13 +205,8 @@ def run_reduce(
     file_for: dict[datetime, str] = {}
     nodes_used: set[int] = set()
     for file_id, node, _, payload, ts in sorted(fragments, key=_ARRIVAL_ORDER):
-        centers = grouped.get(ts)
-        if centers is None:
-            grouped[ts] = list(payload)
-            file_for[ts] = file_id
-        else:
-            centers.extend(payload)
-            file_for[ts] = min(file_for[ts], file_id)
+        grouped.setdefault(ts, []).extend(payload)
+        file_for[ts] = min(file_id, file_for.get(ts, file_id))
         nodes_used.add(node)
     center_sets = sorted(grouped.items())  # instants are distinct keys
 

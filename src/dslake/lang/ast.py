@@ -7,7 +7,7 @@ which is what the format/parse round-trip law is stated over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, time
+from datetime import date, datetime
 
 from dslake.times import UTC
 
@@ -44,16 +44,8 @@ class TimeRange:
     first_day: date
     last_day: date
 
-    def bounds(self) -> tuple[datetime, datetime]:
-        """The first and the last instant of the range, in UTC."""
-        return (
-            datetime.combine(self.first_day, time.min, UTC),
-            datetime.combine(self.last_day, time.max, UTC),
-        )
-
     def contains(self, ts: datetime) -> bool:
-        first, last = self.bounds()
-        return first <= ts <= last
+        return self.first_day <= ts.astimezone(UTC).date() <= self.last_day
 
 
 # --- expressions -------------------------------------------------------------

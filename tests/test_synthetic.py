@@ -338,7 +338,8 @@ TIME_ROW = "two UTC times, start no later than end"
         ("dataset d\narea 48 -25 66 33\ntime 9999-12-31T00:00Z 9999-12-31T23:00Z\n",
          "line 3: step 6 hours reaches past the years 1 to 9999 from"
          " 9999-12-31T00:00:00Z or 9999-12-31T23:00:00Z"),
-        (SPEC_HEAD + "random-cyclones count=1 northeast=2\n", "line 4: northeast 2 exceeds count 1"),
+        (SPEC_HEAD + "random-cyclones count=1 northeast=2\n",
+         "line 4: northeast 2 exceeds count 1"),
         (SPEC_HEAD + "spacing 0.0001\n",
          "line 4: spacing 0.0001 gives the area over 1000000 grid points"),
     ],
