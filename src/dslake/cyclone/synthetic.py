@@ -516,18 +516,22 @@ def parse_spec_text(text: str) -> SyntheticSpec:
     spacing = f"line {lines.get('spacing', lines['area'])}: spacing {spec.spacing_deg:g}"
     if min(rows, cols) < 1:
         raise SpecError(f"{spacing} leaves the area under 2 x 2 grid points")
-    # rows * cols, under the point count, goes first: it may be inf
-    if rows * cols > MAX_GRID_POINTS or math.prod(spec.grid_shape()) > MAX_GRID_POINTS:
+    # rows * cols may be inf, which int() refuses, and never exceeds the
+    # grid's point count (grid_shape's rows times its columns)
+    if rows * cols > MAX_GRID_POINTS or (int(rows) + 1) * (int(cols) + 1) > MAX_GRID_POINTS:
         raise SpecError(f"{spacing} gives the area over {MAX_GRID_POINTS} grid points")
     listed = [spec.start, spec.end, *(t for c in spec.cyclones for t in (c.t_start, c.t_end))]
-    try:  # the generator's reach either side of the listed times
+    earliest, latest = min(listed), max(listed)
+    try:
         step = timedelta(hours=spec.step_hours)
-        min(listed) - step, max(listed) + step
+        # the generator's reach either side of the listed times; a datetime
+        # past the years 1 to 9999 raises OverflowError
+        reach_lo, reach_hi = earliest - step, latest + step
     except OverflowError:
         raise SpecError(
             f"line {lines.get('step', lines['time'])}: step {spec.step_hours} hours"
-            f" reaches past the years 1 to 9999 from {iso_seconds(min(listed))}"
-            f" or {iso_seconds(max(listed))}"
+            f" reaches past the years 1 to 9999 from {iso_seconds(earliest)}"
+            f" or {iso_seconds(latest)}"
         ) from None
     if spec.random_north_east > spec.random_count:
         raise SpecError(f"line {lines['random-cyclones']}: northeast {spec.random_north_east}"

@@ -122,8 +122,6 @@ def run_map(
     extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
     records = layout.memo.setdefault(extractors, {})
     area, period = query.ast.area, query.ast.time
-    # a file's serving node is its first placement node while no node is failed
-    placements = None if layout.failed else layout.placements
     fragments = []
     for meta in layout.dataset_files(dataset):
         file_id = meta.file_id
@@ -145,8 +143,9 @@ def run_map(
                 payload = []
             elif area is not None:
                 payload = [item for item in payload if area.contains(item.lat, item.lon)]
-        node = layout.serving_node(file_id) if placements is None else placements[file_id][0]
-        fragments.append(Fragment(file_id, node, meta.t0, payload, payload_time))
+        fragments.append(
+            Fragment(file_id, layout.serving_node(file_id), meta.t0, payload, payload_time)
+        )
     return fragments
 
 
