@@ -11,11 +11,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULE_OF = {
-    "QueryAst": "dslake.lang",
-    "parse": "dslake.lang",
-    "tokenize": "dslake.lang",
-    "format_query": "dslake.lang",
-    "validate": "dslake.lang",
+    "QueryAst": "dslake.lang.ast",
+    "parse": "dslake.lang.parser",
+    "tokenize": "dslake.lang.tokens",
+    "format_query": "dslake.lang.formatter",
+    "validate": "dslake.lang.validate",
     "KnowledgeRegistry": "dslake.registry",
     "StorageLayout": "dslake.storage",
     "DataFile": "dslake.storage",

@@ -69,6 +69,9 @@ MAX_GRID_POINTS = 1_000_000
 PLANT_MARGIN_DEG = 2.0
 TRACKING_SAFE_KM = 1300.0
 
+# the shortest and the longest life, in hours, of a randomly planted cyclone
+RANDOM_LIFETIME_H = (36.0, 72.0)
+
 
 @dataclass(frozen=True)
 class PlantedCyclone:
@@ -392,6 +395,7 @@ def _plant_random(
     if lat_lo >= lat_hi or lon_lo >= lon_hi:
         raise SpecError("area too small for random planting")
     horizon_h = (spec.end - spec.start).total_seconds() / 3600.0
+    shortest_h, longest_h = RANDOM_LIFETIME_H
 
     planted: list[PlantedCyclone] = []
     other_sectors = (0.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
@@ -404,7 +408,7 @@ def _plant_random(
             else:
                 center = other_sectors[rng.next_u64() % len(other_sectors)]
                 bearing = (center - 10.0 + 20.0 * rng.next_unit()) % 360.0
-            duration_h = 36.0 + 36.0 * rng.next_unit()
+            duration_h = shortest_h + (longest_h - shortest_h) * rng.next_unit()
             speed = 25.0 + (min(70.0, 2200.0 / duration_h) - 25.0) * rng.next_unit()
             length_km = speed * duration_h
             # approximate displacement to sample a feasible start point
@@ -491,8 +495,11 @@ def parse_spec_text(text: str) -> SyntheticSpec:
     The spacing must leave the area a grid of at least 2 x 2 points and at
     most ``MAX_GRID_POINTS``. A step must reach from the earliest listed
     time back, and from the latest forward, without leaving the years 1 to
-    9999 that a ``datetime`` holds. At most ``count`` random cyclones head
-    north-east. Each refusal is a ``SpecError`` naming the line.
+    9999 that a ``datetime`` holds; with random cyclones, also by their
+    longest life beyond that, and forward by one more step, since a random
+    cyclone may start its life before ``start`` or end it after ``end``.
+    At most ``count`` random cyclones head north-east. Each refusal is a
+    ``SpecError`` naming the line.
     """
     values, lines = read_keys(
         text, _SPEC, " ", lambda line, message: SpecError(f"line {line}: {message}")
@@ -533,6 +540,19 @@ def parse_spec_text(text: str) -> SyntheticSpec:
             f" reaches past the years 1 to 9999 from {iso_seconds(earliest)}"
             f" or {iso_seconds(latest)}"
         ) from None
+    if spec.random_count:
+        try:
+            # a random cyclone's life reaches past the listed times, and the
+            # planner's overlap test steps once past the later of two ends
+            longest = timedelta(hours=RANDOM_LIFETIME_H[1])
+            reach_lo - longest, reach_hi + longest + step
+        except OverflowError:
+            raise SpecError(
+                f"line {lines['random-cyclones']}: a random cyclone lives up to"
+                f" {RANDOM_LIFETIME_H[1]:g} hours, which with step {spec.step_hours} hours"
+                f" reaches past the years 1 to 9999 from {iso_seconds(earliest)}"
+                f" or {iso_seconds(latest)}"
+            ) from None
     if spec.random_north_east > spec.random_count:
         raise SpecError(f"line {lines['random-cyclones']}: northeast {spec.random_north_east}"
                         f" exceeds count {spec.random_count}")

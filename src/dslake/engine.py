@@ -6,6 +6,12 @@ applies filters, fans simulate statements out per selected object, and
 assembles the result document. There is no shuffle and no multi-stage
 chaining.
 
+The engine runs the plan that validation returns (``ValidatedQuery``) and
+refuses no script itself; ``dslake.lang.validate`` says what is refused.
+From the plan it takes the extractor for each file's kind, the combiner,
+each select's filters and parameters, and each simulate plan; the
+registry serves only the filter procedures and the package runs.
+
 Determinism contract: for fixed (request, dataset bytes, registry) the
 canonical result document is byte-identical whatever the node count, the
 map completion order, or any survivable failure state. Everything the
@@ -14,8 +20,8 @@ reduce consumes is content-addressed, the reduce orders its own input by
 facts stay out of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
-in module state: each file's map record under the select library's
-extractor functions and the file id, one namespace per procedure,
+in module state: each file's map record under the plan's extractor
+functions and the file id, one namespace per procedure,
 passed to the extractor or as ``ReduceContext.memo``, and the storage's
 own placements per shape (node count and replication). A record is a
 function of the file's bytes alone; the query's area and time select
@@ -43,12 +49,7 @@ from datetime import datetime
 from operator import itemgetter
 from typing import NamedTuple
 
-from dslake.errors import (
-    CombinerFailure,
-    DslakeError,
-    EngineError,
-    ExtractorFailure,
-)
+from dslake.errors import CombinerFailure, DslakeError, ExtractorFailure
 from dslake.hybrid import evaluate_binding, invoke, output_at
 from dslake.lang.parser import parse
 from dslake.lang.validate import SimulatePlan, ValidatedQuery, validate
@@ -100,27 +101,18 @@ class Fragment(NamedTuple):
 _ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
 
 
-def run_map(
-    layout: StorageLayout,
-    dataset: str,
-    query: ValidatedQuery,
-    registry: KnowledgeRegistry,
-) -> list[Fragment]:
+def run_map(layout: StorageLayout, dataset: str, query: ValidatedQuery) -> list[Fragment]:
     """The map stage: one fragment per file of ``dataset``, each from its
     own file alone, served by the file's first surviving node.
 
-    A file is read and extracted only when the layout's memo holds no
-    record for it. Records are keyed by the extractor functions, so
-    registries that differ in them never share one. The query selects
-    from each record: an instant outside its time range gives an empty
-    payload, and only items inside its area are kept. An empty payload,
-    the common case, needs neither test.
+    A file is read and extracted, by the plan's extractor for its kind, only
+    when the layout's memo holds no record for it. Records are keyed by the
+    plan's extractor functions, so registries that differ in them never
+    share one. The query selects from each record: an instant outside its
+    time range gives an empty payload, and only items inside its area are
+    kept. An empty payload, the common case, needs neither test.
     """
-    if not query.selects:
-        raise EngineError("query has no select statement")
-    library = query.selects[0].library
-    extractors = tuple(registry.procedures.get(proc_id) for _, proc_id in library.extractors)
-    records = layout.memo.setdefault(extractors, {})
+    records = layout.memo.setdefault(tuple(query.extractors.values()), {})
     area, period = query.ast.area, query.ast.time
     fragments = []
     for meta in layout.dataset_files(dataset):
@@ -129,10 +121,9 @@ def run_map(
         if record is None:
             data = layout.read(file_id)
             kind = _file_kind(data)
-            proc_id = library.extractor_for(kind)
-            if proc_id is None:
+            extractor = query.extractors.get(kind)
+            if extractor is None:
                 raise ExtractorFailure(file_id, f"no extractor for kind {kind!r}")
-            extractor = registry.procedure(proc_id)
             try:
                 record = records[file_id] = extractor(data, layout.memo.setdefault(extractor, {}))
             except DslakeError as exc:
@@ -168,7 +159,7 @@ class Engine:
             layout = layout.reshaped(config.node_count, config.replication)
 
         query = validate(parse(request.script), self.registry)
-        fragments = run_map(layout, request.dataset, query, self.registry)
+        fragments = run_map(layout, request.dataset, query)
         return run_reduce(fragments, query, self.registry, layout, task_id=request.task_id())
 
 
@@ -193,13 +184,6 @@ def run_reduce(
     so centers that share an instant reach the combiner in that order, and
     ``file_for`` gives the lowest file id of each instant.
     """
-    if not query.selects:
-        raise EngineError("query has no select statement")
-    type_names = {sel.info.name for sel in query.selects}
-    if len(type_names) > 1:
-        raise CombinerFailure("one object type per task is supported")
-    select0 = query.selects[0]
-
     grouped: dict[datetime, list] = {}
     file_for: dict[datetime, str] = {}
     nodes_used: set[int] = set()
@@ -209,17 +193,13 @@ def run_reduce(
         nodes_used.add(node)
     center_sets = sorted(grouped.items())  # instants are distinct keys
 
-    combiner_id = select0.library.combiner_for(select0.info.name)
-    if combiner_id is None:
-        raise CombinerFailure(f"no combiner for {select0.info.name}")
-    combiner = registry.procedure(combiner_id)
     ctx = ReduceContext(
         read_file=layout.read,
         file_for=lambda ts: file_for.get(ts, ""),
-        memo=layout.memo.setdefault(combiner, {}),
+        memo=layout.memo.setdefault(query.combiner, {}),
     )
     try:
-        objects: list[DomainObject] = combiner(center_sets, ctx)
+        objects: list[DomainObject] = query.combiner(center_sets, ctx)
     except DslakeError:
         raise
     except Exception as exc:

@@ -1,42 +1,3 @@
-"""The analysis query language: lexer, parser, formatter, validator."""
+"""The analysis query language: lexer, parser, formatter, validator.
 
-from dslake.lang.tokens import Token, TokenKind, tokenize
-from dslake.lang.ast import (
-    DateLit,
-    DurationLit,
-    Expr,
-    GeoBox,
-    IntLit,
-    Offset,
-    OutItem,
-    QueryAst,
-    Ref,
-    SelectStmt,
-    SimulateStmt,
-    TimeRange,
-)
-from dslake.lang.parser import parse
-from dslake.lang.formatter import format_query
-from dslake.lang.validate import ValidatedQuery, validate
-
-__all__ = [
-    "Token",
-    "TokenKind",
-    "tokenize",
-    "GeoBox",
-    "TimeRange",
-    "QueryAst",
-    "SelectStmt",
-    "SimulateStmt",
-    "OutItem",
-    "Expr",
-    "Ref",
-    "IntLit",
-    "DateLit",
-    "DurationLit",
-    "Offset",
-    "parse",
-    "format_query",
-    "validate",
-    "ValidatedQuery",
-]
+Import names from their submodules; this package module imports nothing."""

@@ -4,6 +4,13 @@ Resolution covers object types (alias-aware), filter keywords (through
 the library's keyword shortcuts), packages (case-sensitive), package
 inputs and outputs, and every reference used in binding expressions.
 
+The result, ``ValidatedQuery``, is the whole plan the engine runs, and
+validation is the one place a script is refused. Besides an unknown name,
+a ``ValidationError`` refuses a script with no select statement, selects
+of more than one object type, and a selected type whose library declares
+no combiner for it. The plan carries the selected library's extractors by
+file kind and the type's combiner, resolved to their functions once.
+
 Each simulate statement becomes a ``SimulatePlan``, everything the engine
 needs to run its package once per object selected by the nearest
 preceding select: one bindings table of (input, expression) pairs, and
@@ -18,6 +25,7 @@ take their package default when the package runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from dslake.errors import (
     DanglingSimulate,
@@ -38,7 +46,6 @@ from dslake.lang.ast import (
     SimulateStmt,
 )
 from dslake.registry import (
-    DomainLibraryDescriptor,
     KnowledgeRegistry,
     ObjectTypeInfo,
     PackageDescriptor,
@@ -59,7 +66,6 @@ class FilterBinding:
 @dataclass(frozen=True)
 class SelectResolution:
     info: ObjectTypeInfo
-    library: DomainLibraryDescriptor
     filters: tuple[FilterBinding, ...]
     requested_params: tuple[str, ...]  # parameter names to present
 
@@ -78,6 +84,10 @@ class ValidatedQuery:
     ast: QueryAst
     selects: tuple[SelectResolution, ...]
     simulates: tuple[SimulatePlan, ...]
+    # file kind -> extractor, the first the library declares for the kind;
+    # the functions in this order key the map records in the layout's memo
+    extractors: dict[str, Callable]
+    combiner: Callable
 
 
 def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
@@ -86,11 +96,30 @@ def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
 
     for index, stmt in enumerate(ast.statements):
         if isinstance(stmt, SelectStmt):
-            selects.append(_validate_select(stmt, registry))
+            select = _validate_select(stmt, registry)
+            if selects and select.info.name != selects[0].info.name:
+                raise ValidationError(
+                    stmt.object_type,
+                    detail=f"a task selects one object type, and {selects[0].info.name} came first",
+                )
+            selects.append(select)
         else:
             simulates.append(_validate_simulate(stmt, index, selects, registry))
 
-    return ValidatedQuery(ast=ast, selects=tuple(selects), simulates=tuple(simulates))
+    if not selects:
+        raise ValidationError("select", detail="the script has no select statement")
+    info = selects[0].info
+    library = registry.library_of(info.name)
+    combiner_id = library.combiner_for(info.name)
+    if combiner_id is None:
+        raise ValidationError(
+            info.name, detail=f"library {library.name} declares no combiner for it"
+        )
+    extractors: dict[str, Callable] = {}
+    for kind, proc_id in library.extractors:
+        extractors.setdefault(kind, registry.procedure(proc_id))
+    combiner = registry.procedure(combiner_id)
+    return ValidatedQuery(ast, tuple(selects), tuple(simulates), extractors, combiner)
 
 
 def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectResolution:
@@ -131,7 +160,6 @@ def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectRes
 
     return SelectResolution(
         info=info,
-        library=library,
         filters=tuple(filters),
         requested_params=tuple(requested),
     )

@@ -74,12 +74,6 @@ class DomainLibraryDescriptor:
                 return proc_id
         return None
 
-    def extractor_for(self, file_kind: str) -> str | None:
-        for kind, proc_id in self.extractors:
-            if kind == file_kind:
-                return proc_id
-        return None
-
     def filter_for(self, object_type: str, keyword: str) -> str | None:
         for otype, kw, proc_id in self.filters:
             if otype == object_type and kw == keyword:

@@ -141,7 +141,9 @@ class StorageLayout:
     """The simulated node set, file placement, and failure state.
 
     ``placements`` holds each file's replica nodes in placement order; a
-    read is served by the first that has not failed. ``by_dataset`` holds
+    read is served by the first that has not failed, and every read checks
+    the bytes against the file id, their SHA-256 digest, so a blob altered
+    after ingest is ``UnreadableFile`` on its next read. ``by_dataset`` holds
     each dataset's files in (t0, file_id) order; an ingest replaces the
     lists it changes rather than altering them, so a reshaped view starts
     from its parent's lists without copying them.
@@ -169,7 +171,6 @@ class StorageLayout:
     blobs: dict[str, bytes] = field(default_factory=dict)
     meta: dict[str, FileMeta] = field(default_factory=dict)
     by_dataset: dict[str, list[FileMeta]] = field(default_factory=dict)
-    _verified: set[str] = field(default_factory=set)
     memo: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -255,15 +256,12 @@ class StorageLayout:
         raise UnreadableFile(f"no surviving replica of {file_id}")
 
     def read(self, file_id: str) -> bytes:
+        """The file's bytes from its serving node, digest checked."""
         self.serving_node(file_id)
         data = self.blobs[file_id]
-        if file_id not in self._verified:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != file_id:
-                raise UnreadableFile(
-                    f"content digest mismatch for {file_id}: {digest}"
-                )
-            self._verified.add(file_id)
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != file_id:
+            raise UnreadableFile(f"content digest mismatch for {file_id}: {digest}")
         return data
 
     def dataset_files(self, dataset: str) -> list[FileMeta]:
@@ -344,15 +342,13 @@ class StorageLayout:
                 f" cannot reshape to {node_count} nodes"
             )
         # Only the memo and the unaltered order lists are shared: a file
-        # ingested into the view must not appear in this layout's tables, nor
-        # count as verified for them.
+        # ingested into the view must not appear in this layout's tables.
         view = StorageLayout(
             node_count=node_count,
             replication=replication,
             blobs=dict(self.blobs),
             meta=dict(self.meta),
             by_dataset=dict(self.by_dataset),
-            _verified=set(self._verified),
             memo=self.memo,
         )
         placed = view._placed(self.meta)

@@ -3,6 +3,7 @@ from datetime import datetime
 import pytest
 from hypothesis import strategies as st
 
+from dslake.descriptors import load_descriptors
 from dslake.lang.ast import GeoBox
 from dslake.registry import KnowledgeRegistry
 from dslake.times import UTC
@@ -26,6 +27,19 @@ simulate
   out(level[440,414])
 """
 
+# a library whose one object type is atomic: it declares no combiner
+STATION_KD = """\
+[library stations]
+object station atomic
+"""
+
+# scripts that validation refuses for their select statements, by why
+REFUSED_SCRIPTS = {
+    "no-select": "",
+    "two-object-types": "select cyclon-path\n  directon north-east\nselect station\n",
+    "no-combiner": "select station\n",
+}
+
 FIG5_AREA = GeoBox(lat_min=48.3416, lon_min=-24.7851, lat_max=66.1605, lon_max=32.8710)
 
 
@@ -36,6 +50,13 @@ def utc(year, month, day, hour=0, minute=0):
 @pytest.fixture()
 def registry() -> KnowledgeRegistry:
     return register_cyclone_domain(KnowledgeRegistry())
+
+
+@pytest.fixture()
+def station_registry(registry) -> KnowledgeRegistry:
+    """The cyclone registry plus the ``STATION_KD`` library."""
+    (library,), _ = load_descriptors(STATION_KD)
+    return registry.register_domain_library(library)
 
 
 @pytest.fixture()

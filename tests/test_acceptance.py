@@ -215,7 +215,7 @@ def test_criterion_5_stitching_oracle():
 
     def paths_for(layout):
         grouped: dict = {}
-        for fragment in run_map(layout, "d1", query, registry):
+        for fragment in run_map(layout, "d1", query):
             grouped.setdefault(fragment.payload_time, []).extend(fragment.payload)
         sets = [(ts, grouped[ts]) for ts in sorted(grouped)]
         return [p for p in track(sets) if len(p.centers) > 1]
@@ -334,7 +334,7 @@ def test_criterion_8_scheduling_independence():
     files, _ = generate_synthetic(spec, seed=31)
     layout = StorageLayout(node_count=4, replication=2).ingest(files)
     query = validate(parse(FIG5_SCRIPT), registry)
-    fragments = run_map(layout, "d1", query, registry)
+    fragments = run_map(layout, "d1", query)
 
     digests = set()
     rng = random.Random(2011)

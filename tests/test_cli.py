@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from dslake.cli import _build_parser, _resolve_config, main
 from dslake.errors import ConfigError
 
-from conftest import FIG5_SCRIPT, key_value_texts
+from conftest import FIG5_SCRIPT, REFUSED_SCRIPTS, STATION_KD, key_value_texts
 
 SPEC_TEXT = """\
 dataset d1
@@ -50,6 +50,17 @@ def test_validate_unknown_object_exit_one(workdir, capsys):
     code, out, err = run(capsys, "validate", str(script))
     assert code == 1
     assert "martian-storm" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", REFUSED_SCRIPTS)
+def test_validate_refuses_what_the_engine_cannot_run(workdir, capsys, name):
+    (workdir / "stations.kd").write_text(STATION_KD)
+    script = workdir / "bad.dq"
+    script.write_text(REFUSED_SCRIPTS[name])
+    code, out, err = run(capsys, "--registry", "stations.kd", "validate", str(script))
+    assert code == 1
+    assert err.startswith("error: ValidationError:")
     assert out == ""
 
 

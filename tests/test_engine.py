@@ -9,7 +9,13 @@ import pytest
 
 import dslake.cyclone.plugin as plugin
 import dslake.engine as engine
-from dslake.errors import ExtractorFailure, StorageError, UnreadableFile
+from dslake.errors import (
+    CombinerFailure,
+    ExtractorFailure,
+    StorageError,
+    UnreadableFile,
+    ValidationError,
+)
 from dslake.hybrid import IndexedSeries
 from dslake.engine import (
     EngineConfig,
@@ -35,7 +41,7 @@ from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_doma
 from dslake.cyclone.grid import render_grid_snapshot
 from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
 
-from conftest import FIG5_AREA, FIG5_SCRIPT, utc
+from conftest import FIG5_AREA, FIG5_SCRIPT, REFUSED_SCRIPTS, utc
 from test_detect import gaussian_depression
 from test_grid import snapshot
 
@@ -165,7 +171,7 @@ def test_reduce_orders_its_own_input(registry):
 def test_reduce_invariant_under_fragment_permutation(registry):
     layout, _ = synthetic_layout(seed=7, count=2, north_east=1, end=(2011, 1, 31, 18))
     query = validate(parse(FIG5_SCRIPT), registry)
-    fragments = run_map(layout, "d1", query, registry)
+    fragments = run_map(layout, "d1", query)
     baseline = run_reduce(fragments, query, registry, layout).canonical_text()
     rng = random.Random(11)
     for _ in range(50):
@@ -179,7 +185,7 @@ def test_run_map_time_prefilter(registry):
     script = FIG5_SCRIPT.replace("time 01.01.2011 - 31.12.2011", "time 01.06.2011 - 30.06.2011")
     query = validate(parse(script), registry)
     metas = layout.dataset_files("d1")  # january and february, outside june
-    fragments = run_map(layout, "d1", query, registry)
+    fragments = run_map(layout, "d1", query)
     assert [f.file_id for f in fragments] == [m.file_id for m in metas]
     assert all(f.payload == [] for f in fragments)
     assert [f.payload_time for f in fragments] == [m.t0 for m in metas]
@@ -198,7 +204,7 @@ def test_run_map_corrupted_snapshot(registry):
             bad = DataFile.from_bytes("d1", utc(2011, 1, 1), utc(2011, 1, 1), data)
             layout = StorageLayout(node_count=1, replication=1).ingest([bad])
             with pytest.raises(ExtractorFailure, match=bad.file_id):
-                run_map(layout, "d1", query, registry)
+                run_map(layout, "d1", query)
 
 
 def test_run_map_keeps_the_centers_inside_the_area(registry):
@@ -210,13 +216,34 @@ def test_run_map_keeps_the_centers_inside_the_area(registry):
     )
     inside = validate(parse("area 50.0,-25.0 - 62.0,-10.0\nselect cyclone-path"), registry)
     outside = validate(parse("area 50.0,0.0 - 62.0,10.0\nselect cyclone-path"), registry)
-    (fragment,) = run_map(layout, "d1", inside, registry)
+    (fragment,) = run_map(layout, "d1", inside)
     (center,) = fragment.payload
     assert inside.ast.area.contains(center.lat, center.lon)
-    (fragment,) = run_map(layout, "d1", outside, registry)
+    (fragment,) = run_map(layout, "d1", outside)
     assert fragment.payload == []
-    (fragment,) = run_map(layout, "d1", validate(parse("select cyclone-path"), registry), registry)
+    (fragment,) = run_map(layout, "d1", validate(parse("select cyclone-path"), registry))
     assert fragment.payload == [center]
+
+
+@pytest.mark.parametrize("name", REFUSED_SCRIPTS)
+def test_submit_of_a_refused_script_reads_no_file(station_registry, monkeypatch, name):
+    layout, _ = synthetic_layout(count=0, north_east=0, end=(2011, 1, 2, 0))
+    reads = []
+    monkeypatch.setattr(StorageLayout, "read", lambda self, file_id: reads.append(file_id))
+    request = TaskRequest(dataset="d1", script=REFUSED_SCRIPTS[name])
+    with pytest.raises(ValidationError):
+        submit(request, station_registry, layout)
+    assert layout.dataset_files("d1") and reads == []
+
+
+def test_combiner_exception_is_a_combiner_failure(registry):
+    def broken(center_sets, ctx):
+        raise Exception("combiner bug")
+
+    registry.procedures["cyclone.combine_paths"] = broken
+    layout, _ = synthetic_layout(count=0, north_east=0, end=(2011, 1, 2, 0))
+    with pytest.raises(CombinerFailure, match="combiner bug"):
+        submit(fig5_request(), registry, layout)
 
 
 def test_fault_equivalence_smoke(registry):

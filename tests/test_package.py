@@ -67,11 +67,6 @@ def _unused_module_imports(path):
 def test_no_unused_module_imports():
     root = Path(__file__).resolve().parent.parent
     files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
-    unused = [
-        entry
-        for path in files
-        if path.name != "__init__.py"
-        for entry in _unused_module_imports(path)
-    ]
+    unused = [entry for path in files for entry in _unused_module_imports(path)]
     assert files
     assert unused == []

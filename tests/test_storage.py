@@ -238,10 +238,12 @@ def test_unknown_node():
 
 
 def test_read_verifies_content_address():
+    # every read checks: a blob altered after a good read fails the next one
     f = make_file(1)
     layout = StorageLayout(node_count=2, replication=1).ingest([f])
+    assert layout.read(f.file_id) == f.data
     layout.blobs[f.file_id] = b"tampered"
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(UnreadableFile, match="content digest mismatch"):
         layout.read(f.file_id)
 
 
@@ -266,7 +268,7 @@ def test_ingest_into_a_reshaped_view_leaves_its_parent_alone():
     assert [m.file_id for m in parent.dataset_files("d")] == [a.file_id]
     with pytest.raises(UnreadableFile, match="unknown file"):
         parent.serving_node(b.file_id)
-    # the view's digest check of b does not vouch for the parent's own b
+    # the parent's b is its own: its read checks that copy
     parent.ingest([DataFile(b.file_id, "d", b.t0, b.t1, b"tampered")])
     with pytest.raises(UnreadableFile, match="content digest mismatch"):
         parent.read(b.file_id)

@@ -342,6 +342,14 @@ TIME_ROW = "two UTC times, start no later than end"
          "line 4: northeast 2 exceeds count 1"),
         (SPEC_HEAD + "spacing 0.0001\n",
          "line 4: spacing 0.0001 gives the area over 1000000 grid points"),
+        ("dataset d\narea 48 -25 66 33\ntime 0001-01-03T00:00Z 0001-01-03T12:00Z\n"
+         "random-cyclones count=1\n",
+         "line 4: a random cyclone lives up to 72 hours, which with step 6 hours reaches past"
+         " the years 1 to 9999 from 0001-01-03T00:00:00Z or 0001-01-03T12:00:00Z"),
+        ("dataset d\narea 48 -25 66 33\ntime 9999-12-30T00:00Z 9999-12-31T12:00Z\n"
+         "random-cyclones count=1\n",
+         "line 4: a random cyclone lives up to 72 hours, which with step 6 hours reaches past"
+         " the years 1 to 9999 from 9999-12-30T00:00:00Z or 9999-12-31T12:00:00Z"),
     ],
     ids=["field-without-equals", "step", "spacing", "background", "area-word", "area-short",
          "count", "northeast", "time-one-field", "time-word", "cyclone-float",
@@ -349,7 +357,8 @@ TIME_ROW = "two UTC times, start no later than end"
          "spacing-negative", "spacing-nan", "time-reversed", "area-outside-the-globe",
          "grid-under-2x2", "spacing-over-the-area", "background-high", "background-nan",
          "sigma-zero", "count-negative", "time-before-year-1-in-utc", "step-past-the-years",
-         "default-step-past-the-years", "northeast-over-count", "grid-over-the-points"],
+         "default-step-past-the-years", "northeast-over-count", "grid-over-the-points",
+         "random-life-before-year-1", "random-life-past-year-9999"],
 )
 def test_parse_spec_malformed_line_names_it(text, message):
     with pytest.raises(SpecError) as err:

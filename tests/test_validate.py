@@ -9,11 +9,14 @@ from dslake.errors import (
     UnknownOutputName,
     UnknownPackage,
     UnknownPackageInput,
+    ValidationError,
 )
 from dslake.lang.ast import DurationLit, Offset, Ref
 from dslake.lang.parser import parse
 from dslake.lang.validate import validate
 from dslake.registry import KnowledgeRegistry
+
+from conftest import REFUSED_SCRIPTS
 
 
 def test_fig5_validates(registry, fig5_script):
@@ -34,6 +37,9 @@ def test_fig5_validates(registry, fig5_script):
         "cyclone": Ref("cyclone"),
     }
     assert plan.outputs == (("level", (440, 414)),)
+    # the engine's extractors and combiner, resolved once
+    assert vq.extractors == {"grid": registry.procedures["cyclone.extract_centers"]}
+    assert vq.combiner is registry.procedures["cyclone.combine_paths"]
 
 
 def test_empty_registry_unknown_object(fig5_script):
@@ -127,3 +133,17 @@ def test_required_input_unbound_without_association(registry):
         validate(parse(script), registry)
     assert err.value.name in ("startTime", "cyclone")
 
+
+@pytest.mark.parametrize(
+    "script, name, detail",
+    [
+        (REFUSED_SCRIPTS["no-select"], "select", "no select statement"),
+        (REFUSED_SCRIPTS["two-object-types"], "station", "one object type, and cyclone-path"),
+        (REFUSED_SCRIPTS["no-combiner"], "station", "library stations declares no combiner"),
+    ],
+    ids=list(REFUSED_SCRIPTS),
+)
+def test_select_statements_the_engine_cannot_run(station_registry, script, name, detail):
+    with pytest.raises(ValidationError, match=detail) as err:
+        validate(parse(script), station_registry)
+    assert err.value.name == name
