@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         return args.handler(args, config)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DslakeError as exc:

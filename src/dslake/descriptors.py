@@ -6,11 +6,12 @@ The key tables ``PACKAGE_KEYS`` and ``LIBRARY_KEYS`` are the format's
 single definition, read by both ``load_descriptors`` and
 ``dump_descriptors``: each key's descriptor field, word grammar and word
 conversions. An unknown key, a line whose words do not fit its grammar, a
-single-valued key given twice and a name declared twice in one section
-are load errors. Loading the dumped text gives back the descriptors
-(round-trip law); the dumper refuses a value that would not read back,
-such as a word holding a space or a ``#``. Procedure ids are resolved
-when the registry registers a descriptor, not here.
+single-valued key given twice and an item whose ``unique`` key repeats in
+its field are load errors, as they are at registration. Loading the dumped
+text gives back the descriptors (round-trip law); the dumper refuses a
+value that would not read back, such as a word holding a space or a
+``#``. Procedure ids are resolved when the registry registers a
+descriptor, not here.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class Key:
     load: Callable[..., Any] = lambda *words: words
     dump: Callable[[Any], tuple] = lambda item: item
     per_object: bool = False  # the first word names an object of the library
-    named: bool = False  # items have a ``name`` that is unique in the section
+    unique: Callable[[Any], Any] | None = None  # a key no two items of the field share
 
 
 def _choices(enum: type[Enum]) -> str:
@@ -59,13 +60,13 @@ PACKAGE_KEYS = {
         lambda name, type_, need, default: PackageInput(name, type_, need == "required", default),
         lambda inp: (inp.name, inp.semantic_type,
                      "required" if inp.required else "optional", inp.default),
-        named=True,
+        unique=lambda item: item.name,
     ),
     "output": Key(
         "outputs", "<name> <semantic-type> [indexable]",
         lambda name, type_, indexable: PackageOutputDecl(name, type_, indexable is not None),
         lambda out: (out.name, out.semantic_type, "indexable" if out.indexable else None),
-        named=True,
+        unique=lambda item: item.name,
     ),
     "mode": Key("execution_mode", _choices(ExecutionMode), ExecutionMode, lambda m: (m.value,)),
     "placement": Key("placement", _choices(Placement), Placement, lambda p: (p.value,)),
@@ -80,14 +81,15 @@ LIBRARY_KEYS = {
             name, structure_level=StructureLevel(level), fragment_type=fragment
         ),
         lambda info: (info.name, info.structure_level.value, info.fragment_type),
-        named=True,
+        unique=lambda item: item.name,
     ),
     "alias": Key("aliases", "<object> <alias>", str, lambda alias: (alias,), per_object=True),
-    "param": Key("output_params", "<object> <name> <semantic-type>", per_object=True),
-    "extractor": Key("extractors", "<file-kind> <procedure-id>"),
-    "combiner": Key("combiners", "<object> <procedure-id>"),
-    "filter": Key("filters", "<object> <keyword> <procedure-id>"),
-    "keyword-alias": Key("keyword_aliases", "<alias> <canonical>"),
+    "param": Key("output_params", "<object> <name> <semantic-type>", per_object=True,
+                 unique=lambda words: words[0]),
+    "extractor": Key("extractors", "<file-kind> <procedure-id>", unique=lambda words: words[0]),
+    "combiner": Key("combiners", "<object> <procedure-id>", unique=lambda words: words[0]),
+    "filter": Key("filters", "<object> <keyword> <procedure-id>", unique=lambda words: words[:2]),
+    "keyword-alias": Key("keyword_aliases", "<alias> <canonical>", unique=lambda words: words[0]),
 }
 
 _SECTIONS = {
@@ -219,8 +221,8 @@ def _put(target: Any, key: Key, item: Any, repeated: bool) -> Any:
         if repeated:
             raise ValueError("given twice in one section")
         return replace(target, **{key.field: item})
-    if key.named and any(other.name == item.name for other in old):
-        raise ValueError(f"{item.name!r} declared twice")
+    if key.unique and any(key.unique(other) == key.unique(item) for other in old):
+        raise ValueError(f"{key.unique(item)!r} declared twice")
     return replace(target, **{key.field: (*old, item)})
 
 

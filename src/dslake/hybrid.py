@@ -183,16 +183,16 @@ def _run_external(
     env = dict(os.environ)
     env["DSLAKE_TASK_ID"] = task_id
     try:
-        proc = subprocess.run(args, env=env, capture_output=True, text=True)
+        proc = subprocess.run(args, env=env, capture_output=True)
     except OSError as exc:
         raise PackageFailure(
             f"{package.name} could not start {args[0]!r}: {exc.strerror or exc}"
             f" (scratch kept at {scratch})"
         ) from exc
     if proc.returncode != 0:
+        stderr = proc.stderr.decode(errors="replace").strip()[:500]
         raise PackageFailure(
-            f"{package.name} exited {proc.returncode}:"
-            f" {proc.stderr.strip()[:500]} (scratch kept at {scratch})"
+            f"{package.name} exited {proc.returncode}: {stderr} (scratch kept at {scratch})"
         )
 
     manifest = scratch / "outputs.tsv"

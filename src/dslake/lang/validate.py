@@ -2,14 +2,16 @@
 
 Resolution covers object types (alias-aware), filter keywords (through
 the library's keyword shortcuts), packages (case-sensitive), package
-inputs and outputs, and every reference used in binding expressions.
+inputs and outputs, and every reference used in binding expressions. Each
+select makes one registry lookup, for its type's ``ObjectKnowledge``
+record, and reads the type's parameters, filters and procedures there.
 
 The result, ``ValidatedQuery``, is the whole plan the engine runs, and
 validation is the one place a script is refused. Besides an unknown name,
 a ``ValidationError`` refuses a script with no select statement, selects
 of more than one object type, and a selected type whose library declares
-no combiner for it. The plan carries the selected library's extractors by
-file kind and the type's combiner, resolved to their functions once.
+no combiner for it. The plan carries the record's extractors by file kind
+and its combiner, resolved from the procedure table once.
 
 Each simulate statement becomes a ``SimulatePlan``, everything the engine
 needs to run its package once per object selected by the nearest
@@ -47,7 +49,7 @@ from dslake.lang.ast import (
 )
 from dslake.registry import (
     KnowledgeRegistry,
-    ObjectTypeInfo,
+    ObjectKnowledge,
     PackageDescriptor,
 )
 
@@ -65,7 +67,7 @@ class FilterBinding:
 
 @dataclass(frozen=True)
 class SelectResolution:
-    info: ObjectTypeInfo
+    knowledge: ObjectKnowledge
     filters: tuple[FilterBinding, ...]
     requested_params: tuple[str, ...]  # parameter names to present
 
@@ -84,8 +86,8 @@ class ValidatedQuery:
     ast: QueryAst
     selects: tuple[SelectResolution, ...]
     simulates: tuple[SimulatePlan, ...]
-    # file kind -> extractor, the first the library declares for the kind;
-    # the functions in this order key the map records in the layout's memo
+    # file kind -> extractor, in the library's order of declaration; the
+    # functions in this order key the map records in the layout's memo
     extractors: dict[str, Callable]
     combiner: Callable
 
@@ -97,10 +99,11 @@ def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
     for index, stmt in enumerate(ast.statements):
         if isinstance(stmt, SelectStmt):
             select = _validate_select(stmt, registry)
-            if selects and select.info.name != selects[0].info.name:
+            if selects and select.knowledge is not selects[0].knowledge:
+                first = selects[0].knowledge.info.name
                 raise ValidationError(
                     stmt.object_type,
-                    detail=f"a task selects one object type, and {selects[0].info.name} came first",
+                    detail=f"a task selects one object type, and {first} came first",
                 )
             selects.append(select)
         else:
@@ -108,30 +111,25 @@ def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
 
     if not selects:
         raise ValidationError("select", detail="the script has no select statement")
-    info = selects[0].info
-    library = registry.library_of(info.name)
-    combiner_id = library.combiner_for(info.name)
-    if combiner_id is None:
+    knowledge = selects[0].knowledge
+    if knowledge.combiner is None:
         raise ValidationError(
-            info.name, detail=f"library {library.name} declares no combiner for it"
+            knowledge.info.name,
+            detail=f"library {knowledge.library} declares no combiner for it",
         )
-    extractors: dict[str, Callable] = {}
-    for kind, proc_id in library.extractors:
-        extractors.setdefault(kind, registry.procedure(proc_id))
-    combiner = registry.procedure(combiner_id)
+    extractors = {kind: registry.procedure(p) for kind, p in knowledge.extractors.items()}
+    combiner = registry.procedure(knowledge.combiner)
     return ValidatedQuery(ast, tuple(selects), tuple(simulates), extractors, combiner)
 
 
 def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectResolution:
-    info = registry.resolve_object_type(stmt.object_type)
-    library = registry.library_of(stmt.object_type)
+    knowledge = registry.resolve_object_type(stmt.object_type)
 
     filters = []
     for keyword, value in stmt.filters:
-        canonical = library.canonical_keyword(keyword)
-        proc_id = library.filter_for(info.name, canonical)
+        proc_id = knowledge.filters.get(keyword)
         if proc_id is None:
-            raise UnknownFilterKeyword(keyword, detail=f"object type {info.name}")
+            raise UnknownFilterKeyword(keyword, detail=f"object type {knowledge.info.name}")
         filters.append(FilterBinding(procedure_id=proc_id, value=value))
 
     requested = []
@@ -142,9 +140,9 @@ def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectRes
                     raise UnknownOutputName(
                         str(idx), detail="Params[...] takes parameter names"
                     )
-                if info.param_type(idx.name) is None:
+                if idx.name not in knowledge.params:
                     raise UnknownOutputName(
-                        idx.name, detail=f"not a parameter of {info.name}"
+                        idx.name, detail=f"not a parameter of {knowledge.info.name}"
                     )
                 requested.append(idx.name)
         else:
@@ -152,14 +150,14 @@ def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectRes
                 raise UnknownOutputName(
                     item.name, detail="object parameters take no indices"
                 )
-            if info.param_type(item.name) is None:
+            if item.name not in knowledge.params:
                 raise UnknownOutputName(
-                    item.name, detail=f"not a parameter of {info.name}"
+                    item.name, detail=f"not a parameter of {knowledge.info.name}"
                 )
             requested.append(item.name)
 
     return SelectResolution(
-        info=info,
+        knowledge=knowledge,
         filters=tuple(filters),
         requested_params=tuple(requested),
     )
@@ -176,7 +174,7 @@ def _validate_simulate(
             stmt.package, detail="simulate has no preceding select to consume"
         )
     select_index = len(selects) - 1
-    select = selects[select_index]
+    knowledge = selects[select_index].knowledge
 
     package = registry.resolve_package(stmt.package)
 
@@ -191,8 +189,6 @@ def _validate_simulate(
                 )
             fan_out = value == "yes"
 
-    object_params = {name for name, _ in select.info.output_params}
-
     bindings: list[tuple[str, Expr]] = []
     for name, expr in stmt.in_bindings:
         if package.input_named(name) is None:
@@ -204,9 +200,9 @@ def _validate_simulate(
                 raise UnboundReference(
                     ref, detail="references need semantic_association yes"
                 )
-            if ref not in object_params:
+            if ref not in knowledge.params:
                 raise UnboundReference(
-                    ref, detail=f"not an output parameter of {select.info.name}"
+                    ref, detail=f"not an output parameter of {knowledge.info.name}"
                 )
         bindings.append((name, expr))
 
@@ -214,7 +210,7 @@ def _validate_simulate(
     for inp in package.inputs:
         if inp.name in bound_names:
             continue
-        if fan_out and select.info.param_type(inp.name) == inp.semantic_type:
+        if fan_out and knowledge.params.get(inp.name) == inp.semantic_type:
             bindings.append((inp.name, Ref(inp.name)))
         elif inp.default is None and inp.required:
             raise UnboundReference(

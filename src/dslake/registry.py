@@ -6,6 +6,14 @@ procedures, keyword shortcuts) and package descriptors (abstract software
 services). Descriptors are declarative data; the executable side lives in
 a procedure table populated by plugins at registration time.
 
+Registration is the one gate for knowledge. It indexes each object type
+once, under its name and each alias, into an ``ObjectKnowledge`` record
+that answers every lookup a query makes of the type; the record holds
+procedure ids, which resolve through the procedure table. A key given
+twice in a descriptor, a combiner or filter of a type its library does not
+declare, and a procedure id missing from the table raise a
+``RegistryError`` and leave the registry as it was.
+
 The registry is built once at startup and treated as immutable afterwards;
 lookups never mutate it.
 """
@@ -16,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import timedelta
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from dslake.errors import (
     DuplicateName,
@@ -52,12 +60,6 @@ class ObjectTypeInfo:
     output_params: tuple[tuple[str, str], ...] = ()  # (name, semantic type)
     fragment_type: str | None = None
 
-    def param_type(self, name: str) -> str | None:
-        for pname, ptype in self.output_params:
-            if pname == name:
-                return ptype
-        return None
-
 
 @dataclass(frozen=True)
 class DomainLibraryDescriptor:
@@ -68,23 +70,17 @@ class DomainLibraryDescriptor:
     filters: tuple[tuple[str, str, str], ...] = ()  # (object type, keyword, id)
     keyword_aliases: tuple[tuple[str, str], ...] = ()  # alias -> canonical
 
-    def combiner_for(self, object_type: str) -> str | None:
-        for otype, proc_id in self.combiners:
-            if otype == object_type:
-                return proc_id
-        return None
 
-    def filter_for(self, object_type: str, keyword: str) -> str | None:
-        for otype, kw, proc_id in self.filters:
-            if otype == object_type and kw == keyword:
-                return proc_id
-        return None
+@dataclass(frozen=True)
+class ObjectKnowledge:
+    """What registration knows of one object type; procedures by id."""
 
-    def canonical_keyword(self, keyword: str) -> str:
-        for alias, canonical in self.keyword_aliases:
-            if alias == keyword:
-                return canonical
-        return keyword
+    info: ObjectTypeInfo
+    library: str
+    params: dict[str, str]  # parameter name -> semantic type
+    combiner: str | None
+    extractors: dict[str, str]  # file kind -> extractor, in declaration order
+    filters: dict[str, str]  # keyword or keyword alias -> filter
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,16 @@ class PackageOutputDecl:
     indexable: bool = False
 
 
+def _unique(what: str, pairs: Iterable[tuple[Any, Any]]) -> dict:
+    """``pairs`` as a dict; a key given twice raises ``DuplicateName``."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise DuplicateName(f"{what} {key!r} declared twice")
+        table[key] = value
+    return table
+
+
 _PLACEHOLDER_RE = re.compile(r"\{(input:([A-Za-z_][A-Za-z0-9_]*)|outdir)\}")
 
 
@@ -131,18 +137,14 @@ class PackageDescriptor:
     procedure: str | None = None  # builtin procedure id; defaults to name
 
     def input_named(self, name: str) -> PackageInput | None:
-        for inp in self.inputs:
-            if inp.name == name:
-                return inp
-        return None
+        return next((inp for inp in self.inputs if inp.name == name), None)
 
     def output_named(self, name: str) -> PackageOutputDecl | None:
-        for out in self.outputs:
-            if out.name == name:
-                return out
-        return None
+        return next((out for out in self.outputs if out.name == name), None)
 
     def check(self) -> None:
+        inputs = _unique(f"package {self.name}: input", ((inp.name, inp) for inp in self.inputs))
+        _unique(f"package {self.name}: output", ((out.name, out) for out in self.outputs))
         for inp in self.inputs:
             if inp.default is None:
                 continue
@@ -158,14 +160,13 @@ class PackageDescriptor:
                 raise MalformedTemplate(
                     f"package {self.name}: external mode requires a command template"
                 )
-            input_names = {inp.name for inp in self.inputs}
             for raw in re.findall(r"\{[^{}]*\}", self.command_template):
                 m = _PLACEHOLDER_RE.fullmatch(raw)
                 if not m:
                     raise MalformedTemplate(
                         f"package {self.name}: bad placeholder {raw}"
                     )
-                if m.group(2) and m.group(2) not in input_names:
+                if m.group(2) and m.group(2) not in inputs:
                     raise MalformedTemplate(
                         f"package {self.name}: placeholder references "
                         f"unknown input {m.group(2)!r}"
@@ -199,7 +200,7 @@ class KnowledgeRegistry:
     libraries: dict[str, DomainLibraryDescriptor] = field(default_factory=dict)
     packages: dict[str, PackageDescriptor] = field(default_factory=dict)
     procedures: ProcedureTable = field(default_factory=dict)
-    _object_index: dict[str, tuple[str, ObjectTypeInfo]] = field(default_factory=dict)
+    _object_index: dict[str, ObjectKnowledge] = field(default_factory=dict)
 
     def register_domain_library(
         self,
@@ -208,15 +209,27 @@ class KnowledgeRegistry:
     ) -> "KnowledgeRegistry":
         if descriptor.name in self.libraries:
             raise DuplicateName(f"domain library {descriptor.name!r}")
-        procedures = procedures or {}
+        table = dict(self.procedures)
+        for proc_id, fn in (procedures or {}).items():
+            if proc_id in table:
+                raise DuplicateName(f"procedure {proc_id!r}")
+            table[proc_id] = fn
+        extractors = _unique("extractor for file kind", descriptor.extractors)
+        combiners = _unique("combiner for object type", descriptor.combiners)
+        filters = _unique("filter", (((otype, kw), p) for otype, kw, p in descriptor.filters))
+        aliases = _unique("keyword alias", descriptor.keyword_aliases)
+        for proc_id in (*extractors.values(), *combiners.values(), *filters.values()):
+            if proc_id not in table:
+                raise RegistryError(f"procedure {proc_id!r} not registered")
+        declared = {info.name for info in descriptor.object_types}
+        for otype in (*combiners, *(otype for otype, _ in filters)):
+            if otype not in declared:
+                raise RegistryError(f"a combiner or filter names undeclared type {otype!r}")
 
-        claimed: dict[str, int] = {}  # name or alias -> its object type's position
-        for i, info in enumerate(descriptor.object_types):
-            for key in (info.name, *info.aliases):
-                if key in self._object_index or claimed.setdefault(key, i) != i:
-                    raise DuplicateName(f"object type or alias {key!r}")
+        index: dict[str, ObjectKnowledge] = {}
+        for info in descriptor.object_types:
             if info.structure_level is StructureLevel.HIGH_LEVEL:
-                if descriptor.combiner_for(info.name) is None:
+                if info.name not in combiners:
                     raise RegistryError(
                         f"high-level type {info.name!r} declares no combiner"
                     )
@@ -224,27 +237,22 @@ class KnowledgeRegistry:
                     raise RegistryError(
                         f"high-level type {info.name!r} declares no fragment type"
                     )
-
-        table = dict(self.procedures)
-        for proc_id, fn in procedures.items():
-            if proc_id in table:
-                raise DuplicateName(f"procedure {proc_id!r}")
-            table[proc_id] = fn
-        for _, _, proc_id in descriptor.filters:
-            if proc_id not in table:
-                raise RegistryError(f"filter procedure {proc_id!r} not registered")
-        for _, proc_id in descriptor.extractors:
-            if proc_id not in table:
-                raise RegistryError(f"extractor procedure {proc_id!r} not registered")
-        for _, proc_id in descriptor.combiners:
-            if proc_id not in table:
-                raise RegistryError(f"combiner procedure {proc_id!r} not registered")
+            own = {kw: p for (otype, kw), p in filters.items() if otype == info.name}
+            # an alias names its canonical keyword's filter, even over one of its own
+            canonical = {kw: aliases.get(kw, kw) for kw in (*own, *aliases)}
+            record = ObjectKnowledge(
+                info, descriptor.name,
+                _unique(f"parameter of {info.name}", info.output_params),
+                combiners.get(info.name), extractors,
+                {kw: own[c] for kw, c in canonical.items() if c in own},
+            )
+            for key in (info.name, *info.aliases):
+                if key in self._object_index or index.setdefault(key, record) is not record:
+                    raise DuplicateName(f"object type or alias {key!r}")
 
         self.procedures = table
         self.libraries[descriptor.name] = descriptor
-        for info in descriptor.object_types:
-            for key in (info.name, *info.aliases):
-                self._object_index[key] = (descriptor.name, info)
+        self._object_index.update(index)
         return self
 
     def register_package(
@@ -265,17 +273,11 @@ class KnowledgeRegistry:
 
     # -- lookups (pure) ----------------------------------------------------
 
-    def resolve_object_type(self, name: str) -> ObjectTypeInfo:
-        entry = self._object_index.get(name)
-        if entry is None:
+    def resolve_object_type(self, name: str) -> ObjectKnowledge:
+        knowledge = self._object_index.get(name)
+        if knowledge is None:
             raise UnknownObjectType(name)
-        return entry[1]
-
-    def library_of(self, object_type_name: str) -> DomainLibraryDescriptor:
-        entry = self._object_index.get(object_type_name)
-        if entry is None:
-            raise UnknownObjectType(object_type_name)
-        return self.libraries[entry[0]]
+        return knowledge
 
     def resolve_package(self, name: str) -> PackageDescriptor:
         pkg = self.packages.get(name)  # case-sensitive by contract

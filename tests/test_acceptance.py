@@ -108,7 +108,7 @@ def test_criterion_1_golden_parse():
     assert simulate.out == (OutItem(name="level", indices=(IntLit(440), IntLit(414))),)
 
     vq = validate(ast, registry)
-    assert vq.selects[0].info.name == "cyclone-path"
+    assert vq.selects[0].knowledge.info.name == "cyclone-path"
     assert vq.selects[0].filters[0].procedure_id == "cyclone.filter_direction"
     assert vq.simulates[0].package.name == "BSM"
     assert ("cyclone", Ref("cyclone")) in vq.simulates[0].bindings  # semantic association

@@ -70,6 +70,30 @@ def test_missing_script_exit_two(workdir, capsys):
     assert "missing.dq" in err
 
 
+@pytest.mark.parametrize(
+    "relpath, argv",
+    [
+        ("sub", ["ingest", "m.tsv"]),
+        ("", ["ingest", "m.tsv"]),
+        (None, ["ingest", "sub"]),
+        (None, ["validate", "sub"]),
+        (None, ["gen-synthetic", "sub"]),
+        (None, ["--config", "sub", "registry", "list"]),
+        (None, ["--registry", "sub", "registry", "list"]),
+    ],
+    ids=["manifest-path", "manifest-empty-path", "manifest", "script", "spec", "config",
+         "registry"],
+)
+def test_directory_for_a_file_exit_two(workdir, capsys, relpath, argv):
+    (workdir / "sub").mkdir()
+    if relpath is not None:
+        times = "2011-01-01T00:00Z\t2011-01-01T00:00Z"
+        (workdir / "m.tsv").write_text(f"abc\td1\t{times}\t{relpath}\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def test_usage_error_exit_two(workdir, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["submit"])  # --dataset is required

@@ -1,5 +1,7 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dslake.descriptors import (
@@ -9,7 +11,7 @@ from dslake.descriptors import (
     load_descriptor_file,
     load_descriptors,
 )
-from dslake.errors import DescriptorLoadError, RegistryError
+from dslake.errors import DescriptorLoadError, DuplicateName, RegistryError
 from dslake.registry import (
     DomainLibraryDescriptor,
     ExecutionMode,
@@ -54,7 +56,7 @@ def test_sample_loads():
     assert pkg.output_named("level").indexable
     lib = libraries[0]
     assert lib.object_types[0].aliases == ("cyclon-path",)
-    assert lib.canonical_keyword("directon") == "direction"
+    assert lib.keyword_aliases == (("directon", "direction"),)
 
 
 def test_unknown_key_is_load_error():
@@ -147,6 +149,61 @@ def test_descriptor_round_trip(libs, pkgs):
     assert loaded_pkgs == pkgs
 
 
+def _first(rows, key):
+    """The last word of the first row that begins with ``key``: each lookup
+    of the registry as a scan of the declared tuples."""
+    return next((row[-1] for row in rows if row[:len(key)] == key), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(libraries, st.data())
+def test_index_answers_as_a_first_match_scan(lib, data):
+    # point combiners and filters at declared types, keyword aliases at
+    # filter keywords, and complete the high-level types, so that most
+    # drawn libraries register and their aliases meet their filters
+    types = [info.name for info in lib.object_types]
+    assume(types)
+    combiners = tuple(zip(types, (proc_id for _, proc_id in lib.combiners)))
+    filters = {}
+    for _, keyword, proc_id in lib.filters:
+        filters.setdefault((data.draw(st.sampled_from(types)), keyword), proc_id)
+    words = st.sampled_from([*(kw for _, kw in filters), *dict(lib.keyword_aliases)])
+    aliases = {data.draw(words): data.draw(words) for _ in lib.keyword_aliases}
+    high = [otype for otype, _ in combiners]
+    lib = replace(
+        lib,
+        object_types=tuple(
+            replace(info, fragment_type=info.fragment_type or "part")
+            if info.name in high else replace(info, structure_level=StructureLevel.ATOMIC)
+            for info in lib.object_types
+        ),
+        combiners=combiners,
+        filters=tuple((*key, proc_id) for key, proc_id in filters.items()),
+        keyword_aliases=tuple(aliases.items()),
+    )
+    registry = KnowledgeRegistry()
+    ids = {row[-1] for row in (*lib.extractors, *lib.combiners, *lib.filters)}
+    try:
+        registry.register_domain_library(lib, dict.fromkeys(ids, repr))
+    except DuplicateName:  # an alias that is another type's name
+        assume(False)
+
+    keywords = {"nope", *(kw for _, kw, _ in lib.filters), *sum(lib.keyword_aliases, ())}
+    for key in {key for info in lib.object_types for key in (info.name, *info.aliases)}:
+        info = next(i for i in lib.object_types if key in (i.name, *i.aliases))
+        knowledge = registry.resolve_object_type(key)
+        assert (knowledge.info, knowledge.library) == (info, lib.name)
+        assert knowledge.combiner == _first(lib.combiners, (info.name,))
+        extractors = {kind: _first(lib.extractors, (kind,)) for kind, _ in lib.extractors}
+        assert list(knowledge.extractors.items()) == list(extractors.items())  # in order
+        for name in {"Nope", *(name for name, _ in info.output_params)}:
+            assert knowledge.params.get(name) == _first(info.output_params, (name,))
+        for keyword in keywords:
+            canonical = _first(lib.keyword_aliases, (keyword,)) or keyword
+            assert knowledge.filters.get(keyword) == _first(lib.filters, (info.name, canonical))
+        assert set(knowledge.filters) <= keywords
+
+
 # --- malformed lines --------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -164,9 +221,19 @@ def test_descriptor_round_trip(libs, pkgs):
         ("[package P]\nmode builtin\n\nmode external\n", 4, "mode given twice in one section"),
         ("[library L]\nparam x Depth float\n", 2,
          "param names object 'x', not declared in this library"),
+        ("[library L]\nextractor grid a.b\nextractor grid a.c\n", 3,
+         "extractor 'grid' declared twice"),
+        ("[library L]\ncombiner x a.b\n\ncombiner x a.b\n", 4, "combiner 'x' declared twice"),
+        ("[library L]\nfilter x dir a.b\nfilter y dir a.b\nfilter x dir a.c\n", 4,
+         "filter ('x', 'dir') declared twice"),
+        ("[library L]\nkeyword-alias d dir\nkeyword-alias d heading\n", 3,
+         "keyword-alias 'd' declared twice"),
+        ("[library L]\nobject x atomic\nparam x Depth float\nparam x Depth int\n", 4,
+         "param 'Depth' declared twice"),
     ],
     ids=["extra-flag-word", "extra-default-words", "procedure-words", "object-twice",
-         "missing-words", "enum", "scalar-twice", "undeclared-object"],
+         "missing-words", "enum", "scalar-twice", "undeclared-object", "extractor-twice",
+         "combiner-twice", "filter-twice", "keyword-alias-twice", "param-twice"],
 )
 def test_malformed_line_is_load_error(text, line, message):
     with pytest.raises(DescriptorLoadError) as err:

@@ -1,5 +1,6 @@
 import re
 import shutil
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -179,6 +180,18 @@ def test_external_command_nonzero_exit_fails():
     shutil.rmtree(kept_scratch(err.value))
 
 
+def test_external_command_with_non_utf8_stderr_fails():
+    # the quoted stderr is decoded with replacement, so the failure is a
+    # package failure, not a UnicodeDecodeError escaping the invocation
+    registry = KnowledgeRegistry()
+    descriptor = _echo_descriptor("sh -c 'printf \"oops \\377\" >&2; exit 3'")
+    registry.register_package(descriptor)
+    with pytest.raises(PackageFailure) as err:
+        invoke(descriptor, {"word": "hi"}, registry)
+    shutil.rmtree(kept_scratch(err.value))
+    assert str(err.value).startswith("ECHO exited 3: oops \ufffd (scratch kept at ")
+
+
 def test_external_command_that_cannot_start_fails():
     # a missing program is a package failure naming the program and the
     # kept scratch, not an OSError escaping the invocation
@@ -207,6 +220,23 @@ def test_external_bsm_matches_builtin(registry):
     external_out = invoke(external, dict(bindings), registry)
     a = output_at(builtin_out, "level", (440, 414))
     b = output_at(external_out, "level", (440, 414))
+    assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
+
+
+def test_external_bsm_ignores_non_utf8_stdout(registry):
+    # the outputs are read from the scratch directory; what the command
+    # writes to stdout, here a 0xFF byte first, is not decoded
+    external = bsm_external_descriptor(name="BSM-X")
+    noisy = replace(
+        external,
+        command_template="sh -c 'printf \"\\377\"; exec \"$@\"' sh " + external.command_template,
+    )
+    registry.register_package(noisy)
+    bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
+    builtin_out = invoke(registry.resolve_package("BSM"), dict(bindings), registry)
+    noisy_out = invoke(noisy, dict(bindings), registry)
+    a = output_at(builtin_out, "level", (440, 414))
+    b = output_at(noisy_out, "level", (440, 414))
     assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
 
 

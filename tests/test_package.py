@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -69,4 +70,54 @@ def test_no_unused_module_imports():
     files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
     unused = [entry for path in files for entry in _unused_module_imports(path)]
     assert files
+    assert unused == []
+
+
+
+def _definitions_and_references(path):
+    """The functions and classes ``path`` defines, with their lines, and
+    the names it uses: names, attributes, imported names and the words of
+    string constants other than docstrings."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *defs)) and ast.get_docstring(node) is not None
+    }
+    defined, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, defs):
+            defined.append((node.name, f"{path.name}:{node.lineno} {node.name}"))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                used.update(re.findall(r"\w+", node.value))
+    return defined, used
+
+
+def test_every_definition_is_used():
+    # a function, class or method that nothing in the program or the
+    # benchmark names is dead code; the storage fabric's recover_node and
+    # the ground truth's GroundTruthPath.matches serve tests alone
+    root = Path(__file__).resolve().parent.parent
+    src = sorted((root / "src").rglob("*.py"))
+    used = set()
+    defined = []
+    for path in [*src, *sorted((root / "perfbench").rglob("*.py"))]:
+        found, names = _definitions_and_references(path)
+        used |= names
+        if path in src:
+            defined += found
+    unused = [
+        where for name, where in defined
+        if name not in used and not name.startswith("__")
+        and name not in ("recover_node", "matches")
+    ]
+    assert defined
     assert unused == []

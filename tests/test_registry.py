@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,12 @@ from dslake.registry import (
     PackageOutputDecl,
     StructureLevel,
 )
-from dslake.cyclone.plugin import register_cyclone_domain
+from dslake.cyclone.plugin import bsm_descriptor, register_cyclone_domain
 
 
 def test_alias_resolves_to_canonical(registry):
     info = registry.resolve_object_type("cyclon-path")
-    assert info.name == "cyclone-path"
+    assert info.info.name == "cyclone-path"
     assert registry.resolve_object_type("cyclone-path") is info
 
 
@@ -141,7 +143,6 @@ def test_lookups_do_not_mutate(registry):
     )
     registry.resolve_object_type("cyclon-path")
     registry.resolve_package("BSM")
-    registry.library_of("cyclone-path")
     with pytest.raises(UnknownObjectType):
         registry.resolve_object_type("nothing-here")
     assert before == (
@@ -183,7 +184,7 @@ def test_resolution_matches_reference_map(entries):
             oracle[k] = name
     for _ in range(2):  # repeated calls return the same answers
         for key, canonical in oracle.items():
-            assert registry.resolve_object_type(key).name == canonical
+            assert registry.resolve_object_type(key).info.name == canonical
 
 
 def test_alias_closure(registry):
@@ -212,3 +213,73 @@ def test_name_repeated_within_one_library_rejected(object_types):
     with pytest.raises(DuplicateName, match="object type or alias 'p'"):
         registry.register_domain_library(library)
     assert registry.libraries == {} and registry._object_index == {}
+
+
+OTHER = DomainLibraryDescriptor(
+    name="other",
+    object_types=(
+        ObjectTypeInfo("storm", structure_level=StructureLevel.ATOMIC,
+                       output_params=(("Depth", "float"),)),
+    ),
+    extractors=(("grid", "other.extract"),),
+    combiners=(("storm", "other.combine"),),
+    filters=(("storm", "direction", "other.filter"),),
+    keyword_aliases=(("dir", "direction"),),
+)
+OTHER_PROCEDURES = {"other.extract": repr, "other.combine": repr, "other.filter": repr}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(extractors=(("grid", "other.extract"), ("grid", "other.combine"))),
+         "extractor for file kind 'grid' declared twice"),
+        (dict(combiners=(("storm", "other.combine"),) * 2),
+         "combiner for object type 'storm' declared twice"),
+        (dict(filters=(("storm", "direction", "other.filter"),
+                       ("storm", "direction", "other.extract"))),
+         "filter ('storm', 'direction') declared twice"),
+        (dict(keyword_aliases=(("dir", "direction"), ("dir", "heading"))),
+         "keyword alias 'dir' declared twice"),
+        (dict(object_types=(
+            replace(OTHER.object_types[0], output_params=(("Depth", "float"),) * 2),
+        )), "parameter of storm 'Depth' declared twice"),
+        (dict(combiners=(("gale", "other.combine"),)),
+         "a combiner or filter names undeclared type 'gale'"),
+        (dict(filters=(("gale", "direction", "other.filter"),)),
+         "a combiner or filter names undeclared type 'gale'"),
+        (dict(extractors=(("grid", "other.missing"),)), "procedure 'other.missing' not registered"),
+    ],
+    ids=["extractor-twice", "combiner-twice", "filter-twice", "keyword-alias-twice",
+         "param-twice", "combiner-of-undeclared-type", "filter-of-undeclared-type",
+         "unregistered-procedure"],
+)
+def test_faulty_library_refused_and_registry_unchanged(registry, changes, message):
+    before = (dict(registry.libraries), dict(registry.procedures), dict(registry._object_index))
+    with pytest.raises(RegistryError) as err:
+        registry.register_domain_library(replace(OTHER, **changes), dict(OTHER_PROCEDURES))
+    assert str(err.value) == message
+    after = (dict(registry.libraries), dict(registry.procedures), dict(registry._object_index))
+    assert after == before
+    registry.register_domain_library(OTHER, OTHER_PROCEDURES)  # without the fault it registers
+    assert registry.resolve_object_type("storm").filters == {
+        "direction": "other.filter", "dir": "other.filter"
+    }
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(inputs=(*bsm_descriptor().inputs, PackageInput("cyclone", "cyclone-params"))),
+         "package BSM: input 'cyclone' declared twice"),
+        (dict(outputs=(*bsm_descriptor().outputs, PackageOutputDecl("level", "float"))),
+         "package BSM: output 'level' declared twice"),
+    ],
+    ids=["input-twice", "output-twice"],
+)
+def test_package_name_declared_twice_refused(changes, message):
+    registry = KnowledgeRegistry()
+    with pytest.raises(DuplicateName) as err:
+        registry.register_package(replace(bsm_descriptor(), **changes), procedure=repr)
+    assert str(err.value) == message
+    assert (registry.packages, registry.procedures) == ({}, {})

@@ -22,7 +22,7 @@ from conftest import REFUSED_SCRIPTS
 def test_fig5_validates(registry, fig5_script):
     vq = validate(parse(fig5_script), registry)
     (select,) = vq.selects
-    assert select.info.name == "cyclone-path"  # alias resolved
+    assert select.knowledge.info.name == "cyclone-path"  # alias resolved
     (filter_binding,) = select.filters
     # "directon" resolves through the keyword shortcut to the direction filter
     assert filter_binding.procedure_id == "cyclone.filter_direction"
