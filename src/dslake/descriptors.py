@@ -6,8 +6,9 @@ The key tables ``PACKAGE_KEYS`` and ``LIBRARY_KEYS`` are the format's
 single definition, read by both ``load_descriptors`` and
 ``dump_descriptors``: each key's descriptor field, word grammar and word
 conversions. An unknown key, a line whose words do not fit its grammar, a
-single-valued key given twice and an item whose ``unique`` key repeats in
-its field are load errors, as they are at registration. Loading the dumped
+single-valued key given twice, an item whose ``unique`` key repeats in
+its field and a line that names an object its library has not declared
+above it are load errors, as they are at registration. Loading the dumped
 text gives back the descriptors (round-trip law); the dumper refuses a
 value that would not read back, such as a word holding a space or a
 ``#``. Procedure ids are resolved when the registry registers a
@@ -46,7 +47,8 @@ class Key:
     usage: str
     load: Callable[..., Any] = lambda *words: words
     dump: Callable[[Any], tuple] = lambda item: item
-    per_object: bool = False  # the first word names an object of the library
+    names_object: bool = False  # the first word names an object declared above it
+    per_object: bool = False  # and the rest of the line is an item of that object
     unique: Callable[[Any], Any] | None = None  # a key no two items of the field share
 
 
@@ -83,12 +85,15 @@ LIBRARY_KEYS = {
         lambda info: (info.name, info.structure_level.value, info.fragment_type),
         unique=lambda item: item.name,
     ),
-    "alias": Key("aliases", "<object> <alias>", str, lambda alias: (alias,), per_object=True),
-    "param": Key("output_params", "<object> <name> <semantic-type>", per_object=True,
-                 unique=lambda words: words[0]),
+    "alias": Key("aliases", "<object> <alias>", str, lambda alias: (alias,),
+                 names_object=True, per_object=True),
+    "param": Key("output_params", "<object> <name> <semantic-type>",
+                 names_object=True, per_object=True, unique=lambda words: words[0]),
     "extractor": Key("extractors", "<file-kind> <procedure-id>", unique=lambda words: words[0]),
-    "combiner": Key("combiners", "<object> <procedure-id>", unique=lambda words: words[0]),
-    "filter": Key("filters", "<object> <keyword> <procedure-id>", unique=lambda words: words[:2]),
+    "combiner": Key("combiners", "<object> <procedure-id>", names_object=True,
+                    unique=lambda words: words[0]),
+    "filter": Key("filters", "<object> <keyword> <procedure-id>", names_object=True,
+                  unique=lambda words: words[:2]),
     "keyword-alias": Key("keyword_aliases", "<alias> <canonical>", unique=lambda words: words[0]),
 }
 
@@ -205,11 +210,12 @@ def _words(usage: str, rest: str) -> list[str | None] | None:
 
 def _add(desc: Descriptor, key: Key, words: list, repeated: bool) -> Descriptor:
     """``desc`` with the item of one line added to ``key.field``."""
+    if key.names_object:
+        names = [info.name for info in desc.object_types]
+        if words[0] not in names:
+            raise ValueError(f"names object {words[0]!r}, not declared in this library")
     if not key.per_object:
         return _put(desc, key, key.load(*words), repeated)
-    names = [info.name for info in desc.object_types]
-    if words[0] not in names:
-        raise ValueError(f"names object {words[0]!r}, not declared in this library")
     i = names.index(words[0])
     info = _put(desc.object_types[i], key, key.load(*words[1:]), repeated)
     return replace(desc, object_types=(*desc.object_types[:i], info, *desc.object_types[i + 1:]))

@@ -9,8 +9,9 @@ chaining.
 The engine runs the plan that validation returns (``ValidatedQuery``) and
 refuses no script itself; ``dslake.lang.validate`` says what is refused.
 From the plan it takes the extractor for each file's kind, the combiner,
-each select's filters and parameters, and each simulate plan; the
-registry serves only the filter procedures and the package runs.
+each select's filter functions and parameters, and each simulate plan
+with its package's procedure. Execution reads no registry: ``Engine``
+keeps one only to validate each request against.
 
 Determinism contract: for fixed (request, dataset bytes, registry) the
 canonical result document is byte-identical whatever the node count, the
@@ -160,7 +161,7 @@ class Engine:
 
         query = validate(parse(request.script), self.registry)
         fragments = run_map(layout, request.dataset, query)
-        return run_reduce(fragments, query, self.registry, layout, task_id=request.task_id())
+        return run_reduce(fragments, query, layout, task_id=request.task_id())
 
 
 def submit(
@@ -172,7 +173,6 @@ def submit(
 def run_reduce(
     fragments: list[Fragment],
     query: ValidatedQuery,
-    registry: KnowledgeRegistry,
     layout: StorageLayout,
     task_id: str = "",
 ) -> ResultDocument:
@@ -205,16 +205,10 @@ def run_reduce(
     except Exception as exc:
         raise CombinerFailure(str(exc)) from exc
 
-    selected_per_select: list[list[DomainObject]] = []
-    for sel in query.selects:
-        kept = []
-        for obj in objects:
-            if all(
-                registry.procedure(f.procedure_id)(obj.params, f.value)
-                for f in sel.filters
-            ):
-                kept.append(obj)
-        selected_per_select.append(kept)
+    selected_per_select = [
+        [obj for obj in objects if all(f.procedure(obj.params, f.value) for f in sel.filters)]
+        for sel in query.selects
+    ]
 
     object_records: dict[str, ObjectRecord] = {}
     for sel, kept in zip(query.selects, selected_per_select):
@@ -232,7 +226,7 @@ def run_reduce(
         sim
         for plan in query.simulates
         for sim in _run_simulations(
-            plan, selected_per_select[plan.select_index], registry, layout, task_id
+            plan, selected_per_select[plan.select_index], layout, task_id
         )
     ]
 
@@ -251,7 +245,6 @@ def run_reduce(
 def _run_simulations(
     plan: SimulatePlan,
     selected: list[DomainObject],
-    registry: KnowledgeRegistry,
     layout: StorageLayout,
     task_id: str,
 ) -> list[SimulationRecord]:
@@ -271,7 +264,7 @@ def _run_simulations(
                 node = layout.serving_node(obj.provenance[-1])
 
             started = time.perf_counter()
-            outputs = invoke(plan.package, bindings, registry, task_id)
+            outputs = invoke(plan.package, plan.procedure, bindings, task_id)
             record.wall_time_s = time.perf_counter() - started
             record.node = node
             for name, indices in plan.outputs:

@@ -1,15 +1,18 @@
 """Hybrid package execution: builtin procedures and external commands.
 
-``invoke(package, bindings, registry, task_id)`` is one package run, a
-plain call: it fills defaults, checks each binding against the descriptor
-(``BindingError``), and returns the outputs as a dict by name, every
-declared one present, or raises ``PackageFailure``. ``output_at`` picks a
-requested output out of that dict. The engine times each run itself.
+``invoke(package, procedure, bindings, task_id)`` is one package run, a
+plain call on a validated plan's bindings, which name only declared inputs
+and bind every required input that has no default. It fills the defaults,
+checks each value's semantic type (``BindingError``), and returns the
+outputs as a dict by name, every declared one present, or raises
+``PackageFailure``. ``output_at`` picks a requested output out of that
+dict. The engine times each run itself.
 
-Builtin mode calls a registered procedure in-process. External mode
-materializes inputs into a per-invocation scratch directory, expands the
-command template, runs the command, and reads declared outputs back from
-an ``outputs.tsv`` the command must write.
+A builtin package's run calls its ``procedure`` in-process; an external
+package, whose ``procedure`` is ``None``, materializes inputs into a
+per-invocation scratch directory, expands the command template, runs the
+command, and reads declared outputs back from an ``outputs.tsv`` the
+command must write.
 
 External output contract (all files tab-separated UTF-8):
 
@@ -21,8 +24,10 @@ one line per index, e.g. ``level[440,414]``, and is read back as one
 ``IndexedSeries``, as a builtin procedure returns it. Template placeholders
 are ``{input:<name>}`` (literal or materialized file path) and
 ``{outdir}``. The environment is passed through unchanged except
-``DSLAKE_TASK_ID``, which holds the submit's task id. Scratch directories
-are deleted on success and retained on failure.
+``DSLAKE_TASK_ID``, which holds the submit's task id. A scratch directory
+is deleted once the declared outputs are read back; every
+``PackageFailure`` of an external run keeps it and ends with
+``(scratch kept at <path>)``.
 
 Invocations are independent: no shared mutable state, safe to run
 concurrently.
@@ -39,11 +44,11 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from dslake.errors import BindingError, PackageFailure, UnboundReference
 from dslake.lang.ast import DateLit, DurationLit, Expr, IntLit, Offset, Ref
-from dslake.registry import ExecutionMode, KnowledgeRegistry, PackageDescriptor
+from dslake.registry import PackageDescriptor
 from dslake.times import UTC, iso_seconds, parse_utc
 
 Series = list[tuple[datetime, float]]
@@ -75,7 +80,8 @@ def evaluate_binding(expr: Expr, object_params: dict[str, Any]) -> Any:
     """Evaluate a binding expression against an object's parameters.
 
     Offsets apply duration arithmetic in UTC; 48h and 2d are both exactly
-    48 hours of timedelta.
+    48 hours of timedelta. An offset that leaves the years 1 to 9999 is a
+    ``BindingError``.
     """
     if isinstance(expr, Ref):
         if expr.name not in object_params:
@@ -92,7 +98,13 @@ def evaluate_binding(expr: Expr, object_params: dict[str, Any]) -> Any:
         base = evaluate_binding(expr.base, object_params)
         if not isinstance(base, datetime):
             raise BindingError(f"offset applied to non-datetime value {base!r}")
-        return base + expr.sign * timedelta(hours=expr.delta.hours)
+        try:
+            return base + expr.sign * timedelta(hours=expr.delta.hours)
+        except OverflowError:
+            sign = "+" if expr.sign > 0 else "-"
+            raise BindingError(
+                f"{iso_seconds(base)} {sign} {expr.delta.hours}h leaves the years 1 to 9999"
+            ) from None
     raise BindingError(f"cannot evaluate {expr!r}")
 
 
@@ -117,46 +129,37 @@ def semantic_type_of(value: Any) -> str:
 
 def invoke(
     package: PackageDescriptor,
+    procedure: Callable | None,
     bindings: dict[str, Any],
-    registry: KnowledgeRegistry,
     task_id: str = "",
 ) -> dict[str, Any]:
-    """Run one package on ``bindings`` and return its outputs by name."""
+    """Run one package on ``bindings`` and return its outputs by name:
+    ``procedure`` in-process, or the package's command when it is ``None``."""
     bindings = dict(bindings)
     for inp in package.inputs:
-        if inp.name not in bindings:
-            if inp.default is not None:
-                bindings[inp.name] = inp.default_value()
-            elif inp.required:
-                raise BindingError(
-                    f"required input {inp.name!r} of {package.name} not bound"
-                )
+        if inp.name not in bindings and inp.default is not None:
+            bindings[inp.name] = inp.default_value()
     for name, value in bindings.items():
-        declared = package.input_named(name)
-        if declared is None:
-            raise BindingError(f"{name!r} is not an input of {package.name}")
-        actual = semantic_type_of(value)
-        if actual != declared.semantic_type:
-            raise BindingError(
-                f"input {name!r} of {package.name} expects"
-                f" {declared.semantic_type}, got {actual}"
-            )
+        expected, actual = package.input_named(name).semantic_type, semantic_type_of(value)
+        if actual != expected:
+            raise BindingError(f"input {name!r} of {package.name} expects {expected}, got {actual}")
 
-    if package.execution_mode is ExecutionMode.BUILTIN:
-        proc = registry.procedure(package.procedure or package.name)
-        try:
-            outputs = proc(bindings)
-        except PackageFailure:
-            raise
-        except Exception as exc:
-            raise PackageFailure(f"{package.name}: {exc}") from exc
-    else:
-        outputs = _run_external(package, bindings, task_id)
+    if procedure is None:
+        return _run_external(package, bindings, task_id)
+    try:
+        outputs = procedure(bindings)
+    except PackageFailure:
+        raise
+    except Exception as exc:
+        raise PackageFailure(f"{package.name}: {exc}") from exc
+    _check_outputs(package, outputs)
+    return outputs
 
+
+def _check_outputs(package: PackageDescriptor, outputs: dict[str, Any]) -> None:
     for decl in package.outputs:
         if decl.name not in outputs:
-            raise PackageFailure(f"declared output {decl.name!r} missing")
-    return outputs
+            raise PackageFailure(f"{package.name}: declared output {decl.name!r} missing")
 
 
 # --- external command mode ----------------------------------------------------
@@ -167,12 +170,24 @@ _INDEX_RE = re.compile(r"\[(-?\d+(?:,-?\d+)*)\]")  # the index of a ``name[i,j]`
 def _run_external(
     package: PackageDescriptor, bindings: dict[str, Any], task_id: str
 ) -> dict[str, Any]:
-    # the scratch is removed once the outputs are read; a PackageFailure
-    # leaves it in place and names it
+    # every PackageFailure of the run keeps the scratch and names it; the
+    # scratch is removed once the declared outputs are read and checked
     scratch = Path(tempfile.mkdtemp(prefix=f"dslake-{package.name}-"))
+    try:
+        outputs = _run_in(scratch, package, bindings, task_id)
+        _check_outputs(package, outputs)
+    except PackageFailure as exc:
+        raise PackageFailure(f"{exc} (scratch kept at {scratch})") from exc
+    shutil.rmtree(scratch, ignore_errors=True)
+    return outputs
+
+
+def _run_in(
+    scratch: Path, package: PackageDescriptor, bindings: dict[str, Any], task_id: str
+) -> dict[str, Any]:
     substitutions = {"{outdir}": str(scratch)}
     for name, value in bindings.items():
-        substitutions[f"{{input:{name}}}"] = _materialize(name, value, scratch)
+        substitutions[f"{{input:{name}}}"] = _materialize(name, value, scratch, package.name)
 
     args = []
     for token in shlex.split(package.command_template):
@@ -187,19 +202,14 @@ def _run_external(
     except OSError as exc:
         raise PackageFailure(
             f"{package.name} could not start {args[0]!r}: {exc.strerror or exc}"
-            f" (scratch kept at {scratch})"
         ) from exc
     if proc.returncode != 0:
         stderr = proc.stderr.decode(errors="replace").strip()[:500]
-        raise PackageFailure(
-            f"{package.name} exited {proc.returncode}: {stderr} (scratch kept at {scratch})"
-        )
+        raise PackageFailure(f"{package.name} exited {proc.returncode}: {stderr}")
 
     manifest = scratch / "outputs.tsv"
     if not manifest.exists():
-        raise PackageFailure(
-            f"{package.name} wrote no outputs.tsv (scratch kept at {scratch})"
-        )
+        raise PackageFailure(f"{package.name} wrote no outputs.tsv")
     outputs: dict[str, Any] = {}
     indexed: dict[str, dict[tuple[int, ...], Any]] = {}
     for lineno, line in enumerate(manifest.read_bytes().splitlines(), start=1):
@@ -227,16 +237,13 @@ def _run_external(
             outputs[name] = value
     for base, by_index in indexed.items():
         outputs[base] = IndexedSeries(by_index)
-    shutil.rmtree(scratch, ignore_errors=True)
     return outputs
 
 
 def _read_series(scratch: Path, name: str, package_name: str) -> Series:
     path = scratch / name
     if not path.exists():
-        raise PackageFailure(
-            f"{package_name}: series file {name} missing (scratch kept at {scratch})"
-        )
+        raise PackageFailure(f"{package_name}: series file {name} missing")
     series: Series = []
     for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line.strip():
@@ -247,12 +254,12 @@ def _read_series(scratch: Path, name: str, package_name: str) -> Series:
         except ValueError:
             raise PackageFailure(
                 f"{package_name}: series file {name} line {lineno}: expected"
-                f" <time> TAB <value>, found {line!r} (scratch kept at {scratch})"
+                f" <time> TAB <value>, found {line!r}"
             ) from None
     return series
 
 
-def _materialize(name: str, value: Any, scratch: Path) -> str:
+def _materialize(name: str, value: Any, scratch: Path, package_name: str) -> str:
     if isinstance(value, datetime):
         return iso_seconds(value)
     if isinstance(value, timedelta):
@@ -265,4 +272,6 @@ def _materialize(name: str, value: Any, scratch: Path) -> str:
         target = scratch / f"{name}.txt"
         target.write_text(text())
         return str(target)
-    raise BindingError(f"cannot materialize input {name!r} of type {type(value).__name__}")
+    raise PackageFailure(
+        f"{package_name}: cannot materialize input {name!r} of type {type(value).__name__}"
+    )

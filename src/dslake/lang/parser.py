@@ -20,7 +20,8 @@ Grammar (whitespace-insensitive; ``#`` comments handled by the lexer):
 
 At most one area and one time header, whose second date is not before its
 first; a non-empty script must contain at least one statement. Dates are
-dd.mm.yyyy; durations are <int>h or <int>d.
+dd.mm.yyyy; durations are <int>h or <int>d, at most what a ``timedelta``
+holds (23999999999h).
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from dslake.lang.tokens import Token, TokenKind, tokenize
 from dslake.times import duration_hours
 
 T = TypeVar("T")
+
+_MAX_DURATION_HOURS = _dt.timedelta.max // _dt.timedelta(hours=1)
 
 _VALUE_KINDS = (
     TokenKind.IDENT,
@@ -251,9 +254,12 @@ class _Parser:
     def _parse_duration_lit(self) -> DurationLit:
         tok = self._advance()
         try:
-            return DurationLit(hours=duration_hours(tok.text))
+            hours = duration_hours(tok.text)
         except ValueError:
             self._error("a duration literal", tok)
+        if hours > _MAX_DURATION_HOURS:
+            self._error(f"a duration of at most {_MAX_DURATION_HOURS}h", tok)
+        return DurationLit(hours)
 
     def _parse_value(self) -> str:
         tok = self._peek()

@@ -10,13 +10,16 @@ The result, ``ValidatedQuery``, is the whole plan the engine runs, and
 validation is the one place a script is refused. Besides an unknown name,
 a ``ValidationError`` refuses a script with no select statement, selects
 of more than one object type, and a selected type whose library declares
-no combiner for it. The plan carries the record's extractors by file kind
-and its combiner, resolved from the procedure table once.
+no combiner for it. The plan holds every procedure the task calls, looked
+up in the procedure table on each call: the extractors by file kind, the
+combiner, the filters and each builtin package's procedure.
 
 Each simulate statement becomes a ``SimulatePlan``, everything the engine
 needs to run its package once per object selected by the nearest
-preceding select: one bindings table of (input, expression) pairs, and
-the requested outputs with their indices resolved to integers.
+preceding select: the package and its procedure (``None`` when it runs as
+an external command), one bindings table of (input, expression) pairs
+naming only declared inputs, and the requested outputs with their indices
+resolved to integers. Every required input without a default is bound.
 ``semantic_association yes`` lets bindings use the object's parameters:
 those written in the script, and every input that an object parameter
 matches by name and semantic type. It does not change how often the
@@ -48,6 +51,7 @@ from dslake.lang.ast import (
     SimulateStmt,
 )
 from dslake.registry import (
+    ExecutionMode,
     KnowledgeRegistry,
     ObjectKnowledge,
     PackageDescriptor,
@@ -61,7 +65,7 @@ KNOWN_OPTIONS = frozenset({"semantic_association"})
 
 @dataclass(frozen=True)
 class FilterBinding:
-    procedure_id: str
+    procedure: Callable  # (object params, value) -> keep the object
     value: str
 
 
@@ -76,6 +80,7 @@ class SelectResolution:
 class SimulatePlan:
     statement_index: int
     package: PackageDescriptor
+    procedure: Callable | None  # the builtin package's; None for an external one
     select_index: int  # index into ValidatedQuery.selects
     bindings: tuple[tuple[str, Expr], ...]  # input name -> expression
     outputs: tuple[tuple[str, tuple[int, ...]], ...]  # output name, indices
@@ -117,8 +122,8 @@ def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
             knowledge.info.name,
             detail=f"library {knowledge.library} declares no combiner for it",
         )
-    extractors = {kind: registry.procedure(p) for kind, p in knowledge.extractors.items()}
-    combiner = registry.procedure(knowledge.combiner)
+    extractors = {kind: registry.procedures[p] for kind, p in knowledge.extractors.items()}
+    combiner = registry.procedures[knowledge.combiner]
     return ValidatedQuery(ast, tuple(selects), tuple(simulates), extractors, combiner)
 
 
@@ -130,7 +135,7 @@ def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectRes
         proc_id = knowledge.filters.get(keyword)
         if proc_id is None:
             raise UnknownFilterKeyword(keyword, detail=f"object type {knowledge.info.name}")
-        filters.append(FilterBinding(procedure_id=proc_id, value=value))
+        filters.append(FilterBinding(registry.procedures[proc_id], value))
 
     requested = []
     for item in stmt.out:
@@ -177,6 +182,8 @@ def _validate_simulate(
     knowledge = selects[select_index].knowledge
 
     package = registry.resolve_package(stmt.package)
+    builtin = package.execution_mode is ExecutionMode.BUILTIN
+    procedure = registry.procedures[package.procedure_id] if builtin else None
 
     fan_out = False
     for keyword, value in stmt.options:
@@ -240,6 +247,7 @@ def _validate_simulate(
     return SimulatePlan(
         statement_index=index,
         package=package,
+        procedure=procedure,
         select_index=select_index,
         bindings=tuple(bindings),
         outputs=tuple(outputs),

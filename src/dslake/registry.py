@@ -9,10 +9,11 @@ a procedure table populated by plugins at registration time.
 Registration is the one gate for knowledge. It indexes each object type
 once, under its name and each alias, into an ``ObjectKnowledge`` record
 that answers every lookup a query makes of the type; the record holds
-procedure ids, which resolve through the procedure table. A key given
-twice in a descriptor, a combiner or filter of a type its library does not
-declare, and a procedure id missing from the table raise a
-``RegistryError`` and leave the registry as it was.
+procedure ids, which validation resolves through the procedure table. A
+key given twice in a descriptor, a combiner or filter of a type its
+library does not declare, and a procedure id missing from the table, a
+builtin package's included, raise a ``RegistryError`` and leave the
+registry as it was.
 
 The registry is built once at startup and treated as immutable afterwards;
 lookups never mutate it.
@@ -135,6 +136,10 @@ class PackageDescriptor:
     placement: Placement = Placement.ON_AGGREGATOR
     command_template: str | None = None
     procedure: str | None = None  # builtin procedure id; defaults to name
+
+    @property
+    def procedure_id(self) -> str:  # a builtin package's procedure: its own, else the name
+        return self.procedure or self.name
 
     def input_named(self, name: str) -> PackageInput | None:
         return next((inp for inp in self.inputs if inp.name == name), None)
@@ -263,11 +268,15 @@ class KnowledgeRegistry:
         if descriptor.name in self.packages:
             raise DuplicateName(f"package {descriptor.name!r}")
         descriptor.check()
+        proc_id = descriptor.procedure_id
+        table = dict(self.procedures)
         if procedure is not None:
-            proc_id = descriptor.procedure or descriptor.name
-            if proc_id in self.procedures:
+            if proc_id in table:
                 raise DuplicateName(f"procedure {proc_id!r}")
-            self.procedures[proc_id] = procedure
+            table[proc_id] = procedure
+        if descriptor.execution_mode is ExecutionMode.BUILTIN and proc_id not in table:
+            raise RegistryError(f"package {descriptor.name}: procedure {proc_id!r} not registered")
+        self.procedures = table
         self.packages[descriptor.name] = descriptor
         return self
 
@@ -284,9 +293,3 @@ class KnowledgeRegistry:
         if pkg is None:
             raise UnknownPackage(name)
         return pkg
-
-    def procedure(self, proc_id: str) -> Callable:
-        fn = self.procedures.get(proc_id)
-        if fn is None:
-            raise RegistryError(f"procedure {proc_id!r} not registered")
-        return fn

@@ -45,6 +45,8 @@ SCRIPTS = {
     "params": _ALL_PATHS.replace("out(Params[EndTime])", "out(Params[EndTime], Params[cyclone])"),
     "level": FIG5_SCRIPT.replace("out(level[440,414])", "out(level)"),
     "external": _ALL_PATHS.replace("with BSM", "with BSMX"),
+    # every BSM run fails: the failure path of the result document
+    "failed": FIG5_SCRIPT.replace("EndTime - 48h)", "EndTime - 48h, horizon: 0h)"),
 }
 # name -> (node count, failed nodes)
 SHAPES = {"n1": (1, ()), "n2": (2, ()), "n4": (4, ()), "n8": (8, ()), "n8-fail3": (8, (3,))}

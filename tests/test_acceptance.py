@@ -109,7 +109,7 @@ def test_criterion_1_golden_parse():
 
     vq = validate(ast, registry)
     assert vq.selects[0].knowledge.info.name == "cyclone-path"
-    assert vq.selects[0].filters[0].procedure_id == "cyclone.filter_direction"
+    assert vq.selects[0].filters[0].procedure is registry.procedures["cyclone.filter_direction"]
     assert vq.simulates[0].package.name == "BSM"
     assert ("cyclone", Ref("cyclone")) in vq.simulates[0].bindings  # semantic association
 
@@ -341,7 +341,7 @@ def test_criterion_8_scheduling_independence():
     for _ in range(1000):
         arrival = fragments[:]
         rng.shuffle(arrival)
-        doc = run_reduce(arrival, query, registry, layout)
+        doc = run_reduce(arrival, query, layout)
         doc.task_id = "fixed"
         digests.add(doc.digest())
     assert len(digests) == 1
@@ -376,8 +376,8 @@ def test_criterion_9_mode_equivalence():
             "cyclone": cyclone,
             "horizon": timedelta(hours=96),
         }
-        a = invoke(builtin, dict(bindings), registry)
-        b = invoke(external, dict(bindings), registry)
+        a = invoke(builtin, registry.procedures["cyclone.bsm"], dict(bindings))
+        b = invoke(external, None, dict(bindings))
         series_a = output_at(a, "level", (440, 414))
         series_b = output_at(b, "level", (440, 414))
         # exact at the documented fixed-precision serialization

@@ -81,7 +81,7 @@ def test_malformed_horizon_is_a_package_failure_that_keeps_scratch(registry):
     registry.register_package(external)
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
     with pytest.raises(PackageFailure) as err:
-        invoke(external, bindings, registry)
+        invoke(external, None, bindings)
     scratch = kept_scratch(err.value)
     assert (scratch / "cyclone.txt").exists()
     shutil.rmtree(scratch)

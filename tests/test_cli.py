@@ -205,6 +205,27 @@ def test_full_pipeline_and_determinism(workdir, capsys):
     assert "package BSM" in listing
 
 
+def test_submit_of_a_binding_offset_past_the_datetime_range(workdir, capsys):
+    spec = workdir / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    code, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", "11", "--out", "src-data")
+    assert run(capsys, "ingest", out.strip())[0] == 0
+    script = workdir / "far.dq"
+    # a literal no timedelta holds: a parse error at the literal
+    script.write_text(FIG5_SCRIPT.replace("EndTime - 48h", "EndTime + 99999999999999999999h"))
+    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 11:27: expected a duration of at most 23999999999h,"
+        " found '99999999999999999999h'\n"
+    )
+    # an offset past the year 9999: a failed simulation
+    script.write_text(FIG5_SCRIPT.replace("EndTime - 48h", "EndTime + 99999999h"))
+    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert (code, err) == (0, "")
+    assert "+ 99999999h leaves the years 1 to 9999\n" in out
+
+
 def test_ingest_of_an_unstorable_file_id_exit_one(workdir, capsys):
     # the id would put the replica outside node-<k>/<dataset>/: refused
     # before anything is written, and the store stays loadable
@@ -409,8 +430,12 @@ def test_submit_defaults_to_the_stored_fabric_shape(workdir, capsys):
         (b"[package P]\ninput x duration optional 9x\noutput y float\n",
          "package P: input 'x' has a malformed duration default '9x'"),
         (b"[package P]\n# \xff\n", "bad.kd:2: not UTF-8 text"),
+        (b"[package Ghost]\nmode builtin\nprocedure nope.missing\n",
+         "package Ghost: procedure 'nope.missing' not registered"),
+        (b"[library L]\nobject x atomic\ncombiner ghost cyclone.combine_paths\n",
+         "bad.kd:3: combiner names object 'ghost', not declared in this library"),
     ],
-    ids=["malformed-default", "not-utf8"],
+    ids=["malformed-default", "not-utf8", "builtin-procedure-missing", "undeclared-type"],
 )
 @pytest.mark.parametrize("verb", ["registry", "submit"])
 def test_malformed_descriptor_file_exit_one(workdir, capsys, kd_bytes, message, verb):

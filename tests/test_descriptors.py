@@ -126,16 +126,34 @@ object_infos = st.builds(
     ).map(tuple),
     fragment_type=st.none() | names,
 )
-libraries = st.builds(
-    DomainLibraryDescriptor,
-    name=names,
-    object_types=st.lists(object_infos, max_size=3, unique_by=lambda o: o.name).map(tuple),
-    extractors=st.lists(st.tuples(names, proc_ids), max_size=2, unique_by=lambda e: e[0]).map(tuple),
-    combiners=st.lists(st.tuples(names, proc_ids), max_size=2, unique_by=lambda c: c[0]).map(tuple),
-    filters=st.lists(
-        st.tuples(names, names, proc_ids), max_size=3, unique_by=lambda f: (f[0], f[1])
-    ).map(tuple),
-    keyword_aliases=st.lists(st.tuples(names, names), max_size=2, unique_by=lambda a: a[0]).map(tuple),
+
+
+def _library_of(object_types: tuple) -> st.SearchStrategy:
+    """Libraries declaring ``object_types``, whose combiners and filters name
+    those types, as a .kd file must."""
+    types = st.sampled_from([info.name for info in object_types] or [""])
+    most = 1 if object_types else 0  # combiners and filters only with a type to name
+    return st.builds(
+        DomainLibraryDescriptor,
+        name=names,
+        object_types=st.just(object_types),
+        extractors=st.lists(
+            st.tuples(names, proc_ids), max_size=2, unique_by=lambda e: e[0]
+        ).map(tuple),
+        combiners=st.lists(
+            st.tuples(types, proc_ids), max_size=2 * most, unique_by=lambda c: c[0]
+        ).map(tuple),
+        filters=st.lists(
+            st.tuples(types, names, proc_ids), max_size=3 * most, unique_by=lambda f: (f[0], f[1])
+        ).map(tuple),
+        keyword_aliases=st.lists(
+            st.tuples(names, names), max_size=2, unique_by=lambda a: a[0]
+        ).map(tuple),
+    )
+
+
+libraries = st.lists(object_infos, max_size=3, unique_by=lambda o: o.name).map(tuple).flatmap(
+    _library_of
 )
 
 
@@ -223,17 +241,25 @@ def test_index_answers_as_a_first_match_scan(lib, data):
          "param names object 'x', not declared in this library"),
         ("[library L]\nextractor grid a.b\nextractor grid a.c\n", 3,
          "extractor 'grid' declared twice"),
-        ("[library L]\ncombiner x a.b\n\ncombiner x a.b\n", 4, "combiner 'x' declared twice"),
-        ("[library L]\nfilter x dir a.b\nfilter y dir a.b\nfilter x dir a.c\n", 4,
-         "filter ('x', 'dir') declared twice"),
+        ("[library L]\nobject x atomic\ncombiner x a.b\n\ncombiner x a.b\n", 5,
+         "combiner 'x' declared twice"),
+        ("[library L]\nobject x atomic\nobject y atomic\nfilter x dir a.b\nfilter y dir a.b\n"
+         "filter x dir a.c\n", 6, "filter ('x', 'dir') declared twice"),
         ("[library L]\nkeyword-alias d dir\nkeyword-alias d heading\n", 3,
          "keyword-alias 'd' declared twice"),
         ("[library L]\nobject x atomic\nparam x Depth float\nparam x Depth int\n", 4,
          "param 'Depth' declared twice"),
+        ("[library L]\nobject x atomic\ncombiner ghost a.b\n", 3,
+         "combiner names object 'ghost', not declared in this library"),
+        ("[library L]\nobject x atomic\nfilter ghost dir a.b\n", 3,
+         "filter names object 'ghost', not declared in this library"),
+        ("[library L]\ncombiner x a.b\nobject x atomic\n", 2,
+         "combiner names object 'x', not declared in this library"),
     ],
     ids=["extra-flag-word", "extra-default-words", "procedure-words", "object-twice",
          "missing-words", "enum", "scalar-twice", "undeclared-object", "extractor-twice",
-         "combiner-twice", "filter-twice", "keyword-alias-twice", "param-twice"],
+         "combiner-twice", "filter-twice", "keyword-alias-twice", "param-twice",
+         "combiner-of-undeclared-type", "filter-of-undeclared-type", "combiner-before-its-type"],
 )
 def test_malformed_line_is_load_error(text, line, message):
     with pytest.raises(DescriptorLoadError) as err:

@@ -12,6 +12,7 @@ import dslake.engine as engine
 from dslake.errors import (
     CombinerFailure,
     ExtractorFailure,
+    ParseError,
     StorageError,
     UnreadableFile,
     ValidationError,
@@ -157,14 +158,14 @@ def test_reduce_orders_its_own_input(registry):
     layout = StorageLayout(node_count=1, replication=1)
     fragments = [frag(6, "b", 6), frag(0, "z", 0), frag(6, "a", 6), frag(3, "c", 0)]
     for arrival in itertools.permutations(fragments):
-        run_reduce(list(arrival), query, registry, layout)
+        run_reduce(list(arrival), query, layout)
     expected = (
         [(utc(2011, 1, 1, 0), ["z", "c"]), (utc(2011, 1, 1, 6), ["a", "b"])],
         ["c", "a"],
         "",
     )
     assert seen == [expected] * 24
-    run_reduce([], query, registry, layout)
+    run_reduce([], query, layout)
     assert seen[-1] == ([], [], "")
 
 
@@ -172,12 +173,44 @@ def test_reduce_invariant_under_fragment_permutation(registry):
     layout, _ = synthetic_layout(seed=7, count=2, north_east=1, end=(2011, 1, 31, 18))
     query = validate(parse(FIG5_SCRIPT), registry)
     fragments = run_map(layout, "d1", query)
-    baseline = run_reduce(fragments, query, registry, layout).canonical_text()
+    baseline = run_reduce(fragments, query, layout).canonical_text()
     rng = random.Random(11)
     for _ in range(50):
         shuffled = fragments[:]
         rng.shuffle(shuffled)
-        assert run_reduce(shuffled, query, registry, layout).canonical_text() == baseline
+        assert run_reduce(shuffled, query, layout).canonical_text() == baseline
+
+
+def test_the_plan_runs_without_the_registry(registry):
+    # validation resolves every procedure the task calls, so the plan runs to
+    # a submit's bytes with the registry's procedures and packages gone
+    request = fig5_request()
+    layout, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
+    expected = submit(request, register_cyclone_domain(KnowledgeRegistry()), layout)
+    plan = validate(parse(request.script), registry)
+    registry.procedures.clear()
+    registry.packages.clear()
+    fresh, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
+    doc = run_reduce(run_map(fresh, "d1", plan), plan, fresh, task_id=request.task_id())
+    assert doc.canonical_text() == expected.canonical_text()
+    assert [sim.status for sim in doc.simulations] == ["ok", "ok"]
+
+
+def test_binding_offset_past_the_datetime_range(registry):
+    # a literal no timedelta holds is refused by the parser; an offset that
+    # leaves the years 1 to 9999 fails its simulation, not the submit
+    layout, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
+    huge = FIG5_SCRIPT.replace("EndTime - 48h", "EndTime + 99999999999999999999h")
+    with pytest.raises(ParseError) as err:
+        submit(TaskRequest("d1", huge), registry, layout)
+    assert str(err.value).endswith(
+        "expected a duration of at most 23999999999h, found '99999999999999999999h'"
+    )
+    far = FIG5_SCRIPT.replace("EndTime - 48h", "EndTime + 99999999h")
+    doc = submit(TaskRequest("d1", far), registry, layout)
+    assert [sim.status for sim in doc.simulations] == ["failed", "failed"]
+    for sim in doc.simulations:
+        assert sim.failure_reason.endswith("+ 99999999h leaves the years 1 to 9999")
 
 
 def test_run_map_time_prefilter(registry):

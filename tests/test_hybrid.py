@@ -19,7 +19,6 @@ from dslake.lang.ast import DateLit, DurationLit, Offset, Ref
 from dslake.lang.parser import parse
 from dslake.registry import (
     ExecutionMode,
-    KnowledgeRegistry,
     PackageDescriptor,
     PackageInput,
     PackageOutputDecl,
@@ -86,6 +85,15 @@ def test_offset_requires_datetime_base():
         )
 
 
+@pytest.mark.parametrize("sign, hours", [(1, 99999999), (-1, 99999999), (1, 23999999999)])
+def test_offset_out_of_datetime_range_is_binding_error(sign, hours):
+    expr = Offset(base=Ref("EndTime"), sign=sign, delta=DurationLit(hours))
+    with pytest.raises(BindingError) as err:
+        evaluate_binding(expr, {"EndTime": utc(2011, 1, 9)})
+    op = "+" if sign > 0 else "-"
+    assert str(err.value) == f"2011-01-09T00:00:00Z {op} {hours}h leaves the years 1 to 9999"
+
+
 def test_date_literal_is_utc_midnight():
     import datetime as dt
 
@@ -94,31 +102,25 @@ def test_date_literal_is_utc_midnight():
 
 # --- builtin invocation -----------------------------------------------------------
 
-def test_bsm_builtin_invocation(registry):
+def builtin_bsm(registry, bindings):
+    """One run of the registry's builtin BSM package."""
     package = registry.resolve_package("BSM")
-    out = invoke(
-        package,
-        {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)},
-        registry,
+    return invoke(package, registry.procedures[package.procedure_id], bindings)
+
+
+def test_bsm_builtin_invocation(registry):
+    out = builtin_bsm(
+        registry, {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
     )
     series = output_at(out, "level", (440, 414))
     assert dict(series)[utc(2005, 1, 9)] == pytest.approx(53.0)
     assert len(series) == 97  # default 96 h horizon
 
 
-def test_missing_required_input(registry):
-    package = registry.resolve_package("BSM")
-    with pytest.raises(BindingError):
-        invoke(package, {"startTime": utc(2005, 1, 7)}, registry)
-
-
 def test_binding_type_mismatch(registry):
-    package = registry.resolve_package("BSM")
     with pytest.raises(BindingError):
-        invoke(
-            package,
-            {"startTime": "2005-01-07", "cyclone": params()},  # string, not datetime
-            registry,
+        builtin_bsm(
+            registry, {"startTime": "2005-01-07", "cyclone": params()}  # string, not datetime
         )
 
 
@@ -162,44 +164,76 @@ def kept_scratch(failure: PackageFailure) -> Path:
 
 
 def test_external_command_without_outputs_file_fails():
-    registry = KnowledgeRegistry()
     descriptor = _echo_descriptor("echo {input:word}")
-    registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(descriptor, {"word": "hi"}, registry)
+        invoke(descriptor, None, {"word": "hi"})
     shutil.rmtree(kept_scratch(err.value))
     assert "outputs.tsv" in str(err.value)
 
 
 def test_external_command_nonzero_exit_fails():
-    registry = KnowledgeRegistry()
     descriptor = _echo_descriptor("false")
-    registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(descriptor, {"word": "hi"}, registry)
+        invoke(descriptor, None, {"word": "hi"})
     shutil.rmtree(kept_scratch(err.value))
 
 
 def test_external_command_with_non_utf8_stderr_fails():
     # the quoted stderr is decoded with replacement, so the failure is a
     # package failure, not a UnicodeDecodeError escaping the invocation
-    registry = KnowledgeRegistry()
     descriptor = _echo_descriptor("sh -c 'printf \"oops \\377\" >&2; exit 3'")
-    registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(descriptor, {"word": "hi"}, registry)
+        invoke(descriptor, None, {"word": "hi"})
     shutil.rmtree(kept_scratch(err.value))
     assert str(err.value).startswith("ECHO exited 3: oops \ufffd (scratch kept at ")
+
+
+@pytest.mark.parametrize(
+    "outputs_tsv, message",
+    [
+        (b"other\t1.5\n", "ECHO: declared output 'result' missing"),
+        (b"result\t1.5\nresult 2.5\n", "ECHO: malformed outputs.tsv line 2"),
+    ],
+    ids=["missing-output", "malformed-line"],
+)
+def test_unreadable_outputs_keep_the_scratch(tmp_path, outputs_tsv, message):
+    import sys
+
+    writer = tmp_path / "write_outputs.py"
+    writer.write_text(
+        "import sys, pathlib\n"
+        f"(pathlib.Path(sys.argv[1]) / 'outputs.tsv').write_bytes({outputs_tsv!r})\n"
+    )
+    descriptor = _echo_descriptor(f"{sys.executable} {writer} {{outdir}}")
+    with pytest.raises(PackageFailure) as err:
+        invoke(descriptor, None, {"word": "hi"})
+    scratch = kept_scratch(err.value)
+    assert str(err.value) == f"{message} (scratch kept at {scratch})"
+    assert (scratch / "outputs.tsv").read_bytes() == outputs_tsv
+    shutil.rmtree(scratch)
+
+
+def test_input_that_cannot_be_materialized_keeps_the_scratch():
+    descriptor = PackageDescriptor(
+        name="LIST",
+        inputs=(PackageInput("xs", "list"),),
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template="echo {input:xs} {outdir}",
+    )
+    with pytest.raises(PackageFailure) as err:
+        invoke(descriptor, None, {"xs": [1]})
+    scratch = kept_scratch(err.value)
+    assert scratch.is_dir()
+    shutil.rmtree(scratch)
+    assert str(err.value).startswith("LIST: cannot materialize input 'xs' of type list")
 
 
 def test_external_command_that_cannot_start_fails():
     # a missing program is a package failure naming the program and the
     # kept scratch, not an OSError escaping the invocation
-    registry = KnowledgeRegistry()
     descriptor = _echo_descriptor("no-such-program-xyz {outdir}")
-    registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(descriptor, {"word": "hi"}, registry)
+        invoke(descriptor, None, {"word": "hi"})
     scratch = kept_scratch(err.value)
     assert scratch.is_dir()
     shutil.rmtree(scratch)
@@ -216,8 +250,8 @@ def test_external_bsm_matches_builtin(registry):
         "cyclone": params(depth=53.0, bearing=45.0),
         "horizon": timedelta(hours=96),
     }
-    builtin_out = invoke(registry.resolve_package("BSM"), dict(bindings), registry)
-    external_out = invoke(external, dict(bindings), registry)
+    builtin_out = builtin_bsm(registry, dict(bindings))
+    external_out = invoke(external, None, dict(bindings))
     a = output_at(builtin_out, "level", (440, 414))
     b = output_at(external_out, "level", (440, 414))
     assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
@@ -233,8 +267,8 @@ def test_external_bsm_ignores_non_utf8_stdout(registry):
     )
     registry.register_package(noisy)
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
-    builtin_out = invoke(registry.resolve_package("BSM"), dict(bindings), registry)
-    noisy_out = invoke(noisy, dict(bindings), registry)
+    builtin_out = builtin_bsm(registry, dict(bindings))
+    noisy_out = invoke(noisy, None, dict(bindings))
     a = output_at(builtin_out, "level", (440, 414))
     b = output_at(noisy_out, "level", (440, 414))
     assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]
@@ -258,7 +292,7 @@ def test_task_id_exported_to_environment(registry, tmp_path):
         command_template=f"{sys.executable} {marker} {{outdir}}",
     )
     registry.register_package(descriptor)
-    out = invoke(descriptor, {}, registry, task_id="task-77")
+    out = invoke(descriptor, None, {}, task_id="task-77")
     assert out["token"] == "task-77"
 
 
@@ -292,7 +326,7 @@ def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
     )
     registry.register_package(descriptor)
     with pytest.raises(PackageFailure) as err:
-        invoke(descriptor, {}, registry)
+        invoke(descriptor, None, {})
     assert str(err.value).startswith("SERIES: series file level.tsv line 2:")
     scratch = kept_scratch(err.value)
     assert (scratch / "level.tsv").exists()
@@ -306,7 +340,7 @@ def test_external_bsm_runs_without_pythonpath(registry, monkeypatch):
     external = bsm_external_descriptor(name="BSM-X")
     registry.register_package(external)
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
-    out = invoke(external, bindings, registry)
+    out = invoke(external, None, bindings)
     assert len(output_at(out, "level", (440, 414))) == 97
 
 
@@ -324,8 +358,8 @@ def test_external_bsm_from_an_odd_source_directory(registry, monkeypatch, tmp_pa
     registry.register_package(bsm_external_descriptor(name="BSM-X"))
     ([], [external]) = load_descriptors(dump_descriptors([], [registry.resolve_package("BSM-X")]))
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
-    builtin_out = invoke(registry.resolve_package("BSM"), dict(bindings), registry)
-    external_out = invoke(external, dict(bindings), registry)
+    builtin_out = builtin_bsm(registry, dict(bindings))
+    external_out = invoke(external, None, dict(bindings))
     a = output_at(builtin_out, "level", (440, 414))
     b = output_at(external_out, "level", (440, 414))
     assert [(t, f"{v:.4f}") for t, v in a] == [(t, f"{v:.4f}") for t, v in b]

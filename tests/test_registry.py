@@ -283,3 +283,18 @@ def test_package_name_declared_twice_refused(changes, message):
         registry.register_package(replace(bsm_descriptor(), **changes), procedure=repr)
     assert str(err.value) == message
     assert (registry.packages, registry.procedures) == ({}, {})
+
+
+@pytest.mark.parametrize("procedure, proc_id", [("nope.missing", "nope.missing"), (None, "Ghost")])
+def test_builtin_package_without_its_procedure_refused(registry, procedure, proc_id):
+    # the procedure id is the package's procedure, else its name
+    ghost = PackageDescriptor("Ghost", procedure=procedure)
+    before = (dict(registry.packages), dict(registry.procedures))
+    with pytest.raises(RegistryError) as err:
+        registry.register_package(ghost)
+    assert str(err.value) == f"package Ghost: procedure {proc_id!r} not registered"
+    assert (registry.packages, registry.procedures) == before
+    # given with its procedure it registers, and then another package may share it
+    registry.register_package(ghost, procedure=repr)
+    registry.register_package(replace(ghost, name="Echo", procedure=proc_id))
+    assert registry.procedures[proc_id] is repr

@@ -25,7 +25,7 @@ def test_fig5_validates(registry, fig5_script):
     assert select.knowledge.info.name == "cyclone-path"  # alias resolved
     (filter_binding,) = select.filters
     # "directon" resolves through the keyword shortcut to the direction filter
-    assert filter_binding.procedure_id == "cyclone.filter_direction"
+    assert filter_binding.procedure is registry.procedures["cyclone.filter_direction"]
     assert filter_binding.value == "north-east"
 
     (plan,) = vq.simulates
