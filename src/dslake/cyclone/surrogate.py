@@ -10,7 +10,9 @@ inverse-barometer coefficient and an approach-direction weight,
 with k_ib = 1 cm/hPa and sigma = 12 h. The constants are declared stub
 parameters, not physical claims. A path without a defined bearing gets
 w = 0. Gauges are addressed by grid index; only the Saint-Petersburg
-gauge (440, 414) is registered.
+gauge (440, 414) is registered. The horizon is 1 to ``MAX_HORIZON_HOURS``
+(8784, a leap year) hours: the series holds a point per hour, so a longer
+horizon is refused rather than left to cost unbounded time and memory.
 
 ``CycloneParams``, the package's input, lives here rather than beside
 ``parametrize`` so that the external command imports no numpy. It is a
@@ -33,6 +35,7 @@ K_IB_CM_PER_HPA = 1.0
 RESPONSE_SIGMA_HOURS = 12.0
 WORST_BEARING_DEG = 45.0
 DEFAULT_HORIZON_HOURS = 96
+MAX_HORIZON_HOURS = 8784  # 366 days
 
 GAUGES = {(440, 414): "saint-petersburg"}
 
@@ -103,6 +106,8 @@ def bsm_surrogate(
         raise UnknownGauge(f"no gauge at grid index {gauge}")
     if horizon_hours < 1:
         raise ValueError("horizon must be at least one hour")
+    if horizon_hours > MAX_HORIZON_HOURS:
+        raise ValueError(f"horizon must be at most {MAX_HORIZON_HOURS} hours")
     w = bearing_weight(params.average_bearing)
     series = []
     for hour in range(horizon_hours + 1):

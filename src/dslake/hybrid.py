@@ -19,14 +19,20 @@ External output contract (all files tab-separated UTF-8):
     <outdir>/outputs.tsv      lines: <name> <TAB> <value-or-series-path>
     series files              lines: <ISO-8601 time> <TAB> <value>
 
-Series values use fixed four-decimal rendering. An indexable output has
-one line per index, e.g. ``level[440,414]``, and is read back as one
-``IndexedSeries``, as a builtin procedure returns it. Template placeholders
-are ``{input:<name>}`` (literal or materialized file path) and
-``{outdir}``. The environment is passed through unchanged except
-``DSLAKE_TASK_ID``, which holds the submit's task id. A scratch directory
-is deleted once the declared outputs are read back; every
-``PackageFailure`` of an external run keeps it and ends with
+A declared ``timeseries`` output names a series file. Any other declared
+output is read by its semantic type's reader in ``registry.SCALAR_TYPES``,
+and a value that does not read is a ``PackageFailure`` naming its line; a
+type without a reader, and an undeclared name, keep the text. Series values
+use fixed four-decimal rendering. An indexable output has one line per
+index, e.g. ``level[440,414]``, and is read back as one ``IndexedSeries``,
+as a builtin procedure returns it. Template placeholders are
+``{input:<name>}`` and ``{outdir}``: a scalar input is written by its
+type's writer, and a record with ``portable_text`` is written to a file
+whose path replaces the placeholder. The environment is passed through
+unchanged except ``DSLAKE_TASK_ID``, which holds the submit's task id. A
+command that exits non-zero fails with the last 500 characters of its
+stderr. A scratch directory is deleted once the declared outputs are read
+back; every ``PackageFailure`` of an external run keeps it and ends with
 ``(scratch kept at <path>)``.
 
 Invocations are independent: no shared mutable state, safe to run
@@ -48,7 +54,7 @@ from typing import Any, Callable
 
 from dslake.errors import BindingError, PackageFailure, UnboundReference
 from dslake.lang.ast import DateLit, DurationLit, Expr, IntLit, Offset, Ref
-from dslake.registry import PackageDescriptor
+from dslake.registry import SCALAR_TYPES, PackageDescriptor, read_text
 from dslake.times import UTC, iso_seconds, parse_utc
 
 Series = list[tuple[datetime, float]]
@@ -109,22 +115,11 @@ def evaluate_binding(expr: Expr, object_params: dict[str, Any]) -> Any:
 
 
 def semantic_type_of(value: Any) -> str:
-    if isinstance(value, datetime):
-        return "datetime"
-    if isinstance(value, timedelta):
-        return "duration"
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "string"
-    tag = getattr(value, "semantic_type", None)
-    if tag:
-        return tag
-    return type(value).__name__
+    """The first ``SCALAR_TYPES`` type of ``value``, else its own tag or class name."""
+    for name, scalar in SCALAR_TYPES.items():
+        if isinstance(value, scalar.python_type):
+            return name
+    return getattr(value, "semantic_type", None) or type(value).__name__
 
 
 def invoke(
@@ -204,7 +199,8 @@ def _run_in(
             f"{package.name} could not start {args[0]!r}: {exc.strerror or exc}"
         ) from exc
     if proc.returncode != 0:
-        stderr = proc.stderr.decode(errors="replace").strip()[:500]
+        # the tail, where a traceback puts its error
+        stderr = proc.stderr.decode(errors="replace").strip()[-500:]
         raise PackageFailure(f"{package.name} exited {proc.returncode}: {stderr}")
 
     manifest = scratch / "outputs.tsv"
@@ -226,10 +222,13 @@ def _run_in(
         if decl is not None and decl.semantic_type.startswith("timeseries"):
             value = _read_series(scratch, raw, package.name)
         else:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
+            try:  # an undeclared line keeps its text
+                value = raw if decl is None else read_text(decl.semantic_type, raw)
+            except (ValueError, OverflowError):
+                raise PackageFailure(
+                    f"{package.name}: outputs.tsv line {lineno}: malformed"
+                    f" {decl.semantic_type} {raw!r}"
+                ) from None
         index = _INDEX_RE.fullmatch(name[len(base):])
         if decl is not None and decl.indexable and index:
             indexed.setdefault(base, {})[tuple(map(int, index[1].split(",")))] = value
@@ -260,13 +259,9 @@ def _read_series(scratch: Path, name: str, package_name: str) -> Series:
 
 
 def _materialize(name: str, value: Any, scratch: Path, package_name: str) -> str:
-    if isinstance(value, datetime):
-        return iso_seconds(value)
-    if isinstance(value, timedelta):
-        hours = int(value.total_seconds() // 3600)
-        return f"{hours}h"
-    if isinstance(value, (int, float, str)):
-        return str(value)
+    scalar = SCALAR_TYPES.get(semantic_type_of(value))
+    if scalar is not None:
+        return scalar.write(value)
     text = getattr(value, "portable_text", None)
     if callable(text):
         target = scratch / f"{name}.txt"

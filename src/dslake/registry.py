@@ -15,6 +15,11 @@ library does not declare, and a procedure id missing from the table, a
 builtin package's included, raise a ``RegistryError`` and leave the
 registry as it was.
 
+The scalar semantic types are listed once, in ``SCALAR_TYPES``: for each,
+the class of its values, how its text is read and how a value is written.
+A package input's default, the semantic type of a binding, an external
+command's inputs and its outputs all go through it.
+
 The registry is built once at startup and treated as immutable afterwards;
 lookups never mutate it.
 """
@@ -22,8 +27,9 @@ lookups never mutate it.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import datetime, timedelta
 from enum import Enum
 from typing import Any, Callable, Iterable
 
@@ -34,7 +40,7 @@ from dslake.errors import (
     UnknownObjectType,
     UnknownPackage,
 )
-from dslake.times import duration_hours, parse_utc
+from dslake.times import duration_hours, iso_seconds, parse_utc
 
 
 class StructureLevel(Enum):
@@ -84,6 +90,29 @@ class ObjectKnowledge:
     filters: dict[str, str]  # keyword or keyword alias -> filter
 
 
+# The scalar semantic types, in the order semantic_type_of tries them (bool
+# before int, its base class). Each gives the class of its values, the reader
+# of its text (None: the text stays text; malformed text raises ValueError or
+# OverflowError) and the writer of a value as text.
+ScalarType = namedtuple("ScalarType", "python_type read write")
+SCALAR_TYPES = {
+    "bool": ScalarType(bool, None, str),
+    "datetime": ScalarType(datetime, parse_utc, iso_seconds),
+    "duration": ScalarType(timedelta, lambda text: timedelta(hours=duration_hours(text)),
+                           lambda value: f"{value // timedelta(hours=1)}h"),
+    "int": ScalarType(int, int, str),
+    "float": ScalarType(float, float, str),
+    "string": ScalarType(str, str, str),
+}
+
+
+def read_text(semantic_type: str, text: str) -> Any:
+    """``text`` read by its type's reader in ``SCALAR_TYPES``; the text of a
+    type without one stays text."""
+    scalar = SCALAR_TYPES.get(semantic_type)
+    return text if scalar is None or scalar.read is None else scalar.read(text)
+
+
 @dataclass(frozen=True)
 class PackageInput:
     name: str
@@ -92,19 +121,9 @@ class PackageInput:
     default: str | None = None
 
     def default_value(self) -> Any:
-        """The default text as a value of the input's semantic type: ``96h``
-        and ``4d`` are durations, datetimes are ISO-8601 UTC, and a type
-        with no parser keeps the text. Malformed text raises ``ValueError``."""
-        text = self.default
-        if self.semantic_type == "duration":
-            return timedelta(hours=duration_hours(text))
-        if self.semantic_type == "datetime":
-            return parse_utc(text)
-        if self.semantic_type == "int":
-            return int(text)
-        if self.semantic_type == "float":
-            return float(text)
-        return text
+        """The default text read by ``read_text``, e.g. ``96h`` as a duration;
+        malformed text raises ``ValueError`` or ``OverflowError``."""
+        return read_text(self.semantic_type, self.default)
 
 
 @dataclass(frozen=True)

@@ -394,7 +394,8 @@ def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
 
 
 def read_manifest(path: Path) -> list[FileMeta]:
-    """A manifest's entries in file order; a malformed line raises ``StorageError``."""
+    """A manifest's entries in file order; a malformed line, or one whose t0
+    is after its t1, raises ``StorageError`` at ``path:line``."""
     metas = []
     for lineno, line in enumerate(read_utf8(path, StorageError).splitlines(), start=1):
         if not line.strip():
@@ -410,6 +411,8 @@ def read_manifest(path: Path) -> list[FileMeta]:
             times = parse_utc(t0), parse_utc(t1)
         except ValueError as exc:
             raise StorageError(f"{path}:{lineno}: bad timestamp: {exc}") from None
+        if times[0] > times[1]:
+            raise StorageError(f"{path}:{lineno}: t0 {t0} is after t1 {t1}")
         metas.append(FileMeta(file_id, dataset, *times, relpath))
     return metas
 

@@ -250,6 +250,15 @@ def test_ingest_of_an_unstorable_file_id_exit_one(workdir, capsys):
     assert code == 0 and out.startswith("RESULT ")
 
 
+def test_ingest_of_a_manifest_line_with_t0_after_t1_exit_one(workdir, capsys):
+    (workdir / "abc.snap").write_bytes(b"")
+    (workdir / "m.tsv").write_text("abc\td1\t2011-01-02T00:00Z\t2011-01-01T00:00Z\tabc.snap\n")
+    code, out, err = run(capsys, "ingest", "m.tsv")
+    assert (code, out) == (1, "")
+    assert err == "error: m.tsv:1: t0 2011-01-02T00:00Z is after t1 2011-01-01T00:00Z\n"
+    assert not (workdir / "dslake-storage").exists()
+
+
 def test_ingest_of_a_file_that_does_not_hash_to_its_id_exit_one(workdir, capsys):
     # stored under a wrong id, every later read of the dataset would fail
     # its digest check: refused before anything is written

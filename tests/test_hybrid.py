@@ -24,6 +24,8 @@ from dslake.registry import (
     PackageOutputDecl,
 )
 from dslake.cyclone.plugin import bsm_external_descriptor
+from dslake.cyclone.surrogate import MAX_HORIZON_HOURS
+from dslake.report import render_value
 
 from conftest import utc
 from test_surrogate import params
@@ -131,6 +133,8 @@ def test_semantic_type_tags():
     assert semantic_type_of(7.5) == "float"
     assert semantic_type_of("x") == "string"
     assert semantic_type_of(params()) == "cyclone-params"
+    assert semantic_type_of(True) == "bool"  # before int, its base class
+    assert semantic_type_of([1]) == "list"  # untagged: its class name
 
 
 def test_indexed_series_lookup():
@@ -188,13 +192,83 @@ def test_external_command_with_non_utf8_stderr_fails():
     assert str(err.value).startswith("ECHO exited 3: oops \ufffd (scratch kept at ")
 
 
+def test_external_failure_quotes_the_end_of_its_stderr(tmp_path):
+    # a traceback puts its error line last, so the tail of stderr is quoted
+    import sys
+
+    stderr = "x" * 1990 + "THE-MARKER"
+    child = tmp_path / "fail.py"
+    child.write_text(f"import sys\nsys.stderr.write({stderr!r})\nsys.exit(3)\n")
+    descriptor = _echo_descriptor(f"{sys.executable} {child}")
+    with pytest.raises(PackageFailure) as err:
+        invoke(descriptor, None, {"word": "hi"})
+    scratch = kept_scratch(err.value)
+    shutil.rmtree(scratch)
+    assert str(err.value) == f"ECHO exited 3: {stderr[-500:]} (scratch kept at {scratch})"
+
+
+def test_declared_scalar_outputs_read_as_a_builtin_returns_them(tmp_path):
+    # an external run's outputs are read by their declared types, so they
+    # equal, and render in the canonical text as, a builtin run's values
+    import sys
+
+    values = {"count": 7, "label": "1234e5", "note": "nan", "at": utc(2005, 1, 9)}
+    builtin = PackageDescriptor(
+        name="SCALARS",
+        outputs=(
+            PackageOutputDecl("count", "int"),
+            PackageOutputDecl("label", "string"),
+            PackageOutputDecl("note", "string"),
+            PackageOutputDecl("at", "datetime"),
+        ),
+    )
+    command = tmp_path / "scalars.py"
+    command.write_text(
+        "import pathlib, sys\n"
+        "(pathlib.Path(sys.argv[1]) / 'outputs.tsv').write_text(\n"
+        "    'count\\t7\\nlabel\\t1234e5\\nnote\\tnan\\nat\\t2005-01-09T00:00:00Z\\n')\n"
+    )
+    external = replace(
+        builtin,
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template=f"{sys.executable} {command} {{outdir}}",
+    )
+    builtin_out = invoke(builtin, lambda bindings: dict(values), {})
+    external_out = invoke(external, None, {})
+    assert external_out == builtin_out == values
+    rendered = {name: render_value(value) for name, value in external_out.items()}
+    assert rendered == {name: render_value(value) for name, value in builtin_out.items()}
+    assert rendered["count"] == "7" and rendered["label"] == "1234e5"
+
+
+def test_horizon_past_its_bound_fails_in_both_modes(registry):
+    bindings = {
+        "startTime": utc(2005, 1, 7),
+        "cyclone": params(),
+        "horizon": timedelta(hours=MAX_HORIZON_HOURS + 1),
+    }
+    with pytest.raises(PackageFailure) as err:
+        builtin_bsm(registry, dict(bindings))
+    assert str(err.value) == f"BSM: horizon must be at most {MAX_HORIZON_HOURS} hours"
+    with pytest.raises(PackageFailure) as err:
+        invoke(bsm_external_descriptor(name="BSM-X"), None, dict(bindings))
+    scratch = kept_scratch(err.value)
+    shutil.rmtree(scratch)
+    assert str(err.value).startswith("BSM-X exited 1: ")
+    assert str(err.value).endswith(
+        f"ValueError: horizon must be at most {MAX_HORIZON_HOURS} hours"
+        f" (scratch kept at {scratch})"
+    )
+
+
 @pytest.mark.parametrize(
     "outputs_tsv, message",
     [
         (b"other\t1.5\n", "ECHO: declared output 'result' missing"),
         (b"result\t1.5\nresult 2.5\n", "ECHO: malformed outputs.tsv line 2"),
+        (b"other\tx\nresult\tlow\n", "ECHO: outputs.tsv line 2: malformed float 'low'"),
     ],
-    ids=["missing-output", "malformed-line"],
+    ids=["missing-output", "malformed-line", "unreadable-value"],
 )
 def test_unreadable_outputs_keep_the_scratch(tmp_path, outputs_tsv, message):
     import sys

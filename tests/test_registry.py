@@ -1,4 +1,5 @@
 from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from dslake.registry import (
     PackageDescriptor,
     PackageInput,
     PackageOutputDecl,
+    SCALAR_TYPES,
     StructureLevel,
 )
+from dslake.times import UTC
 from dslake.cyclone.plugin import bsm_descriptor, register_cyclone_domain
 
 
@@ -298,3 +301,24 @@ def test_builtin_package_without_its_procedure_refused(registry, procedure, proc
     registry.register_package(ghost, procedure=repr)
     registry.register_package(replace(ghost, name="Echo", procedure=proc_id))
     assert registry.procedures[proc_id] is repr
+
+
+# one strategy per scalar type with a reader: aware UTC datetimes at whole
+# seconds, durations in whole hours up to the parser's largest literal
+SCALAR_VALUES = {
+    "datetime": st.datetimes(timezones=st.just(UTC)).map(lambda t: t.replace(microsecond=0)),
+    "duration": st.integers(0, 23999999999).map(lambda hours: timedelta(hours=hours)),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(),
+}
+
+
+@pytest.mark.parametrize("name", [n for n, scalar in SCALAR_TYPES.items() if scalar.read])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scalar_type_reads_back_what_it_writes(name, data):
+    scalar = SCALAR_TYPES[name]
+    value = data.draw(SCALAR_VALUES[name])
+    assert isinstance(value, scalar.python_type)
+    assert scalar.read(scalar.write(value)) == value

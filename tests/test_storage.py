@@ -427,8 +427,10 @@ def test_load_rejects_bad_fabric_conf(tmp_path, conf, message):
         ("abc\td\t2011-01-01T00:00Z\t2011-01-01T00:00Z\td/abc.snap\textra",
          "expected 5 tab-separated columns, found 6"),
         ("abc\td\t2011-01-01T00:00Z\t2011-13-01T00:00Z\td/abc.snap", "bad timestamp: "),
+        ("abc\td\t2011-01-02T00:00Z\t2011-01-01T00:00Z\td/abc.snap",
+         "t0 2011-01-02T00:00Z is after t1 2011-01-01T00:00Z"),
     ],
-    ids=["short", "long", "time"],
+    ids=["short", "long", "time", "reversed-times"],
 )
 def test_load_rejects_bad_manifest_line(tmp_path, line, message):
     StorageLayout(node_count=3, replication=2).ingest([make_file(0)]).save(tmp_path)
