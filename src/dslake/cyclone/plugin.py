@@ -17,8 +17,12 @@ The extractor's ``memo`` and ``ReduceContext.memo`` are the procedure's
 own namespace of the storage layout's memo; it keeps there only pure
 functions of its inputs and the stored bytes. The extractor keys minima
 scans on the grid body text and shape, so identical bodies (the common
-all-background case) are scanned once per layout; the combiner keys the
-snapshots it parses by file id, a content address.
+all-background case) are scanned once per layout. The combiner keys the
+snapshots it parses by file id, a content address, and keeps each path's
+parameters, keyed by its centers and the file id of its final snapshot:
+``parametrize`` reads nothing else, so a repeat submit parametrizes no
+path again, and a path that a query's area or time crops into other
+centers is parametrized anew.
 """
 
 from __future__ import annotations
@@ -99,7 +103,10 @@ def combine_paths(
     snapshot_for = _snapshot_accessor(ctx)
     objects = []
     for path in track(center_sets):
-        params = parametrize(path, snapshot_for)
+        key = (path.centers, ctx.file_for(path.end_time))
+        params = ctx.memo.get(key)
+        if params is None:
+            params = ctx.memo[key] = parametrize(path, snapshot_for)
         provenance = []
         for center in path.centers:
             file_id = ctx.file_for(center.timestamp)

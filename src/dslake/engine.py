@@ -186,11 +186,16 @@ def run_reduce(
     """
     grouped: dict[datetime, list] = {}
     file_for: dict[datetime, str] = {}
-    nodes_used: set[int] = set()
-    for file_id, node, _, payload, ts in sorted(fragments, key=_ARRIVAL_ORDER):
-        grouped.setdefault(ts, []).extend(payload)
-        file_for[ts] = min(file_id, file_for.get(ts, file_id))
-        nodes_used.add(node)
+    for file_id, _, _, payload, ts in sorted(fragments, key=_ARRIVAL_ORDER):
+        items = grouped.get(ts)
+        if items is None:
+            # a copy: without an area clause the payload is the memo record's list
+            grouped[ts] = list(payload)
+            file_for[ts] = file_id
+        else:
+            items.extend(payload)
+            if file_id < file_for[ts]:
+                file_for[ts] = file_id
     center_sets = sorted(grouped.items())  # instants are distinct keys
 
     ctx = ReduceContext(
@@ -237,7 +242,7 @@ def run_reduce(
         diagnostics=Diagnostics(
             files_mapped=len(fragments),
             fragments=len(fragments),
-            nodes_used=nodes_used,
+            nodes_used={f.node for f in fragments},
         ),
     )
 

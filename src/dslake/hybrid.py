@@ -22,7 +22,7 @@ External output contract (all files tab-separated UTF-8):
 A declared ``timeseries`` output names a series file. Any other declared
 output is read by its semantic type's reader in ``registry.SCALAR_TYPES``,
 and a value that does not read is a ``PackageFailure`` naming its line; a
-type without a reader, and an undeclared name, keep the text. Series values
+type not in the table, and an undeclared name, keep the text. Series values
 use fixed four-decimal rendering. An indexable output has one line per
 index, e.g. ``level[440,414]``, and is read back as one ``IndexedSeries``,
 as a builtin procedure returns it. Template placeholders are

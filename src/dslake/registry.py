@@ -90,13 +90,20 @@ class ObjectKnowledge:
     filters: dict[str, str]  # keyword or keyword alias -> filter
 
 
+def _read_bool(text: str) -> bool:
+    """``True`` or ``False``, as ``str`` writes them; other text raises ``ValueError``."""
+    if text not in ("True", "False"):
+        raise ValueError(f"not a bool: {text!r}")
+    return text == "True"
+
+
 # The scalar semantic types, in the order semantic_type_of tries them (bool
 # before int, its base class). Each gives the class of its values, the reader
-# of its text (None: the text stays text; malformed text raises ValueError or
-# OverflowError) and the writer of a value as text.
+# of its text (malformed text raises ValueError or OverflowError) and the
+# writer of a value as text, which its reader reads back.
 ScalarType = namedtuple("ScalarType", "python_type read write")
 SCALAR_TYPES = {
-    "bool": ScalarType(bool, None, str),
+    "bool": ScalarType(bool, _read_bool, str),
     "datetime": ScalarType(datetime, parse_utc, iso_seconds),
     "duration": ScalarType(timedelta, lambda text: timedelta(hours=duration_hours(text)),
                            lambda value: f"{value // timedelta(hours=1)}h"),
@@ -108,9 +115,9 @@ SCALAR_TYPES = {
 
 def read_text(semantic_type: str, text: str) -> Any:
     """``text`` read by its type's reader in ``SCALAR_TYPES``; the text of a
-    type without one stays text."""
+    type not in the table stays text."""
     scalar = SCALAR_TYPES.get(semantic_type)
-    return text if scalar is None or scalar.read is None else scalar.read(text)
+    return text if scalar is None else scalar.read(text)
 
 
 @dataclass(frozen=True)

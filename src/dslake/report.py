@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import Any
 
+from dslake.registry import SCALAR_TYPES
 from dslake.times import iso_seconds
 
 
@@ -113,6 +114,8 @@ def render_value(value: Any) -> str:
         return "none"
     if isinstance(value, datetime):
         return iso_seconds(value)
+    if isinstance(value, timedelta):
+        return SCALAR_TYPES["duration"].write(value)
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):

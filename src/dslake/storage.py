@@ -160,7 +160,8 @@ class StorageLayout:
     per file per shape in use, and with the number of distinct bodies too:
     the cyclone extractor keys minima on the body text, so a dataset whose
     bodies are all distinct keeps a second copy of its text here, plus
-    every snapshot the combiner parsed. No lock: an engine runs one submit
+    every snapshot the combiner parsed and one parametrization per distinct
+    (path, final file) a query tracked. No lock: an engine runs one submit
     at a time, and two concurrent readers at worst compute a value twice.
     """
 

@@ -527,7 +527,7 @@ def test_each_layout_extracts_each_file_once(registry):
     assert len(calls) == 2 * len(metas)
 
 
-def test_new_area_and_time_reuse_each_files_record(registry):
+def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
     # a warm engine maps each file once: a new area or time range selects
     # from the records, and every memo namespace stays within its bound
     layout, _ = synthetic_layout(seed=5, count=3, north_east=1, end=(2011, 2, 28, 18))
@@ -538,7 +538,15 @@ def test_new_area_and_time_reuse_each_files_record(registry):
         calls.append(data)
         return extract(data, memo)
 
+    track, tracked = plugin.track, []
+
+    def tracking(center_sets):
+        paths = track(center_sets)
+        tracked.extend(paths)
+        return paths
+
     registry.procedures["cyclone.extract_centers"] = counting
+    monkeypatch.setattr(plugin, "track", tracking)
     warm = engine.Engine(registry, layout)
     time_clause = "time 01.01.2011 - 31.12.2011\n"
     scripts = [
@@ -561,6 +569,94 @@ def test_new_area_and_time_reuse_each_files_record(registry):
     assert len(layout.memo[counting]) <= len(bodies)  # minima, keyed by body
     combiner = registry.procedures["cyclone.combine_paths"]
     assert len(layout.memo[combiner]) <= len(metas)
+    # parameters are keyed by a tracked path's centers and the lowest file id
+    # of its final instant, so there is at most one per distinct such pair
+    file_for = {}
+    for file_id, (ts, _) in layout.memo[(counting,)].items():
+        file_for[ts] = min(file_id, file_for.get(ts, file_id))
+    pairs = {(path.centers, file_for[path.end_time]) for path in tracked}
+    assert {key for key in layout.memo[combiner] if isinstance(key, tuple)} <= pairs
+
+
+def _counting_parametrize(monkeypatch) -> list:
+    """The centers of every path ``plugin.parametrize`` is called on, in order."""
+    parametrize, calls = plugin.parametrize, []
+
+    def counting(path, snapshot_for):
+        calls.append(path.centers)
+        return parametrize(path, snapshot_for)
+
+    monkeypatch.setattr(plugin, "parametrize", counting)
+    return calls
+
+
+def test_a_repeat_submit_parametrizes_no_path(registry, monkeypatch):
+    # the combiner keeps each path's parameters in its namespace of the memo,
+    # so a second identical submit on one engine parametrizes nothing
+    layout, _ = synthetic_layout(seed=4, end=(2011, 2, 28, 18))
+    calls = _counting_parametrize(monkeypatch)
+    warm = engine.Engine(registry, layout)
+    first = warm.submit(fig5_request()).canonical_text()
+    assert calls
+    calls.clear()
+    assert warm.submit(fig5_request()).canonical_text() == first
+    assert calls == []
+
+
+def test_a_cropped_path_is_parametrized_anew(registry, monkeypatch):
+    # the memo's key is the path's content, not its place in a query: a time
+    # or area clause that crops a path into other centers parametrizes it
+    # again, and the result is the bytes of a submit on a fresh layout
+    layout, _ = synthetic_layout(seed=5, count=3, north_east=1, end=(2011, 2, 28, 18))
+    calls = _counting_parametrize(monkeypatch)
+    warm = engine.Engine(registry, layout)
+    select = "select cyclone-path\n  out(Params[EndTime])\n"
+    warm.submit(TaskRequest("d1", select))
+    whole = set(calls)
+    assert len(whole) == 3
+    # the last path, which ends on a later day than it starts
+    path = calls[-1]
+    first = path[0]
+    assert first.timestamp.date() < path[-1].timestamp.date()
+    # the time clause keeps the two earlier paths whole, the area clause neither
+    crops = {
+        f"time 01.01.2011 - {first.timestamp:%d.%m.%Y}\n": 2,
+        f"area {first.lat - 0.1:.4f},{first.lon - 0.1:.4f}"
+        f" - {first.lat + 0.1:.4f},{first.lon + 0.1:.4f}\n": 0,
+    }
+    metas = layout.dataset_files("d1")
+    for crop, whole_paths in crops.items():
+        calls.clear()
+        request = TaskRequest("d1", crop + select)
+        text = warm.submit(request).canonical_text()
+        assert any(c[0] == first and len(c) < len(path) for c in calls)
+        # every path kept whole is a memo hit, and only those
+        assert whole.isdisjoint(calls)
+        assert text.count("\nobject ") - len(calls) == whole_paths
+        fresh = StorageLayout(node_count=4, replication=2).ingest(
+            DataFile(m.file_id, m.dataset, m.t0, m.t1, layout.read(m.file_id)) for m in metas
+        )
+        assert text == submit(request, registry, fresh).canonical_text()
+
+
+def test_the_reduce_never_alters_a_memo_record(registry):
+    # two files report one instant, each with a center; with no area clause
+    # each fragment's payload is its file's record, which grouping must copy
+    ts = utc(2011, 1, 1)
+    files = [
+        DataFile.from_bytes("d1", ts, ts, render_grid_snapshot(
+            snapshot(gaussian_depression(30, 40, lat, lon, 40.0, 300.0), ts=ts)))
+        for lat, lon in [(57.0, -18.0), (53.0, -8.0)]
+    ]
+    layout = StorageLayout(node_count=2, replication=1).ingest(files)
+    warm = engine.Engine(registry, layout)
+    request = TaskRequest("d1", "select cyclone-path\n  out(Params[EndTime])\n",
+                          EngineConfig(2, 1))
+    first = warm.submit(request).canonical_text()
+    assert first.count("\nobject ") == 2
+    assert warm.submit(request).canonical_text() == first
+    records = layout.memo[(registry.procedures["cyclone.extract_centers"],)]
+    assert [len(records[f.file_id][1]) for f in files] == [1, 1]
 
 
 @pytest.mark.parametrize("module", [engine, plugin], ids=["engine", "plugin"])

@@ -25,7 +25,7 @@ from dslake.registry import (
 )
 from dslake.cyclone.plugin import bsm_external_descriptor
 from dslake.cyclone.surrogate import MAX_HORIZON_HOURS
-from dslake.report import render_value
+from dslake.report import ResultDocument, SimulationRecord
 
 from conftest import utc
 from test_surrogate import params
@@ -209,10 +209,13 @@ def test_external_failure_quotes_the_end_of_its_stderr(tmp_path):
 
 def test_declared_scalar_outputs_read_as_a_builtin_returns_them(tmp_path):
     # an external run's outputs are read by their declared types, so they
-    # equal, and render in the canonical text as, a builtin run's values
+    # equal, and give the canonical lines of, a builtin run's values
     import sys
 
-    values = {"count": 7, "label": "1234e5", "note": "nan", "at": utc(2005, 1, 9)}
+    values = {
+        "count": 7, "label": "1234e5", "note": "nan", "at": utc(2005, 1, 9),
+        "flag": True, "span": timedelta(hours=96),
+    }
     builtin = PackageDescriptor(
         name="SCALARS",
         outputs=(
@@ -220,13 +223,16 @@ def test_declared_scalar_outputs_read_as_a_builtin_returns_them(tmp_path):
             PackageOutputDecl("label", "string"),
             PackageOutputDecl("note", "string"),
             PackageOutputDecl("at", "datetime"),
+            PackageOutputDecl("flag", "bool"),
+            PackageOutputDecl("span", "duration"),
         ),
     )
     command = tmp_path / "scalars.py"
     command.write_text(
         "import pathlib, sys\n"
         "(pathlib.Path(sys.argv[1]) / 'outputs.tsv').write_text(\n"
-        "    'count\\t7\\nlabel\\t1234e5\\nnote\\tnan\\nat\\t2005-01-09T00:00:00Z\\n')\n"
+        "    'count\\t7\\nlabel\\t1234e5\\nnote\\tnan\\nat\\t2005-01-09T00:00:00Z\\n'\n"
+        "    'flag\\tTrue\\nspan\\t96h\\n')\n"
     )
     external = replace(
         builtin,
@@ -236,9 +242,15 @@ def test_declared_scalar_outputs_read_as_a_builtin_returns_them(tmp_path):
     builtin_out = invoke(builtin, lambda bindings: dict(values), {})
     external_out = invoke(external, None, {})
     assert external_out == builtin_out == values
-    rendered = {name: render_value(value) for name, value in external_out.items()}
-    assert rendered == {name: render_value(value) for name, value in builtin_out.items()}
-    assert rendered["count"] == "7" and rendered["label"] == "1234e5"
+
+    def canonical_lines(outputs):
+        sim = SimulationRecord("p", "SCALARS", 0, outputs=outputs)
+        return ResultDocument("t", simulations=[sim]).canonical_text().splitlines()
+
+    lines = canonical_lines(external_out)
+    assert lines == canonical_lines(builtin_out)
+    for line in ("count 7", "label 1234e5", "flag yes", "span 96h"):
+        assert f"  output {line}" in lines
 
 
 def test_horizon_past_its_bound_fails_in_both_modes(registry):
@@ -262,15 +274,16 @@ def test_horizon_past_its_bound_fails_in_both_modes(registry):
 
 
 @pytest.mark.parametrize(
-    "outputs_tsv, message",
+    "result_type, outputs_tsv, message",
     [
-        (b"other\t1.5\n", "ECHO: declared output 'result' missing"),
-        (b"result\t1.5\nresult 2.5\n", "ECHO: malformed outputs.tsv line 2"),
-        (b"other\tx\nresult\tlow\n", "ECHO: outputs.tsv line 2: malformed float 'low'"),
+        ("float", b"other\t1.5\n", "ECHO: declared output 'result' missing"),
+        ("float", b"result\t1.5\nresult 2.5\n", "ECHO: malformed outputs.tsv line 2"),
+        ("float", b"other\tx\nresult\tlow\n", "ECHO: outputs.tsv line 2: malformed float 'low'"),
+        ("bool", b"other\tx\nresult\tyes\n", "ECHO: outputs.tsv line 2: malformed bool 'yes'"),
     ],
-    ids=["missing-output", "malformed-line", "unreadable-value"],
+    ids=["missing-output", "malformed-line", "unreadable-value", "unreadable-bool"],
 )
-def test_unreadable_outputs_keep_the_scratch(tmp_path, outputs_tsv, message):
+def test_unreadable_outputs_keep_the_scratch(tmp_path, result_type, outputs_tsv, message):
     import sys
 
     writer = tmp_path / "write_outputs.py"
@@ -278,7 +291,10 @@ def test_unreadable_outputs_keep_the_scratch(tmp_path, outputs_tsv, message):
         "import sys, pathlib\n"
         f"(pathlib.Path(sys.argv[1]) / 'outputs.tsv').write_bytes({outputs_tsv!r})\n"
     )
-    descriptor = _echo_descriptor(f"{sys.executable} {writer} {{outdir}}")
+    descriptor = replace(
+        _echo_descriptor(f"{sys.executable} {writer} {{outdir}}"),
+        outputs=(PackageOutputDecl("result", result_type),),
+    )
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
     scratch = kept_scratch(err.value)

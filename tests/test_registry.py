@@ -303,9 +303,10 @@ def test_builtin_package_without_its_procedure_refused(registry, procedure, proc
     assert registry.procedures[proc_id] is repr
 
 
-# one strategy per scalar type with a reader: aware UTC datetimes at whole
-# seconds, durations in whole hours up to the parser's largest literal
+# one strategy per scalar type: aware UTC datetimes at whole seconds,
+# durations in whole hours up to the parser's largest literal
 SCALAR_VALUES = {
+    "bool": st.booleans(),
     "datetime": st.datetimes(timezones=st.just(UTC)).map(lambda t: t.replace(microsecond=0)),
     "duration": st.integers(0, 23999999999).map(lambda hours: timedelta(hours=hours)),
     "int": st.integers(),
@@ -314,7 +315,7 @@ SCALAR_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", [n for n, scalar in SCALAR_TYPES.items() if scalar.read])
+@pytest.mark.parametrize("name", SCALAR_TYPES)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_scalar_type_reads_back_what_it_writes(name, data):
