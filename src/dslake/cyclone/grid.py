@@ -60,18 +60,15 @@ class GridSnapshot:
         return self.lon0 + self.dlon * np.arange(self.nlon)
 
 
-def snapshot_text(data: bytes) -> str:
-    """``data`` as UTF-8 text; a byte that is not UTF-8 raises ``FormatError``
-    naming its line."""
+def parse_grid_snapshot(data: bytes) -> GridSnapshot:
+    """Parse and validate a snapshot from its byte representation; a byte
+    that is not UTF-8 raises ``FormatError`` naming its line before any
+    other check."""
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(undecodable_at(exc)[0], "not UTF-8 text") from None
-
-
-def parse_grid_snapshot(data: bytes) -> GridSnapshot:
-    """Parse and validate a snapshot from its byte representation."""
-    header, _, body = snapshot_text(data).partition("\n")
+    header, _, body = text.partition("\n")
     lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
 
     rows = body.split("\n")

@@ -15,9 +15,16 @@ instants and centers a query's time and area clauses ask for.
 
 The extractor's ``memo`` and ``ReduceContext.memo`` are the procedure's
 own namespace of the storage layout's memo; it keeps there only pure
-functions of its inputs and the stored bytes. The extractor keys minima
-scans on the grid body text and shape, so identical bodies (the common
-all-background case) are scanned once per layout. The combiner keys the
+functions of its inputs and the stored bytes. The extractor decodes only
+the header line and keys minima scans on the grid body bytes and shape, so
+identical bodies (the common all-background case) are scanned once per
+layout. Each entry also keeps the bytes of its last header up to the
+timestamp, and a hit moves it to the end of the memo. Before it hashes a
+body, the extractor checks the newest entry, the body it used last: a
+snapshot that ends with that body and starts with that header prefix,
+with one timestamp field between them, needs only its timestamp parsed.
+Anything else takes the full path, and a header that does not parse
+raises what ``parse_grid_snapshot`` raises. The combiner keys the
 snapshots it parses by file id, a content address, and keeps each path's
 parameters, keyed by its centers and the file id of its final snapshot:
 ``parametrize`` reads nothing else, so a repeat submit parametrizes no
@@ -35,7 +42,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import dslake
-from dslake.errors import CombinerFailure, RegistryError
+from dslake.errors import CombinerFailure, FormatError, RegistryError
 from dslake.registry import (
     DomainLibraryDescriptor,
     DomainObject,
@@ -51,10 +58,11 @@ from dslake.registry import (
 )
 from dslake.hybrid import IndexedSeries
 from dslake.cyclone.detect import CycloneCenter, centers_at, interior_minima
-from dslake.cyclone.grid import parse_grid_snapshot, parse_header, snapshot_text
+from dslake.cyclone.grid import parse_grid_snapshot, parse_header
 from dslake.cyclone.params import parametrize
 from dslake.cyclone.surrogate import GAUGES, bsm_surrogate
 from dslake.cyclone.track import track
+from dslake.times import parse_utc
 
 LIBRARY_NAME = "cyclone"
 OBJECT_TYPE = "cyclone-path"
@@ -73,14 +81,44 @@ OUTPUT_PARAMS = (
 )
 
 def extract_centers(data: bytes, memo: dict) -> tuple[datetime, list[CycloneCenter]]:
-    header, _, body = snapshot_text(data).partition("\n")
-    lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
+    if memo:  # the newest entry holds the body used last
+        key = next(reversed(memo))
+        last_body = key[0]
+        prefix, grid, minima = memo[key]
+        if prefix is not None and data.endswith(last_body) and data.startswith(prefix):
+            ts = _timestamp_line(data[len(prefix):len(data) - len(last_body)])
+            if ts is not None:
+                return ts, centers_at(minima, *grid, ts)
+    head, _, body = data.partition(b"\n")
+    try:
+        header = head.decode()
+        lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
+    except (UnicodeDecodeError, FormatError):
+        parse_grid_snapshot(data)  # raises as a whole-file parse does: a body not UTF-8 first
+        raise
     key = (body, nlat, nlon)
-    minima = memo.get(key)
-    if minima is None:
+    entry = memo.pop(key, None)
+    if entry is None:
         snapshot = parse_grid_snapshot(data)  # full validation on first sight
-        minima = memo[key] = interior_minima(snapshot.values)
+        minima = interior_minima(snapshot.values)
+    else:
+        minima = entry[2]
+    last = header.split()[-1]
+    prefix = head[: len(head) - len(last.encode())] if header.endswith(last) else None
+    memo[key] = (prefix, (lat0, lon0, dlat, dlon), minima)
     return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts)
+
+
+def _timestamp_line(line: bytes) -> datetime | None:
+    """The instant of a line that is one field ``parse_utc`` reads and a
+    newline; ``None`` for any other line."""
+    try:
+        text = line[:-1].decode()
+        if line[-1:] == b"\n" and text.split() == [text]:
+            return parse_utc(text)
+    except ValueError:  # UnicodeDecodeError included
+        pass
+    return None
 
 
 def _snapshot_accessor(ctx: ReduceContext):

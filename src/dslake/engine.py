@@ -33,6 +33,11 @@ layout's per-dataset file order (``StorageLayout.by_dataset``, through
 ``dataset_files``), kept by ingest and load rather than sorted per
 submit, so a warm submit's map stage is one memo lookup per file.
 
+On a loaded store the map stage reads from disk: each file it maps is read
+from its replicas and checked then (``StorageLayout.read``), so a cold
+submit pays for its reads and a warm one, all of whose records are in the
+memo, reads none.
+
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
 so one map thread per simulated node was measured as a net loss of CPU

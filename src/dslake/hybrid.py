@@ -5,8 +5,9 @@ plain call on a validated plan's bindings, which name only declared inputs
 and bind every required input that has no default. It fills the defaults,
 checks each value's semantic type (``BindingError``), and returns the
 outputs as a dict by name, every declared one present, or raises
-``PackageFailure``. ``output_at`` picks a requested output out of that
-dict. The engine times each run itself.
+``PackageFailure``; so does a declared scalar output that its type's
+writer refuses, such as a duration of 90 minutes. ``output_at`` picks a
+requested output out of that dict. The engine times each run itself.
 
 A builtin package's run calls its ``procedure`` in-process; an external
 package, whose ``procedure`` is ``None``, materializes inputs into a
@@ -152,9 +153,19 @@ def invoke(
 
 
 def _check_outputs(package: PackageDescriptor, outputs: dict[str, Any]) -> None:
+    """Every declared output is present, and a declared scalar output of its
+    type's class is one its writer can write, so that the result document
+    renders what the package returned."""
     for decl in package.outputs:
         if decl.name not in outputs:
             raise PackageFailure(f"{package.name}: declared output {decl.name!r} missing")
+        scalar = SCALAR_TYPES.get(decl.semantic_type)
+        value = outputs[decl.name]
+        if scalar is not None and isinstance(value, scalar.python_type):
+            try:
+                scalar.write(value)
+            except ValueError as exc:
+                raise PackageFailure(f"{package.name}: output {decl.name!r}: {exc}") from None
 
 
 # --- external command mode ----------------------------------------------------
@@ -261,7 +272,10 @@ def _read_series(scratch: Path, name: str, package_name: str) -> Series:
 def _materialize(name: str, value: Any, scratch: Path, package_name: str) -> str:
     scalar = SCALAR_TYPES.get(semantic_type_of(value))
     if scalar is not None:
-        return scalar.write(value)
+        try:
+            return scalar.write(value)
+        except ValueError as exc:
+            raise PackageFailure(f"{package_name}: input {name!r}: {exc}") from None
     text = getattr(value, "portable_text", None)
     if callable(text):
         target = scratch / f"{name}.txt"

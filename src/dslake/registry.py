@@ -97,16 +97,29 @@ def _read_bool(text: str) -> bool:
     return text == "True"
 
 
+def _write_duration(value: timedelta) -> str:
+    """``<hours>h``; a duration that text cannot hold, one that is negative
+    or not a whole number of hours, raises ``ValueError``."""
+    hours, rest = divmod(value, timedelta(hours=1))
+    if rest or hours < 0:
+        raise ValueError(
+            f"duration {value / timedelta(hours=1):g}h is not a whole, non-negative"
+            " number of hours"
+        )
+    return f"{hours}h"
+
+
 # The scalar semantic types, in the order semantic_type_of tries them (bool
 # before int, its base class). Each gives the class of its values, the reader
 # of its text (malformed text raises ValueError or OverflowError) and the
-# writer of a value as text, which its reader reads back.
+# writer of a value as text, which its reader reads back (a value no text
+# holds raises ValueError).
 ScalarType = namedtuple("ScalarType", "python_type read write")
 SCALAR_TYPES = {
     "bool": ScalarType(bool, _read_bool, str),
     "datetime": ScalarType(datetime, parse_utc, iso_seconds),
     "duration": ScalarType(timedelta, lambda text: timedelta(hours=duration_hours(text)),
-                           lambda value: f"{value // timedelta(hours=1)}h"),
+                           _write_duration),
     "int": ScalarType(int, int, str),
     "float": ScalarType(float, float, str),
     "string": ScalarType(str, str, str),

@@ -26,6 +26,16 @@ times are ISO-8601 UTC. A stored manifest's relative path is always
 ``ingest`` refuses a file whose names would not make such a path (see
 ``_storable``), and ``load`` refuses a manifest line that does not hold one.
 
+A loaded store holds no file bytes. ``load`` checks ``fabric.conf``, each
+manifest line and its stored path, and that no file is listed twice, and
+places the files. It opens no ``.snap`` file, so a file with no intact
+replica on disk is found when it is read. Each read of a loaded file goes
+to disk (``DiskReplicas``): the simulated serving node decides whether the
+read is allowed, and the bytes come from the first intact replica in the
+stored placement order. ``save`` writes the files a layout holds in
+memory, those ingested in this process, and copies a loaded file only to a
+root or node its stored replicas are not at.
+
 Mutations (ingest, fail, recover) are serialized by the caller; reads are
 safe to run concurrently with other reads.
 """
@@ -33,6 +43,7 @@ safe to run concurrently with other reads.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -136,17 +147,60 @@ class FileMeta:
     relative_path: str
 
 
+@dataclass(frozen=True)
+class DiskReplicas:
+    """The replicas of a loaded store: ``<root>/node-<k>/<relative path>``
+    for each node k of a file's stored ``placements``.
+
+    ``placements`` is the stored fabric's, and ``failed`` the loaded
+    layout's own set, so a node failed there is skipped here, also by a
+    reshaped view, whose simulated nodes are not directories. A read takes
+    the replicas in placement order and returns the first whose SHA-256
+    digest is the file id; a missing replica or another digest moves it to
+    the next one.
+    """
+
+    root: Path  # absolute
+    placements: dict[str, tuple[int, ...]]
+    failed: set[int]
+
+    def read(self, file_id: str, relative_path: str) -> bytes:
+        fates = []
+        for node in self.placements[file_id]:
+            if node in self.failed:
+                continue
+            try:
+                fd = os.open(f"{self.root}/node-{node}/{relative_path}", os.O_RDONLY)
+                try:
+                    data = os.read(fd, os.fstat(fd).st_size)
+                finally:
+                    os.close(fd)
+            except FileNotFoundError:
+                fates.append(f"node {node} missing")
+                continue
+            except OSError as exc:
+                fates.append(f"node {node} unreadable ({exc.strerror})")
+                continue
+            if hashlib.sha256(data).hexdigest() == file_id:
+                return data
+            fates.append(f"node {node} digest mismatch")
+        raise UnreadableFile(f"no intact replica of {file_id}: {', '.join(fates) or 'none tried'}")
+
+
 @dataclass
 class StorageLayout:
     """The simulated node set, file placement, and failure state.
 
     ``placements`` holds each file's replica nodes in placement order; a
-    read is served by the first that has not failed, and every read checks
-    the bytes against the file id, their SHA-256 digest, so a blob altered
-    after ingest is ``UnreadableFile`` on its next read. ``by_dataset`` holds
-    each dataset's files in (t0, file_id) order; an ingest replaces the
-    lists it changes rather than altering them, so a reshaped view starts
-    from its parent's lists without copying them.
+    read is allowed, and reported, by the first that has not failed. Every
+    read checks the bytes against the file id, their SHA-256 digest. A file
+    ingested in this process is read from ``blobs``, and a blob altered
+    after ingest is ``UnreadableFile`` on its next read. A loaded file is
+    read from ``disk`` on every read, failing over past a missing or altered
+    replica (see ``DiskReplicas``); the layout keeps none of its bytes.
+    ``by_dataset`` holds each dataset's files in (t0, file_id) order; an
+    ingest replaces the lists it changes rather than altering them, so a
+    reshaped view starts from its parent's lists without copying them.
 
     ``memo`` holds results derived from the stored content: one dict per
     owner, a procedure function or a library's extractor functions, and
@@ -158,8 +212,8 @@ class StorageLayout:
     the layout; reshaped views share them, so a view at a shape used before
     places only the files new since. Memory grows by at most one placement
     per file per shape in use, and with the number of distinct bodies too:
-    the cyclone extractor keys minima on the body text, so a dataset whose
-    bodies are all distinct keeps a second copy of its text here, plus
+    the cyclone extractor keys minima on the body bytes, so its memo holds
+    the only copy a loaded layout retains of each distinct body, plus
     every snapshot the combiner parsed and one parametrization per distinct
     (path, final file) a query tracked. No lock: an engine runs one submit
     at a time, and two concurrent readers at worst compute a value twice.
@@ -173,6 +227,7 @@ class StorageLayout:
     meta: dict[str, FileMeta] = field(default_factory=dict)
     by_dataset: dict[str, list[FileMeta]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict)
+    disk: DiskReplicas | None = None  # a loaded store's replicas
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -195,7 +250,7 @@ class StorageLayout:
         files = list(files)
         batch: set[str] = set()
         for f in files:
-            if f.file_id in self.blobs or f.file_id in batch:
+            if f.file_id in self.meta or f.file_id in batch:
                 raise DuplicateFile(f.file_id)
             if not _storable(f.file_id, f.dataset):
                 raise StorageError(
@@ -257,9 +312,12 @@ class StorageLayout:
         raise UnreadableFile(f"no surviving replica of {file_id}")
 
     def read(self, file_id: str) -> bytes:
-        """The file's bytes from its serving node, digest checked."""
+        """The file's bytes, digest checked, if it has a serving node: an
+        ingested file's from ``blobs``, a loaded file's from ``disk``."""
         self.serving_node(file_id)
-        data = self.blobs[file_id]
+        data = self.blobs.get(file_id)
+        if data is None:
+            return self.disk.read(file_id, self.meta[file_id].relative_path)
         digest = hashlib.sha256(data).hexdigest()
         if digest != file_id:
             raise UnreadableFile(f"content digest mismatch for {file_id}: {digest}")
@@ -272,6 +330,10 @@ class StorageLayout:
     # -- on-disk mode ----------------------------------------------------------
 
     def save(self, root: Path) -> None:
+        """Write ``fabric.conf``, the manifests, and every replica of the
+        files held in ``blobs``. A loaded file is copied, read through
+        ``read`` so its digest is checked, only where its stored replicas
+        are not: to another root, or onto nodes of another shape."""
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         (root / "fabric.conf").write_text(
@@ -281,14 +343,23 @@ class StorageLayout:
             manifest_dir = root / "datasets" / dataset
             manifest_dir.mkdir(parents=True, exist_ok=True)
             write_manifest(manifest_dir / "manifest.tsv", metas)
+        disk = self.disk
+        in_place = disk is not None and root.resolve() == disk.root
         for file_id, nodes in self.placements.items():
+            data = self.blobs.get(file_id)
+            if data is None:
+                if in_place and nodes == disk.placements[file_id]:
+                    continue
+                data = self.read(file_id)
             for node in nodes:
                 target = root / f"node-{node}" / self.meta[file_id].relative_path
                 target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(self.blobs[file_id])
+                target.write_bytes(data)
 
     @staticmethod
     def load(root: Path) -> "StorageLayout":
+        """The store at ``root``: its fabric and manifests, every file placed
+        and none of its bytes read (see ``DiskReplicas``)."""
         root = Path(root)
         conf_path = root / "fabric.conf"
         if not conf_path.exists():
@@ -299,6 +370,11 @@ class StorageLayout:
             "=", lambda line, message: StorageError(f"{conf_path}:{line}: {message}"),
         )[0]
         layout = StorageLayout(**conf)
+        layout.disk = DiskReplicas(
+            root.resolve(),
+            layout.memo.setdefault(("placements", layout.node_count, layout.replication), {}),
+            layout.failed,
+        )
         datasets_dir = root / "datasets"
         if not datasets_dir.exists():
             return layout
@@ -313,16 +389,7 @@ class StorageLayout:
                 if file_id in layout.meta:
                     first = datasets_dir / layout.meta[file_id].dataset / "manifest.tsv"
                     raise StorageError(f"{manifest}: file {file_id!r} is also listed in {first}")
-                data = None
-                for node in nodes:
-                    candidate = root / f"node-{node}" / meta.relative_path
-                    if candidate.exists():
-                        data = candidate.read_bytes()
-                        break
-                if data is None:
-                    raise StorageError(f"no replica of {file_id} on disk")
                 layout.placements[file_id] = nodes
-                layout.blobs[file_id] = data
                 layout.meta[file_id] = meta
             if metas:
                 layout.by_dataset[manifest.parent.name] = sorted(metas, key=_time_order)
@@ -351,6 +418,7 @@ class StorageLayout:
             meta=dict(self.meta),
             by_dataset=dict(self.by_dataset),
             memo=self.memo,
+            disk=self.disk,
         )
         placed = view._placed(self.meta)
         view.placements = {file_id: placed[file_id] for file_id in self.meta}

@@ -1,3 +1,4 @@
+import os
 import tempfile
 from pathlib import Path
 
@@ -398,6 +399,71 @@ def test_fail_node_does_not_change_output(workdir, capsys):
     code, degraded, _ = run(capsys, "submit", "--dataset", "d1", str(script), "--fail-node", "0")
     assert code == 0
     assert degraded == baseline
+
+
+def _generated(capsys, workdir, dataset: str, seed: int, start="01-01", end="02-28") -> Path:
+    """The manifest of a synthetic dataset from ``start`` to ``end`` of 2011,
+    written by gen-synthetic."""
+    spec = workdir / f"{dataset}.txt"
+    spec.write_text(
+        SPEC_TEXT.replace("dataset d1", f"dataset {dataset}")
+        .replace("2011-01-01T", f"2011-{start}T")
+        .replace("2011-02-28T", f"2011-{end}T")
+    )
+    code, out, _ = run(capsys, "gen-synthetic", str(spec), "--seed", str(seed), "--out", dataset)
+    assert code == 0
+    return Path(out.strip())
+
+
+def test_ingest_into_a_store_leaves_its_replicas_alone(workdir, capsys, registry):
+    from dslake.engine import TaskRequest, submit
+    from dslake.storage import DataFile, StorageLayout, read_manifest
+
+    # other months: the two datasets share no snapshot
+    manifests = [_generated(capsys, workdir, "d1", 9),
+                 _generated(capsys, workdir, "d2", 10, "03-01", "04-30")]
+    assert run(capsys, "ingest", str(manifests[0]))[0] == 0
+    replicas = sorted((workdir / "dslake-storage").glob("node-*/d1/*.snap"))
+    assert replicas
+    for path in replicas:
+        os.utime(path, ns=(10**18, 10**18))
+    before = {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in replicas}
+    assert run(capsys, "ingest", str(manifests[1]))[0] == 0
+    assert {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in replicas} == before
+
+    fresh = StorageLayout(node_count=4, replication=2).ingest(
+        DataFile(m.file_id, m.dataset, m.t0, m.t1, (manifest.parent / m.relative_path).read_bytes())
+        for manifest in manifests
+        for m in read_manifest(manifest)
+    )
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    for dataset in ("d1", "d2"):
+        code, out, _ = run(capsys, "submit", "--dataset", dataset, str(script))
+        assert code == 0
+        assert out == submit(TaskRequest(dataset, FIG5_SCRIPT), registry, fresh).canonical_text()
+        assert "simulation" in out
+
+
+def test_submit_of_a_file_with_no_intact_replica_exit_one(workdir, capsys):
+    from dslake.storage import StorageLayout
+
+    run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 9)))
+    root = workdir / "dslake-storage"
+    layout = StorageLayout.load(root)
+    file_id = layout.dataset_files("d1")[100].file_id
+    first, second = layout.placements[file_id]
+    (root / f"node-{first}" / "d1" / f"{file_id}.snap").write_bytes(b"other bytes")
+    (root / f"node-{second}" / "d1" / f"{file_id}.snap").unlink()
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: no intact replica of {file_id}: node {first} digest mismatch,"
+        f" node {second} missing\n"
+    )
+    assert not (root / "results").exists()
 
 
 def test_fail_node_with_other_node_count_exit_one(workdir, capsys):

@@ -3,6 +3,7 @@ import itertools
 import random
 import shutil
 import threading
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
 from conftest import FIG5_AREA, FIG5_SCRIPT, REFUSED_SCRIPTS, utc
 from test_detect import gaussian_depression
 from test_grid import snapshot
+from test_storage import replica
 
 
 def synthetic_layout(seed=1, count=5, north_east=2, end=(2011, 12, 31, 18),
@@ -300,6 +302,42 @@ def test_unreadable_file_propagates(registry):
         submit(fig5_request(node_count=4, replication=1), registry, layout)
 
 
+def saved_store(tmp_path, registry):
+    """A two-month store saved at ``tmp_path``, its in-memory layout, and the
+    canonical text of the Fig. 5 query over it."""
+    layout, _ = synthetic_layout(seed=12, count=2, north_east=2, end=(2011, 2, 28, 18))
+    layout.save(tmp_path)
+    return layout, submit(fig5_request(), registry, layout).canonical_text()
+
+
+@pytest.mark.parametrize("fault", ["altered", "missing"])
+def test_a_saved_store_with_bad_first_replicas_gives_the_intact_bytes(tmp_path, registry, fault):
+    layout, expected = saved_store(tmp_path, registry)
+    for meta in layout.dataset_files("d1"):
+        path = replica(tmp_path, layout, meta.file_id, 0)
+        if fault == "altered":
+            path.write_bytes(path.read_bytes().replace(b"2011", b"2012", 1))
+        else:
+            path.unlink()
+    loaded = StorageLayout.load(tmp_path)
+    assert loaded.blobs == {}
+    assert submit(fig5_request(), registry, loaded).canonical_text() == expected
+    assert loaded.blobs == {}  # a loaded layout holds no file bytes, before or after
+
+
+def test_a_file_with_no_intact_replica_fails_the_submit(tmp_path, registry):
+    layout, _ = saved_store(tmp_path, registry)
+    file_id = layout.dataset_files("d1")[40].file_id
+    first, second = layout.placements[file_id]
+    replica(tmp_path, layout, file_id, 0).write_bytes(b"grid 0 0 1 1 2 2 x\n")
+    replica(tmp_path, layout, file_id, 1).unlink()
+    with pytest.raises(UnreadableFile) as err:
+        engine.Engine(registry, StorageLayout.load(tmp_path)).submit(fig5_request())
+    assert str(err.value) == (
+        f"no intact replica of {file_id}: node {first} digest mismatch, node {second} missing"
+    )
+
+
 def test_partial_failure_keeps_other_objects(registry):
     # a package that refuses one specific object must not take down the
     # simulations of the others
@@ -362,6 +400,39 @@ def test_on_node_placement_recorded_in_diagnostics_only(registry):
     assert sim.node is not None  # executed next to the final snapshot
     assert sim.outputs["surge"] == 2.0
     assert "node" not in doc.canonical_text().split("SIMULATIONS")[1].split("DIAGNOSTICS")[0]
+
+
+@pytest.mark.parametrize(
+    "span, outcome",
+    [
+        (timedelta(hours=96), "output span 96h"),
+        (timedelta(minutes=90),
+         "SPAN: output 'span': duration 1.5h is not a whole, non-negative number of hours"),
+        (timedelta(minutes=-30),
+         "SPAN: output 'span': duration -0.5h is not a whole, non-negative number of hours"),
+    ],
+    ids=["whole-hours", "ninety-minutes", "minus-half-hour"],
+)
+def test_a_duration_output_that_text_cannot_hold_fails_its_simulation(registry, span, outcome):
+    # the canonical text writes a duration in whole hours: a value it would
+    # round fails the simulation record instead of rendering another value
+    layout, _ = synthetic_layout(seed=13, count=1, north_east=1, end=(2011, 2, 28, 18))
+    descriptor = PackageDescriptor(
+        name="SPAN",
+        outputs=(PackageOutputDecl("span", "duration"),),
+        execution_mode=ExecutionMode.BUILTIN,
+    )
+    registry.register_package(descriptor, procedure=lambda bindings: {"span": span})
+    script = "select cyclone-path\nsimulate\n  with SPAN\n  out(span)\n"
+    request = TaskRequest(dataset="d1", script=script, engine_config=EngineConfig(4, 2))
+    doc = submit(request, registry, layout)
+    (sim,) = doc.simulations
+    text = doc.canonical_text()
+    if sim.status == "ok":
+        assert f"  {outcome}\n" in text
+    else:
+        assert (sim.failure_reason, sim.outputs) == (outcome, {})
+        assert "output span" not in text
 
 
 def test_diagnostics_counts(registry):

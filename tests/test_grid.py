@@ -1,3 +1,5 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,3 +149,76 @@ def test_densify_within_coarse_hull(nlat, nlon, k, seed):
             corners = values[ci : ci + 2, cj : cj + 2]
             assert block.min() >= corners.min() - 1e-9
             assert block.max() <= corners.max() + 1e-9
+
+
+def _extracted(data, memo):
+    """``extract_centers``'s result, or the line and message of its ``FormatError``."""
+    try:
+        return extract_centers(data, memo)
+    except FormatError as exc:
+        return exc.line, exc.message
+
+
+_FIRST = render_grid_snapshot(
+    snapshot([[1010, 1008, 1009, 1012], [1007, 990.25, 1006, 1011], [1013, 1009, 1004.5, 1010]],
+             ts=utc(2011, 3, 4, 6))
+)
+_OTHER = render_grid_snapshot(snapshot(np.full((3, 4), 1013.0), ts=utc(2011, 3, 4, 0)))
+_HEADER_END = _FIRST.index(b"\n")
+# bytes an edit puts in: whitespace, line breaks, digits, other timestamps and
+# shapes, a non-ASCII letter, and bytes that are not UTF-8
+_PIECES = [
+    b" ", b"  ", b"\t", b"\r", b"\n", b"\r\n", b"\x0c", b"\xc2\x85", b"\xc2\xa0", b"0", b"5",
+    b"x", b"-", b"Z", b"T", b"+00:00", b"2011-03-04T12:00Z", b"2011-03-04T06:00:30Z",
+    b"2011-03-04 06:00Z", b"2011-02-30T00:00Z", b" 3 4 ", b" 4 3 ", b" 3 5 ", b"\xc3\xa9",
+    b"\xff", b"\xc3", b"\xe2\x80", b"1008.00", b"999.00",
+]
+# timestamp fields, some of them broken by whitespace that str.split sees
+_STAMPS = [
+    b"2011-03-04T12:00Z", b"2011-03-04T06:00:30Z", b"2011-03-04T06:00+00:00", b"2011-03-04",
+    b"2011-03-04 06:00Z", b"2011-03-04T06:00Z\x0c", b"2011-03-04\xc2\x8506:00Z",
+    b"2011-03-04\x1f06:00Z", b"2011-02-30T00:00Z", b"2011-03-04T06:00Z\r", b"",
+]
+
+
+@st.composite
+def edited_snapshots(draw):
+    """``_FIRST`` with a few edits: a piece put in or a span cut out, each in
+    its header, its body or at its end."""
+    data = _FIRST
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["header", "stamp", "body", "end"]))
+        line_end = data.find(b"\n") if b"\n" in data else len(data)
+        cut = draw(st.integers(0, 4))
+        if where == "header":
+            start = draw(st.integers(0, line_end))
+        elif where == "stamp":  # the last field of the first line, or it and its newline
+            start = data.rfind(b" ", 0, line_end) + 1
+            cut = line_end - start + draw(st.integers(0, 1))
+        elif where == "body":
+            start = draw(st.integers(min(_HEADER_END + 1, len(data)), len(data)))
+        else:
+            start, cut = len(data), 0
+        piece = draw(st.sampled_from(_STAMPS if where == "stamp" else [b""] + _PIECES))
+        data = data[:start] + piece + data[start + cut:]
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]  # a truncated copy
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_snapshots(), st.sampled_from([[_FIRST], [_FIRST, _OTHER], [_OTHER, _FIRST],
+                                             [_FIRST.replace(b"Z\n", b"Z \r\n", 1)],
+                                             [_FIRST.replace(b" ", b"\t", 3)]]))
+def test_a_primed_extractor_gives_what_an_empty_one_gives(data, primers):
+    # the memo's shortcuts (the last body used, a body seen before) change
+    # no result and no error; an error is the one a whole-file parse raises
+    memo = {}
+    for primer in primers:
+        extract_centers(primer, memo)
+    expected = _extracted(data, {})
+    assert _extracted(data, memo) == expected
+    if not isinstance(expected[0], datetime):
+        with pytest.raises(FormatError) as err:
+            parse_grid_snapshot(data)
+        assert (err.value.line, err.value.message) == expected

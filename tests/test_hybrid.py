@@ -318,6 +318,23 @@ def test_input_that_cannot_be_materialized_keeps_the_scratch():
     assert str(err.value).startswith("LIST: cannot materialize input 'xs' of type list")
 
 
+def test_a_duration_input_that_text_cannot_hold_keeps_the_scratch():
+    descriptor = PackageDescriptor(
+        name="WAIT",
+        inputs=(PackageInput("span", "duration"),),
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template="echo {input:span} {outdir}",
+    )
+    with pytest.raises(PackageFailure) as err:
+        invoke(descriptor, None, {"span": timedelta(minutes=90)})
+    scratch = kept_scratch(err.value)
+    shutil.rmtree(scratch)
+    assert str(err.value) == (
+        "WAIT: input 'span': duration 1.5h is not a whole, non-negative number of hours"
+        f" (scratch kept at {scratch})"
+    )
+
+
 def test_external_command_that_cannot_start_fails():
     # a missing program is a package failure naming the program and the
     # kept scratch, not an OSError escaping the invocation

@@ -296,6 +296,110 @@ def test_on_disk_round_trip(tmp_path):
         assert loaded.read(f.file_id) == f.data
 
 
+def replica(root: Path, layout: StorageLayout, file_id: str, rank: int) -> Path:
+    """The stored copy of ``file_id`` on its ``rank``-th placement node."""
+    node = layout.placements[file_id][rank]
+    return root / f"node-{node}" / layout.meta[file_id].relative_path
+
+
+def test_load_reads_no_snapshot(tmp_path):
+    files = [make_file(i) for i in range(6)]
+    layout = StorageLayout(node_count=3, replication=2).ingest(files)
+    layout.save(tmp_path)
+    for snap in tmp_path.glob("node-*/d/*.snap"):
+        snap.unlink()
+    loaded = StorageLayout.load(tmp_path)
+    assert loaded.placements == layout.placements and loaded.blobs == {}
+    f = files[0]
+    first, second = layout.placements[f.file_id]
+    with pytest.raises(UnreadableFile) as err:
+        loaded.read(f.file_id)
+    assert str(err.value) == (
+        f"no intact replica of {f.file_id}: node {first} missing, node {second} missing"
+    )
+
+
+@pytest.mark.parametrize("fault", ["altered", "missing", "directory"])
+def test_a_loaded_read_fails_over_to_the_next_replica(tmp_path, fault):
+    files = [make_file(i) for i in range(6)]
+    layout = StorageLayout(node_count=3, replication=2).ingest(files)
+    layout.save(tmp_path)
+    for f in files:
+        path = replica(tmp_path, layout, f.file_id, 0)
+        if fault == "altered":
+            path.write_bytes(b"other bytes")
+        else:
+            path.unlink()
+        if fault == "directory":
+            path.mkdir()
+    loaded = StorageLayout.load(tmp_path)
+    for f in files:
+        assert loaded.read(f.file_id) == f.data
+        # the simulated serving node is the placement's, whatever the disk holds
+        assert loaded.serving_node(f.file_id) == layout.placements[f.file_id][0]
+    assert loaded.blobs == {}
+
+
+def test_a_loaded_read_skips_failed_nodes_and_names_each_replica_tried(tmp_path):
+    f = make_file(1)
+    layout = StorageLayout(node_count=4, replication=3).ingest([f])
+    layout.save(tmp_path)
+    first, second, third = layout.placements[f.file_id]
+    replica(tmp_path, layout, f.file_id, 1).write_bytes(b"other bytes")
+    replica(tmp_path, layout, f.file_id, 2).unlink()
+    loaded = StorageLayout.load(tmp_path)
+    assert loaded.read(f.file_id) == f.data
+    loaded.fail_node(first)
+    with pytest.raises(UnreadableFile) as err:
+        loaded.read(f.file_id)
+    assert str(err.value) == (
+        f"no intact replica of {f.file_id}: node {second} digest mismatch, node {third} missing"
+    )
+    # a view reads the stored replicas, not its own simulated nodes
+    loaded.recover_node(first)
+    view = loaded.reshaped(9, 1)
+    replica(tmp_path, layout, f.file_id, 0).write_bytes(b"other bytes")
+    with pytest.raises(UnreadableFile, match=f"node {first} digest mismatch, node {second}"):
+        view.read(f.file_id)
+
+
+def test_save_of_a_loaded_layout_writes_only_the_files_it_holds(tmp_path):
+    old = [make_file(i) for i in range(6)]
+    root = tmp_path / "store"
+    StorageLayout(node_count=3, replication=2).ingest(old).save(root)
+    stored = sorted(root.glob("node-*/d/*.snap"))
+    for path in stored:
+        path.write_bytes(b"other bytes")  # what a rewrite of the replicas would mend
+    loaded = StorageLayout.load(root)
+    new = make_file(6)
+    loaded.ingest([new]).save(root)
+    assert {p.read_bytes() for p in stored} == {b"other bytes"}
+    assert loaded.blobs.keys() == {new.file_id}
+    reloaded = StorageLayout.load(root)
+    assert reloaded.read(new.file_id) == new.data
+    assert [m.file_id for m in reloaded.dataset_files("d")] == [
+        m.file_id for m in loaded.dataset_files("d")
+    ]
+
+
+def test_save_of_a_loaded_layout_elsewhere_copies_intact_bytes(tmp_path):
+    files = [make_file(i) for i in range(6)]
+    layout = StorageLayout(node_count=3, replication=2).ingest(files)
+    layout.save(tmp_path / "a")
+    replica(tmp_path / "a", layout, files[0].file_id, 0).write_bytes(b"other bytes")
+    loaded = StorageLayout.load(tmp_path / "a")
+    loaded.save(tmp_path / "b")
+    loaded.reshaped(4, 3).save(tmp_path / "a")  # the same root at another shape
+    for root, shape in ((tmp_path / "b", (3, 2)), (tmp_path / "a", (4, 3))):
+        copy = StorageLayout.load(root)
+        assert (copy.node_count, copy.replication) == shape
+        for f in files:
+            nodes = copy.placements[f.file_id]
+            assert {replica(root, copy, f.file_id, k).read_bytes() for k in range(len(nodes))} == {
+                f.data
+            }
+
+
 @pytest.mark.parametrize("node_count", [1, 2, 9, 10, 11, 20])
 def test_load_reproduces_placements(tmp_path, node_count):
     files = [make_file(i) for i in range(12)]
