@@ -33,10 +33,10 @@ layout's per-dataset file order (``StorageLayout.by_dataset``, through
 ``dataset_files``), kept by ingest and load rather than sorted per
 submit, so a warm submit's map stage is one memo lookup per file.
 
-On a loaded store the map stage reads from disk: each file it maps is read
-from its replicas and checked then (``StorageLayout.read``), so a cold
-submit pays for its reads and a warm one, all of whose records are in the
-memo, reads none.
+On a loaded store a cold submit pays for its reads from disk and a warm one,
+whose records are all in the memo, reads none (``StorageLayout.read``). A
+file's fragment, ``nodes_used`` and an ``ON_NODE`` run name ``serving_node``:
+the node that served its last read, or a reshaped view's own simulated node.
 
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
@@ -109,7 +109,7 @@ _ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
 
 def run_map(layout: StorageLayout, dataset: str, query: ValidatedQuery) -> list[Fragment]:
     """The map stage: one fragment per file of ``dataset``, each from its
-    own file alone, served by the file's first surviving node.
+    own file alone, reported on the node that serves the file.
 
     A file is read and extracted, by the plan's extractor for its kind, only
     when the layout's memo holds no record for it. Records are keyed by the

@@ -28,16 +28,15 @@ times are ISO-8601 UTC. A stored manifest's relative path is always
 
 A loaded store holds no file bytes. ``load`` checks ``fabric.conf``, each
 manifest line and its stored path, and that no file is listed twice, and
-places the files. It opens no ``.snap`` file, so a file with no intact
-replica on disk is found when it is read. Each read of a loaded file goes
-to disk (``DiskReplicas``): the simulated serving node decides whether the
-read is allowed, and the bytes come from the first intact replica in the
-stored placement order. ``save`` writes the files a layout holds in
-memory, those ingested in this process, and copies a loaded file only to a
-root or node its stored replicas are not at.
+places the files. It opens no ``.snap`` file: every read, in memory or on
+disk, takes the first copy in placement order, past failed nodes, whose
+SHA-256 digest is the file id (``StorageLayout.read``). ``save`` writes
+the files a layout holds in memory, those ingested in this process, and
+copies a loaded file only to a root or node its stored replicas are not at.
 
-Mutations (ingest, fail, recover) are serialized by the caller; reads are
-safe to run concurrently with other reads.
+Mutations (ingest, fail, recover) are serialized by the caller. Reads may
+run concurrently: each bad replica a read meets is recorded in
+``StorageLayout.lost`` by one dict operation, atomic in CPython, so no lock.
 """
 
 from __future__ import annotations
@@ -108,9 +107,7 @@ def place_all(
 ) -> list[tuple[int, ...]]:
     """Rendezvous placement of every file of ``file_ids``, in their order."""
     if not 1 <= replication <= node_count:
-        raise InvalidReplication(
-            f"replication {replication} not in [1, {node_count}]"
-        )
+        raise InvalidReplication(f"replication {replication} not in [1, {node_count}]")
     ranked = _ranked(_scores(file_ids, node_count))
     return list(zip(*ranked[:, :replication].T.tolist()))
 
@@ -147,57 +144,19 @@ class FileMeta:
     relative_path: str
 
 
-@dataclass(frozen=True)
-class DiskReplicas:
-    """The replicas of a loaded store: ``<root>/node-<k>/<relative path>``
-    for each node k of a file's stored ``placements``.
-
-    ``placements`` is the stored fabric's, and ``failed`` the loaded
-    layout's own set, so a node failed there is skipped here, also by a
-    reshaped view, whose simulated nodes are not directories. A read takes
-    the replicas in placement order and returns the first whose SHA-256
-    digest is the file id; a missing replica or another digest moves it to
-    the next one.
-    """
-
-    root: Path  # absolute
-    placements: dict[str, tuple[int, ...]]
-    failed: set[int]
-
-    def read(self, file_id: str, relative_path: str) -> bytes:
-        fates = []
-        for node in self.placements[file_id]:
-            if node in self.failed:
-                continue
-            try:
-                fd = os.open(f"{self.root}/node-{node}/{relative_path}", os.O_RDONLY)
-                try:
-                    data = os.read(fd, os.fstat(fd).st_size)
-                finally:
-                    os.close(fd)
-            except FileNotFoundError:
-                fates.append(f"node {node} missing")
-                continue
-            except OSError as exc:
-                fates.append(f"node {node} unreadable ({exc.strerror})")
-                continue
-            if hashlib.sha256(data).hexdigest() == file_id:
-                return data
-            fates.append(f"node {node} digest mismatch")
-        raise UnreadableFile(f"no intact replica of {file_id}: {', '.join(fates) or 'none tried'}")
-
-
 @dataclass
 class StorageLayout:
     """The simulated node set, file placement, and failure state.
 
-    ``placements`` holds each file's replica nodes in placement order; a
-    read is allowed, and reported, by the first that has not failed. Every
-    read checks the bytes against the file id, their SHA-256 digest. A file
-    ingested in this process is read from ``blobs``, and a blob altered
-    after ingest is ``UnreadableFile`` on its next read. A loaded file is
-    read from ``disk`` on every read, failing over past a missing or altered
-    replica (see ``DiskReplicas``); the layout keeps none of its bytes.
+    ``placements`` holds each file's replica nodes in placement order. A
+    node's copy of a file ingested in this process is the one ``bytes`` in
+    ``blobs``; of a loaded file, its replica under ``root``, read on every
+    read. ``lost`` maps each file to the replicas reads found bad and their
+    fate; ``serving_node`` skips those and failed nodes, so after a read it
+    names the node that served. A reshaped view of a loaded store, whose
+    simulated nodes are not directories, checks its own ``serving_node``
+    and then walks the stored placements of ``source``, the loaded layout,
+    with that layout's failed and lost sets; ``save`` takes its root there.
     ``by_dataset`` holds each dataset's files in (t0, file_id) order; an
     ingest replaces the lists it changes rather than altering them, so a
     reshaped view starts from its parent's lists without copying them.
@@ -227,7 +186,9 @@ class StorageLayout:
     meta: dict[str, FileMeta] = field(default_factory=dict)
     by_dataset: dict[str, list[FileMeta]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict)
-    disk: DiskReplicas | None = None  # a loaded store's replicas
+    lost: dict[str, dict[int, str]] = field(default_factory=dict)
+    root: Path | None = None  # a loaded store's, absolute
+    source: StorageLayout | None = None  # a view's loaded layout
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -250,12 +211,15 @@ class StorageLayout:
         files = list(files)
         batch: set[str] = set()
         for f in files:
-            if f.file_id in self.meta or f.file_id in batch:
-                raise DuplicateFile(f.file_id)
-            if not _storable(f.file_id, f.dataset):
-                raise StorageError(
-                    f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}"
+            stored = self.meta.get(f.file_id)
+            if stored or f.file_id in batch:
+                where = (
+                    f"already stored in dataset {stored.dataset}" if stored
+                    else "given twice in this ingest"
                 )
+                raise DuplicateFile(f"file {f.file_id} of dataset {f.dataset} is {where}")
+            if not _storable(f.file_id, f.dataset):
+                raise StorageError(f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}")
             batch.add(f.file_id)
         placed = self._placed(batch)
         added: dict[str, list[FileMeta]] = {}
@@ -288,40 +252,74 @@ class StorageLayout:
     # -- failure injection ---------------------------------------------------
 
     def fail_node(self, node: int) -> "StorageLayout":
-        if not 0 <= node < self.node_count:
-            raise UnknownNode(str(node))
-        self.failed.add(node)
+        self.failed.add(self._node(node))
         return self
 
     def recover_node(self, node: int) -> "StorageLayout":
-        if not 0 <= node < self.node_count:
-            raise UnknownNode(str(node))
-        self.failed.discard(node)
+        self.failed.discard(self._node(node))
         return self
+
+    def _node(self, node: int) -> int:
+        if not 0 <= node < self.node_count:
+            raise UnknownNode(
+                f"node {node} is not a node of this {self.node_count}-node fabric"
+                f" (0-{self.node_count - 1})"
+            )
+        return node
 
     # -- reads ---------------------------------------------------------------
 
     def serving_node(self, file_id: str) -> int:
-        """First surviving node in placement order."""
+        """First node in placement order neither failed nor ``lost``."""
         nodes = self.placements.get(file_id)
         if nodes is None:
             raise UnreadableFile(f"unknown file {file_id}")
+        lost = self.lost.get(file_id)
+        fates = []
         for node in nodes:
             if node not in self.failed:
-                return node
-        raise UnreadableFile(f"no surviving replica of {file_id}")
+                fate = lost and lost.get(node)
+                if not fate:
+                    return node
+                fates.append((node, fate))
+        raise _unreadable(file_id, fates)
 
     def read(self, file_id: str) -> bytes:
-        """The file's bytes, digest checked, if it has a serving node: an
-        ingested file's from ``blobs``, a loaded file's from ``disk``."""
-        self.serving_node(file_id)
+        """The first intact copy of the file in placement order, past failed
+        nodes; each bad copy tried goes to ``lost``, the one served leaves it."""
         data = self.blobs.get(file_id)
-        if data is None:
-            return self.disk.read(file_id, self.meta[file_id].relative_path)
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != file_id:
-            raise UnreadableFile(f"content digest mismatch for {file_id}: {digest}")
-        return data
+        layout = self
+        if data is None and self.source is not None:
+            self.serving_node(file_id)  # the view's own nodes allow the read
+            layout = self.source  # whose stored placements and sets the walk takes
+        nodes = layout.placements.get(file_id)
+        if nodes is None:
+            raise UnreadableFile(f"unknown file {file_id}")
+        relative = layout.meta[file_id].relative_path
+        fates = []
+        for node in nodes:
+            if node in layout.failed:
+                continue
+            copy = data
+            try:
+                if copy is None:
+                    fd = os.open(f"{layout.root}/node-{node}/{relative}", os.O_RDONLY)
+                    try:
+                        copy = os.read(fd, os.fstat(fd).st_size)
+                    finally:
+                        os.close(fd)
+            except FileNotFoundError:
+                fate = "missing"
+            except OSError as exc:
+                fate = f"unreadable ({exc.strerror})"
+            else:
+                if hashlib.sha256(copy).hexdigest() == file_id:
+                    layout.lost.get(file_id, {}).pop(node, None)
+                    return copy
+                fate = "digest mismatch"
+            layout.lost.setdefault(file_id, {})[node] = fate
+            fates.append((node, fate))
+        raise _unreadable(file_id, fates)
 
     def dataset_files(self, dataset: str) -> list[FileMeta]:
         """Dataset metadata ordered by (t0, file_id); empty if unknown."""
@@ -343,12 +341,12 @@ class StorageLayout:
             manifest_dir = root / "datasets" / dataset
             manifest_dir.mkdir(parents=True, exist_ok=True)
             write_manifest(manifest_dir / "manifest.tsv", metas)
-        disk = self.disk
-        in_place = disk is not None and root.resolve() == disk.root
+        stored = self if self.source is None else self.source
+        in_place = stored.root is not None and root.resolve() == stored.root
         for file_id, nodes in self.placements.items():
             data = self.blobs.get(file_id)
             if data is None:
-                if in_place and nodes == disk.placements[file_id]:
+                if in_place and nodes == stored.placements[file_id]:
                     continue
                 data = self.read(file_id)
             for node in nodes:
@@ -359,7 +357,7 @@ class StorageLayout:
     @staticmethod
     def load(root: Path) -> "StorageLayout":
         """The store at ``root``: its fabric and manifests, every file placed
-        and none of its bytes read (see ``DiskReplicas``)."""
+        and none of its bytes read (see ``read``)."""
         root = Path(root)
         conf_path = root / "fabric.conf"
         if not conf_path.exists():
@@ -369,15 +367,8 @@ class StorageLayout:
             {key: Row("an integer", int, required=True) for key in ("node_count", "replication")},
             "=", lambda line, message: StorageError(f"{conf_path}:{line}: {message}"),
         )[0]
-        layout = StorageLayout(**conf)
-        layout.disk = DiskReplicas(
-            root.resolve(),
-            layout.memo.setdefault(("placements", layout.node_count, layout.replication), {}),
-            layout.failed,
-        )
+        layout = StorageLayout(**conf, root=root.resolve())
         datasets_dir = root / "datasets"
-        if not datasets_dir.exists():
-            return layout
         for manifest in sorted(datasets_dir.glob("*/manifest.tsv")):
             metas = read_manifest(manifest)
             for meta in metas:
@@ -385,11 +376,10 @@ class StorageLayout:
             placed = layout._placed(meta.file_id for meta in metas)
             for meta in metas:
                 file_id = meta.file_id
-                nodes = placed[file_id]
                 if file_id in layout.meta:
                     first = datasets_dir / layout.meta[file_id].dataset / "manifest.tsv"
                     raise StorageError(f"{manifest}: file {file_id!r} is also listed in {first}")
-                layout.placements[file_id] = nodes
+                layout.placements[file_id] = placed[file_id]
                 layout.meta[file_id] = meta
             if metas:
                 layout.by_dataset[manifest.parent.name] = sorted(metas, key=_time_order)
@@ -418,11 +408,19 @@ class StorageLayout:
             meta=dict(self.meta),
             by_dataset=dict(self.by_dataset),
             memo=self.memo,
-            disk=self.disk,
+            source=self if self.root is not None else self.source,
         )
         placed = view._placed(self.meta)
         view.placements = {file_id: placed[file_id] for file_id in self.meta}
         return view
+
+
+def _unreadable(file_id: str, fates: list[tuple[int, str]]) -> UnreadableFile:
+    """No replica can serve: none survives, or ``fates`` of those that do."""
+    if not fates:
+        return UnreadableFile(f"no surviving replica of {file_id}")
+    tried = ", ".join(f"node {node} {fate}" for node, fate in fates)
+    return UnreadableFile(f"no intact replica of {file_id}: {tried}")
 
 
 def _time_order(meta: FileMeta) -> tuple[datetime, str]:

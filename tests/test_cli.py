@@ -466,6 +466,28 @@ def test_submit_of_a_file_with_no_intact_replica_exit_one(workdir, capsys):
     assert not (root / "results").exists()
 
 
+def test_ingest_of_a_snapshot_stored_in_another_dataset_names_both_exit_one(workdir, capsys):
+    # the same months under two seeds share every all-background snapshot
+    from dslake.storage import read_manifest
+
+    first, second = _generated(capsys, workdir, "d1", 9), _generated(capsys, workdir, "d2", 10)
+    assert run(capsys, "ingest", str(first))[0] == 0
+    stored = {meta.file_id for meta in read_manifest(first)}
+    shared = next(m.file_id for m in read_manifest(second) if m.file_id in stored)
+    code, out, err = run(capsys, "ingest", str(second))
+    assert (code, out) == (1, "")
+    assert err == f"error: file {shared} of dataset d2 is already stored in dataset d1\n"
+
+
+def test_fail_node_outside_the_fabric_exit_one(workdir, capsys):
+    run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 9)))
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script), "--fail-node", "9")
+    assert (code, out) == (1, "")
+    assert err == "error: node 9 is not a node of this 2-node fabric (0-1)\n"
+
+
 def test_fail_node_with_other_node_count_exit_one(workdir, capsys):
     # a failed node is a node of the stored fabric, so a submit that
     # reshapes the store must refuse it rather than serve every replica

@@ -338,6 +338,46 @@ def test_a_file_with_no_intact_replica_fails_the_submit(tmp_path, registry):
     )
 
 
+def test_a_loaded_store_reports_the_replica_that_served(tmp_path, registry, monkeypatch):
+    # the first replica of a path's final snapshot is gone from disk: the
+    # fragment, nodes_used and an ON_NODE run name the second, cold and warm
+    layout, _ = synthetic_layout(seed=13, count=1, north_east=1, end=(2011, 2, 28, 18))
+    descriptor = PackageDescriptor(
+        name="NODEPKG",
+        inputs=(PackageInput("cyclone", "cyclone-params", required=True),),
+        outputs=(PackageOutputDecl("surge", "float"),),
+        execution_mode=ExecutionMode.BUILTIN,
+        placement=Placement.ON_NODE,
+    )
+    registry.register_package(descriptor, procedure=lambda bindings: {"surge": 2.0})
+    script = (
+        "select cyclone-path\n"
+        "simulate\n  with NODEPKG\n  semantic_association yes\n  out(surge)\n"
+    )
+    request = TaskRequest(dataset="d1", script=script, engine_config=EngineConfig(4, 2))
+    (sim,) = submit(request, registry, layout).simulations
+    file_id = sim.provenance[-1]
+    first, second = layout.placements[file_id]
+    layout.save(tmp_path)
+    replica(tmp_path, layout, file_id, 0).unlink()
+
+    maps, real_run_map = [], engine.run_map
+
+    def recorded(*args):
+        maps.append(real_run_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(engine, "run_map", recorded)
+    loaded = engine.Engine(registry, StorageLayout.load(tmp_path))
+    for submit_kind in ("cold", "warm"):
+        doc = loaded.submit(request)
+        (fragment,) = [f for f in maps[-1] if f.file_id == file_id]
+        assert fragment.payload and fragment.node == second, submit_kind
+        assert second in doc.diagnostics.nodes_used
+        (sim,) = doc.simulations
+        assert (sim.provenance[-1], sim.node) == (file_id, second), submit_kind
+
+
 def test_partial_failure_keeps_other_objects(registry):
     # a package that refuses one specific object must not take down the
     # simulations of the others

@@ -17,10 +17,12 @@ from dslake.errors import (
 )
 from dslake.storage import (
     DataFile,
+    FileMeta,
     StorageLayout,
     _ranked,
     _scores,
     place_all,
+    read_manifest,
 )
 
 from conftest import key_value_texts, utc
@@ -155,8 +157,14 @@ def test_ingest_empty_noop():
 def test_ingest_duplicate_file():
     f = make_file(1)
     layout = StorageLayout(node_count=4, replication=2).ingest([f])
-    with pytest.raises(DuplicateFile):
-        layout.ingest([f])
+    again = DataFile(f.file_id, "e", f.t0, f.t1, f.data)
+    with pytest.raises(DuplicateFile) as err:
+        layout.ingest([again])
+    assert str(err.value) == f"file {f.file_id} of dataset e is already stored in dataset d"
+    g = make_file(2, dataset="e")
+    with pytest.raises(DuplicateFile) as err:
+        layout.ingest([g, g])
+    assert str(err.value) == f"file {g.file_id} of dataset e is given twice in this ingest"
 
 
 def _contents(layout):
@@ -231,10 +239,12 @@ def test_fail_then_recover_bytes_identical():
 
 def test_unknown_node():
     layout = StorageLayout(node_count=2, replication=1)
-    with pytest.raises(UnknownNode):
+    with pytest.raises(UnknownNode) as err:
         layout.fail_node(2)
-    with pytest.raises(UnknownNode):
+    assert str(err.value) == "node 2 is not a node of this 2-node fabric (0-1)"
+    with pytest.raises(UnknownNode) as err:
         layout.recover_node(-1)
+    assert str(err.value) == "node -1 is not a node of this 2-node fabric (0-1)"
 
 
 def test_read_verifies_content_address():
@@ -243,8 +253,10 @@ def test_read_verifies_content_address():
     layout = StorageLayout(node_count=2, replication=1).ingest([f])
     assert layout.read(f.file_id) == f.data
     layout.blobs[f.file_id] = b"tampered"
-    with pytest.raises(UnreadableFile, match="content digest mismatch"):
+    (node,) = layout.placements[f.file_id]
+    with pytest.raises(UnreadableFile) as err:
         layout.read(f.file_id)
+    assert str(err.value) == f"no intact replica of {f.file_id}: node {node} digest mismatch"
 
 
 def test_reshape_refuses_failed_nodes():
@@ -270,8 +282,13 @@ def test_ingest_into_a_reshaped_view_leaves_its_parent_alone():
         parent.serving_node(b.file_id)
     # the parent's b is its own: its read checks that copy
     parent.ingest([DataFile(b.file_id, "d", b.t0, b.t1, b"tampered")])
-    with pytest.raises(UnreadableFile, match="content digest mismatch"):
+    first, second = parent.placements[b.file_id]
+    with pytest.raises(UnreadableFile) as err:
         parent.read(b.file_id)
+    assert str(err.value) == (
+        f"no intact replica of {b.file_id}: node {first} digest mismatch,"
+        f" node {second} digest mismatch"
+    )
 
 
 def test_dataset_files_sorted():
@@ -335,8 +352,8 @@ def test_a_loaded_read_fails_over_to_the_next_replica(tmp_path, fault):
     loaded = StorageLayout.load(tmp_path)
     for f in files:
         assert loaded.read(f.file_id) == f.data
-        # the simulated serving node is the placement's, whatever the disk holds
-        assert loaded.serving_node(f.file_id) == layout.placements[f.file_id][0]
+        # the serving node is the one that served, past the bad first replica
+        assert loaded.serving_node(f.file_id) == layout.placements[f.file_id][1]
     assert loaded.blobs == {}
 
 
@@ -361,6 +378,106 @@ def test_a_loaded_read_skips_failed_nodes_and_names_each_replica_tried(tmp_path)
     replica(tmp_path, layout, f.file_id, 0).write_bytes(b"other bytes")
     with pytest.raises(UnreadableFile, match=f"node {first} digest mismatch, node {second}"):
         view.read(f.file_id)
+
+
+FATES = {
+    "altered": "digest mismatch",
+    "missing": "missing",
+    "directory": "unreadable (Is a directory)",
+}
+
+
+def spoil(path: Path, fault: str) -> None:
+    """Give one stored replica ``fault``: none, altered, missing or directory."""
+    if fault == "altered":
+        path.write_bytes(b"other bytes")
+    elif fault != "none":
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+
+
+def check_read(layout: StorageLayout, f: DataFile, faults: list[str]) -> None:
+    """``read`` serves the first intact replica on a surviving node, and
+    ``serving_node`` then names it; with none, the error names the fate of
+    every surviving replica in placement order."""
+    surviving = [
+        (node, fault) for node, fault in zip(layout.placements[f.file_id], faults)
+        if node not in layout.failed
+    ]
+    intact = [node for node, fault in surviving if fault == "none"]
+    if intact:
+        assert layout.read(f.file_id) == f.data
+        assert layout.serving_node(f.file_id) == intact[0]
+        return
+    with pytest.raises(UnreadableFile) as err:
+        layout.read(f.file_id)
+    tried = ", ".join(f"node {node} {FATES[fault]}" for node, fault in surviving)
+    assert str(err.value) == (
+        f"no intact replica of {f.file_id}: {tried}" if surviving
+        else f"no surviving replica of {f.file_id}"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_read_serves_the_first_intact_replica_on_a_surviving_node(data):
+    node_count = data.draw(st.integers(3, 5), label="node_count")
+    replication = data.draw(st.integers(2, 3), label="replication")
+    f = make_file(data.draw(st.integers(0, 23), label="file"))
+    layout = StorageLayout(node_count=node_count, replication=replication).ingest([f])
+    faults = data.draw(
+        st.lists(st.sampled_from(["none", *FATES]), min_size=replication, max_size=replication),
+        label="faults",
+    )
+    failed = data.draw(st.sets(st.integers(0, node_count - 1)), label="failed")
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        layout.save(root)
+        for rank, fault in enumerate(faults):
+            spoil(replica(root, layout, f.file_id, rank), fault)
+        loaded = StorageLayout.load(root)
+        for node in failed:
+            loaded.fail_node(node)
+        check_read(loaded, f, faults)
+    # in memory every node's copy is the one blob, altered or not
+    if data.draw(st.booleans(), label="blob altered"):
+        layout.blobs[f.file_id] = b"other bytes"
+        faults = ["altered"] * replication
+    else:
+        faults = ["none"] * replication
+    for node in failed:
+        layout.fail_node(node)
+    check_read(layout, f, faults)
+
+
+def test_a_view_reads_a_loaded_file_in_one_read_call(tmp_path, monkeypatch):
+    # perfbench wraps StorageLayout.read and counts one read per call
+    f = make_file(1)
+    StorageLayout(node_count=4, replication=2).ingest([f]).save(tmp_path)
+    view = StorageLayout.load(tmp_path).reshaped(2, 1)
+    calls, read = [], StorageLayout.read
+
+    def counted(layout, file_id):
+        calls.append(file_id)
+        return read(layout, file_id)
+
+    monkeypatch.setattr(StorageLayout, "read", counted)
+    assert view.read(f.file_id) == f.data
+    assert calls == [f.file_id]
+
+
+def test_a_restored_replica_serves_again(tmp_path):
+    f = make_file(1)
+    layout = StorageLayout(node_count=3, replication=2).ingest([f])
+    layout.save(tmp_path)
+    first, second = layout.placements[f.file_id]
+    path = replica(tmp_path, layout, f.file_id, 0)
+    path.rename(tmp_path / "aside")
+    loaded = StorageLayout.load(tmp_path)
+    assert loaded.read(f.file_id) == f.data and loaded.serving_node(f.file_id) == second
+    (tmp_path / "aside").rename(path)
+    assert loaded.read(f.file_id) == f.data and loaded.serving_node(f.file_id) == first
 
 
 def test_save_of_a_loaded_layout_writes_only_the_files_it_holds(tmp_path):
@@ -560,6 +677,38 @@ def test_any_fabric_conf_gives_a_layout_or_a_storage_error(text):
         except StorageError:
             return
     assert 1 <= layout.replication <= layout.node_count
+
+
+MANIFEST_FIELDS = [
+    "abc", "d", "d/abc.snap", "", " ", "2011-01-01T00:00Z", "2011-01-01T06:00:00+00:00",
+    "2011-01-01 06:00+05:00", "0001-01-01T00:00+01:00", "9999-12-31T23:59-01:00",
+    "2011-13-01T00:00Z", "2011-01-01T00:00:00.5Z", "Z", "+00:00",
+]
+
+
+def manifest_bytes():
+    """Hypothesis strategy for manifest files: lines of mostly five fields,
+    each a known field or arbitrary text, joined by tabs or another
+    separator; or arbitrary bytes."""
+    field = st.sampled_from(MANIFEST_FIELDS) | st.text(max_size=8)
+    line = st.tuples(
+        st.lists(field, min_size=4, max_size=6), st.sampled_from(["\t", "\t", "\t", " ", ""])
+    ).map(lambda fields_sep: fields_sep[1].join(fields_sep[0]))
+    lines = st.lists(line | st.text(max_size=16), max_size=5).map("\n".join)
+    return lines.map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary(max_size=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest_bytes())
+def test_any_manifest_gives_file_metas_or_a_storage_error(raw):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "manifest.tsv")
+        path.write_bytes(raw)
+        try:
+            metas = read_manifest(path)
+        except StorageError:
+            return
+    assert all(isinstance(m, FileMeta) and m.t0 <= m.t1 for m in metas)
 
 
 def test_load_rejects_fabric_conf_that_is_not_utf8(tmp_path):
