@@ -18,9 +18,10 @@ node count unless ``nodes`` is set, with replication min(stored
 replication, nodes) unless ``replication`` is set; the defaults of 2 and 2
 only shape a store that ``ingest`` creates. ``--fail-node`` names a node of
 the stored fabric, so a submit that sets another node count or replication
-refuses it. Results go to stdout, diagnostics to stderr; exit 0 on success,
-1 on domain errors (a malformed configuration value or config line among
-them), 2 on usage or file errors.
+refuses it. ``results`` takes a task id as ``submit`` prints it, 16
+lowercase hex digits. Results go to stdout, diagnostics to stderr; exit 0
+on success, 1 on domain errors (a malformed configuration value or config
+line among them), 2 on usage or file errors.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dslake.errors import (
     Row,
     SpecError,
     StorageError,
+    UsageError,
     read_keys,
     read_utf8,
     undecodable_at,
@@ -84,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         return args.handler(args, config)
-    except OSError as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DslakeError as exc:
@@ -309,6 +311,9 @@ def _write_csv(path: Path, document) -> None:
 
 
 def _cmd_results(args, config: CliConfig) -> int:
+    # the form TaskRequest.task_id gives; any other name could leave results/
+    if len(args.task_id) != 16 or args.task_id.strip("0123456789abcdef"):
+        raise UsageError(f"task id {args.task_id!r} is not 16 lowercase hex digits")
     path = config.storage_root / "results" / f"{args.task_id}.txt"
     if not path.exists():
         raise FileNotFoundError(f"no stored result {args.task_id}")

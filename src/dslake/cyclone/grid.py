@@ -109,8 +109,11 @@ def parse_header(header: str) -> tuple[float, float, float, float, int, int, dat
         raise FormatError(1, "grid spacing must be positive")
     if nlat < 2 or nlon < 2:
         raise FormatError(1, "grid must be at least 2x2")
-    lat1 = lat0 + (nlat - 1) * dlat
-    lon1 = lon0 + (nlon - 1) * dlon
+    try:
+        lat1 = lat0 + (nlat - 1) * dlat
+        lon1 = lon0 + (nlon - 1) * dlon
+    except OverflowError:  # a row or column count past any float
+        lat1 = lon1 = float("inf")
     if not (-90.0 <= lat0 and lat1 <= 90.0 and -180.0 <= lon0 and lon1 <= 180.0):
         raise FormatError(1, "grid box outside [-90, 90] x [-180, 180]")
     return lat0, lon0, dlat, dlon, nlat, nlon, ts

@@ -109,6 +109,35 @@ def extract_centers(data: bytes, memo: dict) -> tuple[datetime, list[CycloneCent
     return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts)
 
 
+def write_centers(record: tuple[datetime, list[CycloneCenter]]) -> str:
+    """The record codec's writer: the record's instant in ISO-8601, then
+    ``lat lon pressure i j`` of each center, floats in ``repr``, which reads
+    back bit for bit; a center of another instant raises ``ValueError``."""
+    ts, centers = record
+    fields = [ts.isoformat()]
+    for center in centers:
+        if center.timestamp != ts:
+            raise ValueError(f"a center at {center.timestamp} in the record of {ts}")
+        fields += map(repr, (float(center.lat), float(center.lon), float(center.pressure)))
+        fields += map(str, center.grid_index)
+    return " ".join(fields)
+
+
+def read_centers(text: str) -> tuple[datetime, list[CycloneCenter]]:
+    """The record codec's reader: the record ``write_centers`` wrote as
+    ``text``; other text raises ``ValueError``."""
+    stamp, *fields = text.split(" ")
+    ts = datetime.fromisoformat(stamp)  # reads what isoformat writes, ~3x faster than parse_utc
+    if ts.utcoffset() != timedelta(0):
+        raise ValueError(f"{stamp!r} is not a UTC instant")
+    if len(fields) % 5:
+        raise ValueError(f"{len(fields)} center fields, not five per center")
+    return ts, [
+        CycloneCenter(float(lat), float(lon), float(pressure), ts, (int(i), int(j)))
+        for lat, lon, pressure, i, j in zip(*[iter(fields)] * 5)
+    ]
+
+
 def _timestamp_line(line: bytes) -> datetime | None:
     """The instant of a line that is one field ``parse_utc`` reads and a
     newline; ``None`` for any other line."""
@@ -199,6 +228,7 @@ def library_descriptor() -> DomainLibraryDescriptor:
             ),
         ),
         extractors=((FILE_KIND, "cyclone.extract_centers"),),
+        record_codecs=((FILE_KIND, "cyclone.write_centers", "cyclone.read_centers"),),
         combiners=((OBJECT_TYPE, "cyclone.combine_paths"),),
         filters=((OBJECT_TYPE, "direction", "cyclone.filter_direction"),),
         keyword_aliases=(("directon", "direction"),),
@@ -260,6 +290,8 @@ def register_cyclone_domain(registry: KnowledgeRegistry) -> KnowledgeRegistry:
         library_descriptor(),
         procedures={
             "cyclone.extract_centers": extract_centers,
+            "cyclone.write_centers": write_centers,
+            "cyclone.read_centers": read_centers,
             "cyclone.combine_paths": combine_paths,
             "cyclone.filter_direction": filter_direction,
         },

@@ -90,6 +90,8 @@ LIBRARY_KEYS = {
     "param": Key("output_params", "<object> <name> <semantic-type>",
                  names_object=True, per_object=True, unique=lambda words: words[0]),
     "extractor": Key("extractors", "<file-kind> <procedure-id>", unique=lambda words: words[0]),
+    "record-codec": Key("record_codecs", "<file-kind> <writer-id> <reader-id>",
+                        unique=lambda words: words[0]),
     "combiner": Key("combiners", "<object> <procedure-id>", names_object=True,
                     unique=lambda words: words[0]),
     "filter": Key("filters", "<object> <keyword> <procedure-id>", names_object=True,

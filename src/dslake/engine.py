@@ -33,10 +33,19 @@ layout's per-dataset file order (``StorageLayout.by_dataset``, through
 ``dataset_files``), kept by ingest and load rather than sorted per
 submit, so a warm submit's map stage is one memo lookup per file.
 
-On a loaded store a cold submit pays for its reads from disk and a warm one,
-whose records are all in the memo, reads none (``StorageLayout.read``). A
-file's fragment, ``nodes_used`` and an ``ON_NODE`` run name ``serving_node``:
-the node that served its last read, or a reshaped view's own simulated node.
+On a loaded store a cold submit reads from disk only the files that the
+store's map index does not hold. The submit that opens a layout's memo
+namespace for an extractor set loads the index of that set (``MapIndex``)
+into it, and a submit that extracts records rewrites the index, so a
+repeat ``dslake submit`` reads no snapshot it has mapped before. A warm
+submit, whose records are all in the memo, reads none
+(``StorageLayout.read``); the combiner reads the snapshots it parametrizes
+from once per layout. ``Diagnostics.files_read`` counts the files the map
+stage read. A file's fragment, ``nodes_used`` and
+an ``ON_NODE`` run name ``serving_node``: the node that served its last
+read, or a reshaped view's own simulated node. Like a memo hit, an index
+hit reads no replica, so its fragment names ``serving_node`` as it stands.
+Parametrizations and placements are not persisted.
 
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
@@ -49,10 +58,13 @@ is a single sequential stage. One submit at a time per engine instance.
 from __future__ import annotations
 
 import hashlib
+import inspect
+import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from operator import itemgetter
+from pathlib import Path
 from typing import NamedTuple
 
 from dslake.errors import CombinerFailure, DslakeError, ExtractorFailure
@@ -72,7 +84,7 @@ from dslake.report import (
     SimulationRecord,
     indexed_name,
 )
-from dslake.storage import StorageLayout
+from dslake.storage import StorageLayout, read_index, write_index
 
 
 @dataclass
@@ -106,21 +118,34 @@ class Fragment(NamedTuple):
 
 _ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
 
+_INDEX_VERSION = 1  # of the map index's entries; part of its stamp
 
-def run_map(layout: StorageLayout, dataset: str, query: ValidatedQuery) -> list[Fragment]:
+
+def run_map(
+    layout: StorageLayout, dataset: str, query: ValidatedQuery
+) -> tuple[list[Fragment], int]:
     """The map stage: one fragment per file of ``dataset``, each from its
-    own file alone, reported on the node that serves the file.
+    own file alone, reported on the node that serves the file, and the
+    number of files it read.
 
     A file is read and extracted, by the plan's extractor for its kind, only
     when the layout's memo holds no record for it. Records are keyed by the
     plan's extractor functions, so registries that differ in them never
-    share one. The query selects from each record: an instant outside its
-    time range gives an empty payload, and only items inside its area are
-    kept. An empty payload, the common case, needs neither test.
+    share one. On a loaded store the memo's namespace starts from the map
+    index (``MapIndex``), and a stage that extracted records of a kind with
+    a codec rewrites it. The query selects from each record: an instant
+    outside its time range gives an empty payload, and only items inside its
+    area are kept. An empty payload, the common case, needs neither test.
     """
-    records = layout.memo.setdefault(tuple(query.extractors.values()), {})
+    key = tuple(query.extractors.values())
+    records = layout.memo.get(key)
+    if records is None:
+        records = layout.memo[key] = {}
+        if layout.derived is not None:
+            layout.memo["map index", key] = MapIndex.load(layout.derived, query, records)
+    index = layout.memo.get(("map index", key))
     area, period = query.ast.area, query.ast.time
-    fragments = []
+    fragments, extracted = [], []
     for meta in layout.dataset_files(dataset):
         file_id = meta.file_id
         record = records.get(file_id)
@@ -134,6 +159,7 @@ def run_map(layout: StorageLayout, dataset: str, query: ValidatedQuery) -> list[
                 record = records[file_id] = extractor(data, layout.memo.setdefault(extractor, {}))
             except DslakeError as exc:
                 raise ExtractorFailure(file_id, str(exc)) from exc
+            extracted.append((file_id, kind, record))
         payload_time, payload = record
         if payload:
             if period is not None and not period.contains(payload_time):
@@ -143,7 +169,106 @@ def run_map(layout: StorageLayout, dataset: str, query: ValidatedQuery) -> list[
         fragments.append(
             Fragment(file_id, layout.serving_node(file_id), meta.t0, payload, payload_time)
         )
-    return fragments
+    if index is not None and extracted:
+        index.save(extracted)
+    return fragments, len(extracted)
+
+
+class MapIndex:
+    """The map records of one extractor set on a loaded store, persisted as
+    one index under ``<root>/derived/`` (see ``storage.read_index``).
+
+    Each entry is a line of three tab-separated fields, file id, file kind
+    and the record as its kind's codec writes it, in file id order. The
+    stamp covers the index version, the extractor and codec procedure ids
+    per file kind, and the sources: the ``dslake`` package's ``*.py`` files
+    and the module that defines each extractor and codec outside it, through
+    ``__wrapped__``. It is computed once, when the layout's memo opens the
+    extractor set's namespace. ``lines`` holds the entry of every record
+    the index holds or will hold, so a rewrite encodes only the new ones.
+    """
+
+    def __init__(self, path: Path, stamp: str, codecs: dict):
+        self.path = path
+        self.stamp = stamp
+        self.codecs = codecs
+        self.lines: dict[str, str] = {}  # file id -> its entry
+
+    @staticmethod
+    def load(derived: Path, query: ValidatedQuery, records: dict) -> "MapIndex | None":
+        """The extractor set's index under ``derived``, its records added to
+        ``records``; ``None`` when no file kind has a codec or a procedure's
+        source is not a file. An index that does not read back whole adds no
+        record and is rewritten by the next stage that extracts one."""
+        if not query.record_codecs:
+            return None
+        codec_functions = [fn for codec in query.record_codecs.values() for fn in codec]
+        sources = _source_digest([*query.extractors.values(), *codec_functions])
+        if sources is None:
+            return None
+        knowledge = query.selects[0].knowledge
+        ids = "".join(
+            f"{kind}\t{proc_id}\t{' '.join(knowledge.record_codecs.get(kind, ()))}\n"
+            for kind, proc_id in knowledge.extractors.items()
+        )
+        name = hashlib.sha256(ids.encode()).hexdigest()[:16]
+        stamp = hashlib.sha256(f"{_INDEX_VERSION}\n{ids}{sources}".encode()).hexdigest()
+        index = MapIndex(derived / f"map-{name}", stamp, query.record_codecs)
+        loaded = {}
+        try:
+            for line in read_index(index.path, stamp) or ():
+                file_id, kind, text = line.split("\t", 2)
+                loaded[file_id] = index.codecs[kind].read(text)
+                index.lines[file_id] = line
+        except (ValueError, KeyError, DslakeError):
+            index.lines.clear()
+            return index
+        records.update(loaded)
+        return index
+
+    def save(self, extracted: list[tuple[str, str, tuple]]) -> None:
+        """Add the ``(file id, kind, record)`` of ``extracted`` whose kind has
+        a codec, and replace the index. A record its codec cannot write, or
+        an index that cannot be written, leaves the submit as it is."""
+        try:
+            added = 0
+            for file_id, kind, record in extracted:
+                codec = self.codecs.get(kind)
+                if codec is not None:
+                    text = codec.write(record)
+                    if "\n" in text:
+                        raise ValueError(f"a {kind} record's text holds a line break")
+                    self.lines[file_id] = f"{file_id}\t{kind}\t{text}"
+                    added += 1
+            if added:
+                # a file id holds no tab, so the lines sort as their file ids
+                write_index(self.path, self.stamp, sorted(self.lines.values()))
+        except (OSError, ValueError, DslakeError):
+            pass  # the index is a cache: no result depends on it
+
+
+def _source_digest(procedures: list) -> str | None:
+    """The SHA-256 of the ``dslake`` package's ``*.py`` sources and of the
+    source of each module outside it that defines one of ``procedures``;
+    ``None`` if one of those modules has no source file."""
+    package = Path(__file__).resolve().parent
+    sources = {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
+    for procedure in procedures:
+        module = sys.modules.get(getattr(inspect.unwrap(procedure), "__module__", None))
+        path = getattr(module, "__file__", None)
+        if path is None:
+            return None
+        path = Path(path).resolve()
+        if package not in path.parents:
+            sources[module.__name__] = path
+    digest = hashlib.sha256()
+    for name, path in sorted(sources.items()):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def _file_kind(data: bytes) -> str:
@@ -165,8 +290,10 @@ class Engine:
             layout = layout.reshaped(config.node_count, config.replication)
 
         query = validate(parse(request.script), self.registry)
-        fragments = run_map(layout, request.dataset, query)
-        return run_reduce(fragments, query, layout, task_id=request.task_id())
+        fragments, files_read = run_map(layout, request.dataset, query)
+        document = run_reduce(fragments, query, layout, task_id=request.task_id())
+        document.diagnostics.files_read = files_read
+        return document
 
 
 def submit(

@@ -153,6 +153,10 @@ class ConfigError(DslakeError):
     variable or flag it came from."""
 
 
+class UsageError(DslakeError):
+    """A command-line argument the command does not take; exit code 2."""
+
+
 # --- knowledge registry -----------------------------------------------------
 
 class RegistryError(DslakeError):

@@ -12,7 +12,8 @@ a ``ValidationError`` refuses a script with no select statement, selects
 of more than one object type, and a selected type whose library declares
 no combiner for it. The plan holds every procedure the task calls, looked
 up in the procedure table on each call: the extractors by file kind, the
-combiner, the filters and each builtin package's procedure.
+combiner, the filters and each builtin package's procedure, and the
+record codecs by file kind, for the kinds whose library registers one.
 
 Each simulate statement becomes a ``SimulatePlan``, everything the engine
 needs to run its package once per object selected by the nearest
@@ -55,6 +56,7 @@ from dslake.registry import (
     KnowledgeRegistry,
     ObjectKnowledge,
     PackageDescriptor,
+    RecordCodec,
 )
 
 # Params[...] in a select out clause addresses the object's own parameters
@@ -95,6 +97,9 @@ class ValidatedQuery:
     # functions in this order key the map records in the layout's memo
     extractors: dict[str, Callable]
     combiner: Callable
+    # file kind -> its record codec's functions; the map records of a kind
+    # without one are not persisted
+    record_codecs: dict[str, RecordCodec]
 
 
 def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
@@ -124,7 +129,11 @@ def validate(ast: QueryAst, registry: KnowledgeRegistry) -> ValidatedQuery:
         )
     extractors = {kind: registry.procedures[p] for kind, p in knowledge.extractors.items()}
     combiner = registry.procedures[knowledge.combiner]
-    return ValidatedQuery(ast, tuple(selects), tuple(simulates), extractors, combiner)
+    codecs = {
+        kind: RecordCodec(*(registry.procedures[p] for p in codec))
+        for kind, codec in knowledge.record_codecs.items()
+    }
+    return ValidatedQuery(ast, tuple(selects), tuple(simulates), extractors, combiner, codecs)
 
 
 def _validate_select(stmt: SelectStmt, registry: KnowledgeRegistry) -> SelectResolution:

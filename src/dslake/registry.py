@@ -11,8 +11,9 @@ once, under its name and each alias, into an ``ObjectKnowledge`` record
 that answers every lookup a query makes of the type; the record holds
 procedure ids, which validation resolves through the procedure table. A
 key given twice in a descriptor, a combiner or filter of a type its
-library does not declare, and a procedure id missing from the table, a
-builtin package's included, raise a ``RegistryError`` and leave the
+library does not declare, a record codec of a file kind with no
+extractor, and a procedure id missing from the table, a builtin
+package's included, raise a ``RegistryError`` and leave the
 registry as it was.
 
 The scalar semantic types are listed once, in ``SCALAR_TYPES``: for each,
@@ -73,9 +74,18 @@ class DomainLibraryDescriptor:
     name: str
     object_types: tuple[ObjectTypeInfo, ...] = ()
     extractors: tuple[tuple[str, str], ...] = ()  # file kind -> procedure id
+    # (file kind, writer id, reader id): how a map record of the kind is
+    # written as one line of text and read back (see ``RecordCodec``)
+    record_codecs: tuple[tuple[str, str, str], ...] = ()
     combiners: tuple[tuple[str, str], ...] = ()  # object type -> procedure id
     filters: tuple[tuple[str, str, str], ...] = ()  # (object type, keyword, id)
     keyword_aliases: tuple[tuple[str, str], ...] = ()  # alias -> canonical
+
+
+# A file kind's record codec: ``write(record)`` is one line of text with no
+# line break, or raises ``ValueError``; ``read(text)`` gives back the record,
+# or raises ``ValueError`` or a ``DslakeError`` for text that is not one.
+RecordCodec = namedtuple("RecordCodec", "write read")
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,7 @@ class ObjectKnowledge:
     combiner: str | None
     extractors: dict[str, str]  # file kind -> extractor, in declaration order
     filters: dict[str, str]  # keyword or keyword alias -> filter
+    record_codecs: dict[str, RecordCodec]  # file kind -> codec ids, for kinds with one
 
 
 def _read_bool(text: str) -> bool:
@@ -259,12 +270,19 @@ class KnowledgeRegistry:
                 raise DuplicateName(f"procedure {proc_id!r}")
             table[proc_id] = fn
         extractors = _unique("extractor for file kind", descriptor.extractors)
+        codecs = _unique("record codec for file kind", (
+            (kind, RecordCodec(write, read)) for kind, write, read in descriptor.record_codecs
+        ))
         combiners = _unique("combiner for object type", descriptor.combiners)
         filters = _unique("filter", (((otype, kw), p) for otype, kw, p in descriptor.filters))
         aliases = _unique("keyword alias", descriptor.keyword_aliases)
-        for proc_id in (*extractors.values(), *combiners.values(), *filters.values()):
+        for proc_id in (*extractors.values(), *combiners.values(), *filters.values(),
+                        *(proc_id for codec in codecs.values() for proc_id in codec)):
             if proc_id not in table:
                 raise RegistryError(f"procedure {proc_id!r} not registered")
+        for kind in codecs:
+            if kind not in extractors:
+                raise RegistryError(f"a record codec names file kind {kind!r}, with no extractor")
         declared = {info.name for info in descriptor.object_types}
         for otype in (*combiners, *(otype for otype, _ in filters)):
             if otype not in declared:
@@ -288,7 +306,7 @@ class KnowledgeRegistry:
                 info, descriptor.name,
                 _unique(f"parameter of {info.name}", info.output_params),
                 combiners.get(info.name), extractors,
-                {kw: own[c] for kw, c in canonical.items() if c in own},
+                {kw: own[c] for kw, c in canonical.items() if c in own}, codecs,
             )
             for key in (info.name, *info.aliases):
                 if key in self._object_index or index.setdefault(key, record) is not record:

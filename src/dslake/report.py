@@ -45,6 +45,7 @@ class Diagnostics:
     files_mapped: int = 0
     fragments: int = 0
     nodes_used: set[int] = field(default_factory=set)  # diagnostic only
+    files_read: int = 0  # files the map stage read, not served by memo or index; diagnostic only
 
 
 @dataclass

@@ -19,6 +19,7 @@ On-disk layout (used by the CLI):
     <root>/fabric.conf                    # node_count=<n> and replication=<r>, each once
     <root>/node-<k>/<dataset>/<fid>.snap  # one copy per placement node
     <root>/datasets/<dataset>/manifest.tsv
+    <root>/derived/<name>                 # indexes of derived records (below)
 
 Manifest columns (tab-separated): file_id, dataset, t0, t1, relative_path;
 times are ISO-8601 UTC. A stored manifest's relative path is always
@@ -34,6 +35,21 @@ SHA-256 digest is the file id (``StorageLayout.read``). ``save`` writes
 the files a layout holds in memory, those ingested in this process, and
 copies a loaded file only to a root or node its stored replicas are not at.
 
+``derived/`` holds indexes of results derived from the stored files, such
+as the engine's map records (``read_index``, ``write_index``). An index is
+a header line, ``dslake-index <stamp> <SHA-256 of the body>``, then its
+body: one entry per line. Its writer replaces it whole, through a
+temporary file and ``os.replace``. A reader takes an index only when its
+header carries the reader's stamp and the digest of the body that
+follows, and ignores it whole otherwise: missing, truncated, damaged or
+stamped otherwise. Entries are functions of file ids, which are content
+addresses, so nothing ``ingest`` does invalidates one; a change to
+anything the stamp covers does. The index is guarded against damage and
+staleness, not against someone who can write the store, who can already
+rewrite its manifests. Like a memo hit, an index hit reads no replica, so
+the file's fragment names ``serving_node`` as it stands, whatever a read
+would have found. To drop every index, delete ``<root>/derived/``.
+
 Mutations (ingest, fail, recover) are serialized by the caller. Reads may
 run concurrently: each bad replica a read meets is recorded in
 ``StorageLayout.lost`` by one dict operation, atomic in CPython, so no lock.
@@ -43,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -156,7 +173,8 @@ class StorageLayout:
     names the node that served. A reshaped view of a loaded store, whose
     simulated nodes are not directories, checks its own ``serving_node``
     and then walks the stored placements of ``source``, the loaded layout,
-    with that layout's failed and lost sets; ``save`` takes its root there.
+    with that layout's failed and lost sets; ``save`` takes its root there,
+    and ``derived`` its index directory.
     ``by_dataset`` holds each dataset's files in (t0, file_id) order; an
     ingest replaces the lists it changes rather than altering them, so a
     reshaped view starts from its parent's lists without copying them.
@@ -266,6 +284,13 @@ class StorageLayout:
                 f" (0-{self.node_count - 1})"
             )
         return node
+
+    @property
+    def derived(self) -> Path | None:
+        """``<root>/derived`` of the loaded store this layout is or views;
+        ``None`` for a layout held in memory."""
+        root = (self if self.source is None else self.source).root
+        return None if root is None else root / "derived"
 
     # -- reads ---------------------------------------------------------------
 
@@ -482,6 +507,48 @@ def read_manifest(path: Path) -> list[FileMeta]:
             raise StorageError(f"{path}:{lineno}: t0 {t0} is after t1 {t1}")
         metas.append(FileMeta(file_id, dataset, *times, relpath))
     return metas
+
+
+_INDEX_HEADER = "dslake-index"
+
+
+def read_index(path: Path, stamp: str) -> list[str] | None:
+    """The entries of the index at ``path``, if its header carries ``stamp``
+    and the SHA-256 digest of its body; ``None`` for any other index, one
+    that is not UTF-8, or none."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    header, _, body = data.partition(b"\n")
+    prefix = f"{_INDEX_HEADER} {stamp} ".encode()
+    if not header.startswith(prefix) or header[len(prefix):] != _hex_digest(body):
+        return None
+    try:
+        return body.decode().split("\n")[:-1]
+    except UnicodeDecodeError:
+        return None
+
+
+def write_index(path: Path, stamp: str, entries: Iterable[str]) -> None:
+    """Replace the index at ``path`` with ``entries``, one line each, under
+    ``stamp``; creates ``path``'s directory. Raises ``OSError`` when it
+    cannot write, and leaves the index as it was."""
+    body = "".join(f"{entry}\n" for entry in entries).encode()
+    path.parent.mkdir(exist_ok=True)
+    # one temporary name per writing thread, so concurrent writers each
+    # replace the index with a whole one
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}")
+    try:
+        temp.write_bytes(f"{_INDEX_HEADER} {stamp} ".encode() + _hex_digest(body) + b"\n" + body)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _hex_digest(data: bytes) -> bytes:
+    return hashlib.sha256(data).hexdigest().encode()
 
 
 def write_manifest(path: Path, metas: Iterable[FileMeta]) -> None:

@@ -144,8 +144,10 @@ def test_criterion_2_distribution_transparency():
             texts.add(doc.canonical_text())
             if k == 0:
                 assert sorted(extracted) == sorted(f.data for f in files), f"seed {seed}"
+                assert doc.diagnostics.files_read == len(files), f"seed {seed}"
             else:
                 assert extracted == [], f"seed {seed}: {n} nodes extracted again"
+                assert doc.diagnostics.files_read == 0, f"seed {seed}"
         assert len(texts) == 1, f"seed {seed}: node counts disagree"
     elapsed = time.perf_counter() - started
     print(f"\n[acceptance] criterion 2 runtime: {elapsed:.1f}s over 50 seeds x 4 layouts")
@@ -215,7 +217,7 @@ def test_criterion_5_stitching_oracle():
 
     def paths_for(layout):
         grouped: dict = {}
-        for fragment in run_map(layout, "d1", query):
+        for fragment in run_map(layout, "d1", query)[0]:
             grouped.setdefault(fragment.payload_time, []).extend(fragment.payload)
         sets = [(ts, grouped[ts]) for ts in sorted(grouped)]
         return [p for p in track(sets) if len(p.centers) > 1]
@@ -274,7 +276,9 @@ def test_criterion_6_fault_equivalence():
             return read(file_id)
 
         degraded_layout.read = counting_read
-        degraded = submit(fig5_request(node_count=4), registry, degraded_layout).canonical_text()
+        degraded_doc = submit(fig5_request(node_count=4), registry, degraded_layout)
+        degraded = degraded_doc.canonical_text()
+        assert degraded_doc.diagnostics.files_read == len(files), f"seed {seed}"
         assert any(degraded_layout.placements[f][0] == failed_node for f in served), (
             f"seed {seed}: no read failed over"
         )
@@ -334,7 +338,8 @@ def test_criterion_8_scheduling_independence():
     files, _ = generate_synthetic(spec, seed=31)
     layout = StorageLayout(node_count=4, replication=2).ingest(files)
     query = validate(parse(FIG5_SCRIPT), registry)
-    fragments = run_map(layout, "d1", query)
+    fragments, files_read = run_map(layout, "d1", query)
+    assert files_read == len(files)  # in memory: no index serves a record
 
     digests = set()
     rng = random.Random(2011)

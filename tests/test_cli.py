@@ -1,4 +1,5 @@
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -396,9 +397,16 @@ def test_fail_node_does_not_change_output(workdir, capsys):
     script = workdir / "fig5.dq"
     script.write_text(FIG5_SCRIPT)
     _, baseline, _ = run(capsys, "submit", "--dataset", "d1", str(script))
+    # the baseline wrote the map index; without it the degraded submit reads
+    # every snapshot past the failed node, and with it, the index serves
+    derived = workdir / "dslake-storage" / "derived"
+    assert derived.is_dir()
+    shutil.rmtree(derived)
     code, degraded, _ = run(capsys, "submit", "--dataset", "d1", str(script), "--fail-node", "0")
-    assert code == 0
-    assert degraded == baseline
+    assert (code, degraded) == (0, baseline)
+    assert derived.is_dir()
+    code, indexed, _ = run(capsys, "submit", "--dataset", "d1", str(script), "--fail-node", "0")
+    assert (code, indexed) == (0, baseline)
 
 
 def _generated(capsys, workdir, dataset: str, seed: int, start="01-01", end="02-28") -> Path:
@@ -517,6 +525,7 @@ def test_submit_defaults_to_the_stored_fabric_shape(workdir, capsys):
     code, reference, _ = run(capsys, "--nodes", "8", *submit)
     assert code == 0 and reference.startswith("RESULT ")
     for argv in ([*submit, "--fail-node", "0"], ["--nodes", "1", *submit]):
+        shutil.rmtree(workdir / "dslake-storage" / "derived")  # each submit reads its files
         code, out, err = run(capsys, *argv)
         assert (code, out) == (0, reference), err
 
@@ -581,10 +590,27 @@ def test_malformed_config_value_exit_one(workdir, capsys, monkeypatch, conf, env
 def test_results_that_are_not_utf8_exit_one(workdir, capsys):
     results = workdir / "dslake-storage" / "results"
     results.mkdir(parents=True)
-    (results / "abc.txt").write_bytes(b"RESULT abc\n\xfe\n")
-    code, out, err = run(capsys, "results", "abc")
+    (results / "0123456789abcdef.txt").write_bytes(b"RESULT 0123456789abcdef\n\xfe\n")
+    code, out, err = run(capsys, "results", "0123456789abcdef")
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.rstrip().endswith("abc.txt:2: not UTF-8 text")
+    assert err.startswith("error: ")
+    assert err.rstrip().endswith("0123456789abcdef.txt:2: not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "task_id", ["../zz", "../results/0123456789abcdef", "0123456789ABCDEF", "0123456789abcde",
+                "0123456789abcdef0", "", "0123456789abcde\n"],
+)
+def test_results_of_a_task_id_submit_cannot_print_exit_two(workdir, capsys, task_id):
+    # a task id is 16 lowercase hex digits: no other name reaches a file,
+    # inside results/ or out of it
+    root = workdir / "dslake-storage"
+    (root / "results").mkdir(parents=True)
+    for name in ("zz.txt", "results/0123456789abcdef.txt", "results/0123456789ABCDEF.txt"):
+        (root / name).write_text("RESULT stored\n")
+    code, out, err = run(capsys, "results", task_id)
+    assert (code, out) == (2, "")
+    assert err == f"error: task id {task_id!r} is not 16 lowercase hex digits\n"
 
 
 def test_registry_list_is_descriptor_text(workdir, capsys):

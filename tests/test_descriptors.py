@@ -41,6 +41,7 @@ object cyclone-path high-level center-set
 alias cyclone-path cyclon-path
 param cyclone-path EndTime datetime
 extractor grid cyclone.extract_centers
+record-codec grid cyclone.write_centers cyclone.read_centers
 combiner cyclone-path cyclone.combine_paths
 filter cyclone-path direction cyclone.filter_direction
 keyword-alias directon direction
@@ -57,6 +58,7 @@ def test_sample_loads():
     lib = libraries[0]
     assert lib.object_types[0].aliases == ("cyclon-path",)
     assert lib.keyword_aliases == (("directon", "direction"),)
+    assert lib.record_codecs == (("grid", "cyclone.write_centers", "cyclone.read_centers"),)
 
 
 def test_unknown_key_is_load_error():
@@ -140,6 +142,9 @@ def _library_of(object_types: tuple) -> st.SearchStrategy:
         extractors=st.lists(
             st.tuples(names, proc_ids), max_size=2, unique_by=lambda e: e[0]
         ).map(tuple),
+        record_codecs=st.lists(
+            st.tuples(names, proc_ids, proc_ids), max_size=2, unique_by=lambda c: c[0]
+        ).map(tuple),
         combiners=st.lists(
             st.tuples(types, proc_ids), max_size=2 * most, unique_by=lambda c: c[0]
         ).map(tuple),
@@ -198,9 +203,11 @@ def test_index_answers_as_a_first_match_scan(lib, data):
         combiners=combiners,
         filters=tuple((*key, proc_id) for key, proc_id in filters.items()),
         keyword_aliases=tuple(aliases.items()),
+        record_codecs=tuple(c for c in lib.record_codecs if c[0] in dict(lib.extractors)),
     )
     registry = KnowledgeRegistry()
     ids = {row[-1] for row in (*lib.extractors, *lib.combiners, *lib.filters)}
+    ids.update(proc_id for codec in lib.record_codecs for proc_id in codec[1:])
     try:
         registry.register_domain_library(lib, dict.fromkeys(ids, repr))
     except DuplicateName:  # an alias that is another type's name
@@ -214,6 +221,9 @@ def test_index_answers_as_a_first_match_scan(lib, data):
         assert knowledge.combiner == _first(lib.combiners, (info.name,))
         extractors = {kind: _first(lib.extractors, (kind,)) for kind, _ in lib.extractors}
         assert list(knowledge.extractors.items()) == list(extractors.items())  # in order
+        assert {kind: tuple(ids) for kind, ids in knowledge.record_codecs.items()} == {
+            kind: tuple(ids) for kind, *ids in lib.record_codecs
+        }
         for name in {"Nope", *(name for name, _ in info.output_params)}:
             assert knowledge.params.get(name) == _first(info.output_params, (name,))
         for keyword in keywords:

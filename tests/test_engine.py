@@ -174,7 +174,7 @@ def test_reduce_orders_its_own_input(registry):
 def test_reduce_invariant_under_fragment_permutation(registry):
     layout, _ = synthetic_layout(seed=7, count=2, north_east=1, end=(2011, 1, 31, 18))
     query = validate(parse(FIG5_SCRIPT), registry)
-    fragments = run_map(layout, "d1", query)
+    fragments, _ = run_map(layout, "d1", query)
     baseline = run_reduce(fragments, query, layout).canonical_text()
     rng = random.Random(11)
     for _ in range(50):
@@ -193,7 +193,7 @@ def test_the_plan_runs_without_the_registry(registry):
     registry.procedures.clear()
     registry.packages.clear()
     fresh, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
-    doc = run_reduce(run_map(fresh, "d1", plan), plan, fresh, task_id=request.task_id())
+    doc = run_reduce(run_map(fresh, "d1", plan)[0], plan, fresh, task_id=request.task_id())
     assert doc.canonical_text() == expected.canonical_text()
     assert [sim.status for sim in doc.simulations] == ["ok", "ok"]
 
@@ -220,7 +220,7 @@ def test_run_map_time_prefilter(registry):
     script = FIG5_SCRIPT.replace("time 01.01.2011 - 31.12.2011", "time 01.06.2011 - 30.06.2011")
     query = validate(parse(script), registry)
     metas = layout.dataset_files("d1")  # january and february, outside june
-    fragments = run_map(layout, "d1", query)
+    fragments, _ = run_map(layout, "d1", query)
     assert [f.file_id for f in fragments] == [m.file_id for m in metas]
     assert all(f.payload == [] for f in fragments)
     assert [f.payload_time for f in fragments] == [m.t0 for m in metas]
@@ -251,12 +251,12 @@ def test_run_map_keeps_the_centers_inside_the_area(registry):
     )
     inside = validate(parse("area 50.0,-25.0 - 62.0,-10.0\nselect cyclone-path"), registry)
     outside = validate(parse("area 50.0,0.0 - 62.0,10.0\nselect cyclone-path"), registry)
-    (fragment,) = run_map(layout, "d1", inside)
+    (fragment,), _ = run_map(layout, "d1", inside)
     (center,) = fragment.payload
     assert inside.ast.area.contains(center.lat, center.lon)
-    (fragment,) = run_map(layout, "d1", outside)
+    (fragment,), _ = run_map(layout, "d1", outside)
     assert fragment.payload == []
-    (fragment,) = run_map(layout, "d1", validate(parse("select cyclone-path"), registry))
+    (fragment,), _ = run_map(layout, "d1", validate(parse("select cyclone-path"), registry))
     assert fragment.payload == [center]
 
 
@@ -371,7 +371,7 @@ def test_a_loaded_store_reports_the_replica_that_served(tmp_path, registry, monk
     loaded = engine.Engine(registry, StorageLayout.load(tmp_path))
     for submit_kind in ("cold", "warm"):
         doc = loaded.submit(request)
-        (fragment,) = [f for f in maps[-1] if f.file_id == file_id]
+        (fragment,) = [f for f in maps[-1][0] if f.file_id == file_id]
         assert fragment.payload and fragment.node == second, submit_kind
         assert second in doc.diagnostics.nodes_used
         (sim,) = doc.simulations

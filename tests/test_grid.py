@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dslake.errors import FormatError
+from dslake.errors import DslakeError, FormatError
 from dslake.cyclone.grid import (
     GridSnapshot,
     densify,
@@ -222,3 +222,46 @@ def test_a_primed_extractor_gives_what_an_empty_one_gives(data, primers):
         with pytest.raises(FormatError) as err:
             parse_grid_snapshot(data)
         assert (err.value.line, err.value.message) == expected
+
+
+def test_a_grid_wider_than_any_float_is_a_format_error():
+    data = b"grid 48.0 -25.0 0.5 0.5 " + b"9" * 400 + b" 2 2011-01-01T00:00Z\n1000 1000\n"
+    for parse in (parse_grid_snapshot, lambda data: extract_centers(data, {})):
+        with pytest.raises(FormatError) as err:
+            parse(data)
+        assert err.value.line == 1
+        assert err.value.message == "grid box outside [-90, 90] x [-180, 180]"
+
+
+# header and cell words: numbers at and past the edges of int and float,
+# words that are no number, and bytes that are not UTF-8
+_WORDS = st.sampled_from([
+    b"grid", b"48.0", b"-25.0", b"0.5", b"-0.0", b"1e308", b"1e-320", b"nan", b"inf", b"-inf",
+    b"2", b"3", b"0", b"-1", b"9" * 400, b"1_0", b"\xd9\xa3", b"2011-03-04T06:00Z",
+    b"2011-03-04T06:00:00.5+01:00", b"9999-12-31T23:59+00:00", b"1000", b"990.25", b"1e999",
+    b"\xff", b"\xe2\x80\xa8", b"",
+]) | st.binary(max_size=6)
+
+
+@st.composite
+def grid_like_bytes(draw):
+    """A header of seven to nine words and up to four rows of cells."""
+    header = b" ".join(draw(st.lists(_WORDS, min_size=7, max_size=9)))
+    rows = draw(st.lists(st.lists(_WORDS, max_size=5).map(b" ".join), max_size=4))
+    return b"\n".join([header, *rows])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=120) | grid_like_bytes() | edited_snapshots(),
+       st.sampled_from([[], [_FIRST], [_OTHER, _FIRST]]))
+def test_any_bytes_give_a_snapshot_or_a_dslake_error(data, primers):
+    # the parser and the extractor, its memo empty or primed, are total:
+    # a value or a DslakeError, never another exception
+    memo = {}
+    for primer in primers:
+        extract_centers(primer, memo)
+    for parse in (parse_grid_snapshot, lambda data: extract_centers(data, memo)):
+        try:
+            parse(data)
+        except DslakeError:
+            pass

@@ -121,3 +121,47 @@ def test_every_definition_is_used():
     ]
     assert defined
     assert unused == []
+
+_UNSAFE = {"pickle", "marshal", "shelve", "eval", "exec"}
+
+
+def _unsafe_uses(source: str) -> list[str]:
+    """``<line> <name>`` of each import of pickle, marshal or shelve (by
+    statement, ``__import__`` or ``import_module``) and each call of eval or
+    exec in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            names = [called]
+            if called in ("__import__", "import_module") and node.args:
+                names += [getattr(node.args[0], "value", "")]
+        found += [f"{node.lineno} {name}" for name in names
+                  if isinstance(name, str) and name.split(".")[0] in _UNSAFE]
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "import pickle", "import os, marshal as m", "from shelve import open",
+    "from os import path\nimport pickle.x", "eval('1')", "builtins.exec(code)",
+    "__import__('pickle')", "importlib.import_module('marshal')",
+])
+def test_the_unsafe_scan_sees_each_form(source):
+    assert _unsafe_uses(source)
+
+
+def test_no_source_unpickles_or_evaluates():
+    # anyone who can write the store can write its map index, so only a
+    # registered codec may decode it: nothing under src/ loads a format
+    # whose reader runs code, or runs text as code
+    root = Path(__file__).resolve().parent.parent
+    src = sorted((root / "src").rglob("*.py"))
+    found = [f"{path.name}:{use}" for path in src for use in _unsafe_uses(path.read_text())]
+    assert src
+    assert found == []

@@ -252,10 +252,17 @@ OTHER_PROCEDURES = {"other.extract": repr, "other.combine": repr, "other.filter"
         (dict(filters=(("gale", "direction", "other.filter"),)),
          "a combiner or filter names undeclared type 'gale'"),
         (dict(extractors=(("grid", "other.missing"),)), "procedure 'other.missing' not registered"),
+        (dict(record_codecs=(("grid", "other.filter", "other.missing"),)),
+         "procedure 'other.missing' not registered"),
+        (dict(record_codecs=(("grib", "other.filter", "other.combine"),)),
+         "a record codec names file kind 'grib', with no extractor"),
+        (dict(record_codecs=(("grid", "other.filter", "other.combine"),) * 2),
+         "record codec for file kind 'grid' declared twice"),
     ],
     ids=["extractor-twice", "combiner-twice", "filter-twice", "keyword-alias-twice",
          "param-twice", "combiner-of-undeclared-type", "filter-of-undeclared-type",
-         "unregistered-procedure"],
+         "unregistered-procedure", "unregistered-codec", "codec-without-extractor",
+         "codec-twice"],
 )
 def test_faulty_library_refused_and_registry_unchanged(registry, changes, message):
     before = (dict(registry.libraries), dict(registry.procedures), dict(registry._object_index))
