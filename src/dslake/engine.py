@@ -22,16 +22,16 @@ facts stay out of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
 in module state: each file's map record under the plan's extractor
-functions and the file id, one namespace per procedure,
-passed to the extractor or as ``ReduceContext.memo``, and the storage's
-own placements per shape (node count and replication). A record is a
-function of the file's bytes alone; the query's area and time select
-from it. Reshaped views share the memo, so a file mapped once is not
-read or extracted again, whatever the later queries ask, and a submit at
-a shape used before places no file again. The map stage walks the
-layout's per-dataset file order (``StorageLayout.by_dataset``, through
-``dataset_files``), kept by ingest and load rather than sorted per
-submit, so a warm submit's map stage is one memo lookup per file.
+functions and the file id, one namespace per procedure, passed to the
+extractor or as ``ReduceContext.memo``, and the storage's own placements
+per shape (node count and replication). A record is a function of the
+file's bytes alone; the query's area and time select from it. Reshaped
+views share the memo, so a file mapped once is not read or extracted
+again, whatever the later queries ask or the datasets that list it, and a
+submit at a shape used before places no file again. The map stage walks
+the layout's per-dataset file order (``StorageLayout.by_dataset``,
+through ``dataset_files``), kept by ingest and load rather than sorted
+per submit, so a warm submit's map stage is one memo lookup per file.
 
 On a loaded store a cold submit reads from disk only the files that the
 store's map index does not hold. The submit that opens a layout's memo

@@ -23,18 +23,19 @@ External output contract (all files tab-separated UTF-8):
 A declared ``timeseries`` output names a series file. Any other declared
 output is read by its semantic type's reader in ``registry.SCALAR_TYPES``,
 and a value that does not read is a ``PackageFailure`` naming its line; a
-type not in the table, and an undeclared name, keep the text. Series values
-use fixed four-decimal rendering. An indexable output has one line per
-index, e.g. ``level[440,414]``, and is read back as one ``IndexedSeries``,
-as a builtin procedure returns it. Template placeholders are
-``{input:<name>}`` and ``{outdir}``: a scalar input is written by its
-type's writer, and a record with ``portable_text`` is written to a file
-whose path replaces the placeholder. The environment is passed through
-unchanged except ``DSLAKE_TASK_ID``, which holds the submit's task id. A
-command that exits non-zero fails with the last 500 characters of its
-stderr. A scratch directory is deleted once the declared outputs are read
-back; every ``PackageFailure`` of an external run keeps it and ends with
-``(scratch kept at <path>)``.
+type not in the table, and an undeclared name, keep the text. Series
+values use fixed four-decimal rendering. An indexable output has one line
+per index, e.g. ``level[440,414]``, and is read back as one
+``IndexedSeries``, as a builtin procedure returns it. Template
+placeholders are ``{input:<name>}`` and ``{outdir}``: a scalar input is
+written by its type's writer, and a record with ``portable_text`` is
+written to a file whose path replaces the placeholder. The environment is
+passed through unchanged except ``DSLAKE_TASK_ID``, which holds the
+submit's task id. A command that exits non-zero fails with the last 500
+characters of its stderr; an unreadable ``outputs.tsv`` or series file
+fails naming it. A scratch directory is deleted once the declared outputs
+are read back; every ``PackageFailure`` of an external run keeps it and
+ends with ``(scratch kept at <path>)``.
 
 Invocations are independent: no shared mutable state, safe to run
 concurrently.
@@ -214,24 +215,24 @@ def _run_in(
         stderr = proc.stderr.decode(errors="replace").strip()[-500:]
         raise PackageFailure(f"{package.name} exited {proc.returncode}: {stderr}")
 
-    manifest = scratch / "outputs.tsv"
-    if not manifest.exists():
-        raise PackageFailure(f"{package.name} wrote no outputs.tsv")
+    manifest = _read_scratch(scratch / "outputs.tsv", "outputs.tsv", package.name)
     outputs: dict[str, Any] = {}
     indexed: dict[str, dict[tuple[int, ...], Any]] = {}
-    for lineno, line in enumerate(manifest.read_bytes().splitlines(), start=1):
+    for lineno, line in enumerate(manifest.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
+        try:  # an index past the interpreter's limit on digits is malformed too
             name, raw = line.decode().split("\t", 1)
+            base = name.split("[", 1)[0]
+            index = _INDEX_RE.fullmatch(name[len(base):])
+            indices = index and tuple(map(int, index[1].split(",")))
         except ValueError:
             raise PackageFailure(
                 f"{package.name}: malformed outputs.tsv line {lineno}"
             ) from None
-        base = name.split("[", 1)[0]
         decl = package.output_named(base)
         if decl is not None and decl.semantic_type.startswith("timeseries"):
-            value = _read_series(scratch, raw, package.name)
+            value = _read_series(scratch, raw, package.name, lineno)
         else:
             try:  # an undeclared line keeps its text
                 value = raw if decl is None else read_text(decl.semantic_type, raw)
@@ -240,9 +241,8 @@ def _run_in(
                     f"{package.name}: outputs.tsv line {lineno}: malformed"
                     f" {decl.semantic_type} {raw!r}"
                 ) from None
-        index = _INDEX_RE.fullmatch(name[len(base):])
-        if decl is not None and decl.indexable and index:
-            indexed.setdefault(base, {})[tuple(map(int, index[1].split(",")))] = value
+        if decl is not None and decl.indexable and indices:
+            indexed.setdefault(base, {})[indices] = value
         else:
             outputs[name] = value
     for base, by_index in indexed.items():
@@ -250,12 +250,21 @@ def _run_in(
     return outputs
 
 
-def _read_series(scratch: Path, name: str, package_name: str) -> Series:
-    path = scratch / name
-    if not path.exists():
-        raise PackageFailure(f"{package_name}: series file {name} missing")
+def _read_scratch(path: Path, what: str, package_name: str) -> bytes:
+    """The bytes of ``path``; one that is missing or that cannot be read,
+    such as a directory, is a ``PackageFailure`` naming ``what``."""
+    try:
+        return path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a name holding NUL
+        reason = getattr(exc, "strerror", None) or exc
+        raise PackageFailure(f"{package_name}: {what} unreadable ({reason})") from None
+
+
+def _read_series(scratch: Path, name: str, package_name: str, outputs_line: int) -> Series:
+    what = f"outputs.tsv line {outputs_line}: series file {name!r}"
+    data = _read_scratch(scratch / name, what, package_name)
     series: Series = []
-    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+    for lineno, line in enumerate(data.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -4,8 +4,9 @@ Nodes live in one process. Placement is rendezvous hashing: for each node
 n the score is a 64-bit FNV-1a hash of the file id (UTF-8) concatenated
 with the node id rendered in decimal, and a file's replicas go to the
 ``replication`` highest-scoring nodes in descending score order (ties by
-ascending node id). File ids are content addresses: the SHA-256 hex
-digest of the file bytes.
+ascending node id). File ids are content addresses, the SHA-256 hex
+digest of the file bytes, so the store holds a file once, whatever
+datasets list it: a dataset is its manifest over the stored files.
 
 Placement is computed for a whole list of file ids at once (``place_all``):
 the hash in numpy ``uint64``, whose products wrap mod 2**64 as FNV-1a's
@@ -17,23 +18,24 @@ not placed at their shape before.
 On-disk layout (used by the CLI):
 
     <root>/fabric.conf                    # node_count=<n> and replication=<r>, each once
-    <root>/node-<k>/<dataset>/<fid>.snap  # one copy per placement node
+    <root>/node-<k>/<file_id>.snap        # one copy per placement node
     <root>/datasets/<dataset>/manifest.tsv
     <root>/derived/<name>                 # indexes of derived records (below)
 
 Manifest columns (tab-separated): file_id, dataset, t0, t1, relative_path;
-times are ISO-8601 UTC. A stored manifest's relative path is always
-``<dataset>/<file_id>.snap``, with ``<dataset>`` the manifest's directory.
-``ingest`` refuses a file whose names would not make such a path (see
-``_storable``), and ``load`` refuses a manifest line that does not hold one.
+times are ISO-8601 UTC. A manifest lists a file id at most once. In a
+stored manifest the dataset is the manifest's directory and the relative
+path is ``<file_id>.snap``. ``ingest`` refuses a file whose names would
+not make such a line (see ``_storable``), and ``load`` refuses a manifest
+line that does not hold one.
 
 A loaded store holds no file bytes. ``load`` checks ``fabric.conf``, each
-manifest line and its stored path, and that no file is listed twice, and
-places the files. It opens no ``.snap`` file: every read, in memory or on
-disk, takes the first copy in placement order, past failed nodes, whose
-SHA-256 digest is the file id (``StorageLayout.read``). ``save`` writes
-the files a layout holds in memory, those ingested in this process, and
-copies a loaded file only to a root or node its stored replicas are not at.
+manifest line and its stored path, and places the files. It opens no
+``.snap`` file: every read, in memory or on disk, takes the first copy in
+placement order, past failed nodes, whose SHA-256 digest is the file id
+(``StorageLayout.read``). ``save`` writes the files a layout holds in
+memory, those ingested in this process, and copies a loaded file only to
+a root or node its stored replicas are not at.
 
 ``derived/`` holds indexes of results derived from the stored files, such
 as the engine's map records (``read_index``, ``write_index``). An index is
@@ -175,9 +177,10 @@ class StorageLayout:
     and then walks the stored placements of ``source``, the loaded layout,
     with that layout's failed and lost sets; ``save`` takes its root there,
     and ``derived`` its index directory.
-    ``by_dataset`` holds each dataset's files in (t0, file_id) order; an
-    ingest replaces the lists it changes rather than altering them, so a
-    reshaped view starts from its parent's lists without copying them.
+    ``by_dataset`` holds each dataset's files in (t0, file_id) order, and a
+    file may be listed by several datasets; an ingest replaces the lists it
+    changes rather than altering them, so a reshaped view starts from its
+    parent's lists without copying them.
 
     ``memo`` holds results derived from the stored content: one dict per
     owner, a procedure function or a library's extractor functions, and
@@ -201,7 +204,6 @@ class StorageLayout:
     placements: dict[str, tuple[int, ...]] = field(default_factory=dict)
     failed: set[int] = field(default_factory=set)
     blobs: dict[str, bytes] = field(default_factory=dict)
-    meta: dict[str, FileMeta] = field(default_factory=dict)
     by_dataset: dict[str, list[FileMeta]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict)
     lost: dict[str, dict[int, str]] = field(default_factory=dict)
@@ -219,41 +221,34 @@ class StorageLayout:
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, files: Iterable[DataFile]) -> "StorageLayout":
-        """Record placements, store bytes on every placement node, and keep
-        each dataset's file order.
+        """List each file in its dataset, in the dataset's file order, and
+        place and hold the bytes of each file not stored before; a stored
+        file is only listed, its bytes and replicas left as they are.
 
-        All or nothing: before any file is recorded, a file already stored
-        or given twice raises ``DuplicateFile``, and a file whose names
-        ``save`` cannot store (see ``_storable``) raises ``StorageError``.
+        All or nothing: before any file is recorded, a file that its
+        dataset already lists or that the batch gives twice for one dataset
+        raises ``DuplicateFile``, and a file whose names ``save`` cannot
+        store (see ``_storable``) raises ``StorageError``.
         """
         files = list(files)
-        batch: set[str] = set()
+        given: dict[str, dict[str, FileMeta]] = {}  # each dataset's files of this batch
         for f in files:
-            stored = self.meta.get(f.file_id)
-            if stored or f.file_id in batch:
-                where = (
-                    f"already stored in dataset {stored.dataset}" if stored
-                    else "given twice in this ingest"
-                )
-                raise DuplicateFile(f"file {f.file_id} of dataset {f.dataset} is {where}")
+            batch = given.setdefault(f.dataset, {})
+            if f.file_id in batch:
+                raise DuplicateFile(f"file {f.file_id} is given twice for dataset {f.dataset}")
             if not _storable(f.file_id, f.dataset):
                 raise StorageError(f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}")
-            batch.add(f.file_id)
-        placed = self._placed(batch)
-        added: dict[str, list[FileMeta]] = {}
-        for f in files:
-            self.placements[f.file_id] = placed[f.file_id]
-            self.blobs[f.file_id] = f.data
-            meta = self.meta[f.file_id] = FileMeta(
-                file_id=f.file_id,
-                dataset=f.dataset,
-                t0=f.t0,
-                t1=f.t1,
-                relative_path=f"{f.dataset}/{f.file_id}.snap",
-            )
-            added.setdefault(f.dataset, []).append(meta)
-        for dataset, metas in added.items():
-            metas += self.by_dataset.get(dataset, [])
+            batch[f.file_id] = FileMeta(f.file_id, f.dataset, f.t0, f.t1, f"{f.file_id}.snap")
+        for dataset, batch in given.items():
+            for m in self.by_dataset.get(dataset, ()):
+                if m.file_id in batch:
+                    raise DuplicateFile(f"file {m.file_id} is already listed in dataset {dataset}")
+        new = {f.file_id: f.data for f in files if f.file_id not in self.placements}
+        placed = self._placed(new)
+        self.placements.update((file_id, placed[file_id]) for file_id in new)
+        self.blobs.update(new)
+        for dataset, batch in given.items():
+            metas = [*batch.values(), *self.by_dataset.get(dataset, ())]
             self.by_dataset[dataset] = sorted(metas, key=_time_order)
         return self
 
@@ -320,7 +315,6 @@ class StorageLayout:
         nodes = layout.placements.get(file_id)
         if nodes is None:
             raise UnreadableFile(f"unknown file {file_id}")
-        relative = layout.meta[file_id].relative_path
         fates = []
         for node in nodes:
             if node in layout.failed:
@@ -328,7 +322,7 @@ class StorageLayout:
             copy = data
             try:
                 if copy is None:
-                    fd = os.open(f"{layout.root}/node-{node}/{relative}", os.O_RDONLY)
+                    fd = os.open(f"{layout.root}/node-{node}/{file_id}.snap", os.O_RDONLY)
                     try:
                         copy = os.read(fd, os.fstat(fd).st_size)
                     finally:
@@ -375,8 +369,8 @@ class StorageLayout:
                     continue
                 data = self.read(file_id)
             for node in nodes:
-                target = root / f"node-{node}" / self.meta[file_id].relative_path
-                target.parent.mkdir(parents=True, exist_ok=True)
+                target = root / f"node-{node}" / f"{file_id}.snap"
+                target.parent.mkdir(exist_ok=True)
                 target.write_bytes(data)
 
     @staticmethod
@@ -393,19 +387,12 @@ class StorageLayout:
             "=", lambda line, message: StorageError(f"{conf_path}:{line}: {message}"),
         )[0]
         layout = StorageLayout(**conf, root=root.resolve())
-        datasets_dir = root / "datasets"
-        for manifest in sorted(datasets_dir.glob("*/manifest.tsv")):
+        for manifest in sorted((root / "datasets").glob("*/manifest.tsv")):
             metas = read_manifest(manifest)
             for meta in metas:
                 _check_stored_path(manifest, meta)
             placed = layout._placed(meta.file_id for meta in metas)
-            for meta in metas:
-                file_id = meta.file_id
-                if file_id in layout.meta:
-                    first = datasets_dir / layout.meta[file_id].dataset / "manifest.tsv"
-                    raise StorageError(f"{manifest}: file {file_id!r} is also listed in {first}")
-                layout.placements[file_id] = placed[file_id]
-                layout.meta[file_id] = meta
+            layout.placements.update((meta.file_id, placed[meta.file_id]) for meta in metas)
             if metas:
                 layout.by_dataset[manifest.parent.name] = sorted(metas, key=_time_order)
         return layout
@@ -430,13 +417,12 @@ class StorageLayout:
             node_count=node_count,
             replication=replication,
             blobs=dict(self.blobs),
-            meta=dict(self.meta),
             by_dataset=dict(self.by_dataset),
             memo=self.memo,
             source=self if self.root is not None else self.source,
         )
-        placed = view._placed(self.meta)
-        view.placements = {file_id: placed[file_id] for file_id in self.meta}
+        placed = view._placed(self.placements)
+        view.placements = {file_id: placed[file_id] for file_id in self.placements}
         return view
 
 
@@ -453,14 +439,14 @@ def _time_order(meta: FileMeta) -> tuple[datetime, str]:
 
 
 _STORED_FORM = (
-    "a stored file is <dataset>/<file_id>.snap, with no '/', tab, NUL or"
-    " line break in either name and a dataset other than '.' and '..'"
+    "a stored file is <file_id>.snap in a dataset's manifest, with no '/', tab,"
+    " NUL or line break in either name and a dataset other than '.' and '..'"
 )
 
 
 def _storable(file_id: str, dataset: str) -> bool:
-    """Whether ``<dataset>/<file_id>.snap`` stays in its node directory and
-    the file's manifest line reads back as written."""
+    """Whether ``<file_id>.snap`` stays in its node directory, ``<dataset>``
+    names a manifest's directory, and the manifest line reads back as written."""
     names = file_id + dataset
     return (
         dataset not in ("", ".", "..")
@@ -472,12 +458,12 @@ def _storable(file_id: str, dataset: str) -> bool:
 def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
     """Refuse a stored manifest entry that ``save`` would not have written:
     one whose dataset is not the manifest's directory or whose relative path
-    is not ``<dataset>/<file_id>.snap`` of storable names."""
+    is not ``<file_id>.snap`` of storable names."""
     dataset = manifest.parent.name
     if (
         meta.dataset != dataset
         or not _storable(meta.file_id, dataset)
-        or meta.relative_path != f"{dataset}/{meta.file_id}.snap"
+        or meta.relative_path != f"{meta.file_id}.snap"
     ):
         raise StorageError(
             f"{manifest}: file {meta.file_id!r} of dataset {meta.dataset!r} at"
@@ -486,9 +472,10 @@ def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
 
 
 def read_manifest(path: Path) -> list[FileMeta]:
-    """A manifest's entries in file order; a malformed line, or one whose t0
-    is after its t1, raises ``StorageError`` at ``path:line``."""
-    metas = []
+    """A manifest's entries in file order; a malformed line, one whose t0
+    is after its t1, or one whose file id an earlier line lists, raises
+    ``StorageError`` at ``path:line``."""
+    metas: dict[str, FileMeta] = {}
     for lineno, line in enumerate(read_utf8(path, StorageError).splitlines(), start=1):
         if not line.strip():
             continue
@@ -505,8 +492,10 @@ def read_manifest(path: Path) -> list[FileMeta]:
             raise StorageError(f"{path}:{lineno}: bad timestamp: {exc}") from None
         if times[0] > times[1]:
             raise StorageError(f"{path}:{lineno}: t0 {t0} is after t1 {t1}")
-        metas.append(FileMeta(file_id, dataset, *times, relpath))
-    return metas
+        if file_id in metas:
+            raise StorageError(f"{path}:{lineno}: file {file_id!r} is listed twice")
+        metas[file_id] = FileMeta(file_id, dataset, *times, relpath)
+    return list(metas.values())
 
 
 _INDEX_HEADER = "dslake-index"

@@ -10,6 +10,7 @@ from dslake.cli import _build_parser, _resolve_config, main
 from dslake.errors import ConfigError
 
 from conftest import FIG5_SCRIPT, REFUSED_SCRIPTS, STATION_KD, key_value_texts
+from test_storage import replica
 
 SPEC_TEXT = """\
 dataset d1
@@ -229,7 +230,7 @@ def test_submit_of_a_binding_offset_past_the_datetime_range(workdir, capsys):
 
 
 def test_ingest_of_an_unstorable_file_id_exit_one(workdir, capsys):
-    # the id would put the replica outside node-<k>/<dataset>/: refused
+    # the id would put the replica outside node-<k>/: refused
     # before anything is written, and the store stays loadable
     spec = workdir / "spec.txt"
     spec.write_text(SPEC_TEXT)
@@ -258,6 +259,17 @@ def test_ingest_of_a_manifest_line_with_t0_after_t1_exit_one(workdir, capsys):
     code, out, err = run(capsys, "ingest", "m.tsv")
     assert (code, out) == (1, "")
     assert err == "error: m.tsv:1: t0 2011-01-02T00:00Z is after t1 2011-01-01T00:00Z\n"
+    assert not (workdir / "dslake-storage").exists()
+
+
+def test_ingest_of_a_manifest_that_lists_a_file_twice_exit_one(workdir, capsys):
+    manifest = _generated(capsys, workdir, "d1", 9)
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([*lines, lines[2]]) + "\n")
+    code, out, err = run(capsys, "ingest", str(manifest))
+    assert (code, out) == (1, "")
+    file_id = lines[2].split("\t", 1)[0]
+    assert err == f"error: {manifest}:{len(lines) + 1}: file {file_id!r} is listed twice\n"
     assert not (workdir / "dslake-storage").exists()
 
 
@@ -423,26 +435,45 @@ def _generated(capsys, workdir, dataset: str, seed: int, start="01-01", end="02-
     return Path(out.strip())
 
 
+def _stamps(paths) -> dict:
+    """Each file's inode and modification time, by path."""
+    return {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in paths}
+
+
+def _aged_stamps(paths) -> dict:
+    """``_stamps`` of ``paths`` once each is dated far from now, so that a
+    rewrite shows even within the file system's time resolution."""
+    paths = list(paths)
+    for path in paths:
+        os.utime(path, ns=(10**18, 10**18))
+    return _stamps(paths)
+
+
+def _data_files(manifest: Path) -> list:
+    """The files a gen-synthetic manifest lists, read from its directory."""
+    from dslake.storage import DataFile, read_manifest
+
+    return [
+        DataFile(m.file_id, m.dataset, m.t0, m.t1, (manifest.parent / m.relative_path).read_bytes())
+        for m in read_manifest(manifest)
+    ]
+
+
 def test_ingest_into_a_store_leaves_its_replicas_alone(workdir, capsys, registry):
     from dslake.engine import TaskRequest, submit
-    from dslake.storage import DataFile, StorageLayout, read_manifest
+    from dslake.storage import StorageLayout
 
     # other months: the two datasets share no snapshot
     manifests = [_generated(capsys, workdir, "d1", 9),
                  _generated(capsys, workdir, "d2", 10, "03-01", "04-30")]
     assert run(capsys, "ingest", str(manifests[0]))[0] == 0
-    replicas = sorted((workdir / "dslake-storage").glob("node-*/d1/*.snap"))
-    assert replicas
-    for path in replicas:
-        os.utime(path, ns=(10**18, 10**18))
-    before = {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in replicas}
+    before = _aged_stamps((workdir / "dslake-storage").glob(replica()))
+    assert before
     assert run(capsys, "ingest", str(manifests[1]))[0] == 0
-    assert {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in replicas} == before
+    assert _stamps(before) == before
 
     fresh = StorageLayout(node_count=4, replication=2).ingest(
-        DataFile(m.file_id, m.dataset, m.t0, m.t1, (manifest.parent / m.relative_path).read_bytes())
-        for manifest in manifests
-        for m in read_manifest(manifest)
+        f for manifest in manifests for f in _data_files(manifest)
     )
     script = workdir / "fig5.dq"
     script.write_text(FIG5_SCRIPT)
@@ -461,8 +492,8 @@ def test_submit_of_a_file_with_no_intact_replica_exit_one(workdir, capsys):
     layout = StorageLayout.load(root)
     file_id = layout.dataset_files("d1")[100].file_id
     first, second = layout.placements[file_id]
-    (root / f"node-{first}" / "d1" / f"{file_id}.snap").write_bytes(b"other bytes")
-    (root / f"node-{second}" / "d1" / f"{file_id}.snap").unlink()
+    (root / replica(file_id, first)).write_bytes(b"other bytes")
+    (root / replica(file_id, second)).unlink()
     script = workdir / "fig5.dq"
     script.write_text(FIG5_SCRIPT)
     code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
@@ -474,17 +505,30 @@ def test_submit_of_a_file_with_no_intact_replica_exit_one(workdir, capsys):
     assert not (root / "results").exists()
 
 
-def test_ingest_of_a_snapshot_stored_in_another_dataset_names_both_exit_one(workdir, capsys):
+def test_ingest_of_a_snapshot_stored_in_another_dataset_stores_it_once(workdir, capsys, registry):
     # the same months under two seeds share every all-background snapshot
-    from dslake.storage import read_manifest
+    from dslake.engine import TaskRequest, submit
+    from dslake.storage import StorageLayout
 
-    first, second = _generated(capsys, workdir, "d1", 9), _generated(capsys, workdir, "d2", 10)
-    assert run(capsys, "ingest", str(first))[0] == 0
-    stored = {meta.file_id for meta in read_manifest(first)}
-    shared = next(m.file_id for m in read_manifest(second) if m.file_id in stored)
-    code, out, err = run(capsys, "ingest", str(second))
-    assert (code, out) == (1, "")
-    assert err == f"error: file {shared} of dataset d2 is already stored in dataset d1\n"
+    manifests = [_generated(capsys, workdir, "d1", 9), _generated(capsys, workdir, "d2", 10)]
+    files = [_data_files(manifest) for manifest in manifests]
+    first, second = ({f.file_id for f in listed} for listed in files)
+    assert first & second and second - first
+    root = workdir / "dslake-storage"
+    assert run(capsys, "ingest", str(manifests[0]))[:2] == (0, "")
+    before = _aged_stamps(root.glob(replica()))
+    assert run(capsys, "ingest", str(manifests[1]))[:2] == (0, "")
+    assert _stamps(before) == before
+    # each stored file once on each of the 2 nodes, whatever datasets list it
+    assert len(list(root.glob(replica()))) == 2 * len(first | second)
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    for manifest, listed in zip(manifests, files):
+        alone = StorageLayout(node_count=4, replication=2).ingest(listed)
+        dataset = manifest.parent.name
+        code, out, _ = run(capsys, "submit", "--dataset", dataset, str(script))
+        assert code == 0
+        assert out == submit(TaskRequest(dataset, FIG5_SCRIPT), registry, alone).canonical_text()
 
 
 def test_fail_node_outside_the_fabric_exit_one(workdir, capsys):

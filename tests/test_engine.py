@@ -314,7 +314,7 @@ def saved_store(tmp_path, registry):
 def test_a_saved_store_with_bad_first_replicas_gives_the_intact_bytes(tmp_path, registry, fault):
     layout, expected = saved_store(tmp_path, registry)
     for meta in layout.dataset_files("d1"):
-        path = replica(tmp_path, layout, meta.file_id, 0)
+        path = tmp_path / replica(meta.file_id, layout.placements[meta.file_id][0])
         if fault == "altered":
             path.write_bytes(path.read_bytes().replace(b"2011", b"2012", 1))
         else:
@@ -329,8 +329,8 @@ def test_a_file_with_no_intact_replica_fails_the_submit(tmp_path, registry):
     layout, _ = saved_store(tmp_path, registry)
     file_id = layout.dataset_files("d1")[40].file_id
     first, second = layout.placements[file_id]
-    replica(tmp_path, layout, file_id, 0).write_bytes(b"grid 0 0 1 1 2 2 x\n")
-    replica(tmp_path, layout, file_id, 1).unlink()
+    (tmp_path / replica(file_id, first)).write_bytes(b"grid 0 0 1 1 2 2 x\n")
+    (tmp_path / replica(file_id, second)).unlink()
     with pytest.raises(UnreadableFile) as err:
         engine.Engine(registry, StorageLayout.load(tmp_path)).submit(fig5_request())
     assert str(err.value) == (
@@ -359,7 +359,7 @@ def test_a_loaded_store_reports_the_replica_that_served(tmp_path, registry, monk
     file_id = sim.provenance[-1]
     first, second = layout.placements[file_id]
     layout.save(tmp_path)
-    replica(tmp_path, layout, file_id, 0).unlink()
+    (tmp_path / replica(file_id, first)).unlink()
 
     maps, real_run_map = [], engine.run_map
 

@@ -1,10 +1,13 @@
 import re
 import shutil
+import tempfile
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dslake.descriptors import dump_descriptors, load_descriptors
 from dslake.errors import BindingError, PackageFailure, RegistryError, UnboundReference
@@ -280,8 +283,13 @@ def test_horizon_past_its_bound_fails_in_both_modes(registry):
         ("float", b"result\t1.5\nresult 2.5\n", "ECHO: malformed outputs.tsv line 2"),
         ("float", b"other\tx\nresult\tlow\n", "ECHO: outputs.tsv line 2: malformed float 'low'"),
         ("bool", b"other\tx\nresult\tyes\n", "ECHO: outputs.tsv line 2: malformed bool 'yes'"),
+        ("timeseries<float>", b"result\t\n",
+         "ECHO: outputs.tsv line 1: series file '' unreadable (Is a directory)"),
+        ("timeseries<float>", b"other\tx\nresult\t.\n",
+         "ECHO: outputs.tsv line 2: series file '.' unreadable (Is a directory)"),
     ],
-    ids=["missing-output", "malformed-line", "unreadable-value", "unreadable-bool"],
+    ids=["missing-output", "malformed-line", "unreadable-value", "unreadable-bool",
+         "series-named-empty", "series-named-dot"],
 )
 def test_unreadable_outputs_keep_the_scratch(tmp_path, result_type, outputs_tsv, message):
     import sys
@@ -301,6 +309,68 @@ def test_unreadable_outputs_keep_the_scratch(tmp_path, result_type, outputs_tsv,
     assert str(err.value) == f"{message} (scratch kept at {scratch})"
     assert (scratch / "outputs.tsv").read_bytes() == outputs_tsv
     shutil.rmtree(scratch)
+
+
+def test_an_outputs_tsv_that_is_a_directory_keeps_the_scratch():
+    with pytest.raises(PackageFailure) as err:
+        invoke(_echo_descriptor("mkdir {outdir}/outputs.tsv"), None, {"word": "hi"})
+    scratch = kept_scratch(err.value)
+    assert (scratch / "outputs.tsv").is_dir()
+    shutil.rmtree(scratch)
+    assert str(err.value) == (
+        f"ECHO: outputs.tsv unreadable (Is a directory) (scratch kept at {scratch})"
+    )
+
+
+OUTPUT_LINES = [
+    b"level[440,414]\tlevel.tsv", b"level[1]\tlevel.tsv", b"level\tlevel.tsv",
+    b"level[440,414]\t", b"level[440,414]\t.", b"level[440,414]\t..", b"level[440,414]\t/",
+    b"level[x]\tlevel.tsv", b"level[" + b"9" * 5000 + b"]\tlevel.tsv",
+    b"peak\t1.5", b"peak\tlow", b"peak\t1e999", b"count\t7", b"count\t" + b"9" * 5000,
+    b"span\t96h", b"span\t99999999999999999999h",
+    b"at\t2005-01-09T00:00:00Z", b"at\t9999-12-31T23:59-01:00",
+    b"flag\tTrue", b"other\tx", b"peak 1.5", b"",
+]
+SERIES_LINES = [
+    b"2005-01-07T00:00:00Z\t0.5000", b"2005-01-07T00:00:00Z\tnan", b"2005-01-07T25:00:00Z\t1.0",
+    b"0001-01-01T00:00+01:00\t1.0", b"2005-01-07T00:00:00Z\t1.0\textra", b"\t", b"",
+]
+
+
+def _lines(known: list[bytes]):
+    """Hypothesis strategy for a file: lines mostly drawn from ``known``,
+    some arbitrary, joined by line breaks; or arbitrary bytes."""
+    line = st.sampled_from(known) | st.binary(max_size=12)
+    return st.lists(line, max_size=6).map(b"\n".join) | st.binary(max_size=48)
+
+
+FUZZED = PackageDescriptor(
+    name="FUZZ",
+    outputs=(
+        PackageOutputDecl("level", "timeseries<float>", indexable=True),
+        PackageOutputDecl("peak", "float"),
+        PackageOutputDecl("count", "int"),
+        PackageOutputDecl("span", "duration"),
+        PackageOutputDecl("at", "datetime"),
+        PackageOutputDecl("flag", "bool"),
+    ),
+    execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lines(OUTPUT_LINES), _lines(SERIES_LINES))
+def test_any_outputs_tsv_gives_outputs_or_a_package_failure(outputs_tsv, series):
+    with tempfile.TemporaryDirectory() as source:
+        (Path(source) / "outputs.tsv").write_bytes(outputs_tsv)
+        (Path(source) / "level.tsv").write_bytes(series)
+        command = f"cp {source}/outputs.tsv {source}/level.tsv {{outdir}}"
+        try:
+            outputs = invoke(replace(FUZZED, command_template=command), None, {})
+        except PackageFailure as failure:
+            shutil.rmtree(kept_scratch(failure))
+            return
+    assert {decl.name for decl in FUZZED.outputs} <= outputs.keys()
 
 
 def test_input_that_cannot_be_materialized_keeps_the_scratch():

@@ -35,6 +35,7 @@ from dslake.cyclone.plugin import (
 from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import FIG5_AREA, FIG5_SCRIPT, utc
+from test_storage import replica
 
 TIME_CLAUSE = "time 01.01.2011 - 31.12.2011\n"
 AREA_CLAUSE = "area 48.3416,-24.7851 - 66.1605,32.8710\n"
@@ -223,6 +224,34 @@ def test_an_ingest_leaves_the_index_valid(tmp_path, registry):
     assert cold(tmp_path, registry, dataset="d2").diagnostics.files_read == len(d2)
     for dataset in ("d1", "d2"):
         assert cold(tmp_path, registry, dataset=dataset).diagnostics.files_read == 0
+
+
+def test_a_snapshot_two_datasets_share_is_mapped_once(tmp_path, registry):
+    # the same months under two seeds share every all-background snapshot;
+    # a submit of d2 after d1 reads only the snapshots d1 does not list,
+    # past memo hits in one process and index hits in the next
+    d1, d2 = two_months(9), two_months(10, "d2")
+    StorageLayout(node_count=8, replication=2).ingest(d1 + d2).save(tmp_path)
+    first, second = {f.file_id for f in d1}, {f.file_id for f in d2}
+    assert first & second and second - first
+    for file_id in first & second:
+        assert len(list(tmp_path.glob(replica(file_id)))) == 2
+    alone = {
+        dataset: submit(TaskRequest(dataset, FIG5_SCRIPT), registry,
+                        StorageLayout(node_count=4, replication=2).ingest(files)).canonical_text()
+        for dataset, files in (("d1", d1), ("d2", d2))
+    }
+    assert "simulation" in alone["d2"]
+    for nodes in (1, 2, 4, 8):
+        shutil.rmtree(tmp_path / "derived", ignore_errors=True)
+        engine = Engine(registry, StorageLayout.load(tmp_path))
+        runs = [engine.submit(TaskRequest(dataset, FIG5_SCRIPT, EngineConfig(nodes, min(2, nodes))))
+                for dataset in ("d1", "d2")]
+        shutil.rmtree(tmp_path / "derived")
+        runs += [cold(tmp_path, registry, nodes=nodes, dataset=dataset) for dataset in ("d1", "d2")]
+        assert [(doc.diagnostics.files_read, doc.canonical_text()) for doc in runs] == [
+            (len(first), alone["d1"]), (len(second - first), alone["d2"])
+        ] * 2, nodes
 
 
 def test_the_stamp_covers_the_module_of_an_extractor_outside_the_package(tmp_path, registry):

@@ -64,6 +64,12 @@ def make_file(i: int, dataset: str = "d") -> DataFile:
     return DataFile.from_bytes(dataset, utc(2011, 1, 1, i % 24), utc(2011, 1, 1, i % 24), data)
 
 
+def replica(file_id: str = "*", node: int | str = "*") -> str:
+    """Where a store keeps its copy of ``file_id`` on ``node``, relative to
+    its root; the defaults make a pattern for ``Path.glob``."""
+    return f"node-{node}/{file_id}.snap"
+
+
 def test_fnv_reference_vectors():
     # classic FNV-1a test vectors pin the reference, and the vectorized
     # scores are the reference hash of each id followed by each node id
@@ -157,18 +163,47 @@ def test_ingest_empty_noop():
 def test_ingest_duplicate_file():
     f = make_file(1)
     layout = StorageLayout(node_count=4, replication=2).ingest([f])
-    again = DataFile(f.file_id, "e", f.t0, f.t1, f.data)
     with pytest.raises(DuplicateFile) as err:
-        layout.ingest([again])
-    assert str(err.value) == f"file {f.file_id} of dataset e is already stored in dataset d"
+        layout.ingest([make_file(2), f])
+    assert str(err.value) == f"file {f.file_id} is already listed in dataset d"
     g = make_file(2, dataset="e")
     with pytest.raises(DuplicateFile) as err:
-        layout.ingest([g, g])
-    assert str(err.value) == f"file {g.file_id} of dataset e is given twice in this ingest"
+        layout.ingest([g, make_file(1, dataset="e"), g])
+    assert str(err.value) == f"file {g.file_id} is given twice for dataset e"
+
+
+def test_a_file_listed_by_two_datasets_is_stored_once(tmp_path):
+    f = make_file(1)
+    layout = StorageLayout(node_count=4, replication=2).ingest([f])
+    stored = layout.blobs[f.file_id]
+    # listed anew, with its own times; the stored bytes stay as they are
+    again = DataFile(f.file_id, "e", utc(2011, 2, 1), utc(2011, 2, 2), b"other bytes")
+    g, h = make_file(2, dataset="e"), make_file(3, dataset="a")
+    layout.ingest([again, g, h, DataFile(h.file_id, "b", h.t0, h.t1, h.data)])
+    assert layout.blobs[f.file_id] is stored
+    assert layout.blobs.keys() == layout.placements.keys() == {f.file_id, g.file_id, h.file_id}
+    listed = {name: [(m.file_id, m.t0, m.t1) for m in metas]
+              for name, metas in layout.by_dataset.items()}
+    assert listed == {
+        "d": [(f.file_id, f.t0, f.t1)],
+        "e": [(g.file_id, g.t0, g.t1), (f.file_id, again.t0, again.t1)],
+        "a": [(h.file_id, h.t0, h.t1)],
+        "b": [(h.file_id, h.t0, h.t1)],
+    }
+    layout.save(tmp_path)
+    for file_id, nodes in layout.placements.items():
+        assert sorted(tmp_path.glob(replica(file_id))) == sorted(
+            tmp_path / replica(file_id, node) for node in nodes
+        )
+    loaded = StorageLayout.load(tmp_path)
+    assert loaded.placements == layout.placements
+    assert {name: [(m.file_id, m.t0, m.t1) for m in metas]
+            for name, metas in loaded.by_dataset.items()} == listed
+    assert loaded.read(f.file_id) == f.data
 
 
 def _contents(layout):
-    return dict(layout.placements), dict(layout.blobs), dict(layout.meta)
+    return dict(layout.placements), dict(layout.blobs), dict(layout.by_dataset)
 
 
 @pytest.mark.parametrize("batch", [[2, 1], [2, 2], [2, 3, 2]], ids=["stored", "twice", "twice-later"])
@@ -313,17 +348,11 @@ def test_on_disk_round_trip(tmp_path):
         assert loaded.read(f.file_id) == f.data
 
 
-def replica(root: Path, layout: StorageLayout, file_id: str, rank: int) -> Path:
-    """The stored copy of ``file_id`` on its ``rank``-th placement node."""
-    node = layout.placements[file_id][rank]
-    return root / f"node-{node}" / layout.meta[file_id].relative_path
-
-
 def test_load_reads_no_snapshot(tmp_path):
     files = [make_file(i) for i in range(6)]
     layout = StorageLayout(node_count=3, replication=2).ingest(files)
     layout.save(tmp_path)
-    for snap in tmp_path.glob("node-*/d/*.snap"):
+    for snap in tmp_path.glob(replica()):
         snap.unlink()
     loaded = StorageLayout.load(tmp_path)
     assert loaded.placements == layout.placements and loaded.blobs == {}
@@ -342,7 +371,7 @@ def test_a_loaded_read_fails_over_to_the_next_replica(tmp_path, fault):
     layout = StorageLayout(node_count=3, replication=2).ingest(files)
     layout.save(tmp_path)
     for f in files:
-        path = replica(tmp_path, layout, f.file_id, 0)
+        path = tmp_path / replica(f.file_id, layout.placements[f.file_id][0])
         if fault == "altered":
             path.write_bytes(b"other bytes")
         else:
@@ -362,8 +391,8 @@ def test_a_loaded_read_skips_failed_nodes_and_names_each_replica_tried(tmp_path)
     layout = StorageLayout(node_count=4, replication=3).ingest([f])
     layout.save(tmp_path)
     first, second, third = layout.placements[f.file_id]
-    replica(tmp_path, layout, f.file_id, 1).write_bytes(b"other bytes")
-    replica(tmp_path, layout, f.file_id, 2).unlink()
+    (tmp_path / replica(f.file_id, second)).write_bytes(b"other bytes")
+    (tmp_path / replica(f.file_id, third)).unlink()
     loaded = StorageLayout.load(tmp_path)
     assert loaded.read(f.file_id) == f.data
     loaded.fail_node(first)
@@ -375,7 +404,7 @@ def test_a_loaded_read_skips_failed_nodes_and_names_each_replica_tried(tmp_path)
     # a view reads the stored replicas, not its own simulated nodes
     loaded.recover_node(first)
     view = loaded.reshaped(9, 1)
-    replica(tmp_path, layout, f.file_id, 0).write_bytes(b"other bytes")
+    (tmp_path / replica(f.file_id, first)).write_bytes(b"other bytes")
     with pytest.raises(UnreadableFile, match=f"node {first} digest mismatch, node {second}"):
         view.read(f.file_id)
 
@@ -434,8 +463,8 @@ def test_a_read_serves_the_first_intact_replica_on_a_surviving_node(data):
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         layout.save(root)
-        for rank, fault in enumerate(faults):
-            spoil(replica(root, layout, f.file_id, rank), fault)
+        for node, fault in zip(layout.placements[f.file_id], faults):
+            spoil(root / replica(f.file_id, node), fault)
         loaded = StorageLayout.load(root)
         for node in failed:
             loaded.fail_node(node)
@@ -472,7 +501,7 @@ def test_a_restored_replica_serves_again(tmp_path):
     layout = StorageLayout(node_count=3, replication=2).ingest([f])
     layout.save(tmp_path)
     first, second = layout.placements[f.file_id]
-    path = replica(tmp_path, layout, f.file_id, 0)
+    path = tmp_path / replica(f.file_id, first)
     path.rename(tmp_path / "aside")
     loaded = StorageLayout.load(tmp_path)
     assert loaded.read(f.file_id) == f.data and loaded.serving_node(f.file_id) == second
@@ -484,7 +513,7 @@ def test_save_of_a_loaded_layout_writes_only_the_files_it_holds(tmp_path):
     old = [make_file(i) for i in range(6)]
     root = tmp_path / "store"
     StorageLayout(node_count=3, replication=2).ingest(old).save(root)
-    stored = sorted(root.glob("node-*/d/*.snap"))
+    stored = sorted(root.glob(replica()))
     for path in stored:
         path.write_bytes(b"other bytes")  # what a rewrite of the replicas would mend
     loaded = StorageLayout.load(root)
@@ -503,7 +532,8 @@ def test_save_of_a_loaded_layout_elsewhere_copies_intact_bytes(tmp_path):
     files = [make_file(i) for i in range(6)]
     layout = StorageLayout(node_count=3, replication=2).ingest(files)
     layout.save(tmp_path / "a")
-    replica(tmp_path / "a", layout, files[0].file_id, 0).write_bytes(b"other bytes")
+    first = files[0].file_id
+    (tmp_path / "a" / replica(first, layout.placements[first][0])).write_bytes(b"other bytes")
     loaded = StorageLayout.load(tmp_path / "a")
     loaded.save(tmp_path / "b")
     loaded.reshaped(4, 3).save(tmp_path / "a")  # the same root at another shape
@@ -512,9 +542,7 @@ def test_save_of_a_loaded_layout_elsewhere_copies_intact_bytes(tmp_path):
         assert (copy.node_count, copy.replication) == shape
         for f in files:
             nodes = copy.placements[f.file_id]
-            assert {replica(root, copy, f.file_id, k).read_bytes() for k in range(len(nodes))} == {
-                f.data
-            }
+            assert {(root / replica(f.file_id, node)).read_bytes() for node in nodes} == {f.data}
 
 
 @pytest.mark.parametrize("node_count", [1, 2, 9, 10, 11, 20])
@@ -601,12 +629,13 @@ def test_views_sharing_a_memo_keep_their_shapes_and_file_order():
         (None, "d", "/etc/hostname"),
         (None, "d", "../../fabric.conf"),
         (None, "d", "d/../../fabric.conf"),
-        ("x/../../../fabric", "d", "d/x/../../../fabric.snap"),
-        ("nul\0id", "d", "d/nul\0id.snap"),
-        (None, "e", "e/{fid}.snap"),
+        ("x/../../../fabric", "d", "x/../../../fabric.snap"),
+        ("nul\0id", "d", "nul\0id.snap"),
+        (None, "e", "{fid}.snap"),
+        (None, "d", "d/{fid}.snap"),
     ],
     ids=["empty", "dataset-dir", "absolute", "parent", "inner-parent", "id-with-slash",
-         "id-with-nul", "other-dataset"],
+         "id-with-nul", "other-dataset", "old-layout"],
 )
 def test_load_refuses_path_save_would_not_write(tmp_path, file_id, dataset, relpath):
     f = make_file(0)
@@ -650,16 +679,19 @@ def test_load_rejects_bad_fabric_conf(tmp_path, conf, message):
         ("abc\td\t2011-01-01T00:00Z\t2011-13-01T00:00Z\td/abc.snap", "bad timestamp: "),
         ("abc\td\t2011-01-02T00:00Z\t2011-01-01T00:00Z\td/abc.snap",
          "t0 2011-01-02T00:00Z is after t1 2011-01-01T00:00Z"),
+        ("{fid}\td\t2011-01-02T00:00Z\t2011-01-03T00:00Z\t{fid}.snap",
+         "file '{fid}' is listed twice"),
     ],
-    ids=["short", "long", "time", "reversed-times"],
+    ids=["short", "long", "time", "reversed-times", "listed-twice"],
 )
 def test_load_rejects_bad_manifest_line(tmp_path, line, message):
-    StorageLayout(node_count=3, replication=2).ingest([make_file(0)]).save(tmp_path)
+    f = make_file(0)
+    StorageLayout(node_count=3, replication=2).ingest([f]).save(tmp_path)
     manifest = tmp_path / "datasets" / "d" / "manifest.tsv"
-    manifest.write_text(manifest.read_text() + line + "\n")
+    manifest.write_text(manifest.read_text() + line.format(fid=f.file_id) + "\n")
     with pytest.raises(StorageError) as err:
         StorageLayout.load(tmp_path)
-    assert str(err.value).startswith(f"{manifest}:2: {message}")
+    assert str(err.value).startswith(f"{manifest}:2: {message.format(fid=f.file_id)}")
 
 
 @settings(max_examples=100, deadline=None)
@@ -728,17 +760,18 @@ def test_load_rejects_manifest_that_is_not_utf8(tmp_path):
 
 
 
-def test_load_refuses_one_file_in_two_datasets(tmp_path):
-    # ingest refuses such a file as DuplicateFile; load must not move it
-    # silently to the last dataset
+def test_load_lists_one_file_in_two_datasets(tmp_path):
+    # a file is stored once, whatever datasets list it: both keep it
     f, g = make_file(0, dataset="a"), make_file(1, dataset="b")
-    StorageLayout(node_count=3, replication=2).ingest([f, g]).save(tmp_path)
+    layout = StorageLayout(node_count=3, replication=2).ingest([f, g])
+    layout.save(tmp_path)
     first, second = (tmp_path / "datasets" / name / "manifest.tsv" for name in "ab")
-    line = first.read_text().replace("\ta\t", "\tb\t").replace("\ta/", "\tb/")
-    second.write_text(second.read_text() + line)
-    with pytest.raises(StorageError) as err:
-        StorageLayout.load(tmp_path)
-    assert str(err.value) == f"{second}: file {f.file_id!r} is also listed in {first}"
+    second.write_text(second.read_text() + first.read_text().replace("\ta\t", "\tb\t"))
+    loaded = StorageLayout.load(tmp_path)
+    assert loaded.placements == layout.placements
+    assert [m.file_id for m in loaded.dataset_files("a")] == [f.file_id]
+    assert [m.file_id for m in loaded.dataset_files("b")] == [f.file_id, g.file_id]
+    assert loaded.read(f.file_id) == f.data
 
 
 @settings(max_examples=60)
