@@ -8,8 +8,6 @@ come from the center sequence itself.
 from __future__ import annotations
 
 import math
-from datetime import datetime
-from typing import Callable
 
 import numpy as np
 
@@ -29,18 +27,13 @@ RADIUS_DEPTH_FRACTION = 0.75
 DEFAULT_DENSIFY_FACTOR = 4
 
 
-def parametrize(
-    path: CyclonePath,
-    snapshot_for: Callable[[datetime], GridSnapshot],
-) -> CycloneParams:
-    """Extract CycloneParams from a path and its final snapshot.
-
-    ``snapshot_for`` must return the snapshot holding the given timestamp.
-    """
+def parametrize(path: CyclonePath, snapshot: GridSnapshot) -> CycloneParams:
+    """Extract CycloneParams from a path and ``snapshot``, the grid that
+    holds the path's final center."""
     if not path.centers:
         raise ValueError("cannot parametrize an empty path")
     last = path.centers[-1]
-    coarse = _crop_to_window(snapshot_for(last.timestamp), last.lat, last.lon)
+    coarse = _crop_to_window(snapshot, last.lat, last.lon)
     snap = densify(coarse, DEFAULT_DENSIFY_FACTOR)
 
     i_lo, i_hi = _index_window(snap.lat0, snap.dlat, snap.nlat, last.lat)

@@ -3,7 +3,8 @@
 Procedure contract with the engine:
 
   * extractor(data, memo) -> (timestamp, [items with .lat and .lon])
-  * combiner([(timestamp, [CycloneCenter])], ReduceContext) -> [DomainObject]
+  * combiner([(instant, file id, [CycloneCenter])] in (t0, file id) order,
+             read_file, memo) -> [DomainObject]
   * filter(object params dict, value) -> bool
   * builtin package procedure(bindings dict) -> outputs dict
 
@@ -13,8 +14,8 @@ of ``track`` and ``parametrize``. The extractor sees no query either: its
 result is a function of the file's bytes, and the engine selects the
 instants and centers a query's time and area clauses ask for.
 
-The extractor's ``memo`` and ``ReduceContext.memo`` are the procedure's
-own namespace of the storage layout's memo; it keeps there only pure
+The ``memo`` of the extractor and of the combiner is the procedure's own
+namespace of the storage layout's memo; it keeps there only pure
 functions of its inputs and the stored bytes. The extractor decodes only
 the header line and keys minima scans on the grid body bytes and shape, so
 identical bodies (the common all-background case) are scanned once per
@@ -24,9 +25,15 @@ body, the extractor checks the newest entry, the body it used last: a
 snapshot that ends with that body and starts with that header prefix,
 with one timestamp field between them, needs only its timestamp parsed.
 Anything else takes the full path, and a header that does not parse
-raises what ``parse_grid_snapshot`` raises. The combiner keys the
-snapshots it parses by file id, a content address, and keeps each path's
-parameters, keyed by its centers and the file id of its final snapshot:
+raises what ``parse_grid_snapshot`` raises.
+
+The combiner tracks the centers of all files, one instant at a time, and
+knows each center's file: a center that two files list is the first's.
+A path is parametrized from the snapshot of its final center's file, so
+files that share an instant, such as tiles of one region, each serve
+their own paths, and a path's provenance is its centers' files. The
+combiner keys the snapshots it parses by file id, a content address, and
+keeps each path's parameters, keyed by its centers and that file id:
 ``parametrize`` reads nothing else, so a repeat submit parametrizes no
 path again, and a path that a query's area or time crops into other
 centers is parametrized anew.
@@ -40,9 +47,10 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Callable
 
 import dslake
-from dslake.errors import CombinerFailure, FormatError, RegistryError
+from dslake.errors import FormatError, RegistryError
 from dslake.registry import (
     DomainLibraryDescriptor,
     DomainObject,
@@ -53,7 +61,6 @@ from dslake.registry import (
     PackageInput,
     PackageOutputDecl,
     Placement,
-    ReduceContext,
     StructureLevel,
 )
 from dslake.hybrid import IndexedSeries
@@ -68,16 +75,19 @@ LIBRARY_NAME = "cyclone"
 OBJECT_TYPE = "cyclone-path"
 FILE_KIND = "grid"
 
+# each parameter of a path: its name, its semantic type and its source, the
+# CycloneParams field it reads, the path's start ("start") or the
+# parameters whole ("params")
 OUTPUT_PARAMS = (
-    ("Bearing", "float"),
-    ("Depth", "float"),
-    ("Direction", "string"),
-    ("EndTime", "datetime"),
-    ("MeanSpeed", "float"),
-    ("Pressure", "float"),
-    ("Radius", "float"),
-    ("StartTime", "datetime"),
-    ("cyclone", "cyclone-params"),
+    ("Bearing", "float", "average_bearing"),
+    ("Depth", "float", "depth"),
+    ("Direction", "string", "direction_sector"),
+    ("EndTime", "datetime", "end_time"),
+    ("MeanSpeed", "float", "mean_speed_kmh"),
+    ("Pressure", "float", "central_pressure"),
+    ("Radius", "float", "radius_km"),
+    ("StartTime", "datetime", "start"),
+    ("cyclone", "cyclone-params", "params"),
 )
 
 def extract_centers(data: bytes, memo: dict) -> tuple[datetime, list[CycloneCenter]]:
@@ -150,50 +160,46 @@ def _timestamp_line(line: bytes) -> datetime | None:
     return None
 
 
-def _snapshot_accessor(ctx: ReduceContext):
-    def snapshot_for(ts: datetime):
-        file_id = ctx.file_for(ts)
-        if not file_id:
-            raise CombinerFailure(f"no snapshot file covers {ts}")
-        snapshot = ctx.memo.get(file_id)
-        if snapshot is None:
-            snapshot = ctx.memo[file_id] = parse_grid_snapshot(ctx.read_file(file_id))
-        return snapshot
-
-    return snapshot_for
-
-
 def combine_paths(
-    center_sets: list[tuple[datetime, list[CycloneCenter]]],
-    ctx: ReduceContext,
+    center_sets: list[tuple[datetime, str, list[CycloneCenter]]],
+    read_file: Callable[[str], bytes],
+    memo: dict,
 ) -> list[DomainObject]:
-    snapshot_for = _snapshot_accessor(ctx)
+    by_instant: dict[datetime, list[CycloneCenter]] = {}
+    file_of: dict[CycloneCenter, str] = {}  # a center -> the first file listing it
+    for ts, file_id, items in center_sets:
+        if items:
+            centers = by_instant.get(ts)
+            if centers is None:
+                # a new list: without an area clause the items are the memo record's list
+                by_instant[ts] = list(items)
+            else:
+                centers += items
+            for center in items:
+                file_of.setdefault(center, file_id)
+        elif ts not in by_instant:  # most instants hold no center
+            by_instant[ts] = []
     objects = []
-    for path in track(center_sets):
-        key = (path.centers, ctx.file_for(path.end_time))
-        params = ctx.memo.get(key)
-        if params is None:
-            params = ctx.memo[key] = parametrize(path, snapshot_for)
+    for path in track(sorted(by_instant.items())):  # instants are distinct keys
         provenance = []
         for center in path.centers:
-            file_id = ctx.file_for(center.timestamp)
-            if file_id and (not provenance or provenance[-1] != file_id):
+            file_id = file_of[center]
+            if not provenance or provenance[-1] != file_id:
                 provenance.append(file_id)
+        final = provenance[-1]  # the file of the path's final center
+        key = (path.centers, final)
+        params = memo.get(key)
+        if params is None:
+            snapshot = memo.get(final)
+            if snapshot is None:
+                snapshot = memo[final] = parse_grid_snapshot(read_file(final))
+            params = memo[key] = parametrize(path, snapshot)
+        sources = {**params._asdict(), "start": path.start_time, "params": params}
         objects.append(
             DomainObject(
                 object_id=path.path_id,
                 object_type=OBJECT_TYPE,
-                params={
-                    "Bearing": params.average_bearing,
-                    "Depth": params.depth,
-                    "Direction": params.direction_sector,
-                    "EndTime": params.end_time,
-                    "MeanSpeed": params.mean_speed_kmh,
-                    "Pressure": params.central_pressure,
-                    "Radius": params.radius_km,
-                    "StartTime": path.start_time,
-                    "cyclone": params,
-                },
+                params={name: sources[source] for name, _, source in OUTPUT_PARAMS},
                 provenance=tuple(provenance),
             )
         )
@@ -223,7 +229,7 @@ def library_descriptor() -> DomainLibraryDescriptor:
                 name=OBJECT_TYPE,
                 aliases=("cyclon-path",),
                 structure_level=StructureLevel.HIGH_LEVEL,
-                output_params=OUTPUT_PARAMS,
+                output_params=tuple((name, kind) for name, kind, _ in OUTPUT_PARAMS),
                 fragment_type="center-set",
             ),
         ),

@@ -16,14 +16,15 @@ keeps one only to validate each request against.
 Determinism contract: for fixed (request, dataset bytes, registry) the
 canonical result document is byte-identical whatever the node count, the
 map completion order, or any survivable failure state. Everything the
-reduce consumes is content-addressed, the reduce orders its own input by
-(t0, file_id) whatever order the fragments arrive in, and node-dependent
-facts stay out of the canonical text.
+reduce consumes is content-addressed, the reduce hands the combiner one
+``(instant, file_id, payload)`` per fragment in (t0, file_id) order
+whatever order the fragments arrive in, and node-dependent facts stay out
+of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
 in module state: each file's map record under the plan's extractor
 functions and the file id, one namespace per procedure, passed to the
-extractor or as ``ReduceContext.memo``, and the storage's own placements
+extractor or the combiner as its ``memo``, and the storage's own placements
 per shape (node count and replication). A record is a function of the
 file's bytes alone; the query's area and time select from it. Reshaped
 views share the memo, so a file mapped once is not read or extracted
@@ -75,7 +76,6 @@ from dslake.registry import (
     DomainObject,
     KnowledgeRegistry,
     Placement,
-    ReduceContext,
 )
 from dslake.report import (
     Diagnostics,
@@ -117,6 +117,7 @@ class Fragment(NamedTuple):
 
 
 _ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
+_CENTER_SET = itemgetter(4, 0, 3)  # a fragment's (payload_time, file_id, payload)
 
 _INDEX_VERSION = 1  # of the map index's entries; part of its stamp
 
@@ -312,31 +313,15 @@ def run_reduce(
     document of task ``task_id``, which external packages see as
     ``DSLAKE_TASK_ID``.
 
-    The reduce orders its own input: fragments are taken by (t0, file_id),
-    so centers that share an instant reach the combiner in that order, and
-    ``file_for`` gives the lowest file id of each instant.
+    The reduce orders its own input: the combiner is given each fragment's
+    ``(instant, file_id, payload)`` in (t0, file_id) order, with the
+    layout's ``read`` and the combiner's namespace of the layout's memo.
     """
-    grouped: dict[datetime, list] = {}
-    file_for: dict[datetime, str] = {}
-    for file_id, _, _, payload, ts in sorted(fragments, key=_ARRIVAL_ORDER):
-        items = grouped.get(ts)
-        if items is None:
-            # a copy: without an area clause the payload is the memo record's list
-            grouped[ts] = list(payload)
-            file_for[ts] = file_id
-        else:
-            items.extend(payload)
-            if file_id < file_for[ts]:
-                file_for[ts] = file_id
-    center_sets = sorted(grouped.items())  # instants are distinct keys
-
-    ctx = ReduceContext(
-        read_file=layout.read,
-        file_for=lambda ts: file_for.get(ts, ""),
-        memo=layout.memo.setdefault(query.combiner, {}),
-    )
+    center_sets = list(map(_CENTER_SET, sorted(fragments, key=_ARRIVAL_ORDER)))
     try:
-        objects: list[DomainObject] = query.combiner(center_sets, ctx)
+        objects: list[DomainObject] = query.combiner(
+            center_sets, layout.read, layout.memo.setdefault(query.combiner, {})
+        )
     except DslakeError:
         raise
     except Exception as exc:

@@ -238,15 +238,6 @@ class DomainObject:
     provenance: tuple[str, ...] = ()  # contributing file ids
 
 
-@dataclass
-class ReduceContext:
-    """Aggregation-side services available to a combiner."""
-
-    read_file: Callable[[str], bytes] = lambda file_id: b""
-    file_for: Callable[[Any], str] = lambda ts: ""
-    memo: dict = field(default_factory=dict)  # the combiner's namespace of StorageLayout.memo
-
-
 ProcedureTable = dict[str, Callable]
 
 

@@ -322,7 +322,7 @@ class StorageLayout:
             copy = data
             try:
                 if copy is None:
-                    fd = os.open(f"{layout.root}/node-{node}/{file_id}.snap", os.O_RDONLY)
+                    fd = os.open(_replica(layout.root, node, file_id), os.O_RDONLY)
                     try:
                         copy = os.read(fd, os.fstat(fd).st_size)
                     finally:
@@ -369,7 +369,7 @@ class StorageLayout:
                     continue
                 data = self.read(file_id)
             for node in nodes:
-                target = root / f"node-{node}" / f"{file_id}.snap"
+                target = Path(_replica(root, node, file_id))
                 target.parent.mkdir(exist_ok=True)
                 target.write_bytes(data)
 
@@ -436,6 +436,11 @@ def _unreadable(file_id: str, fates: list[tuple[int, str]]) -> UnreadableFile:
 
 def _time_order(meta: FileMeta) -> tuple[datetime, str]:
     return meta.t0, meta.file_id
+
+
+def _replica(root: Path, node: int, file_id: str) -> str:
+    """The path of the copy of ``file_id`` on ``node`` of the store at ``root``."""
+    return f"{root}/node-{node}/{file_id}.snap"
 
 
 _STORED_FORM = (

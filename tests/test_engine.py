@@ -36,12 +36,12 @@ from dslake.registry import (
     PackageInput,
     PackageOutputDecl,
     Placement,
-    ReduceContext,
 )
 from dslake.storage import DataFile, StorageLayout
 from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
 from dslake.cyclone.grid import render_grid_snapshot
-from dslake.cyclone.synthetic import SyntheticSpec, generate_synthetic
+from dslake.cyclone.synthetic import PlantedCyclone, SyntheticSpec, generate_synthetic
+from dslake.lang.ast import GeoBox
 
 from conftest import FIG5_AREA, FIG5_SCRIPT, REFUSED_SCRIPTS, utc
 from test_detect import gaussian_depression
@@ -142,17 +142,17 @@ def test_direction_filter_by_bearing(registry):
 
 
 def test_reduce_orders_its_own_input(registry):
-    # fragments that share an instant reach the combiner in (t0, file_id)
-    # order, and file_for gives the lowest file id of the instant, however
-    # the fragments arrive; "c" reports instant 0 from a file that starts at 3
+    # the combiner is given each fragment's (instant, file id, payload) in
+    # (t0, file_id) order, however the fragments arrive; "c" reports
+    # instant 0 from a file that starts at 3
     def frag(t0_hour, fid, instant_hour):
         t0, ts = utc(2011, 1, 1, t0_hour), utc(2011, 1, 1, instant_hour)
         return Fragment(file_id=fid, node=0, t0=t0, payload=[fid], payload_time=ts)
 
     seen = []
 
-    def recording(center_sets, ctx):
-        seen.append((center_sets, [ctx.file_for(ts) for ts, _ in center_sets], ctx.file_for(None)))
+    def recording(center_sets, read_file, memo):
+        seen.append(center_sets)
         return []
 
     registry.procedures["cyclone.combine_paths"] = recording
@@ -161,14 +161,15 @@ def test_reduce_orders_its_own_input(registry):
     fragments = [frag(6, "b", 6), frag(0, "z", 0), frag(6, "a", 6), frag(3, "c", 0)]
     for arrival in itertools.permutations(fragments):
         run_reduce(list(arrival), query, layout)
-    expected = (
-        [(utc(2011, 1, 1, 0), ["z", "c"]), (utc(2011, 1, 1, 6), ["a", "b"])],
-        ["c", "a"],
-        "",
-    )
+    expected = [
+        (utc(2011, 1, 1, 0), "z", ["z"]),
+        (utc(2011, 1, 1, 0), "c", ["c"]),
+        (utc(2011, 1, 1, 6), "a", ["a"]),
+        (utc(2011, 1, 1, 6), "b", ["b"]),
+    ]
     assert seen == [expected] * 24
     run_reduce([], query, layout)
-    assert seen[-1] == ([], [], "")
+    assert seen[-1] == []
 
 
 def test_reduce_invariant_under_fragment_permutation(registry):
@@ -272,7 +273,7 @@ def test_submit_of_a_refused_script_reads_no_file(station_registry, monkeypatch,
 
 
 def test_combiner_exception_is_a_combiner_failure(registry):
-    def broken(center_sets, ctx):
+    def broken(center_sets, read_file, memo):
         raise Exception("combiner bug")
 
     registry.procedures["cyclone.combine_paths"] = broken
@@ -502,12 +503,11 @@ def test_map_stage_runs_on_the_submitting_thread(registry, monkeypatch):
     assert doc.diagnostics.files_mapped == len(layout.dataset_files("d1"))
     fields = {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
-        for cls in (EngineConfig, TaskRequest, ReduceContext)
+        for cls in (EngineConfig, TaskRequest)
     }
     assert fields == {
         "EngineConfig": ["node_count", "replication"],
         "TaskRequest": ["dataset", "script", "engine_config"],
-        "ReduceContext": ["read_file", "file_for", "memo"],
     }
 
 
@@ -570,8 +570,8 @@ def test_object_without_a_bound_parameter_is_a_failed_simulation(registry):
     layout, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
     combine = registry.procedures["cyclone.combine_paths"]
 
-    def combine_without_cyclone(center_sets, ctx):
-        objects = combine(center_sets, ctx)
+    def combine_without_cyclone(center_sets, read_file, memo):
+        objects = combine(center_sets, read_file, memo)
         for obj in objects:
             del obj.params["cyclone"]
         return objects
@@ -680,12 +680,14 @@ def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
     assert len(layout.memo[counting]) <= len(bodies)  # minima, keyed by body
     combiner = registry.procedures["cyclone.combine_paths"]
     assert len(layout.memo[combiner]) <= len(metas)
-    # parameters are keyed by a tracked path's centers and the lowest file id
-    # of its final instant, so there is at most one per distinct such pair
-    file_for = {}
-    for file_id, (ts, _) in layout.memo[(counting,)].items():
-        file_for[ts] = min(file_id, file_for.get(ts, file_id))
-    pairs = {(path.centers, file_for[path.end_time]) for path in tracked}
+    # parameters are keyed by a tracked path's centers and the file of its
+    # final center, so there is at most one per distinct such pair
+    file_of = {
+        center: file_id
+        for file_id, (_, centers) in layout.memo[(counting,)].items()
+        for center in centers
+    }
+    pairs = {(path.centers, file_of[path.centers[-1]]) for path in tracked}
     assert {key for key in layout.memo[combiner] if isinstance(key, tuple)} <= pairs
 
 
@@ -693,9 +695,9 @@ def _counting_parametrize(monkeypatch) -> list:
     """The centers of every path ``plugin.parametrize`` is called on, in order."""
     parametrize, calls = plugin.parametrize, []
 
-    def counting(path, snapshot_for):
+    def counting(path, snapshot):
         calls.append(path.centers)
-        return parametrize(path, snapshot_for)
+        return parametrize(path, snapshot)
 
     monkeypatch.setattr(plugin, "parametrize", counting)
     return calls
@@ -768,6 +770,75 @@ def test_the_reduce_never_alters_a_memo_record(registry):
     assert warm.submit(request).canonical_text() == first
     records = layout.memo[(registry.procedures["cyclone.extract_centers"],)]
     assert [len(records[f.file_id][1]) for f in files] == [1, 1]
+
+
+WEST, EAST = GeoBox(48, -25, 66, 0), GeoBox(48, 5, 66, 32)
+TILE_SCRIPT = (
+    "select cyclone-path\n  out(Params[EndTime], Params[cyclone])\n"
+    "simulate\n  with BSM\n  semantic_association yes\n"
+    "  in(startTime: EndTime - 48h)\n  out(level[440,414])\n"
+    "simulate\n  with NODEPKG\n  semantic_association yes\n  out(surge)\n"
+)
+
+
+def tile(area, lat, lon, bearing):
+    """Three days of snapshots over ``area``, with one listed cyclone alive
+    from 06h of the first day to 00h of the third."""
+    cyclone = PlantedCyclone(utc(2011, 1, 1, 6), utc(2011, 1, 3), lat, lon, bearing,
+                             speed_kmh=20.0, depth_hpa=30.0, sigma_km=300.0)
+    spec = SyntheticSpec("d1", area, utc(2011, 1, 1), utc(2011, 1, 3, 18), cyclones=(cyclone,))
+    return generate_synthetic(spec)[0]
+
+
+def results(doc):
+    """A document's objects and simulations: ids, parameters, outputs and provenance."""
+    objects = {o.object_id: o.requested_params for o in doc.objects}
+    sims = {(s.object_id, s.package): (s.status, s.outputs, s.provenance) for s in doc.simulations}
+    return objects, sims
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 4, 8])
+def test_tiles_of_one_instant_each_parametrize_their_own_paths(registry, tmp_path, nodes):
+    # two tiles over the same instants, one cyclone in each, ingested as one
+    # dataset: each path is parametrized from its own tile's grid, in memory
+    # and through a saved store, and the document is the union of the tiles
+    # submitted alone; an ON_NODE run is placed on its final file's node
+    descriptor = PackageDescriptor(
+        name="NODEPKG",
+        inputs=(PackageInput("cyclone", "cyclone-params", required=True),),
+        outputs=(PackageOutputDecl("surge", "float"),),
+        execution_mode=ExecutionMode.BUILTIN,
+        placement=Placement.ON_NODE,
+    )
+    registry.register_package(
+        descriptor, procedure=lambda bindings: {"surge": bindings["cyclone"].central_pressure}
+    )
+    west, east = tile(WEST, 54.0, -18.0, 60.0), tile(EAST, 56.0, 15.0, 110.0)
+    replication = min(2, nodes)
+    request = TaskRequest("d1", TILE_SCRIPT, EngineConfig(nodes, replication))
+
+    def layout_of(files):
+        return StorageLayout(node_count=nodes, replication=replication).ingest(files)
+
+    union = {}, {}
+    for files in (west, east):
+        objects, sims = results(submit(request, registry, layout_of(files)))
+        assert len(objects) == 1 and len(sims) == 2
+        union[0].update(objects)
+        union[1].update(sims)
+
+    both = layout_of(west + east)
+    both.save(tmp_path)
+    in_memory = engine.Engine(registry, both)
+    runs = [in_memory, in_memory]  # cold, then warm
+    runs += [engine.Engine(registry, StorageLayout.load(tmp_path)) for _ in ("miss", "hit")]
+    for run in runs:
+        doc = run.submit(request)
+        assert results(doc) == union
+        for sim in doc.simulations:
+            if sim.package == "NODEPKG":
+                assert sim.node == run.layout.serving_node(sim.provenance[-1])
+    assert doc.diagnostics.files_read == 0  # the second load's submit hit the index
 
 
 @pytest.mark.parametrize("module", [engine, plugin], ids=["engine", "plugin"])
