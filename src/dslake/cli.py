@@ -13,8 +13,8 @@
 precedence: flags > environment (DSLAKE_STORAGE_ROOT, DSLAKE_NODES,
 DSLAKE_REPLICATION, DSLAKE_SEED) > config file (--config or ./dslake.conf:
 key=value lines of storage_root, nodes, replication, seed and registry,
-each key at most once) > defaults. ``submit`` runs at the stored fabric's
-node count unless ``nodes`` is set, with replication min(stored
+each key at most once) > defaults. ``submit`` runs on a stored fabric, at
+its node count unless ``nodes`` is set, with replication min(stored
 replication, nodes) unless ``replication`` is set; the defaults of 2 and 2
 only shape a store that ``ingest`` creates. ``--fail-node`` names a node of
 the stored fabric, so a submit that sets another node count or replication
@@ -268,7 +268,8 @@ def _load_or_create_layout(config: CliConfig) -> StorageLayout:
 
 def _cmd_submit(args, config: CliConfig) -> int:
     registry = _load_registry(config)
-    layout = _load_or_create_layout(config)
+    script = _read_script(args.script)
+    layout = StorageLayout.load(config.storage_root)
     for node in args.fail_node or []:
         layout.fail_node(node)
     nodes = layout.node_count if config.node_count is None else config.node_count
@@ -277,7 +278,7 @@ def _cmd_submit(args, config: CliConfig) -> int:
         replication = min(layout.replication, nodes)
     request = TaskRequest(
         dataset=args.dataset,
-        script=_read_script(args.script),
+        script=script,
         engine_config=EngineConfig(node_count=nodes, replication=replication),
     )
     document = submit(request, registry, layout)

@@ -1,11 +1,11 @@
 """Simulated multi-node file storage with deterministic placement.
 
 Nodes live in one process. Placement is rendezvous hashing: for each node
-n the score is a 64-bit FNV-1a hash of the file id (UTF-8) concatenated
-with the node id rendered in decimal, and a file's replicas go to the
+n the score is a 64-bit FNV-1a hash of the file id's 64 hex digits
+followed by the node id in decimal, and a file's replicas go to the
 ``replication`` highest-scoring nodes in descending score order (ties by
-ascending node id). File ids are content addresses, the SHA-256 hex
-digest of the file bytes, so the store holds a file once, whatever
+ascending node id). File ids are content addresses, the SHA-256 digest of
+the file bytes in lowercase hex, so the store holds a file once, whatever
 datasets list it: a dataset is its manifest over the stored files.
 
 Placement is computed for a whole list of file ids at once (``place_all``):
@@ -24,10 +24,10 @@ On-disk layout (used by the CLI):
 
 Manifest columns (tab-separated): file_id, dataset, t0, t1, relative_path;
 times are ISO-8601 UTC. A manifest lists a file id at most once. In a
-stored manifest the dataset is the manifest's directory and the relative
-path is ``<file_id>.snap``. ``ingest`` refuses a file whose names would
-not make such a line (see ``_storable``), and ``load`` refuses a manifest
-line that does not hold one.
+stored manifest the file id is 64 lowercase hex digits, the dataset is the
+manifest's directory and the relative path is ``<file_id>.snap``; ``ingest``
+refuses a file that would not make such a line (``_STORED_FORM``), and
+``load`` a line that is not one.
 
 A loaded store holds no file bytes. ``load`` checks ``fabric.conf``, each
 manifest line and its stored path, and places the files. It opens no
@@ -35,7 +35,9 @@ manifest line and its stored path, and places the files. It opens no
 placement order, past failed nodes, whose SHA-256 digest is the file id
 (``StorageLayout.read``). ``save`` writes the files a layout holds in
 memory, those ingested in this process, and copies a loaded file only to
-a root or node its stored replicas are not at.
+a root or node its stored replicas are not at; then the manifests, then
+``fabric.conf``, each replaced whole as an index is (below), so a save cut
+short leaves no manifest cut or listing a replica not written.
 
 ``derived/`` holds indexes of results derived from the stored files, such
 as the engine's map records (``read_index``, ``write_index``). An index is
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -83,31 +86,22 @@ from dslake.times import iso_seconds, parse_utc
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FILE_ID = re.compile("[0-9a-f]{64}")  # a content address: a SHA-256 hex digest
 
 
 def _scores(file_ids: Sequence[str], node_count: int) -> np.ndarray:
     """(files, node_count) ``uint64`` rendezvous scores: the 64-bit FNV-1a
     hash of each file id followed by each node id.
 
-    One pass per byte column hashes every id. The ids are taken longest
-    first, so the ones long enough to have a byte in a column are its first
-    rows, and only those advance. One pass per node then extends each hash
-    by the node id. Products wrap mod 2**64.
+    The ids, 64 hex digits each (see ``place_all``), are the rows of one
+    byte matrix, and one pass per column hashes them all. One pass per node
+    then extends each hash by the node id. Products wrap mod 2**64.
     """
-    encoded = [file_id.encode() for file_id in file_ids]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    order = np.argsort(-lengths, kind="stable")
-    by_length = lengths[order]
-    data = np.frombuffer(b"".join([encoded[i] for i in order.tolist()]), dtype=np.uint8)
-    starts = np.cumsum(by_length) - by_length
-    longer = np.searchsorted(-by_length, -np.arange(lengths.max(initial=0)))
     prime = np.uint64(_FNV_PRIME)
-    hashes = np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64)
-    for col, rows in enumerate(longer.tolist()):
-        hashes[:rows] = (hashes[:rows] ^ data[starts[:rows] + col]) * prime
-    prefix = np.empty_like(hashes)
-    prefix[order] = hashes
-    scores = np.empty((len(encoded), node_count), dtype=np.uint64)
+    prefix = np.full(len(file_ids), _FNV_OFFSET, dtype=np.uint64)
+    for column in np.frombuffer("".join(file_ids).encode(), np.uint8).reshape(-1, 64).T:
+        prefix = (prefix ^ column) * prime
+    scores = np.empty((len(file_ids), node_count), dtype=np.uint64)
     for node in range(node_count):
         h = prefix
         for byte in str(node).encode():
@@ -124,7 +118,8 @@ def _ranked(scores: np.ndarray) -> np.ndarray:
 def place_all(
     file_ids: Sequence[str], node_count: int, replication: int
 ) -> list[tuple[int, ...]]:
-    """Rendezvous placement of every file of ``file_ids``, in their order."""
+    """Rendezvous placement of every file of ``file_ids``, in their order.
+    Each id must be 64 lowercase hex digits, as ``ingest`` and ``load`` ensure."""
     if not 1 <= replication <= node_count:
         raise InvalidReplication(f"replication {replication} not in [1, {node_count}]")
     ranked = _ranked(_scores(file_ids, node_count))
@@ -227,8 +222,8 @@ class StorageLayout:
 
         All or nothing: before any file is recorded, a file that its
         dataset already lists or that the batch gives twice for one dataset
-        raises ``DuplicateFile``, and a file whose names ``save`` cannot
-        store (see ``_storable``) raises ``StorageError``.
+        raises ``DuplicateFile``, and a file ``save`` cannot store (see
+        ``_STORED_FORM``) raises ``StorageError``.
         """
         files = list(files)
         given: dict[str, dict[str, FileMeta]] = {}  # each dataset's files of this batch
@@ -236,7 +231,7 @@ class StorageLayout:
             batch = given.setdefault(f.dataset, {})
             if f.file_id in batch:
                 raise DuplicateFile(f"file {f.file_id} is given twice for dataset {f.dataset}")
-            if not _storable(f.file_id, f.dataset):
+            if not (_FILE_ID.fullmatch(f.file_id) and _storable(f.dataset)):
                 raise StorageError(f"file {f.file_id!r} of dataset {f.dataset!r}: {_STORED_FORM}")
             batch[f.file_id] = FileMeta(f.file_id, f.dataset, f.t0, f.t1, f"{f.file_id}.snap")
         for dataset, batch in given.items():
@@ -347,19 +342,13 @@ class StorageLayout:
     # -- on-disk mode ----------------------------------------------------------
 
     def save(self, root: Path) -> None:
-        """Write ``fabric.conf``, the manifests, and every replica of the
-        files held in ``blobs``. A loaded file is copied, read through
-        ``read`` so its digest is checked, only where its stored replicas
-        are not: to another root, or onto nodes of another shape."""
+        """Write every replica of the files held in ``blobs``, then the
+        manifests, then ``fabric.conf``, each replaced whole (``_replace``).
+        A loaded file is copied, read through ``read`` so its digest is
+        checked, only where its stored replicas are not: to another root,
+        or onto nodes of another shape."""
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
-        (root / "fabric.conf").write_text(
-            f"node_count={self.node_count}\nreplication={self.replication}\n"
-        )
-        for dataset, metas in self.by_dataset.items():
-            manifest_dir = root / "datasets" / dataset
-            manifest_dir.mkdir(parents=True, exist_ok=True)
-            write_manifest(manifest_dir / "manifest.tsv", metas)
         stored = self if self.source is None else self.source
         in_place = stored.root is not None and root.resolve() == stored.root
         for file_id, nodes in self.placements.items():
@@ -372,6 +361,12 @@ class StorageLayout:
                 target = Path(_replica(root, node, file_id))
                 target.parent.mkdir(exist_ok=True)
                 target.write_bytes(data)
+        for dataset, metas in self.by_dataset.items():
+            manifest_dir = root / "datasets" / dataset
+            manifest_dir.mkdir(parents=True, exist_ok=True)
+            write_manifest(manifest_dir / "manifest.tsv", metas)
+        conf = f"node_count={self.node_count}\nreplication={self.replication}\n"
+        _replace(root / "fabric.conf", conf.encode())
 
     @staticmethod
     def load(root: Path) -> "StorageLayout":
@@ -444,30 +439,28 @@ def _replica(root: Path, node: int, file_id: str) -> str:
 
 
 _STORED_FORM = (
-    "a stored file is <file_id>.snap in a dataset's manifest, with no '/', tab,"
-    " NUL or line break in either name and a dataset other than '.' and '..'"
+    "a stored file is <file_id>.snap in a dataset's manifest, its id 64 lowercase hex"
+    " digits and its dataset other than '.' and '..' with no '/', tab, NUL or line break"
 )
 
 
-def _storable(file_id: str, dataset: str) -> bool:
-    """Whether ``<file_id>.snap`` stays in its node directory, ``<dataset>``
-    names a manifest's directory, and the manifest line reads back as written."""
-    names = file_id + dataset
+def _storable(dataset: str) -> bool:
+    """Whether ``dataset`` names a manifest directory and reads back from its lines."""
     return (
         dataset not in ("", ".", "..")
-        and not any(c in names for c in "/\t\0")
-        and len(f"{names}.".splitlines()) == 1
+        and not any(c in dataset for c in "/\t\0")
+        and len(f"{dataset}.".splitlines()) == 1
     )
 
 
 def _check_stored_path(manifest: Path, meta: FileMeta) -> None:
     """Refuse a stored manifest entry that ``save`` would not have written:
-    one whose dataset is not the manifest's directory or whose relative path
-    is not ``<file_id>.snap`` of storable names."""
-    dataset = manifest.parent.name
+    one whose dataset is not its directory (so storable, as a manifest field
+    holds no tab or line break), whose id is not a content address, or whose
+    relative path is not ``<file_id>.snap``."""
     if (
-        meta.dataset != dataset
-        or not _storable(meta.file_id, dataset)
+        meta.dataset != manifest.parent.name
+        or not _FILE_ID.fullmatch(meta.file_id)
         or meta.relative_path != f"{meta.file_id}.snap"
     ):
         raise StorageError(
@@ -530,11 +523,16 @@ def write_index(path: Path, stamp: str, entries: Iterable[str]) -> None:
     cannot write, and leaves the index as it was."""
     body = "".join(f"{entry}\n" for entry in entries).encode()
     path.parent.mkdir(exist_ok=True)
-    # one temporary name per writing thread, so concurrent writers each
-    # replace the index with a whole one
+    _replace(path, f"{_INDEX_HEADER} {stamp} ".encode() + _hex_digest(body) + b"\n" + body)
+
+
+def _replace(path: Path, data: bytes) -> None:
+    """Replace ``path`` whole with ``data``: a reader sees the old file or the
+    new one, and on an error both it and its directory stay as they were. One
+    temporary name per writing thread lets concurrent writers each replace it whole."""
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}")
     try:
-        temp.write_bytes(f"{_INDEX_HEADER} {stamp} ".encode() + _hex_digest(body) + b"\n" + body)
+        temp.write_bytes(data)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -546,11 +544,11 @@ def _hex_digest(data: bytes) -> bytes:
 
 
 def write_manifest(path: Path, metas: Iterable[FileMeta]) -> None:
-    """Write ``metas`` in the format ``read_manifest`` reads."""
+    """Replace ``path`` whole with ``metas``, in the format ``read_manifest`` reads."""
     lines = [
         "\t".join(
             (m.file_id, m.dataset, iso_seconds(m.t0), iso_seconds(m.t1), m.relative_path)
         )
         for m in metas
     ]
-    path.write_text("\n".join(lines) + "\n")
+    _replace(path, ("\n".join(lines) + "\n").encode())

@@ -104,11 +104,23 @@ def test_usage_error_exit_two(workdir, capsys):
 
 
 def test_submit_empty_dataset_zero_objects(workdir, capsys):
+    # a dataset the store does not list is empty: zero objects
+    run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 9)))
     script = workdir / "fig5.dq"
     script.write_text(FIG5_SCRIPT)
-    code, out, err = run(capsys, "submit", "--dataset", "d1", str(script))
-    assert code == 0
+    code, out, err = run(capsys, "submit", "--dataset", "d2", str(script))
+    assert (code, err) == (0, "")
     assert "OBJECTS\nSIMULATIONS" in out
+
+
+def test_submit_without_a_store_exit_one(workdir, capsys):
+    # a mistyped root is not an empty store: refused, and nothing is written
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    code, out, err = run(capsys, "--storage-root", "nostore", "submit", "--dataset", "d1",
+                         str(script))
+    assert (code, out, err) == (1, "", "error: no fabric at nostore\n")
+    assert sorted(workdir.iterdir()) == [script]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -46,16 +47,19 @@ def reference_ranking(file_id: str, node_count: int) -> list[int]:
     return [node for _, node in sorted(scores, key=lambda sn: (-sn[0], sn[1]))]
 
 
-MIXED_IDS = [
-    "",
-    "a",
-    "f1",
-    "é",
-    "日本語ファイル",
-    "ab\x00c",
-    "x" * 100,
+HEX = "0123456789abcdef"
+
+# file ids are content addresses: SHA-256 digests of varied bytes, and the
+# least and greatest 64 hex digits
+HEX_IDS = [
+    "0" * 64,
+    "f" * 64,
+    *(
+        hashlib.sha256(data).hexdigest()
+        for data in (b"", b"a", b"f1", "日本語ファイル".encode(), b"ab\x00c", b"x" * 100)
+    ),
     hashlib.sha256(b"grid payload 0").hexdigest(),
-    *(hashlib.sha256(str(i).encode()).hexdigest()[: i * 7 % 65] for i in range(24)),
+    *(hashlib.sha256(str(i).encode()).hexdigest() for i in range(24)),
 ]
 
 
@@ -75,35 +79,38 @@ def test_fnv_reference_vectors():
     # scores are the reference hash of each id followed by each node id
     assert reference_fnv1a64(b"") == 0xCBF29CE484222325
     assert reference_fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    scores = _scores(MIXED_IDS, 3)
-    for row, file_id in enumerate(MIXED_IDS):
+    scores = _scores(HEX_IDS, 3)
+    for row, file_id in enumerate(HEX_IDS):
         for node in range(3):
             expected = reference_fnv1a64(file_id.encode() + str(node).encode())
             assert int(scores[row, node]) == expected
 
 
 def test_place_deterministic():
-    assert place_all(["f1"], 4, 2)[0] == place_all(["f1"], 4, 2)[0]
+    assert place_all(HEX_IDS, 4, 2) == place_all(HEX_IDS, 4, 2)
+    assert place_all(HEX_IDS, 4, 2) == [place_all([fid], 4, 2)[0] for fid in HEX_IDS]
 
 
 def test_place_all_nodes_when_replication_equals_node_count():
-    nodes = place_all(["f1"], 5, 5)[0]
-    assert sorted(nodes) == [0, 1, 2, 3, 4]
-    # ordered by descending score
-    scores = [reference_fnv1a64(f"f1{n}".encode()) for n in nodes]
-    assert scores == sorted(scores, reverse=True)
+    for file_id in HEX_IDS:
+        nodes = place_all([file_id], 5, 5)[0]
+        assert sorted(nodes) == [0, 1, 2, 3, 4]
+        # ordered by descending score
+        scores = [reference_fnv1a64(f"{file_id}{n}".encode()) for n in nodes]
+        assert scores == sorted(scores, reverse=True)
 
 
 def test_place_prefix_consistency():
     # the highest-score subset is stable as replication grows
-    assert place_all(["f9"], 8, 2)[0] == place_all(["f9"], 8, 4)[0][:2]
+    for file_id in HEX_IDS:
+        assert place_all([file_id], 8, 2)[0] == place_all([file_id], 8, 4)[0][:2]
 
 
 def test_invalid_replication():
     with pytest.raises(InvalidReplication):
-        place_all(["f1"], 4, 5)
+        place_all(HEX_IDS[:1], 4, 5)
     with pytest.raises(InvalidReplication):
-        place_all(["f1"], 4, 0)
+        place_all(HEX_IDS[:1], 4, 0)
     with pytest.raises(InvalidReplication):
         StorageLayout(node_count=2, replication=3)
 
@@ -111,15 +118,20 @@ def test_invalid_replication():
 def test_place_all_matches_reference_at_1_to_20_nodes():
     # node ids from 10 on hash two suffix bytes
     for node_count in range(1, 21):
-        ranked = [reference_ranking(fid, node_count) for fid in MIXED_IDS]
+        ranked = [reference_ranking(fid, node_count) for fid in HEX_IDS]
         for replication in range(1, node_count + 1):
             expected = [tuple(r[:replication]) for r in ranked]
-            assert place_all(MIXED_IDS, node_count, replication) == expected
-        assert [list(place_all([fid], node_count, node_count)[0]) for fid in MIXED_IDS] == ranked
+            assert place_all(HEX_IDS, node_count, replication) == expected
+        assert [list(place_all([fid], node_count, node_count)[0]) for fid in HEX_IDS] == ranked
+
+
+def hex_ids():
+    """Hypothesis strategy for file ids: 64 lowercase hex digits."""
+    return st.text(HEX, min_size=64, max_size=64)
 
 
 @settings(max_examples=60)
-@given(st.lists(st.text(max_size=40), max_size=12), st.integers(1, 20), st.data())
+@given(st.lists(hex_ids(), max_size=12), st.integers(1, 20), st.data())
 def test_place_all_matches_reference_on_any_ids(file_ids, node_count, data):
     replication = data.draw(st.integers(1, node_count))
     expected = [tuple(reference_ranking(fid, node_count)[:replication]) for fid in file_ids]
@@ -219,23 +231,30 @@ def test_refused_ingest_records_nothing(batch):
     "file_id, dataset",
     [
         ("../../../escaped", "d"),
-        ("x", ""),
-        ("x", "."),
-        ("x", ".."),
-        ("x", "a/b"),
-        ("x", "/etc"),
+        (None, ""),
+        (None, "."),
+        (None, ".."),
+        (None, "a/b"),
+        (None, "/etc"),
         ("tab\tid", "d"),
         ("line\nid", "d"),
         ("line\u2028id", "d"),
         ("nul\0id", "d"),
+        (None, "tab\td"),
+        (None, "line\nd"),
+        (None, "line\u2028d"),
+        (None, "nul\0d"),
     ],
     ids=["id-with-slash", "no-dataset", "dot", "dot-dot", "nested", "absolute", "tab",
-         "newline", "line-separator", "nul"],
+         "newline", "line-separator", "nul", "dataset-tab", "dataset-newline",
+         "dataset-line-separator", "dataset-nul"],
 )
 def test_ingest_refuses_what_save_could_not_store(tmp_path, file_id, dataset):
+    # a dataset case carries the id of its bytes, so the dataset rule alone refuses it
     layout = StorageLayout(node_count=3, replication=2).ingest([make_file(1)])
     layout.save(tmp_path / "store")
     before = _contents(layout)
+    file_id = file_id or hashlib.sha256(b"bytes").hexdigest()
     bad = DataFile(file_id, dataset, utc(2011, 1, 1), utc(2011, 1, 1), b"bytes")
     with pytest.raises(StorageError) as err:
         layout.ingest([make_file(2), bad])
@@ -243,6 +262,82 @@ def test_ingest_refuses_what_save_could_not_store(tmp_path, file_id, dataset):
     assert _contents(layout) == before
     layout.save(tmp_path / "store")
     assert StorageLayout.load(tmp_path / "store").placements == layout.placements
+
+
+def not_file_ids():
+    """Hypothesis strategy for strings that are not content addresses: 64
+    hex digits with uppercase ones, 63 or 65 lowercase hex digits, or 64
+    characters of which some are not hex digits."""
+    def put(id_at_char):
+        file_id, at, char = id_at_char
+        return file_id[:at] + char + file_id[at + 1:]
+
+    def spliced(chars):
+        return st.tuples(hex_ids(), st.integers(0, 63), chars).map(put)
+
+    upper = spliced(st.sampled_from("ABCDEF")) | hex_ids().map(str.upper).filter(
+        lambda file_id: file_id != file_id.lower()
+    )
+    lengths = st.text(HEX, min_size=63, max_size=63) | st.text(HEX, min_size=65, max_size=65)
+    not_hex = spliced(st.characters().filter(lambda c: c not in HEX)) | st.text(
+        min_size=64, max_size=64
+    ).filter(lambda text: set(text) - set(HEX))
+    return upper | lengths | not_hex
+
+
+@settings(max_examples=80, deadline=None)
+@given(not_file_ids())
+def test_an_id_that_is_not_a_content_address_is_refused(file_id):
+    layout = StorageLayout(node_count=3, replication=2).ingest([make_file(1)])
+    before = _contents(layout)
+    bad = DataFile(file_id, "d", utc(2011, 1, 1), utc(2011, 1, 1), b"bytes")
+    with pytest.raises(StorageError) as err:
+        layout.ingest([make_file(2), bad])
+    assert str(err.value).startswith(f"file {file_id!r} of dataset 'd': ")
+    assert _contents(layout) == before
+    with tempfile.TemporaryDirectory() as root:
+        layout.save(Path(root))
+        manifest = Path(root, "datasets", "d", "manifest.tsv")
+        _, _, t0, t1, _ = manifest.read_text().rstrip("\n").split("\t")
+        line = "\t".join((file_id, "d", t0, t1, f"{file_id}.snap"))
+        manifest.write_text(f"{line}\n", encoding="utf-8")
+        with pytest.raises(StorageError) as err:
+            StorageLayout.load(Path(root))
+    if len(line.split("\t")) == 5 and len(f"{line}.".splitlines()) == 1:
+        # the line reads back: its stored-path check refuses the id
+        assert str(err.value).startswith(f"{manifest}: file {file_id!r} of dataset 'd' at ")
+
+
+def test_a_save_cut_short_leaves_the_stored_manifests_whole(tmp_path, monkeypatch):
+    old = [make_file(0), make_file(1)]
+    layout = StorageLayout(node_count=3, replication=2).ingest(old)
+    layout.save(tmp_path)
+    manifest = tmp_path / "datasets" / "d" / "manifest.tsv"
+    stored = {p: p.read_bytes() for p in (manifest, tmp_path / "fabric.conf")}
+    new = [make_file(2), make_file(3, dataset="e")]
+    layout.ingest(new)
+    replace = os.replace
+
+    def failing(source, target):
+        if Path(target).name == "manifest.tsv":
+            raise OSError(28, "No space left on device")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError):
+        layout.save(tmp_path)
+    monkeypatch.undo()
+    assert {p: p.read_bytes() for p in stored} == stored
+    loaded = StorageLayout.load(tmp_path)
+    assert {name: [m.file_id for m in metas] for name, metas in loaded.by_dataset.items()} == {
+        "d": [m.file_id for m in layout.dataset_files("d") if m.file_id != new[0].file_id]
+    }
+    assert [loaded.read(f.file_id) for f in old] == [f.data for f in old]
+    # the replicas went first: the new files' copies are all written
+    for f in new:
+        for node in layout.placements[f.file_id]:
+            assert (tmp_path / replica(f.file_id, node)).read_bytes() == f.data
+    assert [p for p in tmp_path.rglob("*") if p.name.startswith(".")] == []
 
 
 def test_read_survives_one_failure_with_replication_two():
@@ -775,11 +870,7 @@ def test_load_lists_one_file_in_two_datasets(tmp_path):
 
 
 @settings(max_examples=60)
-@given(
-    st.text(alphabet="0123456789abcdef", min_size=1, max_size=16),
-    st.integers(1, 9),
-    st.data(),
-)
+@given(hex_ids(), st.integers(1, 9), st.data())
 def test_replication_invariant(file_id, node_count, data):
     replication = data.draw(st.integers(1, node_count))
     nodes = place_all([file_id], node_count, replication)[0]
