@@ -5,10 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from dslake.cyclone.grid import GridSnapshot
+
+if TYPE_CHECKING:
+    import numpy as np
 
 THRESHOLD_HPA = 1000.0
 
@@ -47,6 +49,8 @@ def centers_at(
 
 def interior_minima(values: np.ndarray) -> list[tuple[int, int, float]]:
     """(i, j, value) for strict 8-neighborhood minima below the threshold."""
+    import numpy as np
+
     c = values[1:-1, 1:-1]
     mask = c < THRESHOLD_HPA
     for di, dj in (

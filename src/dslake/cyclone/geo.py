@@ -7,10 +7,12 @@ clockwise from north in [0, 360).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from dslake.errors import DegenerateBearing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -37,6 +39,8 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 def haversine_grid_km(lat: float, lon: float, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """Distance from (lat, lon) to every node of the ``lats`` x ``lons`` grid."""
+    import numpy as np
+
     p1 = math.radians(lat)
     p2 = np.radians(lats)[:, None]
     dl = np.radians(lons[None, :] - lon)

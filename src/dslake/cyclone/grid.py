@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from dslake.errors import FormatError, undecodable_at
 from dslake.times import decimal_text, iso_minutes, parse_utc
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRESSURE_MIN_HPA = 850.0
 PRESSURE_MAX_HPA = 1100.0
@@ -38,6 +40,8 @@ class GridSnapshot:
     def __eq__(self, other):
         if not isinstance(other, GridSnapshot):
             return NotImplemented
+        import numpy as np
+
         return (
             (self.lat0, self.lon0, self.dlat, self.dlon, self.nlat, self.nlon)
             == (other.lat0, other.lon0, other.dlat, other.dlon, other.nlat, other.nlon)
@@ -53,10 +57,14 @@ class GridSnapshot:
 
     @property
     def lats(self) -> np.ndarray:
+        import numpy as np
+
         return self.lat0 + self.dlat * np.arange(self.nlat)
 
     @property
     def lons(self) -> np.ndarray:
+        import numpy as np
+
         return self.lon0 + self.dlon * np.arange(self.nlon)
 
 
@@ -64,6 +72,8 @@ def parse_grid_snapshot(data: bytes) -> GridSnapshot:
     """Parse and validate a snapshot from its byte representation; a byte
     that is not UTF-8 raises ``FormatError`` naming its line before any
     other check."""
+    import numpy as np
+
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -120,6 +130,8 @@ def parse_header(header: str) -> tuple[float, float, float, float, int, int, dat
 
 
 def _check_values(values: np.ndarray) -> None:
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise FormatError(2, "non-finite pressure value")
     lo = float(values.min())
@@ -152,6 +164,8 @@ def render_header(
 def render_body(values: np.ndarray) -> bytes:
     import io
 
+    import numpy as np
+
     buf = io.BytesIO()
     np.savetxt(buf, values, fmt="%.2f", delimiter=" ", newline="\n")
     return buf.getvalue()
@@ -167,6 +181,8 @@ def densify(snapshot: GridSnapshot, k: int) -> GridSnapshot:
         raise ValueError("refinement factor must be >= 1")
     if k == 1:
         return snapshot
+    import numpy as np
+
     v = snapshot.values
     nlat_d = (snapshot.nlat - 1) * k + 1
     nlon_d = (snapshot.nlon - 1) * k + 1

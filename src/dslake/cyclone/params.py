@@ -1,15 +1,16 @@
 """Parametrization of a tracked cyclone path into ``CycloneParams``.
 
-The pressure structure (central/ambient pressure, depth, radius) is read
-from a densified window around the path's final center; motion parameters
-come from the center sequence itself.
+The pressure structure (central and ambient pressure, radius) is read
+from a densified window around the path's final center
+(``pressure_structure``, the only step that computes with numpy); the
+depth and the motion parameters come from the structure and the center
+sequence itself (``parametrize``, pure Python).
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from dslake.errors import DegenerateBearing
 from dslake.cyclone.geo import (
@@ -22,22 +23,26 @@ from dslake.cyclone.grid import GridSnapshot, densify
 from dslake.cyclone.surrogate import CycloneParams
 from dslake.cyclone.track import CyclonePath
 
+if TYPE_CHECKING:
+    import numpy as np
+
 WINDOW_HALF_DEG = 5.0  # the analysis window is 10 x 10 degrees
 RADIUS_DEPTH_FRACTION = 0.75
 DEFAULT_DENSIFY_FACTOR = 4
 
 
-def parametrize(path: CyclonePath, snapshot: GridSnapshot) -> CycloneParams:
-    """Extract CycloneParams from a path and ``snapshot``, the grid that
-    holds the path's final center."""
-    if not path.centers:
-        raise ValueError("cannot parametrize an empty path")
-    last = path.centers[-1]
-    coarse = _crop_to_window(snapshot, last.lat, last.lon)
+def pressure_structure(
+    snapshot: GridSnapshot, lat: float, lon: float
+) -> tuple[float, float, float]:
+    """The central pressure, ambient pressure and radius (km) of the
+    densified window of ``snapshot`` around ``(lat, lon)``, as Python floats."""
+    import numpy as np
+
+    coarse = _crop_to_window(snapshot, lat, lon)
     snap = densify(coarse, DEFAULT_DENSIFY_FACTOR)
 
-    i_lo, i_hi = _index_window(snap.lat0, snap.dlat, snap.nlat, last.lat)
-    j_lo, j_hi = _index_window(snap.lon0, snap.dlon, snap.nlon, last.lon)
+    i_lo, i_hi = _index_window(snap.lat0, snap.dlat, snap.nlat, lat)
+    j_lo, j_hi = _index_window(snap.lon0, snap.dlon, snap.nlon, lon)
     window = snap.values[i_lo : i_hi + 1, j_lo : j_hi + 1]
 
     flat_min = int(np.argmin(window))
@@ -52,6 +57,17 @@ def parametrize(path: CyclonePath, snapshot: GridSnapshot) -> CycloneParams:
     depth = max(ambient - central, 0.0)
 
     radius = _contour_radius(snap, window, i_lo, j_lo, mi, mj, clat, clon, central, depth)
+    return central, ambient, radius
+
+
+def parametrize(path: CyclonePath, structure: tuple[float, float, float]) -> CycloneParams:
+    """CycloneParams of a path from ``structure``, the ``pressure_structure``
+    around its final center, and the path's motion."""
+    if not path.centers:
+        raise ValueError("cannot parametrize an empty path")
+    central, ambient, radius = structure
+    depth = max(ambient - central, 0.0)
+    last = path.centers[-1]
 
     speed = 0.0
     if len(path.centers) > 1:
@@ -131,6 +147,8 @@ def _contour_radius(
     central + 0.75 * depth, the minimum itself excluded. If no node
     qualifies the window diagonal is returned as a conservative bound.
     """
+    import numpy as np
+
     lats = snap.lat0 + snap.dlat * (i_lo + np.arange(window.shape[0]))
     lons = snap.lon0 + snap.dlon * (j_lo + np.arange(window.shape[1]))
     dist = haversine_grid_km(clat, clon, lats, lons)

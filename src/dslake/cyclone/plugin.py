@@ -16,10 +16,13 @@ instants and centers a query's time and area clauses ask for.
 
 The ``memo`` of the extractor and of the combiner is the procedure's own
 namespace of the storage layout's memo; it keeps there only pure
-functions of its inputs and the stored bytes. The extractor decodes only
-the header line and keys minima scans on the grid body bytes and shape, so
-identical bodies (the common all-background case) are scanned once per
-layout. Each entry also keeps the bytes of its last header up to the
+functions of its inputs and the stored bytes. On a loaded store the
+engine persists the combiner's entries whose key and value are literals,
+built of ``str``, ``int``, ``float`` and tuples, and loads them into the
+namespace of a later process (``engine.CombineIndex``). The extractor
+decodes only the header line and keys minima scans on the grid body
+bytes and shape, so identical bodies (the common all-background case)
+are scanned once per layout. Each entry also keeps the bytes of its last header up to the
 timestamp, and a hit moves it to the end of the memo. Before it hashes a
 body, the extractor checks the newest entry, the body it used last: a
 snapshot that ends with that body and starts with that header prefix,
@@ -32,11 +35,18 @@ knows each center's file: a center that two files list is the first's.
 A path is parametrized from the snapshot of its final center's file, so
 files that share an instant, such as tiles of one region, each serve
 their own paths, and a path's provenance is its centers' files. The
-combiner keys the snapshots it parses by file id, a content address, and
-keeps each path's parameters, keyed by its centers and that file id:
-``parametrize`` reads nothing else, so a repeat submit parametrizes no
-path again, and a path that a query's area or time crops into other
-centers is parametrized anew.
+numpy step, the pressure structure around the final center
+(``pressure_structure``: central and ambient pressure and radius, as
+floats), is keyed by that file's id, a content address, and the center's
+grid index: a literal, so a repeat submit in a new process finds it in
+the combiner's index and reads no snapshot. On a miss the combiner reads
+and parses the file once for the structure and keeps nothing else of it.
+Each path's parameters are kept in memory, keyed by its centers and that
+file id: ``parametrize`` reads nothing else, so a repeat submit
+parametrizes no path again, and a path that a query's area or time crops
+into other centers is parametrized anew, from its own final center's
+structure. Nothing this module imports at its top imports numpy: the
+functions that compute grids import it when they run.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from dslake.registry import (
 from dslake.hybrid import IndexedSeries
 from dslake.cyclone.detect import CycloneCenter, centers_at, interior_minima
 from dslake.cyclone.grid import parse_grid_snapshot, parse_header
-from dslake.cyclone.params import parametrize
+from dslake.cyclone.params import parametrize, pressure_structure
 from dslake.cyclone.surrogate import GAUGES, bsm_surrogate
 from dslake.cyclone.track import track
 from dslake.times import parse_utc
@@ -190,10 +200,13 @@ def combine_paths(
         key = (path.centers, final)
         params = memo.get(key)
         if params is None:
-            snapshot = memo.get(final)
-            if snapshot is None:
-                snapshot = memo[final] = parse_grid_snapshot(read_file(final))
-            params = memo[key] = parametrize(path, snapshot)
+            last = path.centers[-1]
+            where = (final, *last.grid_index)
+            structure = memo.get(where)
+            if structure is None:
+                snapshot = parse_grid_snapshot(read_file(final))
+                structure = memo[where] = pressure_structure(snapshot, last.lat, last.lon)
+            params = memo[key] = parametrize(path, structure)
         sources = {**params._asdict(), "start": path.start_time, "params": params}
         objects.append(
             DomainObject(

@@ -35,18 +35,28 @@ through ``dataset_files``), kept by ingest and load rather than sorted
 per submit, so a warm submit's map stage is one memo lookup per file.
 
 On a loaded store a cold submit reads from disk only the files that the
-store's map index does not hold. The submit that opens a layout's memo
+store's indexes do not cover. The submit that opens a layout's memo
 namespace for an extractor set loads the index of that set (``MapIndex``)
 into it, and a submit that extracts records rewrites the index, so a
-repeat ``dslake submit`` reads no snapshot it has mapped before. A warm
-submit, whose records are all in the memo, reads none
-(``StorageLayout.read``); the combiner reads the snapshots it parametrizes
-from once per layout. ``Diagnostics.files_read`` counts the files the map
-stage read. A file's fragment, ``nodes_used`` and
-an ``ON_NODE`` run name ``serving_node``: the node that served its last
-read, or a reshaped view's own simulated node. Like a memo hit, an index
-hit reads no replica, so its fragment names ``serving_node`` as it stands.
-Parametrizations and placements are not persisted.
+repeat ``dslake submit`` maps no snapshot it has mapped before. The
+combiner's namespace is loaded the same way from the combiner's index
+(``CombineIndex``), which holds its entries whose keys and values are
+literals, such as the cyclone combiner's pressure structure of each
+final center; a reduce whose combiner added such entries rewrites it. So
+an index hit reads no replica in the reduce either: a repeat submit of a
+query whose paths end on final centers seen before reads no file at all.
+A warm submit, whose records and entries are all in the memo, reads none
+(``StorageLayout.read``). ``Diagnostics.files_read`` counts the files the
+map stage read. A file's fragment, ``nodes_used`` and an ``ON_NODE`` run
+name ``serving_node``: the node that served its last read, or a reshaped
+view's own simulated node. Like a memo hit, an index hit reads no
+replica, so its fragment names ``serving_node`` as it stands, and a lost
+replica of a file that an index covers goes unseen; the combiner's index
+widens that to the files its entries came from (ROADMAP, Fix first).
+Both indexes share one stamp scheme and one digest of the package's
+sources per layout (``_source_digest``), which the layout's memo keeps
+beside the indexes it opened. The combiner's parametrizations and the
+placements are not persisted.
 
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
@@ -58,6 +68,7 @@ is a single sequential stage. One submit at a time per engine instance.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import inspect
 import sys
@@ -119,7 +130,7 @@ class Fragment(NamedTuple):
 _ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
 _CENTER_SET = itemgetter(4, 0, 3)  # a fragment's (payload_time, file_id, payload)
 
-_INDEX_VERSION = 1  # of the map index's entries; part of its stamp
+_INDEX_VERSION = 1  # of the indexes' entries; part of their stamps
 
 
 def run_map(
@@ -143,7 +154,7 @@ def run_map(
     if records is None:
         records = layout.memo[key] = {}
         if layout.derived is not None:
-            layout.memo["map index", key] = MapIndex.load(layout.derived, query, records)
+            layout.memo["map index", key] = MapIndex.load(layout, query, records)
     index = layout.memo.get(("map index", key))
     area, period = query.ast.area, query.ast.time
     fragments, extracted = [], []
@@ -175,56 +186,100 @@ def run_map(
     return fragments, len(extracted)
 
 
-class MapIndex:
-    """The map records of one extractor set on a loaded store, persisted as
-    one index under ``<root>/derived/`` (see ``storage.read_index``).
+class _Index:
+    """An index of results derived from a loaded store's files, persisted
+    under ``<root>/derived/`` as ``<kind>-<16 hex digits of ids>`` (see
+    ``storage.read_index``).
+
+    ``ids`` names the procedures that derive the entries, by procedure id.
+    The stamp covers the index version, ``ids`` and the sources of
+    ``procedures`` (``_source_digest``). ``lines`` holds the line of every
+    entry the index holds or will hold, by key, so a rewrite encodes only
+    the new ones.
+    """
+
+    kind = ""
+
+    def __init__(self, path: Path, stamp: str):
+        self.path = path
+        self.stamp = stamp
+        self.lines: dict = {}
+
+    @classmethod
+    def at(cls, layout: StorageLayout, ids: str, procedures: list, *fields):
+        """The index of ``ids`` on ``layout``'s store, given the ``fields``
+        of its class; ``None`` when the source of a procedure is not a file."""
+        sources = _source_digest(layout, procedures)
+        if sources is None:
+            return None
+        name = hashlib.sha256(ids.encode()).hexdigest()[:16]
+        stamp = hashlib.sha256(f"{_INDEX_VERSION}\n{ids}{sources}".encode()).hexdigest()
+        return cls(layout.derived / f"{cls.kind}-{name}", stamp, *fields)
+
+    def read(self, decode) -> dict:
+        """The index's entries, each ``(key, value)`` as ``decode`` reads its
+        line; none when one line does not read back (see ``_READ_ERRORS``)."""
+        entries = {}
+        try:
+            for line in read_index(self.path, self.stamp) or ():
+                key, value = decode(line)
+                entries[key] = value
+                self.lines[key] = line
+        except _READ_ERRORS:
+            self.lines.clear()
+            return {}
+        return entries
+
+    def write(self) -> None:
+        write_index(self.path, self.stamp, sorted(self.lines.values()))
+
+
+# what decoding a line that does not read back raises: a codec raises
+# ValueError, KeyError or DslakeError, ast.literal_eval ValueError,
+# SyntaxError, TypeError or RecursionError
+_READ_ERRORS = (ValueError, KeyError, SyntaxError, TypeError, RecursionError, DslakeError)
+
+
+class MapIndex(_Index):
+    """The map records of one extractor set on a loaded store.
 
     Each entry is a line of three tab-separated fields, file id, file kind
     and the record as its kind's codec writes it, in file id order. The
-    stamp covers the index version, the extractor and codec procedure ids
-    per file kind, and the sources: the ``dslake`` package's ``*.py`` files
-    and the module that defines each extractor and codec outside it, through
-    ``__wrapped__``. It is computed once, when the layout's memo opens the
-    extractor set's namespace. ``lines`` holds the entry of every record
-    the index holds or will hold, so a rewrite encodes only the new ones.
+    index's ids are the extractor and codec procedure ids per file kind,
+    and its procedures the extractors and codecs. It is opened once, when
+    the layout's memo opens the extractor set's namespace.
     """
 
+    kind = "map"
+
     def __init__(self, path: Path, stamp: str, codecs: dict):
-        self.path = path
-        self.stamp = stamp
+        super().__init__(path, stamp)
         self.codecs = codecs
-        self.lines: dict[str, str] = {}  # file id -> its entry
 
     @staticmethod
-    def load(derived: Path, query: ValidatedQuery, records: dict) -> "MapIndex | None":
-        """The extractor set's index under ``derived``, its records added to
-        ``records``; ``None`` when no file kind has a codec or a procedure's
-        source is not a file. An index that does not read back whole adds no
-        record and is rewritten by the next stage that extracts one."""
-        if not query.record_codecs:
-            return None
-        codec_functions = [fn for codec in query.record_codecs.values() for fn in codec]
-        sources = _source_digest([*query.extractors.values(), *codec_functions])
-        if sources is None:
+    def load(layout: StorageLayout, query: ValidatedQuery, records: dict) -> "MapIndex | None":
+        """The extractor set's index on ``layout``'s store, its records added
+        to ``records``; ``None`` when no file kind has a codec or a
+        procedure's source is not a file. An index that does not read back
+        whole adds no record and is rewritten by the next stage that
+        extracts one."""
+        codecs = query.record_codecs
+        if not codecs:
             return None
         knowledge = query.selects[0].knowledge
         ids = "".join(
             f"{kind}\t{proc_id}\t{' '.join(knowledge.record_codecs.get(kind, ()))}\n"
             for kind, proc_id in knowledge.extractors.items()
         )
-        name = hashlib.sha256(ids.encode()).hexdigest()[:16]
-        stamp = hashlib.sha256(f"{_INDEX_VERSION}\n{ids}{sources}".encode()).hexdigest()
-        index = MapIndex(derived / f"map-{name}", stamp, query.record_codecs)
-        loaded = {}
-        try:
-            for line in read_index(index.path, stamp) or ():
+        procedures = [*query.extractors.values(), *(fn for codec in codecs.values() for fn in codec)]
+        index = MapIndex.at(layout, ids, procedures, codecs)
+        if index is not None:
+
+            def decode(line):
                 file_id, kind, text = line.split("\t", 2)
-                loaded[file_id] = index.codecs[kind].read(text)
-                index.lines[file_id] = line
-        except (ValueError, KeyError, DslakeError):
-            index.lines.clear()
-            return index
-        records.update(loaded)
+                return file_id, codecs[kind].read(text)
+
+            records.update(index.read(decode))
         return index
 
     def save(self, extracted: list[tuple[str, str, tuple]]) -> None:
@@ -243,17 +298,88 @@ class MapIndex:
                     added += 1
             if added:
                 # a file id holds no tab, so the lines sort as their file ids
-                write_index(self.path, self.stamp, sorted(self.lines.values()))
+                self.write()
         except (OSError, ValueError, DslakeError):
             pass  # the index is a cache: no result depends on it
 
 
-def _source_digest(procedures: list) -> str | None:
-    """The SHA-256 of the ``dslake`` package's ``*.py`` sources and of the
-    source of each module outside it that defines one of ``procedures``;
-    ``None`` if one of those modules has no source file."""
+class CombineIndex(_Index):
+    """The entries of a combiner's memo namespace whose key and value are
+    literals, on a loaded store.
+
+    A literal is built of ``str``, ``int``, ``float`` and tuples, and reads
+    back equal through ``repr`` and ``ast.literal_eval``; each entry is the
+    line ``repr((key, value))``, and the lines are sorted. Other entries,
+    such as objects of the library's own types, stay in memory. The
+    index's ids are the combiner's procedure id, and its procedure the
+    combiner. It is opened once, when the layout's memo opens the
+    combiner's namespace.
+    """
+
+    kind = "combine"
+
+    @staticmethod
+    def load(layout: StorageLayout, query: ValidatedQuery, memo: dict) -> "CombineIndex | None":
+        """The combiner's index on ``layout``'s store, its entries added to
+        ``memo``; ``None`` when the combiner's source is not a file."""
+        index = CombineIndex.at(layout, query.selects[0].knowledge.combiner, [query.combiner])
+        if index is not None:
+            memo.update(index.read(_read_literal))
+        return index
+
+    def save(self, memo: dict) -> None:
+        """Add the literal entries of ``memo`` the index lacks and replace
+        it; an index that cannot be written leaves the submit as it is."""
+        added = 0
+        for key, value in memo.items():
+            if key not in self.lines:
+                line = _literal_line((key, value))
+                if line is not None:
+                    self.lines[key] = line
+                    added += 1
+        if added:
+            try:
+                self.write()
+            except OSError:
+                pass  # the index is a cache: no result depends on it
+
+
+def _is_literal(value) -> bool:
+    """Whether ``value`` is a ``str``, ``int`` or ``float``, or a tuple of such."""
+    if type(value) is tuple:
+        return all(map(_is_literal, value))
+    return type(value) in (str, int, float)
+
+
+def _literal_line(entry: tuple) -> str | None:
+    """``repr(entry)`` when ``entry`` is a literal that reads back equal from
+    it, as a NaN, an infinity or an int past ``repr``'s digit limit does not;
+    ``None`` otherwise."""
+    if not _is_literal(entry):
+        return None
+    try:
+        line = repr(entry)
+        return line if ast.literal_eval(line) == entry else None
+    except (ValueError, SyntaxError, RecursionError):
+        return None
+
+
+def _read_literal(line: str) -> tuple:
+    """The ``(key, value)`` that ``line`` holds, both literals."""
+    entry = ast.literal_eval(line)
+    if not (type(entry) is tuple and len(entry) == 2 and _is_literal(entry)):
+        raise ValueError(f"not a literal (key, value): {line[:80]!r}")
+    return entry
+
+
+def _source_digest(layout: StorageLayout, procedures: list) -> str | None:
+    """The digest of the sources of ``procedures``: the ``dslake`` package's
+    ``*.py`` files, read once per layout (its memo keeps their digest), and
+    the source of each module outside the package that defines one of
+    ``procedures``, through ``__wrapped__``; ``None`` if one of those
+    modules has no source file or a source cannot be read."""
     package = Path(__file__).resolve().parent
-    sources = {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
+    outside = {}
     for procedure in procedures:
         module = sys.modules.get(getattr(inspect.unwrap(procedure), "__module__", None))
         path = getattr(module, "__file__", None)
@@ -261,7 +387,18 @@ def _source_digest(procedures: list) -> str | None:
             return None
         path = Path(path).resolve()
         if package not in path.parents:
-            sources[module.__name__] = path
+            outside[module.__name__] = path
+    if "package sources" not in layout.memo:
+        layout.memo["package sources"] = _files_digest(
+            {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
+        )
+    ours, theirs = layout.memo["package sources"], _files_digest(outside)
+    return None if ours is None or theirs is None else f"{ours}\n{theirs}"
+
+
+def _files_digest(sources: dict[str, Path]) -> str | None:
+    """The SHA-256 of each ``name: path`` file of ``sources``, by name, with
+    its name and length; ``None`` if one cannot be read."""
     digest = hashlib.sha256()
     for name, path in sorted(sources.items()):
         try:
@@ -316,16 +453,26 @@ def run_reduce(
     The reduce orders its own input: the combiner is given each fragment's
     ``(instant, file_id, payload)`` in (t0, file_id) order, with the
     layout's ``read`` and the combiner's namespace of the layout's memo.
+    On a loaded store that namespace starts from the combiner's index
+    (``CombineIndex``), and a reduce whose combiner added entries to it
+    rewrites the index.
     """
     center_sets = list(map(_CENTER_SET, sorted(fragments, key=_ARRIVAL_ORDER)))
+    memo = layout.memo.get(query.combiner)
+    if memo is None:
+        memo = layout.memo[query.combiner] = {}
+        if layout.derived is not None:
+            layout.memo["combine index", query.combiner] = CombineIndex.load(layout, query, memo)
+    index = layout.memo.get(("combine index", query.combiner))
+    known = len(memo)
     try:
-        objects: list[DomainObject] = query.combiner(
-            center_sets, layout.read, layout.memo.setdefault(query.combiner, {})
-        )
+        objects: list[DomainObject] = query.combiner(center_sets, layout.read, memo)
     except DslakeError:
         raise
     except Exception as exc:
         raise CombinerFailure(str(exc)) from exc
+    if index is not None and len(memo) != known:
+        index.save(memo)
 
     selected_per_select = [
         [obj for obj in objects if all(f.procedure(obj.params, f.value) for f in sel.filters)]

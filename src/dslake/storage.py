@@ -8,9 +8,10 @@ ascending node id). File ids are content addresses, the SHA-256 digest of
 the file bytes in lowercase hex, so the store holds a file once, whatever
 datasets list it: a dataset is its manifest over the stored files.
 
-Placement is computed for a whole list of file ids at once (``place_all``):
-the hash in numpy ``uint64``, whose products wrap mod 2**64 as FNV-1a's
-do. It is a pure function of the file id and the shape (node count and
+Placement is computed for a whole list of file ids at once (``place_all``),
+in pure Python: each id's hash is a 128-bit lane of one int, masked to 64
+bits after each multiply as FNV-1a's products wrap (``_scores``). It is a
+pure function of the file id and the shape (node count and
 replication), so the layout's memo keeps every placement per shape:
 ``ingest``, ``load`` and ``reshaped`` place, in one call, only the ids
 not placed at their shape before.
@@ -37,12 +38,15 @@ placement order, past failed nodes, whose SHA-256 digest is the file id
 memory, those ingested in this process, and copies a loaded file only to
 a root or node its stored replicas are not at; then the manifests, then
 ``fabric.conf``, each replaced whole as an index is (below), so a save cut
-short leaves no manifest cut or listing a replica not written.
+short leaves no manifest cut or listing a replica not written. In the
+loaded store's own root it writes only the manifests whose lists an ingest
+changed, and ``fabric.conf`` only when it is missing or says otherwise.
 
 ``derived/`` holds indexes of results derived from the stored files, such
-as the engine's map records (``read_index``, ``write_index``). An index is
-a header line, ``dslake-index <stamp> <SHA-256 of the body>``, then its
-body: one entry per line. Its writer replaces it whole, through a
+as the engine's map records and the combiner's pressure structures
+(``read_index``, ``write_index``). An index is a header line,
+``dslake-index <stamp> <SHA-256 of the body>``, then its body: one entry
+per line. Its writer replaces it whole, through a
 temporary file and ``os.replace``. A reader takes an index only when its
 header carries the reader's stamp and the digest of the body that
 follows, and ignores it whole otherwise: missing, truncated, damaged or
@@ -64,13 +68,12 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import struct
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from dslake.errors import (
     DuplicateFile,
@@ -86,33 +89,46 @@ from dslake.times import iso_seconds, parse_utc
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_MASK = 2**64 - 1
+_LANE = 16  # bytes of a hash's lane in ``_scores``
+_LANE_ONE = (1).to_bytes(_LANE, "little")
 _FILE_ID = re.compile("[0-9a-f]{64}")  # a content address: a SHA-256 hex digest
 
 
-def _scores(file_ids: Sequence[str], node_count: int) -> np.ndarray:
-    """(files, node_count) ``uint64`` rendezvous scores: the 64-bit FNV-1a
-    hash of each file id followed by each node id.
+def _scores(file_ids: Sequence[str], node_count: int) -> list[tuple[int, ...]]:
+    """Each file's rendezvous scores, one per node: the 64-bit FNV-1a hash
+    of its id followed by each node id.
 
-    The ids, 64 hex digits each (see ``place_all``), are the rows of one
-    byte matrix, and one pass per column hashes them all. One pass per node
-    then extends each hash by the node id. Products wrap mod 2**64.
+    The ids, 64 hex digits each (see ``place_all``), hash in the 128-bit
+    lanes of one Python int, little-endian, one lane per id: one pass per
+    column XORs in every id's byte, multiplies by the FNV prime and masks
+    each lane to 64 bits. A lane below 2**64 times the 41-bit prime stays
+    below 2**105, so no product carries into the next lane. One pass per
+    node then extends each hash by the node id.
     """
-    prime = np.uint64(_FNV_PRIME)
-    prefix = np.full(len(file_ids), _FNV_OFFSET, dtype=np.uint64)
-    for column in np.frombuffer("".join(file_ids).encode(), np.uint8).reshape(-1, 64).T:
-        prefix = (prefix ^ column) * prime
-    scores = np.empty((len(file_ids), node_count), dtype=np.uint64)
+    count = len(file_ids)
+    joined = "".join(file_ids).encode()
+    ones = int.from_bytes(_LANE_ONE * count, "little")
+    mask = _FNV_MASK * ones
+    prefix = _FNV_OFFSET * ones
+    column = bytearray(_LANE * count)
+    for c in range(64):
+        column[0::_LANE] = joined[c::64]
+        prefix = ((prefix ^ int.from_bytes(column, "little")) * _FNV_PRIME) & mask
+    unpack = struct.Struct(f"<{2 * count}Q").unpack  # each lane's low and high 64 bits
+    by_node = []
     for node in range(node_count):
         h = prefix
         for byte in str(node).encode():
-            h = (h ^ np.uint64(byte)) * prime
-        scores[:, node] = h
-    return scores
+            h = ((h ^ byte * ones) * _FNV_PRIME) & mask
+        by_node.append(unpack(h.to_bytes(_LANE * count, "little"))[0::2])
+    return list(zip(*by_node))
 
 
-def _ranked(scores: np.ndarray) -> np.ndarray:
-    """Node ids of each row by descending score, ties by ascending node id."""
-    return np.argsort(~scores, axis=1, kind="stable")
+def _ranked(scores: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Node ids of each row by descending score, ties by ascending node id
+    (a reversed sort keeps equal keys in their order)."""
+    return [sorted(range(len(row)), key=row.__getitem__, reverse=True) for row in scores]
 
 
 def place_all(
@@ -122,8 +138,7 @@ def place_all(
     Each id must be 64 lowercase hex digits, as ``ingest`` and ``load`` ensure."""
     if not 1 <= replication <= node_count:
         raise InvalidReplication(f"replication {replication} not in [1, {node_count}]")
-    ranked = _ranked(_scores(file_ids, node_count))
-    return list(zip(*ranked[:, :replication].T.tolist()))
+    return [tuple(nodes[:replication]) for nodes in _ranked(_scores(file_ids, node_count))]
 
 
 @dataclass(frozen=True)
@@ -175,7 +190,8 @@ class StorageLayout:
     ``by_dataset`` holds each dataset's files in (t0, file_id) order, and a
     file may be listed by several datasets; an ingest replaces the lists it
     changes rather than altering them, so a reshaped view starts from its
-    parent's lists without copying them.
+    parent's lists without copying them, and ``save`` tells a changed list
+    from the one ``stored_lists`` kept at ``load``.
 
     ``memo`` holds results derived from the stored content: one dict per
     owner, a procedure function or a library's extractor functions, and
@@ -188,9 +204,9 @@ class StorageLayout:
     places only the files new since. Memory grows by at most one placement
     per file per shape in use, and with the number of distinct bodies too:
     the cyclone extractor keys minima on the body bytes, so its memo holds
-    the only copy a loaded layout retains of each distinct body, plus
-    every snapshot the combiner parsed and one parametrization per distinct
-    (path, final file) a query tracked. No lock: an engine runs one submit
+    the only copy a loaded layout retains of each distinct body, plus one
+    pressure structure per final center and one parametrization per
+    distinct (path, final file) a query tracked. No lock: an engine runs one submit
     at a time, and two concurrent readers at worst compute a value twice.
     """
 
@@ -203,6 +219,8 @@ class StorageLayout:
     memo: dict = field(default_factory=dict)
     lost: dict[str, dict[int, str]] = field(default_factory=dict)
     root: Path | None = None  # a loaded store's, absolute
+    # a loaded store's lists as its manifests hold them
+    stored_lists: dict[str, list[FileMeta]] = field(default_factory=dict)
     source: StorageLayout | None = None  # a view's loaded layout
 
     def __post_init__(self):
@@ -343,14 +361,18 @@ class StorageLayout:
 
     def save(self, root: Path) -> None:
         """Write every replica of the files held in ``blobs``, then the
-        manifests, then ``fabric.conf``, each replaced whole (``_replace``).
-        A loaded file is copied, read through ``read`` so its digest is
-        checked, only where its stored replicas are not: to another root,
-        or onto nodes of another shape."""
+        manifests, then ``fabric.conf``. A loaded file is copied, read
+        through ``read`` so its digest is checked, only where its stored
+        replicas are not: to another root, or onto nodes of another shape.
+        In the loaded store's own root, a manifest is written only when an
+        ingest changed its dataset's list since ``load``; ``fabric.conf`` is
+        written only when it is missing or says otherwise. Each manifest and
+        ``fabric.conf`` is replaced whole (``_replace``)."""
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         stored = self if self.source is None else self.source
         in_place = stored.root is not None and root.resolve() == stored.root
+        made = set()  # the node directories made or found
         for file_id, nodes in self.placements.items():
             data = self.blobs.get(file_id)
             if data is None:
@@ -358,15 +380,23 @@ class StorageLayout:
                     continue
                 data = self.read(file_id)
             for node in nodes:
-                target = Path(_replica(root, node, file_id))
-                target.parent.mkdir(exist_ok=True)
-                target.write_bytes(data)
+                if node not in made:
+                    os.makedirs(f"{root}/node-{node}", exist_ok=True)
+                    made.add(node)
+                _write(_replica(root, node, file_id), data)
+        unchanged = stored.stored_lists if in_place else {}
         for dataset, metas in self.by_dataset.items():
-            manifest_dir = root / "datasets" / dataset
-            manifest_dir.mkdir(parents=True, exist_ok=True)
-            write_manifest(manifest_dir / "manifest.tsv", metas)
-        conf = f"node_count={self.node_count}\nreplication={self.replication}\n"
-        _replace(root / "fabric.conf", conf.encode())
+            if unchanged.get(dataset) is not metas:
+                manifest_dir = root / "datasets" / dataset
+                manifest_dir.mkdir(parents=True, exist_ok=True)
+                write_manifest(manifest_dir / "manifest.tsv", metas)
+        conf = f"node_count={self.node_count}\nreplication={self.replication}\n".encode()
+        try:
+            same = (root / "fabric.conf").read_bytes() == conf
+        except OSError:
+            same = False
+        if not same:
+            _replace(root / "fabric.conf", conf)
 
     @staticmethod
     def load(root: Path) -> "StorageLayout":
@@ -390,6 +420,7 @@ class StorageLayout:
             layout.placements.update((meta.file_id, placed[meta.file_id]) for meta in metas)
             if metas:
                 layout.by_dataset[manifest.parent.name] = sorted(metas, key=_time_order)
+        layout.stored_lists = dict(layout.by_dataset)
         return layout
 
     # -- derived views ----------------------------------------------------------
@@ -537,6 +568,17 @@ def _replace(path: Path, data: bytes) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def _write(path: str, data: bytes) -> None:
+    """Create or truncate ``path`` and write ``data`` to it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
 
 
 def _hex_digest(data: bytes) -> bytes:

@@ -681,14 +681,16 @@ def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
     combiner = registry.procedures["cyclone.combine_paths"]
     assert len(layout.memo[combiner]) <= len(metas)
     # parameters are keyed by a tracked path's centers and the file of its
-    # final center, so there is at most one per distinct such pair
+    # final center, and pressure structures by that file and the final
+    # center's grid index, so there is at most one per distinct such key
     file_of = {
         center: file_id
         for file_id, (_, centers) in layout.memo[(counting,)].items()
         for center in centers
     }
     pairs = {(path.centers, file_of[path.centers[-1]]) for path in tracked}
-    assert {key for key in layout.memo[combiner] if isinstance(key, tuple)} <= pairs
+    finals = {(file_of[path.centers[-1]], *path.centers[-1].grid_index) for path in tracked}
+    assert set(layout.memo[combiner]) <= pairs | finals
 
 
 def _counting_parametrize(monkeypatch) -> list:

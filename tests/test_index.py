@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dslake import engine
 from dslake.engine import Engine, EngineConfig, TaskRequest, submit
 from dslake.errors import DslakeError
 from dslake.registry import KnowledgeRegistry
@@ -70,8 +71,8 @@ def cold(root, registry, script=FIG5_SCRIPT, nodes=4, failed=(), dataset="d1"):
     return Engine(registry, layout).submit(request)
 
 
-def index_path(root):
-    (path,) = (root / "derived").iterdir()
+def index_path(root, kind="map"):
+    (path,) = (root / "derived").glob(f"{kind}-*")
     return path
 
 
@@ -292,7 +293,8 @@ def test_a_plan_without_a_codec_writes_no_index(tmp_path):
     files = saved_store(tmp_path, 5)
     for _ in range(2):
         assert cold(tmp_path, registry).diagnostics.files_read == len(files)
-    assert not (tmp_path / "derived").exists()
+    # the combiner's index does not depend on the record codecs
+    assert [path.name[:8] for path in (tmp_path / "derived").iterdir()] == ["combine-"]
 
 
 # -- the cyclone record codec ---------------------------------------------------
@@ -355,3 +357,75 @@ def test_the_codec_reader_gives_a_record_or_a_value_error(text):
     except (ValueError, DslakeError):
         return
     assert all(center.timestamp is ts for center in centers)
+
+
+# -- the combiner's index --------------------------------------------------------
+
+
+def test_an_index_hit_reads_no_file(tmp_path, registry, monkeypatch):
+    # the map index holds every file's record and the combiner's index the
+    # pressure structure of every path's final center, so a repeat submit,
+    # at any node count, reads no replica at all
+    saved_store(tmp_path, 5)
+    expected = cold(tmp_path, registry).canonical_text()
+    assert "simulation" in expected
+
+    def refuse(self, file_id):
+        raise AssertionError(f"an index hit read {file_id}")
+
+    monkeypatch.setattr(StorageLayout, "read", refuse)
+    for nodes in (4, 2, 8):
+        doc = cold(tmp_path, registry, nodes=nodes)
+        assert (doc.diagnostics.files_read, doc.canonical_text()) == (0, expected)
+
+
+@pytest.mark.parametrize("damage", [
+    "stamp", "truncated", "nan", "[('x', 1, 2), (1.0, 2.0, 3.0)]", "('x', 1, 2)", "True", "(",
+])
+def test_a_combiner_index_that_does_not_read_back_is_ignored_and_rewritten(
+    store, monkeypatch, damage
+):
+    # the combiner then reads each final file once per pressure structure,
+    # gives the store's bytes and writes the index as the first submit did
+    root, _, expected, _, _ = store
+    path = index_path(root, "combine")
+    valid = path.read_bytes()
+    (magic, stamp, digest), body = _header_and_body(valid)
+    entries = body.decode().splitlines()
+    assert entries
+    if damage == "stamp":
+        damaged = b" ".join([magic, bytes(reversed(stamp)), digest]) + b"\n" + body
+    elif damage == "truncated":
+        damaged = valid[: len(valid) // 2]
+    else:
+        damaged = digested(stamp, [*entries, damage])
+    path.write_bytes(damaged)
+    read, reads = StorageLayout.read, []
+
+    def counting(self, file_id):
+        reads.append(file_id)
+        return read(self, file_id)
+
+    monkeypatch.setattr(StorageLayout, "read", counting)
+    doc = cold(root, register_cyclone_domain(KnowledgeRegistry()))
+    assert (doc.diagnostics.files_read, doc.canonical_text()) == (0, expected)
+    assert len(reads) == len(entries)
+    assert path.read_bytes() == valid
+
+
+@pytest.mark.parametrize("entry, persisted", [
+    ((("f", 1, 2), (1013.25, -0.0, 499.5)), True),
+    (("f", "text\twith\nbreaks"), True),
+    (("f", float("nan")), False),
+    (("f", float("inf")), False),
+    (("f", True), False),
+    (("f", [1.0]), False),
+    (("f", None), False),
+    ((CycloneCenter(1.0, 2.0, 990.0, utc(2011, 1, 1), (1, 2)),), False),
+])
+def test_only_literals_are_persisted(entry, persisted):
+    # built of str, int, float and tuples, and read back equal
+    line = engine._literal_line(entry)
+    assert (line is not None) == persisted
+    if persisted:
+        assert "\n" not in line and engine._read_literal(line) == entry

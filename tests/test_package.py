@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import os
 import re
 import shlex
@@ -9,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import dslake
+from dslake.cli import main
+from dslake.descriptors import dump_descriptors
+from dslake.engine import TaskRequest
 from dslake.cyclone.plugin import bsm_external_descriptor
+
+from conftest import FIG5_SCRIPT
 
 
 def test_bsm_command_imports_no_numpy_or_engine():
@@ -29,6 +36,70 @@ def test_bsm_command_imports_no_numpy_or_engine():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout.strip() == ""
+
+
+# a new interpreter runs ``dslake`` with its arguments, if any, and prints
+# its exit status and whether numpy was imported as its last line
+_CLI_PROBE = (
+    "import sys\n"
+    "from dslake.cli import main\n"
+    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def cli_store(tmp_path_factory):
+    """A directory holding a saved two-month store whose indexes its first
+    submits wrote, the Fig. 5 script with builtin BSM and with BSM as the
+    external package BSMX, that package's ``.kd`` file, and what each
+    submit printed."""
+    from test_index import saved_store
+
+    work = tmp_path_factory.mktemp("cli")
+    saved_store(work / "store", 5)
+    (work / "builtin.dq").write_text(FIG5_SCRIPT)
+    (work / "external.dq").write_text(FIG5_SCRIPT.replace("with BSM", "with BSMX"))
+    (work / "external.kd").write_text(dump_descriptors([], [bsm_external_descriptor("BSMX")]))
+    printed = {}
+    for name in ("builtin", "external"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(_submit_argv(work, name)) == 0
+        printed[name] = out.getvalue()
+    assert "simulation" in printed["builtin"]
+    return work, printed
+
+
+def _submit_argv(work, name):
+    return ["--storage-root", str(work / "store"), "--nodes", "4",
+            "--registry", str(work / "external.kd"),
+            "submit", "--dataset", "d1", str(work / f"{name}.dq")]
+
+
+@pytest.mark.parametrize("verb", ["import", "validate", "registry", "results", "builtin",
+                                  "external"])
+def test_the_cli_imports_no_numpy(cli_store, verb):
+    # numpy is imported only where grids are computed: an index-hit submit,
+    # whose records and pressure structures come from the store's indexes,
+    # computes none, and neither do the verbs that read no snapshot
+    work, printed = cli_store
+    task_id = TaskRequest("d1", FIG5_SCRIPT).task_id()
+    argv = {
+        "import": [],
+        "validate": ["validate", str(work / "builtin.dq")],
+        "registry": ["registry", "list"],
+        "results": ["--storage-root", str(work / "store"), "results", task_id],
+        "builtin": _submit_argv(work, "builtin"),
+        "external": _submit_argv(work, "external"),
+    }[verb]
+    env = {**os.environ, "PYTHONPATH": str(Path(dslake.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", _CLI_PROBE, *argv], capture_output=True,
+                          text=True, env=env, cwd=work, timeout=120)
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    assert (proc.returncode, last) == (0, "0 False"), proc.stderr
+    if verb in printed:
+        assert f"{out}\n" == printed[verb]
 
 
 def test_bsm_command_starts_without_site_but_keeps_the_environment():

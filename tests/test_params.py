@@ -5,7 +5,7 @@ import pytest
 
 from dslake.cyclone.detect import detect_centers
 from dslake.cyclone.grid import GridSnapshot, parse_grid_snapshot, render_grid_snapshot
-from dslake.cyclone.params import parametrize
+from dslake.cyclone.params import parametrize, pressure_structure
 from dslake.cyclone.track import track
 
 from conftest import utc
@@ -24,7 +24,7 @@ def test_stationary_single_snapshot():
     snap = quantized(snapshot(field, ts=ts))
     (c,) = detect_centers(snap)
     (path,) = track([(ts, [c])])
-    params = parametrize(path, snap)
+    params = parametrize(path, pressure_structure(snap, c.lat, c.lon))
     assert params.mean_speed_kmh == 0.0
     assert params.average_bearing is None
     assert params.direction_sector is None
@@ -44,7 +44,7 @@ def test_gaussian_radius_matches_analytic_contour():
     snap = quantized(snapshot(field, lat0=18.0, lon0=-25.0, ts=ts))
     (c,) = detect_centers(snap)
     (path,) = track([(ts, [c])])
-    params = parametrize(path, snap)
+    params = parametrize(path, pressure_structure(snap, c.lat, c.lon))
 
     analytic = sigma * math.sqrt(2.0 * math.log(4.0))  # ~499.53 km
     assert params.radius_km == pytest.approx(analytic, rel=0.10)
@@ -62,7 +62,7 @@ def test_moving_path_bearing_and_speed():
     (c0,) = detect_centers(s0)
     (c1,) = detect_centers(s1)
     (path,) = track([(t0, [c0]), (t1, [c1])])
-    params = parametrize(path, s1)
+    params = parametrize(path, pressure_structure(s1, c1.lat, c1.lon))
     assert params.average_bearing == pytest.approx(26.2, abs=0.5)
     assert params.direction_sector == "north-east"
     assert params.end_time == t1
@@ -81,6 +81,6 @@ def test_uniform_window_depth_zero():
     snap = snapshot(values, ts=ts)
     (c,) = detect_centers(snap)
     (path,) = track([(ts, [c])])
-    params = parametrize(path, snap)
+    params = parametrize(path, pressure_structure(snap, c.lat, c.lon))
     assert params.depth == pytest.approx(5.0)
     assert params.radius_km > 0.0

@@ -1,14 +1,17 @@
 import hashlib
+import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dslake
 from dslake.errors import (
     DuplicateFile,
     InvalidReplication,
@@ -83,7 +86,7 @@ def test_fnv_reference_vectors():
     for row, file_id in enumerate(HEX_IDS):
         for node in range(3):
             expected = reference_fnv1a64(file_id.encode() + str(node).encode())
-            assert int(scores[row, node]) == expected
+            assert scores[row][node] == expected
 
 
 def test_place_deterministic():
@@ -140,8 +143,8 @@ def test_place_all_matches_reference_on_any_ids(file_ids, node_count, data):
 
 def test_ranking_ties_go_to_the_lower_node():
     # 64-bit scores practically never tie, so pin the tie rule on the ranking
-    scores = np.array([[5, 7, 7, 5], [2**64 - 1, 0, 2**63, 2**63]], dtype=np.uint64)
-    assert _ranked(scores).tolist() == [[1, 2, 0, 3], [0, 2, 3, 1]]
+    scores = [(5, 7, 7, 5), (2**64 - 1, 0, 2**63, 2**63)]
+    assert _ranked(scores) == [[1, 2, 0, 3], [0, 2, 3, 1]]
 
 
 def test_load_balance_10k_files():
@@ -620,6 +623,49 @@ def test_save_of_a_loaded_layout_writes_only_the_files_it_holds(tmp_path):
     assert reloaded.read(new.file_id) == new.data
     assert [m.file_id for m in reloaded.dataset_files("d")] == [
         m.file_id for m in loaded.dataset_files("d")
+    ]
+
+
+def test_an_ingest_rewrites_only_the_manifests_it_changes(tmp_path):
+    # an ingest of d2 into a store holding d1 leaves d1's manifest and
+    # fabric.conf as they were, inode and mtime; one into d1, or a missing
+    # fabric.conf, has them written again
+    StorageLayout(node_count=4, replication=2).ingest(make_file(i, "d1") for i in range(6)).save(
+        tmp_path
+    )
+    kept = [tmp_path / "datasets" / "d1" / "manifest.tsv", tmp_path / "fabric.conf"]
+
+    def stats():
+        return [(path.stat().st_ino, path.stat().st_mtime_ns) for path in kept]
+
+    before = stats()
+    StorageLayout.load(tmp_path).ingest(make_file(i, "d2") for i in range(6, 12)).save(tmp_path)
+    assert stats() == before
+    loaded = StorageLayout.load(tmp_path)
+    assert {name: len(metas) for name, metas in loaded.by_dataset.items()} == {"d1": 6, "d2": 6}
+    kept[1].unlink()
+    loaded.ingest([make_file(12, "d1")]).save(tmp_path)
+    assert kept[0].stat().st_ino != before[0][0]
+    assert kept[1].read_text() == "node_count=4\nreplication=2\n"
+    assert {name: len(metas) for name, metas in StorageLayout.load(tmp_path).by_dataset.items()} \
+        == {"d1": 7, "d2": 6}
+
+
+def test_place_all_imports_no_numpy():
+    # placement is pure Python: with numpy unimportable, a new interpreter
+    # places every id as the reference ranks it
+    probe = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from dslake.storage import place_all\n"
+        "ids = sys.argv[1].split(',')\n"
+        "print(json.dumps([place_all(ids, n, n) for n in range(1, 21)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dslake.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe, ",".join(HEX_IDS)],
+                          capture_output=True, text=True, check=True, env=env)
+    assert json.loads(proc.stdout) == [
+        [reference_ranking(file_id, n) for file_id in HEX_IDS] for n in range(1, 21)
     ]
 
 
