@@ -227,7 +227,7 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
     for f, meta in zip(files, metas):
         (out / meta.relative_path).write_bytes(f.data)
     write_manifest(out / "manifest.tsv", metas)
-    (out / "groundtruth.txt").write_text(truth.canonical_text())
+    (out / "groundtruth.txt").write_text(truth.canonical_text(), encoding="utf-8")
     print(f"wrote {len(files)} snapshots to {out}", file=sys.stderr)
     sys.stdout.write(f"{out / 'manifest.tsv'}\n")
     return 0
@@ -285,7 +285,7 @@ def _cmd_submit(args, config: CliConfig) -> int:
     text = document.canonical_text()
     results_dir = config.storage_root / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
-    (results_dir / f"{document.task_id}.txt").write_text(text)
+    (results_dir / f"{document.task_id}.txt").write_text(text, encoding="utf-8")
     if args.emit_csv:
         _write_csv(args.emit_csv, document)
     sys.stdout.write(text)
@@ -297,7 +297,7 @@ def _write_csv(path: Path, document) -> None:
 
     from dslake.report import expanded, is_series, render_value
 
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["object_id", "package", "output", "time", "value"])
         for sim in document.simulations:

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING
 
@@ -22,6 +22,9 @@ class CycloneCenter:
     pressure: float
     timestamp: datetime
     grid_index: tuple[int, int]
+    # the central pressure, ambient pressure and radius (km) around the
+    # center (``params.pressure_structure``); not part of its identity
+    structure: tuple[float, float, float] | None = field(default=None, compare=False)
 
 
 def detect_centers(snapshot: GridSnapshot) -> list[CycloneCenter]:

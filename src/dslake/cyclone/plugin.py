@@ -4,7 +4,7 @@ Procedure contract with the engine:
 
   * extractor(data, memo) -> (timestamp, [items with .lat and .lon])
   * combiner([(instant, file id, [CycloneCenter])] in (t0, file id) order,
-             read_file, memo) -> [DomainObject]
+             memo) -> [DomainObject]
   * filter(object params dict, value) -> bool
   * builtin package procedure(bindings dict) -> outputs dict
 
@@ -16,37 +16,34 @@ instants and centers a query's time and area clauses ask for.
 
 The ``memo`` of the extractor and of the combiner is the procedure's own
 namespace of the storage layout's memo; it keeps there only pure
-functions of its inputs and the stored bytes. On a loaded store the
-engine persists the combiner's entries whose key and value are literals,
-built of ``str``, ``int``, ``float`` and tuples, and loads them into the
-namespace of a later process (``engine.CombineIndex``). The extractor
-decodes only the header line and keys minima scans on the grid body
-bytes and shape, so identical bodies (the common all-background case)
-are scanned once per layout. Each entry also keeps the bytes of its last header up to the
-timestamp, and a hit moves it to the end of the memo. Before it hashes a
-body, the extractor checks the newest entry, the body it used last: a
-snapshot that ends with that body and starts with that header prefix,
-with one timestamp field between them, needs only its timestamp parsed.
-Anything else takes the full path, and a header that does not parse
-raises what ``parse_grid_snapshot`` raises.
+functions of its inputs and the stored bytes. The extractor decodes only
+the header line and keys its work on the grid body bytes and the
+header's geometry, so identical bodies (the common all-background case)
+are parsed and scanned once per layout. On first sight of a body it
+computes the pressure structure around each center it finds
+(``pressure_structure``: central and ambient pressure and radius, as
+floats), which the center carries (``CycloneCenter.structure``) and the
+record codec writes, so a loaded store's map index holds it too. Each
+entry also keeps the bytes of its last header up to the timestamp, and a
+hit moves it to the end of the memo. Before it hashes a body, the
+extractor checks the newest entry, the body it used last: a snapshot
+that ends with that body and starts with that header prefix, with one
+timestamp field between them, needs only its timestamp parsed. Anything
+else takes the full path, and a header that does not parse raises what
+``parse_grid_snapshot`` raises.
 
 The combiner tracks the centers of all files, one instant at a time, and
-knows each center's file: a center that two files list is the first's.
-A path is parametrized from the snapshot of its final center's file, so
-files that share an instant, such as tiles of one region, each serve
-their own paths, and a path's provenance is its centers' files. The
-numpy step, the pressure structure around the final center
-(``pressure_structure``: central and ambient pressure and radius, as
-floats), is keyed by that file's id, a content address, and the center's
-grid index: a literal, so a repeat submit in a new process finds it in
-the combiner's index and reads no snapshot. On a miss the combiner reads
-and parses the file once for the structure and keeps nothing else of it.
-Each path's parameters are kept in memory, keyed by its centers and that
-file id: ``parametrize`` reads nothing else, so a repeat submit
-parametrizes no path again, and a path that a query's area or time crops
-into other centers is parametrized anew, from its own final center's
-structure. Nothing this module imports at its top imports numpy: the
-functions that compute grids import it when they run.
+knows each center's file: a center that two files list is the first's,
+and so is its structure. A path is parametrized from the structure its
+final center's file gives, so files that share an instant, such as tiles
+of one region, each serve their own paths, and a path's provenance is its
+centers' files. The combiner reads no file. Each path's parameters are
+kept in memory, keyed by its centers and that file id: ``parametrize``
+reads nothing else, so a repeat submit parametrizes no path again, and a
+path that a query's area or time crops into other centers is
+parametrized anew, from its own final center's structure. Nothing this
+module imports at its top imports numpy: the functions that compute grids
+import it when they run.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable
 
 import dslake
 from dslake.errors import FormatError, RegistryError
@@ -104,11 +100,11 @@ def extract_centers(data: bytes, memo: dict) -> tuple[datetime, list[CycloneCent
     if memo:  # the newest entry holds the body used last
         key = next(reversed(memo))
         last_body = key[0]
-        prefix, grid, minima = memo[key]
+        prefix, found = memo[key]
         if prefix is not None and data.endswith(last_body) and data.startswith(prefix):
             ts = _timestamp_line(data[len(prefix):len(data) - len(last_body)])
             if ts is not None:
-                return ts, centers_at(minima, *grid, ts)
+                return ts, [replace(center, timestamp=ts) for center in found]
     head, _, body = data.partition(b"\n")
     try:
         header = head.decode()
@@ -116,30 +112,37 @@ def extract_centers(data: bytes, memo: dict) -> tuple[datetime, list[CycloneCent
     except (UnicodeDecodeError, FormatError):
         parse_grid_snapshot(data)  # raises as a whole-file parse does: a body not UTF-8 first
         raise
-    key = (body, nlat, nlon)
+    key = (body, lat0, lon0, dlat, dlon, nlat, nlon)  # a structure depends on all of them
     entry = memo.pop(key, None)
     if entry is None:
         snapshot = parse_grid_snapshot(data)  # full validation on first sight
-        minima = interior_minima(snapshot.values)
+        found = [
+            replace(center, structure=pressure_structure(snapshot, center.lat, center.lon))
+            for center in centers_at(interior_minima(snapshot.values), lat0, lon0, dlat, dlon, ts)
+        ]
     else:
-        minima = entry[2]
+        found = entry[1]
     last = header.split()[-1]
     prefix = head[: len(head) - len(last.encode())] if header.endswith(last) else None
-    memo[key] = (prefix, (lat0, lon0, dlat, dlon), minima)
-    return ts, centers_at(minima, lat0, lon0, dlat, dlon, ts)
+    memo[key] = (prefix, found)
+    return ts, [replace(center, timestamp=ts) for center in found]
 
 
 def write_centers(record: tuple[datetime, list[CycloneCenter]]) -> str:
     """The record codec's writer: the record's instant in ISO-8601, then
-    ``lat lon pressure i j`` of each center, floats in ``repr``, which reads
-    back bit for bit; a center of another instant raises ``ValueError``."""
+    ``lat lon pressure i j central ambient radius`` of each center, the last
+    three its structure, floats in ``repr``, which reads back bit for bit; a
+    center of another instant or without a structure raises ``ValueError``."""
     ts, centers = record
     fields = [ts.isoformat()]
     for center in centers:
         if center.timestamp != ts:
             raise ValueError(f"a center at {center.timestamp} in the record of {ts}")
+        if center.structure is None:
+            raise ValueError(f"a center at {center.grid_index} without its structure")
         fields += map(repr, (float(center.lat), float(center.lon), float(center.pressure)))
         fields += map(str, center.grid_index)
+        fields += map(repr, map(float, center.structure))
     return " ".join(fields)
 
 
@@ -150,11 +153,12 @@ def read_centers(text: str) -> tuple[datetime, list[CycloneCenter]]:
     ts = datetime.fromisoformat(stamp)  # reads what isoformat writes, ~3x faster than parse_utc
     if ts.utcoffset() != timedelta(0):
         raise ValueError(f"{stamp!r} is not a UTC instant")
-    if len(fields) % 5:
-        raise ValueError(f"{len(fields)} center fields, not five per center")
+    if len(fields) % 8:
+        raise ValueError(f"{len(fields)} center fields, not eight per center")
     return ts, [
-        CycloneCenter(float(lat), float(lon), float(pressure), ts, (int(i), int(j)))
-        for lat, lon, pressure, i, j in zip(*[iter(fields)] * 5)
+        CycloneCenter(float(lat), float(lon), float(pressure), ts, (int(i), int(j)),
+                      (float(central), float(ambient), float(radius)))
+        for lat, lon, pressure, i, j, central, ambient, radius in zip(*[iter(fields)] * 8)
     ]
 
 
@@ -171,12 +175,12 @@ def _timestamp_line(line: bytes) -> datetime | None:
 
 
 def combine_paths(
-    center_sets: list[tuple[datetime, str, list[CycloneCenter]]],
-    read_file: Callable[[str], bytes],
-    memo: dict,
+    center_sets: list[tuple[datetime, str, list[CycloneCenter]]], memo: dict
 ) -> list[DomainObject]:
     by_instant: dict[datetime, list[CycloneCenter]] = {}
-    file_of: dict[CycloneCenter, str] = {}  # a center -> the first file listing it
+    # a center -> the first file listing it and that file's center, whose
+    # structure an equal center of another file need not share
+    first: dict[CycloneCenter, tuple[str, CycloneCenter]] = {}
     for ts, file_id, items in center_sets:
         if items:
             centers = by_instant.get(ts)
@@ -186,27 +190,21 @@ def combine_paths(
             else:
                 centers += items
             for center in items:
-                file_of.setdefault(center, file_id)
+                first.setdefault(center, (file_id, center))
         elif ts not in by_instant:  # most instants hold no center
             by_instant[ts] = []
     objects = []
     for path in track(sorted(by_instant.items())):  # instants are distinct keys
         provenance = []
         for center in path.centers:
-            file_id = file_of[center]
+            file_id = first[center][0]
             if not provenance or provenance[-1] != file_id:
                 provenance.append(file_id)
-        final = provenance[-1]  # the file of the path's final center
+        final, last = first[path.centers[-1]]
         key = (path.centers, final)
         params = memo.get(key)
         if params is None:
-            last = path.centers[-1]
-            where = (final, *last.grid_index)
-            structure = memo.get(where)
-            if structure is None:
-                snapshot = parse_grid_snapshot(read_file(final))
-                structure = memo[where] = pressure_structure(snapshot, last.lat, last.lon)
-            params = memo[key] = parametrize(path, structure)
+            params = memo[key] = parametrize(path, last.structure)
         sources = {**params._asdict(), "start": path.start_time, "params": params}
         objects.append(
             DomainObject(

@@ -26,37 +26,30 @@ in module state: each file's map record under the plan's extractor
 functions and the file id, one namespace per procedure, passed to the
 extractor or the combiner as its ``memo``, and the storage's own placements
 per shape (node count and replication). A record is a function of the
-file's bytes alone; the query's area and time select from it. Reshaped
-views share the memo, so a file mapped once is not read or extracted
-again, whatever the later queries ask or the datasets that list it, and a
-submit at a shape used before places no file again. The map stage walks
-the layout's per-dataset file order (``StorageLayout.by_dataset``,
-through ``dataset_files``), kept by ingest and load rather than sorted
-per submit, so a warm submit's map stage is one memo lookup per file.
+file's bytes alone, and holds all that the reduce needs of the file, such
+as the cyclone extractor's pressure structure around each center; the
+query's area and time select from it. Reshaped views share the memo, so a
+file mapped once is not read or extracted again, whatever the later
+queries ask or the datasets that list it, and a submit at a shape used
+before places no file again. The map stage walks the layout's per-dataset
+file order (``StorageLayout.by_dataset``, through ``dataset_files``), kept
+by ingest and load rather than sorted per submit, so a warm submit's map
+stage is one memo lookup per file. The reduce reads no file.
 
 On a loaded store a cold submit reads from disk only the files that the
-store's indexes do not cover. The submit that opens a layout's memo
+store's map index does not cover. The submit that opens a layout's memo
 namespace for an extractor set loads the index of that set (``MapIndex``)
 into it, and a submit that extracts records rewrites the index, so a
-repeat ``dslake submit`` maps no snapshot it has mapped before. The
-combiner's namespace is loaded the same way from the combiner's index
-(``CombineIndex``), which holds its entries whose keys and values are
-literals, such as the cyclone combiner's pressure structure of each
-final center; a reduce whose combiner added such entries rewrites it. So
-an index hit reads no replica in the reduce either: a repeat submit of a
-query whose paths end on final centers seen before reads no file at all.
-A warm submit, whose records and entries are all in the memo, reads none
+repeat ``dslake submit`` reads no snapshot it has mapped before: one
+whose records all come from the index reads no file at all. A warm
+submit, whose records are all in the memo, reads none
 (``StorageLayout.read``). ``Diagnostics.files_read`` counts the files the
 map stage read. A file's fragment, ``nodes_used`` and an ``ON_NODE`` run
 name ``serving_node``: the node that served its last read, or a reshaped
 view's own simulated node. Like a memo hit, an index hit reads no
 replica, so its fragment names ``serving_node`` as it stands, and a lost
-replica of a file that an index covers goes unseen; the combiner's index
-widens that to the files its entries came from (ROADMAP, Fix first).
-Both indexes share one stamp scheme and one digest of the package's
-sources per layout (``_source_digest``), which the layout's memo keeps
-beside the indexes it opened. The combiner's parametrizations and the
-placements are not persisted.
+replica of a file that the index covers goes unseen (ROADMAP, Fix first).
+The combiner's parametrizations and the placements are not persisted.
 
 The map stage runs file after file on the submitting thread. Extraction
 is pure-Python parsing, scanning and hashing under the interpreter lock,
@@ -68,7 +61,6 @@ is a single sequential stage. One submit at a time per engine instance.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import inspect
 import sys
@@ -130,7 +122,7 @@ class Fragment(NamedTuple):
 _ARRIVAL_ORDER = itemgetter(2, 0)  # a fragment's (t0, file_id)
 _CENTER_SET = itemgetter(4, 0, 3)  # a fragment's (payload_time, file_id, payload)
 
-_INDEX_VERSION = 1  # of the indexes' entries; part of their stamps
+_INDEX_VERSION = 1  # of the map index's entries; part of its stamp
 
 
 def run_map(
@@ -186,83 +178,34 @@ def run_map(
     return fragments, len(extracted)
 
 
-class _Index:
-    """An index of results derived from a loaded store's files, persisted
-    under ``<root>/derived/`` as ``<kind>-<16 hex digits of ids>`` (see
+class MapIndex:
+    """The map records of one extractor set on a loaded store, persisted
+    under ``<root>/derived/`` as ``map-<16 hex digits of its ids>`` (see
     ``storage.read_index``).
-
-    ``ids`` names the procedures that derive the entries, by procedure id.
-    The stamp covers the index version, ``ids`` and the sources of
-    ``procedures`` (``_source_digest``). ``lines`` holds the line of every
-    entry the index holds or will hold, by key, so a rewrite encodes only
-    the new ones.
-    """
-
-    kind = ""
-
-    def __init__(self, path: Path, stamp: str):
-        self.path = path
-        self.stamp = stamp
-        self.lines: dict = {}
-
-    @classmethod
-    def at(cls, layout: StorageLayout, ids: str, procedures: list, *fields):
-        """The index of ``ids`` on ``layout``'s store, given the ``fields``
-        of its class; ``None`` when the source of a procedure is not a file."""
-        sources = _source_digest(layout, procedures)
-        if sources is None:
-            return None
-        name = hashlib.sha256(ids.encode()).hexdigest()[:16]
-        stamp = hashlib.sha256(f"{_INDEX_VERSION}\n{ids}{sources}".encode()).hexdigest()
-        return cls(layout.derived / f"{cls.kind}-{name}", stamp, *fields)
-
-    def read(self, decode) -> dict:
-        """The index's entries, each ``(key, value)`` as ``decode`` reads its
-        line; none when one line does not read back (see ``_READ_ERRORS``)."""
-        entries = {}
-        try:
-            for line in read_index(self.path, self.stamp) or ():
-                key, value = decode(line)
-                entries[key] = value
-                self.lines[key] = line
-        except _READ_ERRORS:
-            self.lines.clear()
-            return {}
-        return entries
-
-    def write(self) -> None:
-        write_index(self.path, self.stamp, sorted(self.lines.values()))
-
-
-# what decoding a line that does not read back raises: a codec raises
-# ValueError, KeyError or DslakeError, ast.literal_eval ValueError,
-# SyntaxError, TypeError or RecursionError
-_READ_ERRORS = (ValueError, KeyError, SyntaxError, TypeError, RecursionError, DslakeError)
-
-
-class MapIndex(_Index):
-    """The map records of one extractor set on a loaded store.
 
     Each entry is a line of three tab-separated fields, file id, file kind
     and the record as its kind's codec writes it, in file id order. The
-    index's ids are the extractor and codec procedure ids per file kind,
-    and its procedures the extractors and codecs. It is opened once, when
-    the layout's memo opens the extractor set's namespace.
+    index's ids are the extractor and codec procedure ids per file kind.
+    Its stamp covers the index version, the ids and the sources of the
+    extractors and codecs (``_source_digest``). ``lines`` holds the line of
+    every record the index holds or will hold, by file id, so a rewrite
+    encodes only the new ones. It is opened once, when the layout's memo
+    opens the extractor set's namespace.
     """
 
-    kind = "map"
-
     def __init__(self, path: Path, stamp: str, codecs: dict):
-        super().__init__(path, stamp)
+        self.path = path
+        self.stamp = stamp
         self.codecs = codecs
+        self.lines: dict[str, str] = {}
 
     @staticmethod
     def load(layout: StorageLayout, query: ValidatedQuery, records: dict) -> "MapIndex | None":
-        """The extractor set's index on ``layout``'s store, its records added
-        to ``records``; ``None`` when no file kind has a codec or a
-        procedure's source is not a file. An index that does not read back
-        whole adds no record and is rewritten by the next stage that
-        extracts one."""
+        """The extractor set's index on ``layout``'s store, its records put
+        in ``records``, the set's new memo namespace; ``None`` when no file
+        kind has a codec or a procedure's source is not a file. An index
+        that does not read back whole puts no record there and is rewritten
+        by the next stage that extracts one."""
         codecs = query.record_codecs
         if not codecs:
             return None
@@ -271,15 +214,22 @@ class MapIndex(_Index):
             f"{kind}\t{proc_id}\t{' '.join(knowledge.record_codecs.get(kind, ()))}\n"
             for kind, proc_id in knowledge.extractors.items()
         )
-        procedures = [*query.extractors.values(), *(fn for codec in codecs.values() for fn in codec)]
-        index = MapIndex.at(layout, ids, procedures, codecs)
-        if index is not None:
-
-            def decode(line):
+        sources = _source_digest(
+            [*query.extractors.values(), *(fn for codec in codecs.values() for fn in codec)]
+        )
+        if sources is None:
+            return None
+        name = hashlib.sha256(ids.encode()).hexdigest()[:16]
+        stamp = hashlib.sha256(f"{_INDEX_VERSION}\n{ids}{sources}".encode()).hexdigest()
+        index = MapIndex(layout.derived / f"map-{name}", stamp, codecs)
+        try:
+            for line in read_index(index.path, stamp) or ():
                 file_id, kind, text = line.split("\t", 2)
-                return file_id, codecs[kind].read(text)
-
-            records.update(index.read(decode))
+                records[file_id] = codecs[kind].read(text)
+                index.lines[file_id] = line
+        except (ValueError, KeyError, DslakeError):  # what a line that does not read back raises
+            records.clear()
+            index.lines.clear()
         return index
 
     def save(self, extracted: list[tuple[str, str, tuple]]) -> None:
@@ -298,86 +248,16 @@ class MapIndex(_Index):
                     added += 1
             if added:
                 # a file id holds no tab, so the lines sort as their file ids
-                self.write()
+                write_index(self.path, self.stamp, sorted(self.lines.values()))
         except (OSError, ValueError, DslakeError):
             pass  # the index is a cache: no result depends on it
 
 
-class CombineIndex(_Index):
-    """The entries of a combiner's memo namespace whose key and value are
-    literals, on a loaded store.
-
-    A literal is built of ``str``, ``int``, ``float`` and tuples, and reads
-    back equal through ``repr`` and ``ast.literal_eval``; each entry is the
-    line ``repr((key, value))``, and the lines are sorted. Other entries,
-    such as objects of the library's own types, stay in memory. The
-    index's ids are the combiner's procedure id, and its procedure the
-    combiner. It is opened once, when the layout's memo opens the
-    combiner's namespace.
-    """
-
-    kind = "combine"
-
-    @staticmethod
-    def load(layout: StorageLayout, query: ValidatedQuery, memo: dict) -> "CombineIndex | None":
-        """The combiner's index on ``layout``'s store, its entries added to
-        ``memo``; ``None`` when the combiner's source is not a file."""
-        index = CombineIndex.at(layout, query.selects[0].knowledge.combiner, [query.combiner])
-        if index is not None:
-            memo.update(index.read(_read_literal))
-        return index
-
-    def save(self, memo: dict) -> None:
-        """Add the literal entries of ``memo`` the index lacks and replace
-        it; an index that cannot be written leaves the submit as it is."""
-        added = 0
-        for key, value in memo.items():
-            if key not in self.lines:
-                line = _literal_line((key, value))
-                if line is not None:
-                    self.lines[key] = line
-                    added += 1
-        if added:
-            try:
-                self.write()
-            except OSError:
-                pass  # the index is a cache: no result depends on it
-
-
-def _is_literal(value) -> bool:
-    """Whether ``value`` is a ``str``, ``int`` or ``float``, or a tuple of such."""
-    if type(value) is tuple:
-        return all(map(_is_literal, value))
-    return type(value) in (str, int, float)
-
-
-def _literal_line(entry: tuple) -> str | None:
-    """``repr(entry)`` when ``entry`` is a literal that reads back equal from
-    it, as a NaN, an infinity or an int past ``repr``'s digit limit does not;
-    ``None`` otherwise."""
-    if not _is_literal(entry):
-        return None
-    try:
-        line = repr(entry)
-        return line if ast.literal_eval(line) == entry else None
-    except (ValueError, SyntaxError, RecursionError):
-        return None
-
-
-def _read_literal(line: str) -> tuple:
-    """The ``(key, value)`` that ``line`` holds, both literals."""
-    entry = ast.literal_eval(line)
-    if not (type(entry) is tuple and len(entry) == 2 and _is_literal(entry)):
-        raise ValueError(f"not a literal (key, value): {line[:80]!r}")
-    return entry
-
-
-def _source_digest(layout: StorageLayout, procedures: list) -> str | None:
+def _source_digest(procedures: list) -> str | None:
     """The digest of the sources of ``procedures``: the ``dslake`` package's
-    ``*.py`` files, read once per layout (its memo keeps their digest), and
-    the source of each module outside the package that defines one of
-    ``procedures``, through ``__wrapped__``; ``None`` if one of those
-    modules has no source file or a source cannot be read."""
+    ``*.py`` files, and the source of each module outside the package that
+    defines one of ``procedures``, through ``__wrapped__``; ``None`` if one
+    of those modules has no source file or a source cannot be read."""
     package = Path(__file__).resolve().parent
     outside = {}
     for procedure in procedures:
@@ -388,11 +268,10 @@ def _source_digest(layout: StorageLayout, procedures: list) -> str | None:
         path = Path(path).resolve()
         if package not in path.parents:
             outside[module.__name__] = path
-    if "package sources" not in layout.memo:
-        layout.memo["package sources"] = _files_digest(
-            {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
-        )
-    ours, theirs = layout.memo["package sources"], _files_digest(outside)
+    ours = _files_digest(
+        {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
+    )
+    theirs = _files_digest(outside)
     return None if ours is None or theirs is None else f"{ours}\n{theirs}"
 
 
@@ -452,27 +331,17 @@ def run_reduce(
 
     The reduce orders its own input: the combiner is given each fragment's
     ``(instant, file_id, payload)`` in (t0, file_id) order, with the
-    layout's ``read`` and the combiner's namespace of the layout's memo.
-    On a loaded store that namespace starts from the combiner's index
-    (``CombineIndex``), and a reduce whose combiner added entries to it
-    rewrites the index.
+    combiner's namespace of the layout's memo. It reads no file: what the
+    combiner needs of a file is in that file's map record.
     """
     center_sets = list(map(_CENTER_SET, sorted(fragments, key=_ARRIVAL_ORDER)))
-    memo = layout.memo.get(query.combiner)
-    if memo is None:
-        memo = layout.memo[query.combiner] = {}
-        if layout.derived is not None:
-            layout.memo["combine index", query.combiner] = CombineIndex.load(layout, query, memo)
-    index = layout.memo.get(("combine index", query.combiner))
-    known = len(memo)
+    memo = layout.memo.setdefault(query.combiner, {})
     try:
-        objects: list[DomainObject] = query.combiner(center_sets, layout.read, memo)
+        objects: list[DomainObject] = query.combiner(center_sets, memo)
     except DslakeError:
         raise
     except Exception as exc:
         raise CombinerFailure(str(exc)) from exc
-    if index is not None and len(memo) != known:
-        index.save(memo)
 
     selected_per_select = [
         [obj for obj in objects if all(f.procedure(obj.params, f.value) for f in sel.filters)]

@@ -42,21 +42,23 @@ short leaves no manifest cut or listing a replica not written. In the
 loaded store's own root it writes only the manifests whose lists an ingest
 changed, and ``fabric.conf`` only when it is missing or says otherwise.
 
-``derived/`` holds indexes of results derived from the stored files, such
-as the engine's map records and the combiner's pressure structures
-(``read_index``, ``write_index``). An index is a header line,
-``dslake-index <stamp> <SHA-256 of the body>``, then its body: one entry
-per line. Its writer replaces it whole, through a
-temporary file and ``os.replace``. A reader takes an index only when its
-header carries the reader's stamp and the digest of the body that
-follows, and ignores it whole otherwise: missing, truncated, damaged or
-stamped otherwise. Entries are functions of file ids, which are content
-addresses, so nothing ``ingest`` does invalidates one; a change to
-anything the stamp covers does. The index is guarded against damage and
-staleness, not against someone who can write the store, who can already
-rewrite its manifests. Like a memo hit, an index hit reads no replica, so
-the file's fragment names ``serving_node`` as it stands, whatever a read
-would have found. To drop every index, delete ``<root>/derived/``.
+``derived/`` holds indexes of results derived from the stored files: the
+engine's map records, one index per extractor set, each record carrying
+all that the engine's reduce needs of its file (``read_index``,
+``write_index``). An index is a header line, ``dslake-index <stamp>
+<SHA-256 of the body>``, then its body: one entry per line. Its writer
+replaces it whole, through a temporary file and ``os.replace``. A reader
+takes an index only when its header carries the reader's stamp and the
+digest of the body that follows, and ignores it whole otherwise: missing,
+truncated, damaged or stamped otherwise. A file there that no reader
+opens, such as an index of an older kind, is left as it is. Entries are
+functions of file ids, which are content addresses, so nothing
+``ingest`` does invalidates one; a change to anything the stamp covers
+does. The index is guarded against damage and staleness, not against
+someone who can write the store, who can already rewrite its manifests.
+Like a memo hit, an index hit reads no replica, so the file's fragment
+names ``serving_node`` as it stands, whatever a read would have found.
+To drop every index, delete ``<root>/derived/``.
 
 Mutations (ingest, fail, recover) are serialized by the caller. Reads may
 run concurrently: each bad replica a read meets is recorded in
@@ -203,11 +205,12 @@ class StorageLayout:
     the layout; reshaped views share them, so a view at a shape used before
     places only the files new since. Memory grows by at most one placement
     per file per shape in use, and with the number of distinct bodies too:
-    the cyclone extractor keys minima on the body bytes, so its memo holds
-    the only copy a loaded layout retains of each distinct body, plus one
-    pressure structure per final center and one parametrization per
-    distinct (path, final file) a query tracked. No lock: an engine runs one submit
-    at a time, and two concurrent readers at worst compute a value twice.
+    the cyclone extractor keys its centers on the body bytes and the
+    header's geometry, so its memo holds the only copy a loaded layout
+    retains of each distinct body, and the combiner one parametrization
+    per distinct (path, final file) a query tracked. No lock: an engine
+    runs one submit at a time, and two concurrent readers at worst compute
+    a value twice.
     """
 
     node_count: int

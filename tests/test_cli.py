@@ -643,6 +643,68 @@ def test_malformed_config_value_exit_one(workdir, capsys, monkeypatch, conf, env
     assert err == f"error: {message}\n"
 
 
+def test_submit_and_results_are_utf8_whatever_the_locale(workdir, capsys):
+    # under the C locale, with UTF-8 mode off, the locale's encoding is
+    # ASCII; the stored result and the CSV are UTF-8 all the same, so a
+    # failure reason or a string output beyond ASCII neither breaks submit
+    # nor reads back otherwise
+    import csv
+    import subprocess
+    import sys
+
+    import dslake
+    from dslake.descriptors import dump_descriptors
+    from dslake.registry import ExecutionMode, PackageDescriptor, PackageInput, PackageOutputDecl
+
+    command = workdir / "uber.py"
+    command.write_text(
+        "import pathlib, sys\n"
+        "if sys.argv[1] == 'fail':\n"
+        "    sys.stderr.buffer.write('Überlauf\\n'.encode())\n"
+        "    sys.exit(3)\n"
+        "(pathlib.Path(sys.argv[2]) / 'outputs.tsv').write_bytes('note\\tÜberlauf\\n'.encode())\n",
+        encoding="utf-8",
+    )
+    packages = [
+        PackageDescriptor(
+            name=name,
+            inputs=(PackageInput("startTime", "datetime", required=True),),
+            outputs=(PackageOutputDecl("note", "string"),),
+            execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+            command_template=f"{sys.executable} {command} {mode} {{outdir}}",
+        )
+        for name, mode in (("FAILS", "fail"), ("NOTES", "note"))
+    ]
+    (workdir / "uber.kd").write_text(dump_descriptors([], packages))
+    run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 3)))
+    select, simulate = FIG5_SCRIPT.split("simulate")
+    simulate = "simulate" + simulate.replace("out(level[440,414])", "out(note)")
+    script = workdir / "uber.dq"
+    script.write_text(select + simulate.replace("BSM", "FAILS") + simulate.replace("BSM", "NOTES"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(Path(dslake.__file__).parent.parent)}
+    env.pop("PYTHONUTF8", None)
+
+    def dslake_cli(*argv):
+        return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "dslake", *argv],
+                              cwd=workdir, env=env, capture_output=True, timeout=120)
+
+    submitted = dslake_cli("--registry", "uber.kd", "submit", "--dataset", "d1", "uber.dq",
+                           "--emit-csv", "notes.csv")
+    assert submitted.returncode == 0, submitted.stderr.decode(errors="replace")
+    text = submitted.stdout.decode()
+    # a failed run keeps its scratch directory and names it
+    scratch = text.partition("status failed FAILS exited 3: Überlauf (scratch kept at ")[2]
+    assert scratch
+    shutil.rmtree(scratch.partition(")\n")[0])
+    task_id = text.split("\n", 1)[0].removeprefix("RESULT ")
+    stored = dslake_cli("results", task_id)
+    assert (stored.returncode, stored.stdout) == (0, submitted.stdout)
+    with open(workdir / "notes.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert rows and all(row[1:] == ["NOTES", "note", "", "Überlauf"] for row in rows)
+
+
 def test_results_that_are_not_utf8_exit_one(workdir, capsys):
     results = workdir / "dslake-storage" / "results"
     results.mkdir(parents=True)

@@ -39,7 +39,8 @@ from dslake.registry import (
 )
 from dslake.storage import DataFile, StorageLayout
 from dslake.cyclone.plugin import bsm_external_descriptor, register_cyclone_domain
-from dslake.cyclone.grid import render_grid_snapshot
+from dslake.cyclone.grid import parse_grid_snapshot, render_grid_snapshot
+from dslake.cyclone.params import pressure_structure
 from dslake.cyclone.synthetic import PlantedCyclone, SyntheticSpec, generate_synthetic
 from dslake.lang.ast import GeoBox
 
@@ -151,7 +152,7 @@ def test_reduce_orders_its_own_input(registry):
 
     seen = []
 
-    def recording(center_sets, read_file, memo):
+    def recording(center_sets, memo):
         seen.append(center_sets)
         return []
 
@@ -273,7 +274,7 @@ def test_submit_of_a_refused_script_reads_no_file(station_registry, monkeypatch,
 
 
 def test_combiner_exception_is_a_combiner_failure(registry):
-    def broken(center_sets, read_file, memo):
+    def broken(center_sets, memo):
         raise Exception("combiner bug")
 
     registry.procedures["cyclone.combine_paths"] = broken
@@ -570,8 +571,8 @@ def test_object_without_a_bound_parameter_is_a_failed_simulation(registry):
     layout, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
     combine = registry.procedures["cyclone.combine_paths"]
 
-    def combine_without_cyclone(center_sets, read_file, memo):
-        objects = combine(center_sets, read_file, memo)
+    def combine_without_cyclone(center_sets, memo):
+        objects = combine(center_sets, memo)
         for obj in objects:
             del obj.params["cyclone"]
         return objects
@@ -677,29 +678,27 @@ def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
     assert len(calls) == len(metas)
     assert len(layout.memo[(counting,)]) == len(metas)
     bodies = {layout.read(m.file_id).partition(b"\n")[2] for m in metas}
-    assert len(layout.memo[counting]) <= len(bodies)  # minima, keyed by body
+    assert len(layout.memo[counting]) <= len(bodies)  # centers, keyed by body and geometry
     combiner = registry.procedures["cyclone.combine_paths"]
     assert len(layout.memo[combiner]) <= len(metas)
     # parameters are keyed by a tracked path's centers and the file of its
-    # final center, and pressure structures by that file and the final
-    # center's grid index, so there is at most one per distinct such key
+    # final center, so there is at most one per distinct such pair
     file_of = {
         center: file_id
         for file_id, (_, centers) in layout.memo[(counting,)].items()
         for center in centers
     }
     pairs = {(path.centers, file_of[path.centers[-1]]) for path in tracked}
-    finals = {(file_of[path.centers[-1]], *path.centers[-1].grid_index) for path in tracked}
-    assert set(layout.memo[combiner]) <= pairs | finals
+    assert set(layout.memo[combiner]) <= pairs
 
 
 def _counting_parametrize(monkeypatch) -> list:
     """The centers of every path ``plugin.parametrize`` is called on, in order."""
     parametrize, calls = plugin.parametrize, []
 
-    def counting(path, snapshot):
+    def counting(path, structure):
         calls.append(path.centers)
-        return parametrize(path, snapshot)
+        return parametrize(path, structure)
 
     monkeypatch.setattr(plugin, "parametrize", counting)
     return calls
@@ -772,6 +771,75 @@ def test_the_reduce_never_alters_a_memo_record(registry):
     assert warm.submit(request).canonical_text() == first
     records = layout.memo[(registry.procedures["cyclone.extract_centers"],)]
     assert [len(records[f.file_id][1]) for f in files] == [1, 1]
+
+
+# the canonical text of the files below as the combiner gave it when it
+# parsed the final center's first file itself
+EQUAL_CENTER_TEXT = """\
+RESULT 7f7578ea00f7c875
+OBJECTS
+object 0219ebe45f516244
+  type cyclone-path
+  param Depth 40.0000
+  param EndTime 2011-01-01T12:00:00Z
+  param Pressure 973.2500
+  param Radius 248.6689
+object 0283070e2d1958e6
+  type cyclone-path
+  param Depth 40.0000
+  param EndTime 2011-01-01T12:00:00Z
+  param Pressure 973.2500
+  param Radius 248.6689
+SIMULATIONS
+DIAGNOSTICS
+  files_mapped 4
+  fragments 4
+"""
+
+
+def test_an_equal_center_of_two_files_takes_the_first_files_structure(registry, tmp_path):
+    # two files of the last instant list an equal center, planted on one grid
+    # node, but their depressions differ in width, so the windows around it
+    # and the structures differ. Both paths that end there, one tracked to
+    # the first file's center and one started by the second's, take their
+    # parameters and provenance from the first file in (t0, file id) order.
+    def grid_file(hour, lat, lon, sigma_km):
+        ts = utc(2011, 1, 1, hour)
+        return DataFile.from_bytes("d1", ts, ts, render_grid_snapshot(
+            snapshot(gaussian_depression(30, 40, lat, lon, 40.0, sigma_km), ts=ts)))
+
+    files = [grid_file(0, 55.0, -15.0, 300.0), grid_file(6, 55.5, -14.5, 300.0),
+             grid_file(12, 56.0, -14.0, 300.0), grid_file(12, 56.0, -14.0, 150.0)]
+    first, second = sorted(files[2:], key=lambda f: f.file_id)
+    script = (
+        "select cyclone-path\n"
+        "  out(Params[EndTime], Params[Pressure], Params[Depth], Params[Radius])\n"
+    )
+    layout = StorageLayout(node_count=2, replication=1).ingest(files)
+    fragments, _ = run_map(layout, "d1", validate(parse(script), registry))
+    payloads = {f.file_id: f.payload for f in fragments}
+    (last,), (other,) = payloads[first.file_id], payloads[second.file_id]
+    assert last == other and last.structure != other.structure
+    central, ambient, radius = pressure_structure(
+        parse_grid_snapshot(first.data), last.lat, last.lon
+    )
+    center_sets = [(f.payload_time, f.file_id, f.payload)
+                   for f in sorted(fragments, key=lambda f: (f.t0, f.file_id))]
+    objects = plugin.combine_paths(center_sets, {})
+    assert len(objects) == 2
+    for obj in objects:
+        assert obj.provenance[-1] == first.file_id
+        params = obj.params
+        assert (params["Pressure"], params["Depth"], params["Radius"]) == (
+            central, ambient - central, radius
+        )
+    request = TaskRequest("d1", script, EngineConfig(2, 1))
+    assert submit(request, registry, layout).canonical_text() == EQUAL_CENTER_TEXT
+    # and on a saved store, extracting and then from its map index
+    layout.save(tmp_path)
+    for files_read in (4, 0):
+        doc = engine.Engine(registry, StorageLayout.load(tmp_path)).submit(request)
+        assert (doc.diagnostics.files_read, doc.canonical_text()) == (files_read, EQUAL_CENTER_TEXT)
 
 
 WEST, EAST = GeoBox(48, -25, 66, 0), GeoBox(48, 5, 66, 32)

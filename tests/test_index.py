@@ -7,8 +7,10 @@ import hashlib
 import io
 import os
 import shutil
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,8 +295,105 @@ def test_a_plan_without_a_codec_writes_no_index(tmp_path):
     files = saved_store(tmp_path, 5)
     for _ in range(2):
         assert cold(tmp_path, registry).diagnostics.files_read == len(files)
-    # the combiner's index does not depend on the record codecs
-    assert [path.name[:8] for path in (tmp_path / "derived").iterdir()] == ["combine-"]
+    assert not (tmp_path / "derived").exists()
+
+
+def test_an_index_hit_reads_no_file(tmp_path, registry, monkeypatch):
+    # the map index holds every file's record, the pressure structures of
+    # its centers included, so a repeat submit, at any node count, reads no
+    # replica at all
+    saved_store(tmp_path, 5)
+    expected = cold(tmp_path, registry).canonical_text()
+    assert "simulation" in expected
+
+    def refuse(self, file_id):
+        raise AssertionError(f"an index hit read {file_id}")
+
+    monkeypatch.setattr(StorageLayout, "read", refuse)
+    for nodes in (4, 2, 8):
+        doc = cold(tmp_path, registry, nodes=nodes)
+        assert (doc.diagnostics.files_read, doc.canonical_text()) == (0, expected)
+
+
+def test_an_index_miss_reads_each_file_once(tmp_path, registry, monkeypatch):
+    # what the reduce needs of a file is in the file's record, so a submit
+    # without derived/ reads each file once, in the map stage, and the
+    # reduce reads none, the final files of its paths included
+    files = saved_store(tmp_path, 5)
+    read, reduce, reads, in_reduce = StorageLayout.read, engine.run_reduce, [], []
+
+    def counting(self, file_id):
+        reads.append(file_id)
+        return read(self, file_id)
+
+    def reducing(*args, **kwargs):
+        before = len(reads)
+        try:
+            return reduce(*args, **kwargs)
+        finally:
+            in_reduce.extend(reads[before:])
+
+    monkeypatch.setattr(StorageLayout, "read", counting)
+    monkeypatch.setattr(engine, "run_reduce", reducing)
+    doc = cold(tmp_path, registry)
+    assert doc.simulations and doc.diagnostics.files_read == len(files)
+    assert Counter(reads) == Counter(f.file_id for f in files)
+    assert in_reduce == []
+
+
+def _without_structures(line: str) -> str:
+    """A map index line as a release that kept pressure structures out of
+    the records wrote it: five fields per center, not eight."""
+    file_id, kind, text = line.split("\t")
+    stamp, *fields = text.split(" ")
+    kept = [field for at, field in enumerate(fields) if at % 8 < 5]
+    return "\t".join((file_id, kind, " ".join([stamp, *kept])))
+
+
+def test_a_store_indexed_by_an_older_release_submits_the_same_bytes(
+    tmp_path, registry, monkeypatch
+):
+    # an older release wrote its map records without pressure structures,
+    # under its own stamp, and kept the structure of each final center in a
+    # second index, derived/combine-*: a submit ignores the first and
+    # rewrites it once, and neither reads nor removes the second
+    files = saved_store(tmp_path, 5)
+    expected = submit(TaskRequest("d1", FIG5_SCRIPT, EngineConfig(4, 2)), registry,
+                      StorageLayout(node_count=4, replication=2).ingest(files)).canonical_text()
+    cold(tmp_path, registry)
+    path = index_path(tmp_path)
+    valid = path.read_bytes()
+    _, body = _header_and_body(valid)
+    lines = body.decode().splitlines()
+    path.write_bytes(digested(b"0" * 64, [_without_structures(line) for line in lines]))
+    structures = [
+        repr(((file_id, *center.grid_index), center.structure))
+        for file_id, _, text in (line.split("\t") for line in lines)
+        for center in read_centers(text)[1]
+    ]
+    assert structures
+    combine = tmp_path / "derived" / f"combine-{'ab' * 8}"
+    combine.write_bytes(digested(b"1" * 64, sorted(structures)))
+    orphan = combine.read_bytes()
+    read_bytes, opened = Path.read_bytes, []
+
+    def recording(self):
+        opened.append(self.name)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", recording)
+    doc = cold(tmp_path, registry)
+    assert (doc.diagnostics.files_read, doc.canonical_text()) == (len(files), expected)
+    assert path.read_bytes() == valid
+    rewritten = path.stat().st_ino
+    doc = cold(tmp_path, registry)
+    assert (doc.diagnostics.files_read, doc.canonical_text()) == (0, expected)
+    assert path.stat().st_ino == rewritten
+    assert combine.read_bytes() == orphan
+    assert opened.count(combine.name) == 1  # this test's own read above
+    assert sorted(p.name for p in (tmp_path / "derived").iterdir()) == sorted(
+        [path.name, combine.name]
+    )
 
 
 # -- the cyclone record codec ---------------------------------------------------
@@ -343,6 +442,13 @@ def test_the_codec_refuses_a_center_of_another_instant():
         write_centers((utc(2011, 1, 1), [center]))
 
 
+def test_the_codec_refuses_a_center_without_its_structure():
+    center = CycloneCenter(57.0, -18.0, 980.5, utc(2011, 1, 1), (4, 5), (980.5, 1013.0, 1e2))
+    assert read_centers(write_centers((utc(2011, 1, 1), [center]))) == (utc(2011, 1, 1), [center])
+    with pytest.raises(ValueError):
+        write_centers((utc(2011, 1, 1), [replace(center, structure=None)]))
+
+
 _FIELDS = st.sampled_from([
     "2011-01-01T00:00:00+00:00", "2011-01-01T00:00Z", "1.5", "-0.0", "nan", "1e999", "3", "-1",
     "9" * 5000, "x", "", " ", "٣", "2011-02-30T00:00:00+00:00",
@@ -357,75 +463,3 @@ def test_the_codec_reader_gives_a_record_or_a_value_error(text):
     except (ValueError, DslakeError):
         return
     assert all(center.timestamp is ts for center in centers)
-
-
-# -- the combiner's index --------------------------------------------------------
-
-
-def test_an_index_hit_reads_no_file(tmp_path, registry, monkeypatch):
-    # the map index holds every file's record and the combiner's index the
-    # pressure structure of every path's final center, so a repeat submit,
-    # at any node count, reads no replica at all
-    saved_store(tmp_path, 5)
-    expected = cold(tmp_path, registry).canonical_text()
-    assert "simulation" in expected
-
-    def refuse(self, file_id):
-        raise AssertionError(f"an index hit read {file_id}")
-
-    monkeypatch.setattr(StorageLayout, "read", refuse)
-    for nodes in (4, 2, 8):
-        doc = cold(tmp_path, registry, nodes=nodes)
-        assert (doc.diagnostics.files_read, doc.canonical_text()) == (0, expected)
-
-
-@pytest.mark.parametrize("damage", [
-    "stamp", "truncated", "nan", "[('x', 1, 2), (1.0, 2.0, 3.0)]", "('x', 1, 2)", "True", "(",
-])
-def test_a_combiner_index_that_does_not_read_back_is_ignored_and_rewritten(
-    store, monkeypatch, damage
-):
-    # the combiner then reads each final file once per pressure structure,
-    # gives the store's bytes and writes the index as the first submit did
-    root, _, expected, _, _ = store
-    path = index_path(root, "combine")
-    valid = path.read_bytes()
-    (magic, stamp, digest), body = _header_and_body(valid)
-    entries = body.decode().splitlines()
-    assert entries
-    if damage == "stamp":
-        damaged = b" ".join([magic, bytes(reversed(stamp)), digest]) + b"\n" + body
-    elif damage == "truncated":
-        damaged = valid[: len(valid) // 2]
-    else:
-        damaged = digested(stamp, [*entries, damage])
-    path.write_bytes(damaged)
-    read, reads = StorageLayout.read, []
-
-    def counting(self, file_id):
-        reads.append(file_id)
-        return read(self, file_id)
-
-    monkeypatch.setattr(StorageLayout, "read", counting)
-    doc = cold(root, register_cyclone_domain(KnowledgeRegistry()))
-    assert (doc.diagnostics.files_read, doc.canonical_text()) == (0, expected)
-    assert len(reads) == len(entries)
-    assert path.read_bytes() == valid
-
-
-@pytest.mark.parametrize("entry, persisted", [
-    ((("f", 1, 2), (1013.25, -0.0, 499.5)), True),
-    (("f", "text\twith\nbreaks"), True),
-    (("f", float("nan")), False),
-    (("f", float("inf")), False),
-    (("f", True), False),
-    (("f", [1.0]), False),
-    (("f", None), False),
-    ((CycloneCenter(1.0, 2.0, 990.0, utc(2011, 1, 1), (1, 2)),), False),
-])
-def test_only_literals_are_persisted(entry, persisted):
-    # built of str, int, float and tuples, and read back equal
-    line = engine._literal_line(entry)
-    assert (line is not None) == persisted
-    if persisted:
-        assert "\n" not in line and engine._read_literal(line) == entry
