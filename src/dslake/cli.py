@@ -19,8 +19,9 @@ replication, nodes) unless ``replication`` is set; the defaults of 2 and 2
 only shape a store that ``ingest`` creates. ``--fail-node`` names a node of
 the stored fabric, so a submit that sets another node count or replication
 refuses it. ``results`` takes a task id as ``submit`` prints it, 16
-lowercase hex digits. Results go to stdout, diagnostics to stderr; exit 0
-on success, 1 on domain errors (a malformed configuration value or config
+lowercase hex digits. Results go to stdout, diagnostics to stderr (among
+them the scratch directory each failed external run kept); exit 0 on
+success, 1 on domain errors (a malformed configuration value or config
 line among them), 2 on usage or file errors.
 """
 
@@ -289,6 +290,10 @@ def _cmd_submit(args, config: CliConfig) -> int:
     if args.emit_csv:
         _write_csv(args.emit_csv, document)
     sys.stdout.write(text)
+    for sim in document.simulations:
+        if sim.scratch is not None:
+            print(f"simulation {sim.object_id} {sim.package}: scratch kept at {sim.scratch}",
+                  file=sys.stderr)
     return 0
 
 

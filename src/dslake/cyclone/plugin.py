@@ -3,8 +3,8 @@
 Procedure contract with the engine:
 
   * extractor(data, memo) -> (timestamp, [items with .lat and .lon])
-  * combiner([(instant, file id, [CycloneCenter])] in (t0, file id) order,
-             memo) -> [DomainObject]
+  * combiner([(instant, file id, [CycloneCenter])] in (t0, file id) order)
+    -> [DomainObject]
   * filter(object params dict, value) -> bool
   * builtin package procedure(bindings dict) -> outputs dict
 
@@ -14,12 +14,11 @@ of ``track`` and ``parametrize``. The extractor sees no query either: its
 result is a function of the file's bytes, and the engine selects the
 instants and centers a query's time and area clauses ask for.
 
-The ``memo`` of the extractor and of the combiner is the procedure's own
-namespace of the storage layout's memo; it keeps there only pure
-functions of its inputs and the stored bytes. The extractor decodes only
-the header line and keys its work on the grid body bytes and the
-header's geometry, so identical bodies (the common all-background case)
-are parsed and scanned once per layout. On first sight of a body it
+The extractor's ``memo`` is its own namespace of the storage layout's
+memo; it keeps there only pure functions of its inputs and the stored
+bytes. The extractor decodes only the header line and keys its work on
+the grid body bytes and the header's geometry, so identical bodies (the
+common all-background case) are parsed and scanned once per layout. On first sight of a body it
 computes the pressure structure around each center it finds
 (``pressure_structure``: central and ambient pressure and radius, as
 floats), which the center carries (``CycloneCenter.structure``) and the
@@ -37,13 +36,9 @@ knows each center's file: a center that two files list is the first's,
 and so is its structure. A path is parametrized from the structure its
 final center's file gives, so files that share an instant, such as tiles
 of one region, each serve their own paths, and a path's provenance is its
-centers' files. The combiner reads no file. Each path's parameters are
-kept in memory, keyed by its centers and that file id: ``parametrize``
-reads nothing else, so a repeat submit parametrizes no path again, and a
-path that a query's area or time crops into other centers is
-parametrized anew, from its own final center's structure. Nothing this
-module imports at its top imports numpy: the functions that compute grids
-import it when they run.
+centers' files. The combiner reads no file and keeps nothing between
+calls. Nothing this module imports at its top imports numpy: the
+functions that compute grids import it when they run.
 """
 
 from __future__ import annotations
@@ -175,7 +170,7 @@ def _timestamp_line(line: bytes) -> datetime | None:
 
 
 def combine_paths(
-    center_sets: list[tuple[datetime, str, list[CycloneCenter]]], memo: dict
+    center_sets: list[tuple[datetime, str, list[CycloneCenter]]]
 ) -> list[DomainObject]:
     by_instant: dict[datetime, list[CycloneCenter]] = {}
     # a center -> the first file listing it and that file's center, whose
@@ -200,11 +195,7 @@ def combine_paths(
             file_id = first[center][0]
             if not provenance or provenance[-1] != file_id:
                 provenance.append(file_id)
-        final, last = first[path.centers[-1]]
-        key = (path.centers, final)
-        params = memo.get(key)
-        if params is None:
-            params = memo[key] = parametrize(path, last.structure)
+        params = parametrize(path, first[path.centers[-1]][1].structure)
         sources = {**params._asdict(), "start": path.start_time, "params": params}
         objects.append(
             DomainObject(

@@ -36,10 +36,6 @@ class CyclonePath:
     def start_time(self) -> datetime:
         return self.centers[0].timestamp
 
-    @property
-    def end_time(self) -> datetime:
-        return self.centers[-1].timestamp
-
 
 def path_digest(centers: Sequence[CycloneCenter]) -> str:
     h = hashlib.sha256()

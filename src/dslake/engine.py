@@ -23,18 +23,25 @@ of the canonical text.
 
 Derived results live in the layout's memo (``StorageLayout.memo``), not
 in module state: each file's map record under the plan's extractor
-functions and the file id, one namespace per procedure, passed to the
-extractor or the combiner as its ``memo``, and the storage's own placements
-per shape (node count and replication). A record is a function of the
-file's bytes alone, and holds all that the reduce needs of the file, such
-as the cyclone extractor's pressure structure around each center; the
-query's area and time select from it. Reshaped views share the memo, so a
-file mapped once is not read or extracted again, whatever the later
-queries ask or the datasets that list it, and a submit at a shape used
-before places no file again. The map stage walks the layout's per-dataset
-file order (``StorageLayout.by_dataset``, through ``dataset_files``), kept
-by ingest and load rather than sorted per submit, so a warm submit's map
-stage is one memo lookup per file. The reduce reads no file.
+functions and the file id, one namespace per extractor, passed to it as
+its ``memo``, and the storage's own placements per shape (node count and
+replication). A record is a function of the file's bytes alone, and holds
+all that the reduce needs of the file, such as the cyclone extractor's
+pressure structure around each center; the query's area and time select
+from it. Reshaped views share the memo, so a file mapped once is not read
+or extracted again, whatever the later queries ask or the datasets that
+list it, and a submit at a shape used before places no file again. The
+map stage walks the layout's per-dataset file order
+(``StorageLayout.by_dataset``, through ``dataset_files``), kept by ingest
+and load rather than sorted per submit, so a warm submit's map stage is
+one memo lookup per file.
+
+The reduce is a function of the fragments, the plan and the task id: it
+reads no file and sees no layout. Each fragment names the node the map
+stage found serving its file (``serving_node``: the node that served its
+last read, or a reshaped view's own simulated node), and
+``Diagnostics.nodes_used`` and an ``ON_NODE`` run take their nodes from
+there.
 
 On a loaded store a cold submit reads from disk only the files that the
 store's map index does not cover. The submit that opens a layout's memo
@@ -44,19 +51,14 @@ repeat ``dslake submit`` reads no snapshot it has mapped before: one
 whose records all come from the index reads no file at all. A warm
 submit, whose records are all in the memo, reads none
 (``StorageLayout.read``). ``Diagnostics.files_read`` counts the files the
-map stage read. A file's fragment, ``nodes_used`` and an ``ON_NODE`` run
-name ``serving_node``: the node that served its last read, or a reshaped
-view's own simulated node. Like a memo hit, an index hit reads no
-replica, so its fragment names ``serving_node`` as it stands, and a lost
-replica of a file that the index covers goes unseen (ROADMAP, Fix first).
-The combiner's parametrizations and the placements are not persisted.
+map stage read. Like a memo hit, an index hit reads no replica, so its
+fragment names ``serving_node`` as it stands, and a lost replica of a
+file that the index covers goes unseen (ROADMAP, Fix first). Placements
+are not persisted.
 
-The map stage runs file after file on the submitting thread. Extraction
-is pure-Python parsing, scanning and hashing under the interpreter lock,
-so one map thread per simulated node was measured as a net loss of CPU
-and wall time (a Fig. 5 year submitted cold at 4 nodes: ~420 ms of CPU
-with four threads, ~265 ms without, on a 2-core x86_64 host). Reduce
-is a single sequential stage. One submit at a time per engine instance.
+The map stage runs file after file on the submitting thread, and the
+reduce is a single sequential stage. One submit at a time per engine
+instance.
 """
 
 from __future__ import annotations
@@ -308,7 +310,7 @@ class Engine:
 
         query = validate(parse(request.script), self.registry)
         fragments, files_read = run_map(layout, request.dataset, query)
-        document = run_reduce(fragments, query, layout, task_id=request.task_id())
+        document = run_reduce(fragments, query, task_id=request.task_id())
         document.diagnostics.files_read = files_read
         return document
 
@@ -320,24 +322,19 @@ def submit(
 
 
 def run_reduce(
-    fragments: list[Fragment],
-    query: ValidatedQuery,
-    layout: StorageLayout,
-    task_id: str = "",
+    fragments: list[Fragment], query: ValidatedQuery, task_id: str = ""
 ) -> ResultDocument:
     """Aggregate fragments, in whatever order they arrive, into the result
     document of task ``task_id``, which external packages see as
     ``DSLAKE_TASK_ID``.
 
     The reduce orders its own input: the combiner is given each fragment's
-    ``(instant, file_id, payload)`` in (t0, file_id) order, with the
-    combiner's namespace of the layout's memo. It reads no file: what the
+    ``(instant, file_id, payload)`` in (t0, file_id) order. What the
     combiner needs of a file is in that file's map record.
     """
     center_sets = list(map(_CENTER_SET, sorted(fragments, key=_ARRIVAL_ORDER)))
-    memo = layout.memo.setdefault(query.combiner, {})
     try:
-        objects: list[DomainObject] = query.combiner(center_sets, memo)
+        objects: list[DomainObject] = query.combiner(center_sets)
     except DslakeError:
         raise
     except Exception as exc:
@@ -360,12 +357,11 @@ def run_reduce(
             for name in sel.requested_params:
                 record.requested_params[name] = obj.params.get(name)
 
+    nodes = {f.file_id: f.node for f in fragments}
     simulations = [
         sim
         for plan in query.simulates
-        for sim in _run_simulations(
-            plan, selected_per_select[plan.select_index], layout, task_id
-        )
+        for sim in _run_simulations(plan, selected_per_select[plan.select_index], nodes, task_id)
     ]
 
     return ResultDocument(
@@ -375,7 +371,7 @@ def run_reduce(
         diagnostics=Diagnostics(
             files_mapped=len(fragments),
             fragments=len(fragments),
-            nodes_used={f.node for f in fragments},
+            nodes_used=set(nodes.values()),
         ),
     )
 
@@ -383,7 +379,7 @@ def run_reduce(
 def _run_simulations(
     plan: SimulatePlan,
     selected: list[DomainObject],
-    layout: StorageLayout,
+    nodes: dict[str, int],  # the node of each file, as its fragment names it
     task_id: str,
 ) -> list[SimulationRecord]:
     records = []
@@ -399,7 +395,7 @@ def _run_simulations(
 
             node = None
             if plan.package.placement is Placement.ON_NODE and obj.provenance:
-                node = layout.serving_node(obj.provenance[-1])
+                node = nodes[obj.provenance[-1]]
 
             started = time.perf_counter()
             outputs = invoke(plan.package, plan.procedure, bindings, task_id)
@@ -411,6 +407,7 @@ def _run_simulations(
             # partial-failure policy: record and keep processing the rest
             record.status = "failed"
             record.failure_reason = str(exc)
+            record.scratch = getattr(exc, "scratch", None)
             record.outputs = {}
         records.append(record)
     return records

@@ -220,6 +220,7 @@ class CombinerFailure(EngineError):
 class PackageFailure(EngineError):
     def __init__(self, reason: str):
         self.reason = reason
+        self.scratch = None  # the directory a failed external run kept, set by hybrid
         super().__init__(reason)
 
 

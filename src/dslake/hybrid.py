@@ -35,7 +35,8 @@ submit's task id. A command that exits non-zero fails with the last 500
 characters of its stderr; an unreadable ``outputs.tsv`` or series file
 fails naming it. A scratch directory is deleted once the declared outputs
 are read back; every ``PackageFailure`` of an external run keeps it and
-ends with ``(scratch kept at <path>)``.
+names it as its ``scratch``, not in its message, so the failure reason of
+a run is the same text whatever directory it was given.
 
 Invocations are independent: no shared mutable state, safe to run
 concurrently.
@@ -184,7 +185,8 @@ def _run_external(
         outputs = _run_in(scratch, package, bindings, task_id)
         _check_outputs(package, outputs)
     except PackageFailure as exc:
-        raise PackageFailure(f"{exc} (scratch kept at {scratch})") from exc
+        exc.scratch = scratch
+        raise
     shutil.rmtree(scratch, ignore_errors=True)
     return outputs
 

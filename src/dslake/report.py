@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from pathlib import Path
 from typing import Any
 
 from dslake.registry import SCALAR_TYPES
@@ -38,6 +39,7 @@ class SimulationRecord:
     failure_reason: str | None = None
     node: int | None = None  # execution placement, diagnostic only
     wall_time_s: float = 0.0  # diagnostic only
+    scratch: Path | None = None  # a failed external run's kept directory, diagnostic only
 
 
 @dataclass

@@ -346,7 +346,7 @@ def test_criterion_8_scheduling_independence():
     for _ in range(1000):
         arrival = fragments[:]
         rng.shuffle(arrival)
-        doc = run_reduce(arrival, query, layout)
+        doc = run_reduce(arrival, query)
         doc.task_id = "fixed"
         digests.add(doc.digest())
     assert len(digests) == 1

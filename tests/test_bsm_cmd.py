@@ -9,7 +9,6 @@ from dslake.hybrid import invoke
 from dslake.cyclone.bsm_cmd import main
 from dslake.cyclone.plugin import bsm_external_descriptor
 
-from test_hybrid import kept_scratch
 from test_surrogate import params
 
 from conftest import utc
@@ -82,7 +81,7 @@ def test_malformed_horizon_is_a_package_failure_that_keeps_scratch(registry):
     bindings = {"startTime": utc(2005, 1, 7), "cyclone": params(depth=53.0, bearing=45.0)}
     with pytest.raises(PackageFailure) as err:
         invoke(external, None, bindings)
-    scratch = kept_scratch(err.value)
+    scratch = err.value.scratch
     assert (scratch / "cyclone.txt").exists()
     shutil.rmtree(scratch)
     assert str(err.value).startswith("BSM-X exited 1:")

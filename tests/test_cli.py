@@ -643,6 +643,38 @@ def test_malformed_config_value_exit_one(workdir, capsys, monkeypatch, conf, env
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "environment", "config", "fabric"])
+def test_a_node_count_past_the_bound_exit_one(workdir, capsys, monkeypatch, source):
+    # however the node count is given, one past the bound is refused with
+    # one error line, before any placement at that count
+    import dslake.storage as storage
+
+    place_all = storage.place_all
+
+    def bounded(file_ids, node_count, replication):
+        assert node_count <= storage.MAX_NODES, f"placed at {node_count} nodes"
+        return place_all(file_ids, node_count, replication)
+
+    monkeypatch.setattr(storage, "place_all", bounded)
+    run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 9)))
+    script = workdir / "fig5.dq"
+    script.write_text(FIG5_SCRIPT)
+    huge, argv = "100000000000000000000", []
+    if source == "flag":
+        argv = ["--nodes", huge]
+    elif source == "environment":
+        monkeypatch.setenv("DSLAKE_NODES", huge)
+    elif source == "config":
+        (workdir / "dslake.conf").write_text(f"nodes={huge}\n")
+    else:
+        (workdir / "dslake-storage" / "fabric.conf").write_text(
+            f"node_count={huge}\nreplication=2\n"
+        )
+    code, out, err = run(capsys, *argv, "submit", "--dataset", "d1", str(script))
+    assert (code, out) == (1, "")
+    assert err == f"error: node count {huge} not in [1, {storage.MAX_NODES}]\n"
+
+
 def test_submit_and_results_are_utf8_whatever_the_locale(workdir, capsys):
     # under the C locale, with UTF-8 mode off, the locale's encoding is
     # ASCII; the stored result and the CSV are UTF-8 all the same, so a
@@ -693,16 +725,61 @@ def test_submit_and_results_are_utf8_whatever_the_locale(workdir, capsys):
                            "--emit-csv", "notes.csv")
     assert submitted.returncode == 0, submitted.stderr.decode(errors="replace")
     text = submitted.stdout.decode()
-    # a failed run keeps its scratch directory and names it
-    scratch = text.partition("status failed FAILS exited 3: Überlauf (scratch kept at ")[2]
-    assert scratch
-    shutil.rmtree(scratch.partition(")\n")[0])
+    assert "  status failed FAILS exited 3: Überlauf\n" in text
+    # a failed run keeps its scratch directory and names it on stderr
+    kept = _kept_scratch(submitted.stderr.decode())
+    assert kept
+    for scratch in kept:
+        shutil.rmtree(scratch)
     task_id = text.split("\n", 1)[0].removeprefix("RESULT ")
     stored = dslake_cli("results", task_id)
     assert (stored.returncode, stored.stdout) == (0, submitted.stdout)
     with open(workdir / "notes.csv", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))[1:]
     assert rows and all(row[1:] == ["NOTES", "note", "", "Überlauf"] for row in rows)
+
+
+def _kept_scratch(stderr: str) -> list[Path]:
+    """The scratch directories a submit's stderr names, one line each."""
+    lines = stderr.splitlines()
+    assert all(": scratch kept at " in line for line in lines)
+    return [Path(line.partition(": scratch kept at ")[2]) for line in lines]
+
+
+def test_identical_submits_whose_package_fails_print_identical_bytes(workdir, capsys):
+    # each failed run keeps a scratch directory of its own and names it on
+    # stderr, out of the canonical text, which is the same for every submit
+    from dslake.descriptors import dump_descriptors
+    from dslake.registry import ExecutionMode, PackageDescriptor, PackageInput, PackageOutputDecl
+
+    package = PackageDescriptor(
+        name="FAILS",
+        inputs=(PackageInput("startTime", "datetime", required=True),),
+        outputs=(PackageOutputDecl("note", "string"),),
+        execution_mode=ExecutionMode.EXTERNAL_COMMAND,
+        command_template="sh -c 'echo overflow >&2; exit 3' {outdir}",
+    )
+    (workdir / "fails.kd").write_text(dump_descriptors([], [package]))
+    run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 3)))
+    select, simulate = FIG5_SCRIPT.split("simulate")
+    simulate = "simulate" + simulate.replace("BSM", "FAILS").replace("level[440,414]", "note")
+    (workdir / "fails.dq").write_text(select + simulate)
+    documents, kept = set(), []
+    for _ in range(2):
+        code, out, err = run(capsys, "--registry", "fails.kd", "submit", "--dataset", "d1",
+                             "fails.dq")
+        assert code == 0
+        task_id = out.split("\n", 1)[0].removeprefix("RESULT ")
+        stored = workdir / "dslake-storage" / "results" / f"{task_id}.txt"
+        documents.add((out, stored.read_text(encoding="utf-8")))
+        kept.append(_kept_scratch(err))
+        assert len(kept[-1]) == out.count("  status failed FAILS exited 3: overflow\n") > 0
+    (out, stored), = documents
+    assert out == stored
+    assert set(kept[0]).isdisjoint(kept[1])
+    for scratch in kept[0] + kept[1]:
+        assert scratch.is_dir()
+        shutil.rmtree(scratch)
 
 
 def test_results_that_are_not_utf8_exit_one(workdir, capsys):

@@ -152,16 +152,15 @@ def test_reduce_orders_its_own_input(registry):
 
     seen = []
 
-    def recording(center_sets, memo):
+    def recording(center_sets):
         seen.append(center_sets)
         return []
 
     registry.procedures["cyclone.combine_paths"] = recording
     query = validate(parse(FIG5_SCRIPT), registry)
-    layout = StorageLayout(node_count=1, replication=1)
     fragments = [frag(6, "b", 6), frag(0, "z", 0), frag(6, "a", 6), frag(3, "c", 0)]
     for arrival in itertools.permutations(fragments):
-        run_reduce(list(arrival), query, layout)
+        run_reduce(list(arrival), query)
     expected = [
         (utc(2011, 1, 1, 0), "z", ["z"]),
         (utc(2011, 1, 1, 0), "c", ["c"]),
@@ -169,7 +168,7 @@ def test_reduce_orders_its_own_input(registry):
         (utc(2011, 1, 1, 6), "b", ["b"]),
     ]
     assert seen == [expected] * 24
-    run_reduce([], query, layout)
+    run_reduce([], query)
     assert seen[-1] == []
 
 
@@ -177,12 +176,12 @@ def test_reduce_invariant_under_fragment_permutation(registry):
     layout, _ = synthetic_layout(seed=7, count=2, north_east=1, end=(2011, 1, 31, 18))
     query = validate(parse(FIG5_SCRIPT), registry)
     fragments, _ = run_map(layout, "d1", query)
-    baseline = run_reduce(fragments, query, layout).canonical_text()
+    baseline = run_reduce(fragments, query).canonical_text()
     rng = random.Random(11)
     for _ in range(50):
         shuffled = fragments[:]
         rng.shuffle(shuffled)
-        assert run_reduce(shuffled, query, layout).canonical_text() == baseline
+        assert run_reduce(shuffled, query).canonical_text() == baseline
 
 
 def test_the_plan_runs_without_the_registry(registry):
@@ -195,7 +194,7 @@ def test_the_plan_runs_without_the_registry(registry):
     registry.procedures.clear()
     registry.packages.clear()
     fresh, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
-    doc = run_reduce(run_map(fresh, "d1", plan)[0], plan, fresh, task_id=request.task_id())
+    doc = run_reduce(run_map(fresh, "d1", plan)[0], plan, task_id=request.task_id())
     assert doc.canonical_text() == expected.canonical_text()
     assert [sim.status for sim in doc.simulations] == ["ok", "ok"]
 
@@ -274,7 +273,7 @@ def test_submit_of_a_refused_script_reads_no_file(station_registry, monkeypatch,
 
 
 def test_combiner_exception_is_a_combiner_failure(registry):
-    def broken(center_sets, memo):
+    def broken(center_sets):
         raise Exception("combiner bug")
 
     registry.procedures["cyclone.combine_paths"] = broken
@@ -302,6 +301,30 @@ def test_unreadable_file_propagates(registry):
     layout.fail_node(3)
     with pytest.raises(UnreadableFile):
         submit(fig5_request(node_count=4, replication=1), registry, layout)
+
+
+def test_a_memo_or_index_hit_with_no_surviving_replica_fails_the_submit(
+    tmp_path, registry, monkeypatch
+):
+    # a memo or index hit reads no replica, but its fragment names the node
+    # that serves the file: with every placement node of a file failed,
+    # there is none, and the submit fails with the typed error
+    warm, expected = saved_store(tmp_path, registry)
+    miss = submit(fig5_request(), registry, StorageLayout.load(tmp_path))
+    assert miss.canonical_text() == expected  # and the map index is written
+    hit = StorageLayout.load(tmp_path)
+
+    def refuse(self, file_id):
+        raise AssertionError(f"read {file_id}")
+
+    monkeypatch.setattr(StorageLayout, "read", refuse)
+    for run in (warm, hit):
+        file_id = run.dataset_files("d1")[0].file_id
+        for node in run.placements[file_id]:
+            run.fail_node(node)
+        with pytest.raises(UnreadableFile) as err:
+            submit(fig5_request(), registry, run)
+        assert str(err.value) == f"no surviving replica of {file_id}"
 
 
 def saved_store(tmp_path, registry):
@@ -531,9 +554,9 @@ def test_unstartable_external_package_is_a_failed_simulation(registry):
     (sim,) = doc.simulations
     assert sim.status == "failed" and sim.outputs == {}
     assert "GHOST could not start 'no-such-program-xyz'" in sim.failure_reason
-    scratch = sim.failure_reason.rsplit("scratch kept at ", 1)[1].rstrip(")")
-    assert (Path(scratch) / "cyclone.txt").exists()  # the materialized input
-    shutil.rmtree(scratch)
+    assert str(sim.scratch) not in sim.failure_reason  # which the canonical text prints
+    assert (sim.scratch / "cyclone.txt").exists()  # the materialized input
+    shutil.rmtree(sim.scratch)
 
 
 def test_external_package_sees_the_task_id(registry, tmp_path):
@@ -571,8 +594,8 @@ def test_object_without_a_bound_parameter_is_a_failed_simulation(registry):
     layout, _ = synthetic_layout(seed=3, end=(2011, 3, 31, 18))
     combine = registry.procedures["cyclone.combine_paths"]
 
-    def combine_without_cyclone(center_sets, memo):
-        objects = combine(center_sets, memo)
+    def combine_without_cyclone(center_sets):
+        objects = combine(center_sets)
         for obj in objects:
             del obj.params["cyclone"]
         return objects
@@ -639,9 +662,10 @@ def test_each_layout_extracts_each_file_once(registry):
     assert len(calls) == 2 * len(metas)
 
 
-def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
+def test_new_area_and_time_reuse_each_files_record(registry):
     # a warm engine maps each file once: a new area or time range selects
-    # from the records, and every memo namespace stays within its bound
+    # from the records, every memo namespace stays within its bound, and
+    # the combiner keeps none
     layout, _ = synthetic_layout(seed=5, count=3, north_east=1, end=(2011, 2, 28, 18))
     extract = registry.procedures["cyclone.extract_centers"]
     calls = []
@@ -650,15 +674,7 @@ def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
         calls.append(data)
         return extract(data, memo)
 
-    track, tracked = plugin.track, []
-
-    def tracking(center_sets):
-        paths = track(center_sets)
-        tracked.extend(paths)
-        return paths
-
     registry.procedures["cyclone.extract_centers"] = counting
-    monkeypatch.setattr(plugin, "track", tracking)
     warm = engine.Engine(registry, layout)
     time_clause = "time 01.01.2011 - 31.12.2011\n"
     scripts = [
@@ -679,21 +695,13 @@ def test_new_area_and_time_reuse_each_files_record(registry, monkeypatch):
     assert len(layout.memo[(counting,)]) == len(metas)
     bodies = {layout.read(m.file_id).partition(b"\n")[2] for m in metas}
     assert len(layout.memo[counting]) <= len(bodies)  # centers, keyed by body and geometry
-    combiner = registry.procedures["cyclone.combine_paths"]
-    assert len(layout.memo[combiner]) <= len(metas)
-    # parameters are keyed by a tracked path's centers and the file of its
-    # final center, so there is at most one per distinct such pair
-    file_of = {
-        center: file_id
-        for file_id, (_, centers) in layout.memo[(counting,)].items()
-        for center in centers
-    }
-    pairs = {(path.centers, file_of[path.centers[-1]]) for path in tracked}
-    assert set(layout.memo[combiner]) <= pairs
+    assert registry.procedures["cyclone.combine_paths"] not in layout.memo
 
 
-def _counting_parametrize(monkeypatch) -> list:
-    """The centers of every path ``plugin.parametrize`` is called on, in order."""
+def test_a_cropped_path_is_parametrized_anew(registry, monkeypatch):
+    # a time or area clause that crops a path into other centers gives the
+    # bytes of a submit on a fresh layout
+    layout, _ = synthetic_layout(seed=5, count=3, north_east=1, end=(2011, 2, 28, 18))
     parametrize, calls = plugin.parametrize, []
 
     def counting(path, structure):
@@ -701,52 +709,25 @@ def _counting_parametrize(monkeypatch) -> list:
         return parametrize(path, structure)
 
     monkeypatch.setattr(plugin, "parametrize", counting)
-    return calls
-
-
-def test_a_repeat_submit_parametrizes_no_path(registry, monkeypatch):
-    # the combiner keeps each path's parameters in its namespace of the memo,
-    # so a second identical submit on one engine parametrizes nothing
-    layout, _ = synthetic_layout(seed=4, end=(2011, 2, 28, 18))
-    calls = _counting_parametrize(monkeypatch)
-    warm = engine.Engine(registry, layout)
-    first = warm.submit(fig5_request()).canonical_text()
-    assert calls
-    calls.clear()
-    assert warm.submit(fig5_request()).canonical_text() == first
-    assert calls == []
-
-
-def test_a_cropped_path_is_parametrized_anew(registry, monkeypatch):
-    # the memo's key is the path's content, not its place in a query: a time
-    # or area clause that crops a path into other centers parametrizes it
-    # again, and the result is the bytes of a submit on a fresh layout
-    layout, _ = synthetic_layout(seed=5, count=3, north_east=1, end=(2011, 2, 28, 18))
-    calls = _counting_parametrize(monkeypatch)
     warm = engine.Engine(registry, layout)
     select = "select cyclone-path\n  out(Params[EndTime])\n"
     warm.submit(TaskRequest("d1", select))
-    whole = set(calls)
-    assert len(whole) == 3
+    assert len(set(calls)) == 3
     # the last path, which ends on a later day than it starts
     path = calls[-1]
     first = path[0]
     assert first.timestamp.date() < path[-1].timestamp.date()
-    # the time clause keeps the two earlier paths whole, the area clause neither
-    crops = {
-        f"time 01.01.2011 - {first.timestamp:%d.%m.%Y}\n": 2,
+    crops = [
+        f"time 01.01.2011 - {first.timestamp:%d.%m.%Y}\n",
         f"area {first.lat - 0.1:.4f},{first.lon - 0.1:.4f}"
-        f" - {first.lat + 0.1:.4f},{first.lon + 0.1:.4f}\n": 0,
-    }
+        f" - {first.lat + 0.1:.4f},{first.lon + 0.1:.4f}\n",
+    ]
     metas = layout.dataset_files("d1")
-    for crop, whole_paths in crops.items():
+    for crop in crops:
         calls.clear()
         request = TaskRequest("d1", crop + select)
         text = warm.submit(request).canonical_text()
         assert any(c[0] == first and len(c) < len(path) for c in calls)
-        # every path kept whole is a memo hit, and only those
-        assert whole.isdisjoint(calls)
-        assert text.count("\nobject ") - len(calls) == whole_paths
         fresh = StorageLayout(node_count=4, replication=2).ingest(
             DataFile(m.file_id, m.dataset, m.t0, m.t1, layout.read(m.file_id)) for m in metas
         )
@@ -825,7 +806,7 @@ def test_an_equal_center_of_two_files_takes_the_first_files_structure(registry, 
     )
     center_sets = [(f.payload_time, f.file_id, f.payload)
                    for f in sorted(fragments, key=lambda f: (f.t0, f.file_id))]
-    objects = plugin.combine_paths(center_sets, {})
+    objects = plugin.combine_paths(center_sets)
     assert len(objects) == 2
     for obj in objects:
         assert obj.provenance[-1] == first.file_id

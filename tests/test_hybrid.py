@@ -165,16 +165,11 @@ def _echo_descriptor(template: str) -> PackageDescriptor:
     )
 
 
-def kept_scratch(failure: PackageFailure) -> Path:
-    """The scratch directory a failed external run names in its message."""
-    return Path(str(failure).rsplit("scratch kept at ", 1)[1].rstrip(")"))
-
-
 def test_external_command_without_outputs_file_fails():
     descriptor = _echo_descriptor("echo {input:word}")
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
-    shutil.rmtree(kept_scratch(err.value))
+    shutil.rmtree(err.value.scratch)
     assert "outputs.tsv" in str(err.value)
 
 
@@ -182,7 +177,7 @@ def test_external_command_nonzero_exit_fails():
     descriptor = _echo_descriptor("false")
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
-    shutil.rmtree(kept_scratch(err.value))
+    shutil.rmtree(err.value.scratch)
 
 
 def test_external_command_with_non_utf8_stderr_fails():
@@ -191,8 +186,8 @@ def test_external_command_with_non_utf8_stderr_fails():
     descriptor = _echo_descriptor("sh -c 'printf \"oops \\377\" >&2; exit 3'")
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
-    shutil.rmtree(kept_scratch(err.value))
-    assert str(err.value).startswith("ECHO exited 3: oops \ufffd (scratch kept at ")
+    shutil.rmtree(err.value.scratch)
+    assert str(err.value) == "ECHO exited 3: oops \ufffd"
 
 
 def test_external_failure_quotes_the_end_of_its_stderr(tmp_path):
@@ -205,9 +200,8 @@ def test_external_failure_quotes_the_end_of_its_stderr(tmp_path):
     descriptor = _echo_descriptor(f"{sys.executable} {child}")
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
-    scratch = kept_scratch(err.value)
-    shutil.rmtree(scratch)
-    assert str(err.value) == f"ECHO exited 3: {stderr[-500:]} (scratch kept at {scratch})"
+    shutil.rmtree(err.value.scratch)
+    assert str(err.value) == f"ECHO exited 3: {stderr[-500:]}"
 
 
 def test_declared_scalar_outputs_read_as_a_builtin_returns_them(tmp_path):
@@ -267,12 +261,10 @@ def test_horizon_past_its_bound_fails_in_both_modes(registry):
     assert str(err.value) == f"BSM: horizon must be at most {MAX_HORIZON_HOURS} hours"
     with pytest.raises(PackageFailure) as err:
         invoke(bsm_external_descriptor(name="BSM-X"), None, dict(bindings))
-    scratch = kept_scratch(err.value)
-    shutil.rmtree(scratch)
+    shutil.rmtree(err.value.scratch)
     assert str(err.value).startswith("BSM-X exited 1: ")
     assert str(err.value).endswith(
         f"ValueError: horizon must be at most {MAX_HORIZON_HOURS} hours"
-        f" (scratch kept at {scratch})"
     )
 
 
@@ -305,8 +297,8 @@ def test_unreadable_outputs_keep_the_scratch(tmp_path, result_type, outputs_tsv,
     )
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
-    scratch = kept_scratch(err.value)
-    assert str(err.value) == f"{message} (scratch kept at {scratch})"
+    scratch = err.value.scratch
+    assert str(err.value) == message
     assert (scratch / "outputs.tsv").read_bytes() == outputs_tsv
     shutil.rmtree(scratch)
 
@@ -314,12 +306,10 @@ def test_unreadable_outputs_keep_the_scratch(tmp_path, result_type, outputs_tsv,
 def test_an_outputs_tsv_that_is_a_directory_keeps_the_scratch():
     with pytest.raises(PackageFailure) as err:
         invoke(_echo_descriptor("mkdir {outdir}/outputs.tsv"), None, {"word": "hi"})
-    scratch = kept_scratch(err.value)
+    scratch = err.value.scratch
     assert (scratch / "outputs.tsv").is_dir()
     shutil.rmtree(scratch)
-    assert str(err.value) == (
-        f"ECHO: outputs.tsv unreadable (Is a directory) (scratch kept at {scratch})"
-    )
+    assert str(err.value) == "ECHO: outputs.tsv unreadable (Is a directory)"
 
 
 OUTPUT_LINES = [
@@ -368,7 +358,7 @@ def test_any_outputs_tsv_gives_outputs_or_a_package_failure(outputs_tsv, series)
         try:
             outputs = invoke(replace(FUZZED, command_template=command), None, {})
         except PackageFailure as failure:
-            shutil.rmtree(kept_scratch(failure))
+            shutil.rmtree(failure.scratch)
             return
     assert {decl.name for decl in FUZZED.outputs} <= outputs.keys()
 
@@ -382,7 +372,7 @@ def test_input_that_cannot_be_materialized_keeps_the_scratch():
     )
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"xs": [1]})
-    scratch = kept_scratch(err.value)
+    scratch = err.value.scratch
     assert scratch.is_dir()
     shutil.rmtree(scratch)
     assert str(err.value).startswith("LIST: cannot materialize input 'xs' of type list")
@@ -397,11 +387,9 @@ def test_a_duration_input_that_text_cannot_hold_keeps_the_scratch():
     )
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"span": timedelta(minutes=90)})
-    scratch = kept_scratch(err.value)
-    shutil.rmtree(scratch)
+    shutil.rmtree(err.value.scratch)
     assert str(err.value) == (
         "WAIT: input 'span': duration 1.5h is not a whole, non-negative number of hours"
-        f" (scratch kept at {scratch})"
     )
 
 
@@ -411,7 +399,7 @@ def test_external_command_that_cannot_start_fails():
     descriptor = _echo_descriptor("no-such-program-xyz {outdir}")
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {"word": "hi"})
-    scratch = kept_scratch(err.value)
+    scratch = err.value.scratch
     assert scratch.is_dir()
     shutil.rmtree(scratch)
     assert str(err.value).startswith("ECHO could not start 'no-such-program-xyz':")
@@ -505,7 +493,7 @@ def test_malformed_series_line_is_package_failure(registry, tmp_path, bad_line):
     with pytest.raises(PackageFailure) as err:
         invoke(descriptor, None, {})
     assert str(err.value).startswith("SERIES: series file level.tsv line 2:")
-    scratch = kept_scratch(err.value)
+    scratch = err.value.scratch
     assert (scratch / "level.tsv").exists()
     shutil.rmtree(scratch)
 

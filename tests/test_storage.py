@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from dslake.errors import (
     UnreadableFile,
 )
 from dslake.storage import (
+    MAX_NODES,
     DataFile,
     FileMeta,
     StorageLayout,
@@ -116,6 +118,36 @@ def test_invalid_replication():
         place_all(HEX_IDS[:1], 4, 0)
     with pytest.raises(InvalidReplication):
         StorageLayout(node_count=2, replication=3)
+
+
+def test_the_node_count_is_bounded(tmp_path, monkeypatch):
+    # placement scores every (file, node) pair: a layout past MAX_NODES is
+    # refused, whether built, reshaped or loaded, before it places a file
+    import dslake.storage as storage
+
+    place_all, shapes = storage.place_all, []
+
+    def bounded(file_ids, node_count, replication):
+        assert node_count <= MAX_NODES, f"placed at {node_count} nodes"
+        shapes.append(node_count)
+        return place_all(file_ids, node_count, replication)
+
+    monkeypatch.setattr(storage, "place_all", bounded)
+    f = make_file(0)
+    layout = StorageLayout(node_count=MAX_NODES, replication=2).ingest([f])
+    assert len(set(layout.placements[f.file_id])) == 2
+    layout.save(tmp_path)
+    for count in (0, MAX_NODES + 1):
+        message = f"node count {count} not in [1, {MAX_NODES}]"
+        with pytest.raises(InvalidReplication) as err:
+            StorageLayout(node_count=count, replication=1)
+        assert str(err.value) == message
+        with pytest.raises(InvalidReplication, match=re.escape(message)):
+            layout.reshaped(count, 1)
+        (tmp_path / "fabric.conf").write_text(f"node_count={count}\nreplication=1\n")
+        with pytest.raises(InvalidReplication, match=re.escape(message)):
+            StorageLayout.load(tmp_path)
+    assert shapes == [MAX_NODES]
 
 
 def test_place_all_matches_reference_at_1_to_20_nodes():

@@ -108,6 +108,12 @@ def test_unknown_select_out_param(registry, out, detail):
         validate(parse(f"select cyclone-path\n  out({out})"), registry)
 
 
+def test_plain_and_params_select_out_items_request_parameters(registry):
+    # a plain item names one parameter, as Params[...] names several
+    vq = validate(parse("select cyclone-path\n  out(EndTime, Params[Depth, Radius])"), registry)
+    assert vq.selects[0].requested_params == ("EndTime", "Depth", "Radius")
+
+
 def test_unknown_simulate_output(registry):
     script = (
         "select cyclone-path\nsimulate\n  with BSM\n"
