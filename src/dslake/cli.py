@@ -32,10 +32,13 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
+# each verb imports what it runs, so ``results`` loads no engine or storage
 from dslake.errors import (
     ConfigError,
     DslakeError,
+    InvalidReplication,
     ParseError,
     Row,
     SpecError,
@@ -45,20 +48,6 @@ from dslake.errors import (
     read_utf8,
     undecodable_at,
 )
-from dslake.descriptors import dump_descriptors, load_descriptor_file
-from dslake.engine import EngineConfig, TaskRequest, submit
-from dslake.lang.formatter import format_query
-from dslake.lang.parser import parse
-from dslake.lang.validate import validate
-from dslake.registry import KnowledgeRegistry
-from dslake.storage import (
-    DataFile,
-    FileMeta,
-    StorageLayout,
-    read_manifest,
-    write_manifest,
-)
-from dslake.cyclone.plugin import register_cyclone_domain
 
 DEFAULTS = {"storage_root": "./dslake-storage", "seed": "0"}
 NEW_STORE_NODES = 2
@@ -79,6 +68,7 @@ class CliConfig:
     replication: int | None
     registry_paths: list[Path]
     seed: int
+    origins: dict[str, str]  # where each value that is not a default came from
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -179,10 +169,29 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         replication=integer("replication"),
         registry_paths=registry_paths,
         seed=integer("seed"),
+        origins=origins,
     )
 
 
-def _load_registry(config: CliConfig) -> KnowledgeRegistry:
+def _shaped(config: CliConfig, make: Callable):
+    """``make()``, which shapes a layout by the configured node count and
+    replication; a refusal of either names where the value came from (a
+    replication not configured: where the node count came from)."""
+    try:
+        return make()
+    except InvalidReplication as exc:
+        key = "nodes" if exc.key == "node_count" else "replication"
+        origin = config.origins.get(key) or config.origins.get("nodes")
+        if origin is None:
+            raise
+        raise InvalidReplication(f"{origin}: {exc}", exc.key) from None
+
+
+def _load_registry(config: CliConfig):
+    from dslake.cyclone.plugin import register_cyclone_domain
+    from dslake.descriptors import load_descriptor_file
+    from dslake.registry import KnowledgeRegistry
+
     registry = register_cyclone_domain(KnowledgeRegistry())
     for path in config.registry_paths:
         if not path.exists():
@@ -207,6 +216,10 @@ def _read_script(path: Path) -> str:
 
 
 def _cmd_validate(args, config: CliConfig) -> int:
+    from dslake.lang.formatter import format_query
+    from dslake.lang.parser import parse
+    from dslake.lang.validate import validate
+
     registry = _load_registry(config)
     ast = parse(_read_script(args.script))
     validate(ast, registry)
@@ -216,6 +229,7 @@ def _cmd_validate(args, config: CliConfig) -> int:
 
 def _cmd_gen_synthetic(args, config: CliConfig) -> int:
     from dslake.cyclone.synthetic import generate_synthetic, parse_spec_text
+    from dslake.storage import FileMeta, write_manifest
 
     if not args.spec.exists():
         raise FileNotFoundError(f"spec {args.spec}")
@@ -235,6 +249,8 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
 
 
 def _cmd_ingest(args, config: CliConfig) -> int:
+    from dslake.storage import DataFile, read_manifest
+
     if not args.manifest.exists():
         raise FileNotFoundError(f"manifest {args.manifest}")
     base = args.manifest.parent
@@ -259,15 +275,20 @@ def _cmd_ingest(args, config: CliConfig) -> int:
     return 0
 
 
-def _load_or_create_layout(config: CliConfig) -> StorageLayout:
+def _load_or_create_layout(config: CliConfig):
+    from dslake.storage import StorageLayout
+
     if (config.storage_root / "fabric.conf").exists():
         return StorageLayout.load(config.storage_root)
     nodes = NEW_STORE_NODES if config.node_count is None else config.node_count
     replication = NEW_STORE_REPLICATION if config.replication is None else config.replication
-    return StorageLayout(node_count=nodes, replication=replication)
+    return _shaped(config, lambda: StorageLayout(node_count=nodes, replication=replication))
 
 
 def _cmd_submit(args, config: CliConfig) -> int:
+    from dslake.engine import EngineConfig, TaskRequest, submit
+    from dslake.storage import StorageLayout
+
     registry = _load_registry(config)
     script = _read_script(args.script)
     layout = StorageLayout.load(config.storage_root)
@@ -282,7 +303,7 @@ def _cmd_submit(args, config: CliConfig) -> int:
         script=script,
         engine_config=EngineConfig(node_count=nodes, replication=replication),
     )
-    document = submit(request, registry, layout)
+    document = _shaped(config, lambda: submit(request, registry, layout))
     text = document.canonical_text()
     results_dir = config.storage_root / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -328,6 +349,8 @@ def _cmd_results(args, config: CliConfig) -> int:
 
 
 def _cmd_registry(args, config: CliConfig) -> int:
+    from dslake.descriptors import dump_descriptors
+
     registry = _load_registry(config)
     libraries = [library for _, library in sorted(registry.libraries.items())]
     packages = [package for _, package in sorted(registry.packages.items())]

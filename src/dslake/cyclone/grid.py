@@ -8,6 +8,14 @@ Snapshot format (bit-exact, UTF-8 text):
 
 Pressures are hPa rendered with two decimals; the southernmost row comes
 first, so ``values[i, j]`` sits at ``(lat0 + i*dlat, lon0 + j*dlon)``.
+
+The canonical body, which ``render_body`` writes for pressures in
+[0, 10000), is exactly ``nlat`` rows of ``nlon`` cells: each cell 1-5
+digits, a point and 2 digits, one space between cells and a newline after
+each row. It parses in a few numpy passes, each cell's digit integer over
+100.0, which is ``float(cell)`` bit for bit. Every other accepted spelling
+(tabs, ``\r\n``, exponents, signs, blank lines, a missing last newline, ...)
+goes to the general parser, with the same checks and error lines.
 """
 
 from __future__ import annotations
@@ -72,14 +80,55 @@ def parse_grid_snapshot(data: bytes) -> GridSnapshot:
     """Parse and validate a snapshot from its byte representation; a byte
     that is not UTF-8 raises ``FormatError`` naming its line before any
     other check."""
-    import numpy as np
-
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(undecodable_at(exc)[0], "not UTF-8 text") from None
     header, _, body = text.partition("\n")
     lat0, lon0, dlat, dlon, nlat, nlon, ts = parse_header(header)
+    values = _canonical_values(data.partition(b"\n")[2], nlat, nlon)
+    if values is None:
+        values = _general_values(body, nlat, nlon)
+    _check_values(values)
+    return GridSnapshot(lat0, lon0, dlat, dlon, nlat, nlon, ts, values)
+
+
+def _canonical_values(body: bytes, nlat: int, nlon: int) -> np.ndarray | None:
+    """The values of a canonical body (see the module docstring), or None
+    for any other body."""
+    import numpy as np
+
+    a = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(a <= 32)  # the separator after each cell
+    if len(ends) != nlat * nlon or ends[-1] != len(a) - 1:
+        return None
+    seps = a[ends].reshape(nlat, nlon)
+    width = np.diff(ends, prepend=-1)  # each cell's bytes and its separator
+    if (seps[:, :-1] != 32).any() or (seps[:, -1] != 10).any():
+        return None
+    if not 5 <= width.min() <= width.max() <= 9:
+        return None
+    # the 8 bytes before each separator as a little-endian word, the bytes of
+    # earlier cells read as "0": "ddddd.dd", the point always in byte 5
+    words = np.ndarray(len(a), "<u8", b"0" * 8 + body, 0, (1,))[ends]
+    zeros, low = np.uint64(0x3030303030303030), (72 - 8 * width).astype(np.uint64)
+    low = (np.uint64(1) << low) - np.uint64(1)
+    words = (words & ~low) | (zeros & low)
+    if ((words >> np.uint64(40)) & np.uint64(0xFF) != 0x2E).any():
+        return None
+    words ^= np.uint64(0x1E << 40)  # the point reads as "0"
+    nibbles = np.uint64(0xF0F0F0F0F0F0F0F0)  # each byte "0" to "9" (Lemire, SPE 2021)
+    if ((words & nibbles) | ((words + np.uint64(0x0606060606060606)) & nibbles) >> np.uint64(4)
+            != np.uint64(0x3333333333333333)).any():
+        return None
+    digits = (words - zeros).astype("<u8").view(np.uint8).reshape(-1, 8)
+    cents = digits @ np.array([1e6, 1e5, 1e4, 1e3, 100.0, 0.0, 10.0, 1.0])  # exact
+    return (cents / 100.0).reshape(nlat, nlon)
+
+
+def _general_values(body: str, nlat: int, nlon: int) -> np.ndarray:
+    """The values of any body ``parse_grid_snapshot`` accepts."""
+    import numpy as np
 
     rows = body.split("\n")
     while rows and rows[-1] == "":
@@ -91,18 +140,15 @@ def parse_grid_snapshot(data: bytes) -> GridSnapshot:
         if len(cells) != nlon:
             raise FormatError(2 + r, f"expected {nlon} values, found {len(cells)}")
     try:
-        values = np.array(split_rows, dtype=np.float64)
+        return np.array(split_rows, dtype=np.float64)
     except ValueError:
-        values = None
-    if values is None:
-        for r, cells in enumerate(split_rows):
-            try:
-                np.array(cells, dtype=np.float64)
-            except ValueError:
-                raise FormatError(2 + r, "non-numeric pressure value") from None
-        raise FormatError(2, "malformed pressure rows")
-    _check_values(values)
-    return GridSnapshot(lat0, lon0, dlat, dlon, nlat, nlon, ts, values)
+        pass
+    for r, cells in enumerate(split_rows):
+        try:
+            np.array(cells, dtype=np.float64)
+        except ValueError:
+            raise FormatError(2 + r, "non-numeric pressure value") from None
+    raise FormatError(2, "malformed pressure rows")
 
 
 def parse_header(header: str) -> tuple[float, float, float, float, int, int, datetime]:
@@ -162,13 +208,37 @@ def render_header(
 
 
 def render_body(values: np.ndarray) -> bytes:
-    import io
-
+    """The rows of ``values``: ``%.2f`` of each cell, one space between
+    cells and a newline after each row, the bytes ``np.savetxt(fmt="%.2f")``
+    writes. Cells all finite, in [0, 10000) and not -0.0 render exactly
+    from their binary value in a few numpy passes; any other array as one
+    ``%`` format."""
     import numpy as np
 
-    buf = io.BytesIO()
-    np.savetxt(buf, values, fmt="%.2f", delimiter=" ", newline="\n")
-    return buf.getvalue()
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[:, None]
+    nrow, ncol = values.shape
+    if values.size and np.all((values < 10000) & ~np.signbit(values)):
+        # x = m * 2**(e - 53) with integer m < 2**53: the %.2f integer is
+        # 100*m < 2**60 shifted right by 53 - e (> 38), rounded half to even
+        # by adding half - 1 and the parity of the truncated quotient
+        f, e = np.frexp(values.ravel())
+        m = (f * 2.0**53).astype(np.int64) * 100
+        s = np.minimum(53 - e, 62)
+        n = (m + (np.left_shift(1, s - 1, dtype=np.int64) - 1) + (m >> s & 1)) >> s
+        whole, cents = np.divmod(n, 100)
+        top, units = np.divmod(whole, 100)  # top <= 100: 9999.995 is "10000.00"
+        i = np.arange(101) % 100
+        pair = (48 + i // 10) | (48 + i % 10) << 8  # "00" to "99", little-endian
+        word = (48 + (top == 100)) | pair[top] << 8 | pair[units] << 24 | 0x2E << 40
+        lead = 4 - np.searchsorted(np.array([10, 100, 1000, 10000]), whole, side="right")
+        cells = np.empty(n.size, [("text", "<u8"), ("end", "u1")])
+        cells["text"] = (word | pair[cents] << 48) & (-1 << 8 * lead)  # leading zeros NUL
+        cells["end"] = 32
+        cells["end"].reshape(nrow, ncol)[:, -1] = 10
+        return cells.tobytes().translate(None, b"\0")
+    return ((" ".join(["%.2f"] * ncol) + "\n") * nrow % tuple(values.ravel().tolist())).encode()
 
 
 def densify(snapshot: GridSnapshot, k: int) -> GridSnapshot:

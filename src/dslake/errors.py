@@ -185,7 +185,12 @@ class StorageError(DslakeError):
 
 
 class InvalidReplication(StorageError):
-    pass
+    """A node count or replication out of bounds; ``key`` is the
+    ``fabric.conf`` key of the value refused."""
+
+    def __init__(self, message: str, key: str = "replication"):
+        super().__init__(message)
+        self.key = key
 
 
 class DuplicateFile(StorageError):

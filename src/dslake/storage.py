@@ -230,7 +230,9 @@ class StorageLayout:
 
     def __post_init__(self):
         if not 1 <= self.node_count <= MAX_NODES:
-            raise InvalidReplication(f"node count {self.node_count} not in [1, {MAX_NODES}]")
+            raise InvalidReplication(
+                f"node count {self.node_count} not in [1, {MAX_NODES}]", "node_count"
+            )
         if not 1 <= self.replication <= self.node_count:
             raise InvalidReplication(
                 f"replication {self.replication} not in [1, {self.node_count}]"
@@ -411,12 +413,15 @@ class StorageLayout:
         conf_path = root / "fabric.conf"
         if not conf_path.exists():
             raise StorageError(f"no fabric at {root}")
-        conf = read_keys(
+        conf, lines = read_keys(
             read_utf8(conf_path, StorageError),
             {key: Row("an integer", int, required=True) for key in ("node_count", "replication")},
             "=", lambda line, message: StorageError(f"{conf_path}:{line}: {message}"),
-        )[0]
-        layout = StorageLayout(**conf, root=root.resolve())
+        )
+        try:
+            layout = StorageLayout(**conf, root=root.resolve())
+        except InvalidReplication as exc:
+            raise InvalidReplication(f"{conf_path}:{lines[exc.key]}: {exc}", exc.key) from None
         for manifest in sorted((root / "datasets").glob("*/manifest.tsv")):
             metas = read_manifest(manifest)
             for meta in metas:

@@ -643,10 +643,10 @@ def test_malformed_config_value_exit_one(workdir, capsys, monkeypatch, conf, env
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "environment", "config", "fabric"])
-def test_a_node_count_past_the_bound_exit_one(workdir, capsys, monkeypatch, source):
-    # however the node count is given, one past the bound is refused with
-    # one error line, before any placement at that count
+def _refused_shape(capsys, workdir, monkeypatch, source, key, value):
+    """The exit code, stdout and stderr of a submit given ``value`` as the
+    node count or the replication (``key``) by ``source``, and the origin
+    its refusal is to name."""
     import dslake.storage as storage
 
     place_all = storage.place_all
@@ -659,20 +659,55 @@ def test_a_node_count_past_the_bound_exit_one(workdir, capsys, monkeypatch, sour
     run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 9)))
     script = workdir / "fig5.dq"
     script.write_text(FIG5_SCRIPT)
-    huge, argv = "100000000000000000000", []
+    argv, origin = [], {
+        "flag": f"flag --{key}",
+        "environment": f"environment variable DSLAKE_{key.upper()}",
+        "config": "dslake.conf:1",
+        "fabric": f"{Path('dslake-storage') / 'fabric.conf'}:{1 if key == 'nodes' else 2}",
+    }[source]
     if source == "flag":
-        argv = ["--nodes", huge]
+        argv = [f"--{key}", value]
     elif source == "environment":
-        monkeypatch.setenv("DSLAKE_NODES", huge)
+        monkeypatch.setenv(f"DSLAKE_{key.upper()}", value)
     elif source == "config":
-        (workdir / "dslake.conf").write_text(f"nodes={huge}\n")
+        (workdir / "dslake.conf").write_text(f"{key}={value}\n")
     else:
-        (workdir / "dslake-storage" / "fabric.conf").write_text(
-            f"node_count={huge}\nreplication=2\n"
-        )
-    code, out, err = run(capsys, *argv, "submit", "--dataset", "d1", str(script))
+        fabric = {"nodes": f"node_count={value}\nreplication=2\n",
+                  "replication": f"node_count=2\nreplication={value}\n"}[key]
+        (workdir / "dslake-storage" / "fabric.conf").write_text(fabric)
+    return (*run(capsys, *argv, "submit", "--dataset", "d1", str(script)), origin)
+
+
+@pytest.mark.parametrize("source", ["flag", "environment", "config", "fabric"])
+def test_a_node_count_past_the_bound_exit_one(workdir, capsys, monkeypatch, source):
+    # however the node count is given, one past the bound is refused with
+    # one error line that names where it came from, before any placement at
+    # that count
+    import dslake.storage as storage
+
+    huge = "100000000000000000000"
+    code, out, err, origin = _refused_shape(capsys, workdir, monkeypatch, source, "nodes", huge)
     assert (code, out) == (1, "")
-    assert err == f"error: node count {huge} not in [1, {storage.MAX_NODES}]\n"
+    assert err == f"error: {origin}: node count {huge} not in [1, {storage.MAX_NODES}]\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "environment", "config", "fabric"])
+def test_a_replication_past_the_bound_exit_one(workdir, capsys, monkeypatch, source):
+    # a replication of 0 is refused with one error line that names where it
+    # came from, as a node count past its bound is
+    code, out, err, origin = _refused_shape(capsys, workdir, monkeypatch, source,
+                                            "replication", "0")
+    assert (code, out) == (1, "")
+    assert err == f"error: {origin}: replication 0 not in [1, 2]\n"
+
+
+def test_a_new_store_below_the_default_replication_names_the_node_count(workdir, capsys):
+    # the replication a new store takes by default is refused at one node,
+    # and the refusal names where the node count came from
+    manifest = _generated(capsys, workdir, "d1", 9)
+    code, out, err = run(capsys, "--nodes", "1", "ingest", str(manifest))
+    assert (code, out) == (1, "")
+    assert err == "error: flag --nodes: replication 2 not in [1, 1]\n"
 
 
 def test_submit_and_results_are_utf8_whatever_the_locale(workdir, capsys):

@@ -1,16 +1,22 @@
+import io
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dslake.errors import DslakeError, FormatError
+from dslake.cyclone import grid
 from dslake.cyclone.grid import (
     GridSnapshot,
     densify,
     parse_grid_snapshot,
+    render_body,
     render_grid_snapshot,
+    render_header,
 )
 from dslake.cyclone.plugin import extract_centers
 
@@ -265,3 +271,128 @@ def test_any_bytes_give_a_snapshot_or_a_dslake_error(data, primers):
             parse(data)
         except DslakeError:
             pass
+
+
+def _general_parse(data):
+    """``parse_grid_snapshot`` with its canonical path declined: the general
+    parser alone, as it was before that path."""
+    with mock.patch.object(grid, "_canonical_values", return_value=None):
+        return parse_grid_snapshot(data)
+
+
+def _parsed(parse, data):
+    """What ``parse`` makes of ``data``: the snapshot's fields with its values'
+    shape and bytes, or its ``FormatError``'s line and message."""
+    try:
+        snap = parse(data)
+    except FormatError as exc:
+        return exc.line, exc.message
+    head = (snap.lat0, snap.lon0, snap.dlat, snap.dlon, snap.nlat, snap.nlon, snap.timestamp)
+    return head, snap.values.shape, snap.values.dtype, snap.values.tobytes()
+
+
+_HEAD = b"grid 48.0 -25.0 0.5 0.5 2 2 2011-01-01T00:00Z\n"
+_BODY = b"1000.00 1000.00\n1000.00 1000.00\n"  # canonical
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (b"mesh" + _HEAD[4:] + _BODY, 1, "header must be: grid lat0 lon0 dlat dlon nlat nlon time"),
+    (_HEAD.replace(b"-25.0", b"x") + _BODY, 1,
+     "bad header field: could not convert string to float: 'x'"),
+    (_HEAD.replace(b"0.5 0.5", b"0.5 0"), 1, "grid spacing must be positive"),
+    (_HEAD.replace(b" 2 2 ", b" 1 2 ") + _BODY[:16], 1, "grid must be at least 2x2"),
+    (_HEAD.replace(b"48.0", b"95.0") + _BODY, 1, "grid box outside [-90, 90] x [-180, 180]"),
+    (_HEAD + _BODY + _BODY[:16], 4, "expected 2 rows, found 3"),
+    (_HEAD + b"1000 1000\n1000 1000\n1000 1000\n", 4, "expected 2 rows, found 3"),
+    (_HEAD + _BODY[:16], 2, "expected 2 rows, found 1"),
+    (_HEAD + b"1000 1000", 2, "expected 2 rows, found 1"),
+    (_HEAD + b"1000.00 1000.00 1000.00 1000.00\n", 2, "expected 2 rows, found 1"),
+    (_HEAD + b"1000.00 1000.00 1000.00\n1000.00\n", 2, "expected 2 values, found 3"),
+    (_HEAD + b"1000.00 1000.00\n1000.00\n", 3, "expected 2 values, found 1"),
+    (_HEAD + b"1000 1000\n1000\t\n", 3, "expected 2 values, found 1"),
+    (_HEAD + b"1000.00 1000.00\n1000.00 10x0.00\n", 3, "non-numeric pressure value"),
+    (_HEAD + b"1000 1000\n1000 oops\n", 3, "non-numeric pressure value"),
+    (_HEAD + b"1000.00 1000,00\n1000.00 1000.00\n", 2, "non-numeric pressure value"),
+    (_HEAD + b"1000.00 1000.00\n1000-00 1000.00\n", 3, "non-numeric pressure value"),
+    (_HEAD + b"1000 nan\n1000 1000\n", 2, "non-finite pressure value"),
+    (_HEAD + b"1000 1000\n-inf 1000\n", 2, "non-finite pressure value"),
+    (_HEAD + b"2000.00 1000.00\n1000.00 1000.00\n", 2,
+     "pressure outside [850, 1100] hPa: range [1000, 2000]"),
+    (_HEAD + b"2000 1000\r\n1000 1000\r\n", 2,
+     "pressure outside [850, 1100] hPa: range [1000, 2000]"),
+    (_HEAD + b"1000.00 0.50\n1000.00 1000.00\n", 2,
+     "pressure outside [850, 1100] hPa: range [0.5, 1000]"),
+    (_HEAD + b"1000.00 123456.78\n1000.00 1000.00\n", 2,
+     "pressure outside [850, 1100] hPa: range [1000, 123457]"),
+    (_HEAD + b"1000.00 1000.00\n1000.00 10\xe90.00\n", 3, "not UTF-8 text"),
+], ids=[
+    "header", "header-field", "spacing", "shape", "box", "rows-long", "rows-long-general",
+    "rows-short", "rows-short-general", "rows-one-line", "cells-long", "cells-short", "cells-short-general",
+    "non-numeric", "non-numeric-general", "comma", "minus", "nan", "inf", "range-high", "range-high-general",
+    "range-low", "six-digits", "utf8",
+])
+def test_each_parse_error_names_its_line(data, line, message):
+    # a canonical-looking body and a general one give the same error, on
+    # either path
+    assert _parsed(parse_grid_snapshot, data) == (line, message)
+    assert _parsed(_general_parse, data) == (line, message)
+
+
+# cell values: every class of float64, ties and near-ties of the second
+# decimal, and the edges of the canonical range
+_CELLS = (
+    st.floats(width=64)
+    | st.floats(0, 10000)
+    | st.integers(0, 80000).map(lambda k: k / 8)
+    | st.sampled_from([
+        -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.005, 0.015, 0.125, 0.375, 1.005, 2.675,
+        9.995, 99.995, 999.995, 1013.25, 9999.994999999999, 9999.995, 10000.0, 1e300, -1013.25,
+        float("nan"), float("inf"), float("-inf"),
+    ])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7), elements=_CELLS))
+def test_render_body_writes_what_savetxt_writes(values):
+    buf = io.BytesIO()
+    np.savetxt(buf, values, fmt="%.2f", delimiter=" ", newline="\n")
+    body = render_body(values)
+    assert body == buf.getvalue()
+    rows = values.reshape(len(values), -1) if values.size else None
+    if rows is not None and np.all((values < 10000) & ~np.signbit(values)):
+        # a canonical body: its values are float(cell), bit for bit
+        cells = [[float(cell) for cell in row.split()] for row in body.decode().splitlines()]
+        parsed = grid._canonical_values(body, *rows.shape)
+        assert parsed.tobytes() == np.array(cells).tobytes()
+
+
+# what an edit puts into a canonical body: separators, line breaks, other
+# number spellings, non-ASCII digits and spaces, and bytes that are not UTF-8
+_MUTATIONS = [
+    b"", b" ", b"  ", b"\n", b"\n\n", b"\t", b"\r\n", b"\r", b"\x0c", b".", b"..", b"-", b"+",
+    b"e1", b"E-1", b"0", b"9", b"00", b"1_0", b".5", b"123456", b"\xd9\xa3", b"\xc2\xa0", b"\xff",
+    b"nan", b"inf",
+]
+
+
+@st.composite
+def mutated_canonical_bodies(draw):
+    """A canonical snapshot with up to three pieces put in over up to three
+    bytes each."""
+    nlat, nlon = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    cells = st.floats(850, 1100) | _CELLS.filter(lambda x: 0 <= x < 10000)
+    values = draw(arrays(np.float64, (nlat, nlon), elements=cells))
+    data = render_header(48.0, -25.0, 0.5, 0.5, nlat, nlon, utc(2011, 1, 1)) + render_body(values)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(data.index(b"\n") + 1, len(data)))
+        piece = draw(st.sampled_from(_MUTATIONS))
+        data = data[:start] + piece + data[start + draw(st.integers(0, 3)):]
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_canonical_bodies() | edited_snapshots() | grid_like_bytes())
+def test_the_canonical_path_parses_as_the_general_parser(data):
+    # the same values bit for bit, or the same error line and message
+    assert _parsed(parse_grid_snapshot, data) == _parsed(_general_parse, data)

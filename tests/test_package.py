@@ -39,12 +39,15 @@ def test_bsm_command_imports_no_numpy_or_engine():
 
 
 # a new interpreter runs ``dslake`` with its arguments, if any, and prints
-# its exit status and whether numpy was imported as its last line
+# as its last line its exit status, whether numpy was imported, and which of
+# the engine, the storage fabric and the cyclone domain's modules it loaded
 _CLI_PROBE = (
     "import sys\n"
     "from dslake.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "print(code, 'numpy' in sys.modules)\n"
+    "heavy = [m for m in sorted(sys.modules)\n"
+    "         if m in ('dslake.engine', 'dslake.storage') or m.startswith('dslake.cyclone.')]\n"
+    "print(code, 'numpy' in sys.modules, *heavy)\n"
 )
 
 
@@ -82,7 +85,8 @@ def _submit_argv(work, name):
 def test_the_cli_imports_no_numpy(cli_store, verb):
     # numpy is imported only where grids are computed: an index-hit submit,
     # whose records and pressure structures come from the store's indexes,
-    # computes none, and neither do the verbs that read no snapshot
+    # computes none, and neither do the verbs that read no snapshot; the
+    # import and ``results`` load no engine, storage or cyclone module
     work, printed = cli_store
     task_id = TaskRequest("d1", FIG5_SCRIPT).task_id()
     argv = {
@@ -97,7 +101,12 @@ def test_the_cli_imports_no_numpy(cli_store, verb):
     proc = subprocess.run([sys.executable, "-c", _CLI_PROBE, *argv], capture_output=True,
                           text=True, env=env, cwd=work, timeout=120)
     out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
-    assert (proc.returncode, last) == (0, "0 False"), proc.stderr
+    code, numpy, *heavy = last.split()
+    assert (proc.returncode, code, numpy) == (0, "0", "False"), proc.stderr
+    if verb in ("import", "results"):
+        assert heavy == []
+    else:
+        assert "dslake.cyclone.plugin" in heavy
     if verb in printed:
         assert f"{out}\n" == printed[verb]
 
