@@ -11,18 +11,18 @@
 ``--config``, ``--storage-root``, ``--nodes``, ``--replication`` and
 ``--registry`` are global options and go before the verb. Configuration
 precedence: flags > environment (DSLAKE_STORAGE_ROOT, DSLAKE_NODES,
-DSLAKE_REPLICATION, DSLAKE_SEED) > config file (--config or ./dslake.conf:
-key=value lines of storage_root, nodes, replication, seed and registry,
-each key at most once) > defaults. ``submit`` runs on a stored fabric, at
-its node count unless ``nodes`` is set, with replication min(stored
-replication, nodes) unless ``replication`` is set; the defaults of 2 and 2
-only shape a store that ``ingest`` creates. ``--fail-node`` names a node of
-the stored fabric, so a submit that sets another node count or replication
-refuses it. ``results`` takes a task id as ``submit`` prints it, 16
-lowercase hex digits. Results go to stdout, diagnostics to stderr (among
-them the scratch directory each failed external run kept); exit 0 on
-success, 1 on domain errors (a malformed configuration value or config
-line among them), 2 on usage or file errors.
+DSLAKE_REPLICATION, DSLAKE_SEED) > config file (--config, which must exist,
+or ./dslake.conf if there: key=value lines of storage_root, nodes,
+replication, seed and registry, each key at most once) > defaults.
+``submit`` runs on a stored fabric, at its node count unless ``nodes`` is
+set, with replication min(stored replication, nodes) unless ``replication``
+is set; the defaults of 2 and 2 only shape a store that ``ingest`` creates.
+``--fail-node`` names a node of the stored fabric, so a submit that sets
+another node count or replication refuses it. ``results`` takes a task id
+as ``submit`` prints it, 16 lowercase hex digits. Results go to stdout,
+diagnostics to stderr (among them the scratch directory each failed
+external run kept); exit 0 on success, 1 on domain errors (a malformed
+configuration value or config line among them), 2 on usage or file errors.
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
     values = dict(DEFAULTS)
     origins: dict[str, str] = {}  # where each value that is not a default came from
     config_path = args.config or Path("dslake.conf")
-    if config_path.exists():
+    if args.config is not None or config_path.exists():  # ./dslake.conf is optional
         found, lines = read_keys(
-            read_utf8(config_path, ConfigError), FILE_KEYS, "=",
+            read_utf8(_existing(config_path, "config file"), ConfigError), FILE_KEYS, "=",
             lambda line, message: ConfigError(f"{config_path}:{line}: {message}"),
         )
         for key, value in found.items():
@@ -194,9 +194,7 @@ def _load_registry(config: CliConfig):
 
     registry = register_cyclone_domain(KnowledgeRegistry())
     for path in config.registry_paths:
-        if not path.exists():
-            raise FileNotFoundError(f"descriptor file {path}")
-        libraries, packages = load_descriptor_file(path)
+        libraries, packages = load_descriptor_file(_existing(path, "descriptor file"))
         for library in libraries:
             registry.register_domain_library(library)
         for package in packages:
@@ -204,11 +202,16 @@ def _load_registry(config: CliConfig):
     return registry
 
 
-def _read_script(path: Path) -> str:
+def _existing(path: Path, what: str) -> Path:
+    """``path``, or ``FileNotFoundError`` naming it as the ``what`` not found."""
     if not path.exists():
-        raise FileNotFoundError(f"script {path}")
+        raise FileNotFoundError(f"{what} {path} not found")
+    return path
+
+
+def _read_script(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return _existing(path, "script").read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         line, col = undecodable_at(exc)
         found = f"byte 0x{exc.object[exc.start]:02x} in {path}"
@@ -231,9 +234,7 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
     from dslake.cyclone.synthetic import generate_synthetic, parse_spec_text
     from dslake.storage import FileMeta, write_manifest
 
-    if not args.spec.exists():
-        raise FileNotFoundError(f"spec {args.spec}")
-    spec = parse_spec_text(read_utf8(args.spec, SpecError))
+    spec = parse_spec_text(read_utf8(_existing(args.spec, "spec"), SpecError))
     files, truth = generate_synthetic(spec, config.seed)
 
     out = args.out or Path(f"synthetic-{spec.dataset}")
@@ -251,8 +252,7 @@ def _cmd_gen_synthetic(args, config: CliConfig) -> int:
 def _cmd_ingest(args, config: CliConfig) -> int:
     from dslake.storage import DataFile, read_manifest
 
-    if not args.manifest.exists():
-        raise FileNotFoundError(f"manifest {args.manifest}")
+    _existing(args.manifest, "manifest")
     base = args.manifest.parent
     layout = _load_or_create_layout(config)
     files = []

@@ -75,6 +75,7 @@ from dslake.times import parse_utc
 LIBRARY_NAME = "cyclone"
 OBJECT_TYPE = "cyclone-path"
 FILE_KIND = "grid"
+_UTC_OFFSET = timedelta(0)
 
 # each parameter of a path: its name, its semantic type and its source, the
 # CycloneParams field it reads, the path's start ("start") or the
@@ -146,8 +147,10 @@ def read_centers(text: str) -> tuple[datetime, list[CycloneCenter]]:
     ``text``; other text raises ``ValueError``."""
     stamp, *fields = text.split(" ")
     ts = datetime.fromisoformat(stamp)  # reads what isoformat writes, ~3x faster than parse_utc
-    if ts.utcoffset() != timedelta(0):
+    if ts.utcoffset() != _UTC_OFFSET:
         raise ValueError(f"{stamp!r} is not a UTC instant")
+    if not fields:  # most records: an instant with no center
+        return ts, []
     if len(fields) % 8:
         raise ValueError(f"{len(fields)} center fields, not eight per center")
     return ts, [

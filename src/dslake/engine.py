@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -270,20 +271,24 @@ def _source_digest(procedures: list) -> str | None:
         path = Path(path).resolve()
         if package not in path.parents:
             outside[module.__name__] = path
-    ours = _files_digest(
-        {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
-    )
-    theirs = _files_digest(outside)
+    top, files = str(package), {}
+    for folder, _, names in os.walk(top):  # the files package.rglob("*.py") finds
+        rel = folder[len(top) + 1:].replace(os.sep, "/")
+        for name in names:
+            if name.endswith(".py"):
+                files[f"{rel}/{name}" if rel else name] = os.path.join(folder, name)
+    ours, theirs = _files_digest(files), _files_digest(outside)
     return None if ours is None or theirs is None else f"{ours}\n{theirs}"
 
 
-def _files_digest(sources: dict[str, Path]) -> str | None:
+def _files_digest(sources: dict[str, str | Path]) -> str | None:
     """The SHA-256 of each ``name: path`` file of ``sources``, by name, with
     its name and length; ``None`` if one cannot be read."""
     digest = hashlib.sha256()
     for name, path in sorted(sources.items()):
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             return None
         digest.update(f"{name}\0{len(data)}\0".encode() + data)

@@ -12,9 +12,10 @@ Placement is computed for a whole list of file ids at once (``place_all``),
 in pure Python: each id's hash is a 128-bit lane of one int, masked to 64
 bits after each multiply as FNV-1a's products wrap (``_scores``). It is a
 pure function of the file id and the shape (node count and
-replication), so the layout's memo keeps every placement per shape:
-``ingest``, ``load`` and ``reshaped`` place, in one call, only the ids
-not placed at their shape before.
+replication), so the layout's memo keeps every placement per shape, and
+once per id the hash of its 64 digits, the FNV-1a prefix every node
+extends: ``ingest``, ``load`` and ``reshaped`` place, in one call, only
+the ids not placed at their shape before, and hash again no id's digits.
 
 On-disk layout (used by the CLI):
 
@@ -101,17 +102,12 @@ _FILE_ID = re.compile("[0-9a-f]{64}")  # a content address: a SHA-256 hex digest
 MAX_NODES = 256
 
 
-def _scores(file_ids: Sequence[str], node_count: int) -> list[tuple[int, ...]]:
-    """Each file's rendezvous scores, one per node: the 64-bit FNV-1a hash
-    of its id followed by each node id.
-
-    The ids, 64 hex digits each (see ``place_all``), hash in the 128-bit
-    lanes of one Python int, little-endian, one lane per id: one pass per
-    column XORs in every id's byte, multiplies by the FNV prime and masks
-    each lane to 64 bits. A lane below 2**64 times the 41-bit prime stays
-    below 2**105, so no product carries into the next lane. One pass per
-    node then extends each hash by the node id.
-    """
+def _fnv_prefixes(file_ids: Sequence[str]) -> int:
+    """The 64-bit FNV-1a hash of each id's 64 hex digits (see ``place_all``),
+    in the 128-bit lanes of one Python int, little-endian, one lane per id:
+    one pass per column XORs in every id's byte, multiplies by the FNV prime
+    and masks each lane to 64 bits. A lane below 2**64 times the 41-bit
+    prime stays below 2**105, so no product carries into the next lane."""
     count = len(file_ids)
     joined = "".join(file_ids).encode()
     ones = int.from_bytes(_LANE_ONE * count, "little")
@@ -121,13 +117,37 @@ def _scores(file_ids: Sequence[str], node_count: int) -> list[tuple[int, ...]]:
     for c in range(64):
         column[0::_LANE] = joined[c::64]
         prefix = ((prefix ^ int.from_bytes(column, "little")) * _FNV_PRIME) & mask
-    unpack = struct.Struct(f"<{2 * count}Q").unpack  # each lane's low and high 64 bits
+    return prefix
+
+
+def _low_halves(lanes: int, count: int) -> tuple[int, ...]:
+    """The low 64 bits of each of the ``count`` 128-bit lanes of ``lanes``."""
+    return struct.unpack(f"<{2 * count}Q", lanes.to_bytes(_LANE * count, "little"))[0::2]
+
+
+def _scores(
+    file_ids: Sequence[str], node_count: int, prefixes: dict[str, int] | None = None
+) -> list[tuple[int, ...]]:
+    """Each file's rendezvous scores, one per node: the 64-bit FNV-1a hash
+    of its id followed by each node id. An id's prefix, the hash of its
+    digits, is computed only if ``prefixes`` lacks it, and kept there."""
+    count = len(file_ids)
+    ones = int.from_bytes(_LANE_ONE * count, "little")
+    mask = _FNV_MASK * ones
+    prefixes = {} if prefixes is None else prefixes
+    new = [file_id for file_id in file_ids if file_id not in prefixes]
+    lanes = _fnv_prefixes(new)  # every id's lane when none was known
+    prefixes.update(zip(new, _low_halves(lanes, len(new))))
+    if len(new) < count:
+        flat = [0] * (2 * count)
+        flat[0::2] = map(prefixes.__getitem__, file_ids)
+        lanes = int.from_bytes(struct.pack(f"<{2 * count}Q", *flat), "little")
     by_node = []
     for node in range(node_count):
-        h = prefix
+        h = lanes
         for byte in str(node).encode():
             h = ((h ^ byte * ones) * _FNV_PRIME) & mask
-        by_node.append(unpack(h.to_bytes(_LANE * count, "little"))[0::2])
+        by_node.append(_low_halves(h, count))
     return list(zip(*by_node))
 
 
@@ -138,13 +158,16 @@ def _ranked(scores: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def place_all(
-    file_ids: Sequence[str], node_count: int, replication: int
+    file_ids: Sequence[str], node_count: int, replication: int,
+    prefixes: dict[str, int] | None = None,
 ) -> list[tuple[int, ...]]:
     """Rendezvous placement of every file of ``file_ids``, in their order.
-    Each id must be 64 lowercase hex digits, as ``ingest`` and ``load`` ensure."""
+    Each id must be 64 lowercase hex digits, as ``ingest`` and ``load`` ensure.
+    ``prefixes``, if given, keeps each id's hash of its digits (``_scores``)."""
     if not 1 <= replication <= node_count:
         raise InvalidReplication(f"replication {replication} not in [1, {node_count}]")
-    return [tuple(nodes[:replication]) for nodes in _ranked(_scores(file_ids, node_count))]
+    ranked = _ranked(_scores(file_ids, node_count, prefixes))
+    return [tuple(nodes[:replication]) for nodes in ranked]
 
 
 @dataclass(frozen=True)
@@ -200,15 +223,17 @@ class StorageLayout:
     from the one ``stored_lists`` kept at ``load``.
 
     ``memo`` holds results derived from the stored content: one dict per
-    owner, a procedure function or a library's extractor functions, and
-    one per shape, ``("placements", node_count, replication)``, holding
-    every file's placement at that shape. Each entry is a pure function of
-    its owner (or shape) and the file id or bytes, and file ids are content
-    addresses, so none goes stale. A library's extractor functions own one
-    map record per file, whatever the queries ask. Entries are dropped with
-    the layout; reshaped views share them, so a view at a shape used before
-    places only the files new since. Memory grows by at most one placement
-    per file per shape in use, and with the number of distinct bodies too:
+    owner, a procedure function or a library's extractor functions, one
+    per shape, ``("placements", node_count, replication)``, holding every
+    file's placement at that shape, and ``"prefixes"``, each placed file
+    id's FNV-1a hash of its digits (``_scores``). Each entry is a pure
+    function of its owner (or shape) and the file id or bytes, and file
+    ids are content addresses, so none goes stale. A library's extractor
+    functions own one map record per file, whatever the queries ask.
+    Entries are dropped with the layout; reshaped views share them, so a
+    view places only the files new at its shape and hashes no id again.
+    Memory grows by one int per file id, at most one placement per file
+    per shape in use, and with the number of distinct bodies too:
     the cyclone extractor keys its centers on the body bytes and the
     header's geometry, so its memo holds the only copy a loaded layout
     retains of each distinct body. No lock: an engine runs one submit at a
@@ -279,7 +304,8 @@ class StorageLayout:
         known = self.memo.setdefault(("placements", self.node_count, self.replication), {})
         new = [file_id for file_id in file_ids if file_id not in known]
         if new:
-            known.update(zip(new, place_all(new, self.node_count, self.replication)))
+            prefixes = self.memo.setdefault("prefixes", {})
+            known.update(zip(new, place_all(new, self.node_count, self.replication, prefixes)))
         return known
 
     # -- failure injection ---------------------------------------------------

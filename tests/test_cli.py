@@ -97,6 +97,33 @@ def test_directory_for_a_file_exit_two(workdir, capsys, relpath, argv):
     assert err.startswith("error: ") and "Is a directory" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "typo.conf", "registry", "list"], "config file typo.conf not found"),
+        (["--registry", "typo.kd", "registry", "list"], "descriptor file typo.kd not found"),
+        (["validate", "typo.dq"], "script typo.dq not found"),
+        (["submit", "--dataset", "d1", "typo.dq"], "script typo.dq not found"),
+        (["gen-synthetic", "typo.spec"], "spec typo.spec not found"),
+        (["ingest", "typo.tsv"], "manifest typo.tsv not found"),
+    ],
+    ids=["config", "registry", "validate", "submit", "spec", "manifest"],
+)
+def test_a_missing_file_exit_two_names_it_not_found(workdir, capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (workdir / "dslake-storage").exists()
+
+
+def test_an_explicit_config_must_exist_but_dslake_conf_is_optional(workdir, capsys):
+    # an explicit --config naming a directory: test_directory_for_a_file_exit_two
+    code, out, err = run(capsys, "registry", "list")  # no ./dslake.conf: the defaults
+    assert (code, err) == (0, "") and out
+    (workdir / "dslake.conf").write_text("nodes=3\n")
+    code, out, err = run(capsys, "--config", "typo.conf", "registry", "list")
+    assert (code, out, err) == (2, "", "error: config file typo.conf not found\n")
+
+
 def test_usage_error_exit_two(workdir, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["submit"])  # --dataset is required
@@ -651,9 +678,9 @@ def _refused_shape(capsys, workdir, monkeypatch, source, key, value):
 
     place_all = storage.place_all
 
-    def bounded(file_ids, node_count, replication):
+    def bounded(file_ids, node_count, replication, prefixes=None):
         assert node_count <= storage.MAX_NODES, f"placed at {node_count} nodes"
-        return place_all(file_ids, node_count, replication)
+        return place_all(file_ids, node_count, replication, prefixes)
 
     monkeypatch.setattr(storage, "place_all", bounded)
     run(capsys, "ingest", str(_generated(capsys, workdir, "d1", 9)))

@@ -449,6 +449,54 @@ def test_the_codec_refuses_a_center_without_its_structure():
         write_centers((utc(2011, 1, 1), [replace(center, structure=None)]))
 
 
+def test_the_codec_reads_a_record_without_centers_as_written():
+    ts = utc(2011, 3, 4, 18)
+    text = write_centers((ts, []))
+    assert text == "2011-03-04T18:00:00+00:00"
+    assert repr(read_centers(text)) == repr((ts, []))
+
+
+@pytest.mark.parametrize("text", [
+    "2011-03-04T18:00:00",  # naive
+    "2011-03-04T18:00:00+01:00",
+    "2011-03-04T18:00:00+00:00 ",  # a trailing space: one empty field
+    " ".join(["2011-03-04T18:00:00+00:00", *["1.0"] * 7]),
+    " ".join(["2011-03-04T18:00:00+00:00", *["1.0"] * 9]),
+])
+def test_the_codec_refuses_a_stamp_not_utc_or_fields_not_eight_per_center(text):
+    with pytest.raises(ValueError):
+        read_centers(text)
+
+
+def test_the_stamp_digests_the_files_rglob_finds_in_the_package(monkeypatch):
+    package = Path(engine.__file__).resolve().parent
+    files_digest, seen = engine._files_digest, []
+
+    def recording(sources):
+        seen.append(dict(sources))
+        return files_digest(sources)
+
+    monkeypatch.setattr(engine, "_files_digest", recording)
+    ours = engine._source_digest([extract_centers]).split("\n")[0]
+    found = {path.relative_to(package).as_posix(): path for path in package.rglob("*.py")}
+    assert "cyclone/plugin.py" in found and "engine.py" in found
+    assert {name: Path(path) for name, path in seen[0].items()} == found
+    assert files_digest(found) == ours
+
+
+def test_the_stamp_is_none_when_a_source_cannot_be_read(monkeypatch):
+    real_open = builtins.open
+
+    def refusing(path, *args, **kwargs):
+        if str(path).endswith(os.path.join("cyclone", "track.py")):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    assert engine._source_digest([extract_centers]) is not None
+    monkeypatch.setattr(builtins, "open", refusing)
+    assert engine._source_digest([extract_centers]) is None
+
+
 _FIELDS = st.sampled_from([
     "2011-01-01T00:00:00+00:00", "2011-01-01T00:00Z", "1.5", "-0.0", "nan", "1e999", "3", "-1",
     "9" * 5000, "x", "", " ", "٣", "2011-02-30T00:00:00+00:00",

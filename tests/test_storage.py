@@ -127,10 +127,10 @@ def test_the_node_count_is_bounded(tmp_path, monkeypatch):
 
     place_all, shapes = storage.place_all, []
 
-    def bounded(file_ids, node_count, replication):
+    def bounded(file_ids, node_count, replication, prefixes=None):
         assert node_count <= MAX_NODES, f"placed at {node_count} nodes"
         shapes.append(node_count)
-        return place_all(file_ids, node_count, replication)
+        return place_all(file_ids, node_count, replication, prefixes)
 
     monkeypatch.setattr(storage, "place_all", bounded)
     f = make_file(0)
@@ -740,9 +740,9 @@ def test_reshape_places_like_an_ingest_at_the_new_node_count():
 def _counting_place_all(monkeypatch) -> list[str]:
     placed = []
 
-    def counting(file_ids, node_count, replication):
+    def counting(file_ids, node_count, replication, prefixes=None):
         placed.extend(file_ids)
-        return place_all(file_ids, node_count, replication)
+        return place_all(file_ids, node_count, replication, prefixes)
 
     monkeypatch.setattr("dslake.storage.place_all", counting)
     return placed
@@ -792,6 +792,64 @@ def test_views_sharing_a_memo_keep_their_shapes_and_file_order():
     assert in_order(later) and len(later.placements) == 20
     # one placement per file per shape in use: the parent's 20 and the view's 5
     assert len(parent.memo[("placements", 4, 2)]) == 25
+
+
+@st.composite
+def layout_shapes(draw):
+    """Hypothesis strategy for a shape: a node count and a replication."""
+    node_count = draw(st.integers(1, 20))
+    return node_count, draw(st.integers(1, node_count))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(hex_ids(), max_size=40, unique=True), st.lists(layout_shapes(), min_size=1, max_size=6),
+       st.data())
+def test_a_shared_prefix_memo_places_as_the_reference_at_every_shape(file_ids, shapes, data):
+    # a chain of views sharing one memo, each ingest or reshape the next
+    # step; ids ingested after a reshape are hashed into the same memo
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(file_ids)), max_size=4)))
+    batches = [file_ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(file_ids)])]
+    layout = StorageLayout(*shapes[0])
+    steps = [("ingest", batch) for batch in batches] + [("reshape", shape) for shape in shapes[1:]]
+    held = []
+    for kind, arg in data.draw(st.permutations(steps)):
+        if kind == "ingest":
+            layout.ingest(DataFile(i, "d", utc(2011, 1, 1), utc(2011, 1, 1), b"") for i in arg)
+            held += arg
+        else:
+            layout = layout.reshaped(*arg)
+        node_count, replication = layout.node_count, layout.replication
+        expected = [tuple(reference_ranking(i, node_count)[:replication]) for i in held]
+        assert [layout.placements[i] for i in held] == expected
+        assert place_all(held, node_count, replication) == expected
+        assert len(layout.memo.get("prefixes", {})) == len(held)
+
+
+def test_a_reshape_of_a_loaded_store_hashes_no_id_again(tmp_path, monkeypatch):
+    import dslake.storage as storage
+
+    files = [make_file(i) for i in range(30)]
+    StorageLayout(node_count=8, replication=2).ingest(files).save(tmp_path)
+    loaded = StorageLayout.load(tmp_path)
+    new = make_file(30)
+    ids = [f.file_id for f in [*files, new]]
+    expected = place_all(ids[:-1], 4, 2), place_all(ids, 13, 3)
+    fnv_prefixes, hashed = storage._fnv_prefixes, []
+
+    def spying(file_ids):
+        hashed.extend(file_ids)
+        return fnv_prefixes(file_ids)
+
+    monkeypatch.setattr(storage, "_fnv_prefixes", spying)
+    view = loaded.reshaped(4, 2)
+    assert hashed == []
+    assert [view.placements[i] for i in ids[:-1]] == expected[0]
+    view.ingest([new])
+    assert hashed == [new.file_id]
+    wider = view.reshaped(13, 3)
+    assert hashed == [new.file_id]
+    assert [wider.placements[i] for i in ids] == expected[1]
+    assert len(loaded.memo["prefixes"]) == 31  # one per file id, whatever the shapes
 
 
 @pytest.mark.parametrize(
